@@ -43,6 +43,7 @@ from .errors import (
     ArchiveFormatError,
     DegenerateInputError,
     HydraMergeError,
+    NumericalError,
     ParameterError,
     ShapeError,
     ValidationError,

@@ -7,9 +7,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterCollection, MergedBundle, SlotKey, delta_weight
+from .adapters import (
+    AdapterCollection,
+    MergedBundle,
+    SharedLoraSlot,
+    SharedVeraSlot,
+    SlotKey,
+    delta_weight,
+)
 from .errors import ParameterError, ValidationError
-from .linalg import DistanceKind, distance
+from .linalg import DistanceKind, distance, mae_and_fro
 
 
 @dataclass
@@ -152,9 +159,17 @@ def reconstruction_report(original: AdapterCollection, merged: MergedBundle) -> 
         raise ValidationError("collection and bundle cover different tasks")
     report = ReconReport(tasks=list(original.task_ids), slots=list(original.slots))
     for slot in original.slots:
-        for task in original.task_ids:
+        entry = merged.entries[slot]
+        shared = isinstance(entry, (SharedLoraSlot, SharedVeraSlot))
+        # Each distinct merged product is built once: one per cluster for a
+        # shared slot, one for a single merged adapter.
+        products: dict[int, np.ndarray] = {}
+        for index, task in enumerate(original.task_ids):
+            cluster = entry.assignment[index] if shared else 0
+            if cluster not in products:
+                products[cluster] = entry.prediction(index)
             target = delta_weight(original.adapter(task, slot))
-            prediction = merged.prediction(task, slot)
-            report.mae[(task, slot)] = distance(target, prediction, DistanceKind.MAE)
-            report.fro[(task, slot)] = distance(target, prediction, DistanceKind.FRO)
+            mae, fro = mae_and_fro(target, products[cluster])
+            report.mae[(task, slot)] = mae
+            report.fro[(task, slot)] = fro
     return report

@@ -62,11 +62,18 @@ _MERGED_TENSOR = re.compile(
 )
 
 
-def _as_f32_payload(arr: np.ndarray) -> np.ndarray:
+def _as_f32_payload(arr: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
-    return np.ascontiguousarray(a, dtype="<f4")
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(a, dtype="<f4")
+    if np.any(np.isinf(payload) & np.isfinite(a)):
+        raise ValidationError(
+            f"tensor {name!r} holds a finite value beyond float32 range "
+            f"(|x| > {float(np.finfo(np.float32).max):.7g})"
+        )
+    return payload
 
 
 def write_raw_archive(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
@@ -75,7 +82,7 @@ def write_raw_archive(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     payloads: list[bytes] = []
     offset = 0
     for name in sorted(tensors):
-        payload = _as_f32_payload(tensors[name])
+        payload = _as_f32_payload(tensors[name], name)
         raw = payload.tobytes()
         entries[name] = {
             "shape": [int(payload.shape[0]), int(payload.shape[1])],

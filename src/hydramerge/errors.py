@@ -24,3 +24,8 @@ class ArchiveFormatError(HydraMergeError, ValueError):
 
 class ValidationError(HydraMergeError, ValueError):
     """Structurally parseable data violates a collection or bundle invariant."""
+
+
+class NumericalError(HydraMergeError, ArithmeticError):
+    """A computation left the finite range: an overflowed Gram trace, or a
+    training run whose loss or gradient became non-finite or ran away."""

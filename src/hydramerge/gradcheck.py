@@ -3,8 +3,10 @@
 Random instances are drawn away from the non-smooth points of the
 distances (all residual entries must exceed a magnitude floor), the
 analytic gradients are compared against central differences tensor by
-tensor, and the worst relative error is reported.  Relative error for a
-tensor pair (analytic a, numeric f) is
+tensor, and the worst relative error is reported.  Each instance checks
+the kernel that training runs for it: the factored one for a smooth
+distance on low-rank targets, the dense one otherwise.  Relative error
+for a tensor pair (analytic a, numeric f) is
 
     max|a - f| / max(max|a|, max|f|, 1e-12)
 """
@@ -22,7 +24,7 @@ from .hydra import (
     HydraConfig,
     HydraState,
     VeraHydraState,
-    _loss_and_grads_lora,
+    _lora_kernel,
     _loss_and_grads_vera,
     _target_matrices,
     init_state,
@@ -171,15 +173,15 @@ def _vera_predictions(state: VeraHydraState, cfg: HydraConfig, num_tasks: int):
     return [np.tensordot(weights[i], stacked, axes=(0, 0)) for i in range(num_tasks)]
 
 
-def _check_state(state, mats, cfg, loss_and_grads, report, label, step):
-    _, _, grads = loss_and_grads(state, mats, cfg)
+def _check_state(state, cfg, loss_and_grads, report, label, step):
+    _, _, grads = loss_and_grads(state)
     for name, tensor in state.named_tensors():
         probe = copy.deepcopy(state)
         probe_tensor = dict(probe.named_tensors())[name]
 
         def loss_at(replacement, _ref=probe_tensor, _shape=tensor.shape):
             _ref[...] = replacement.reshape(_shape)
-            return loss_and_grads(probe, mats, cfg)[0]
+            return loss_and_grads(probe)[0]
 
         shaped = tensor if tensor.ndim == 2 else tensor.reshape(-1, 1)
         numeric = finite_diff(loss_at, shaped, h=step).reshape(tensor.shape)
@@ -211,9 +213,8 @@ def run_suite(
             targets, state, cfg = _random_lora_instance(
                 rng, d, k, r, num_tasks, num_clusters, kind
             )
-            mats = _target_matrices(targets)
             _check_state(
-                state, mats, cfg, _loss_and_grads_lora, report,
+                state, cfg, _lora_kernel(targets, cfg), report,
                 f"lora[{index}] M={num_clusters} {kind.value}", step,
             )
             if include_vera:
@@ -222,7 +223,7 @@ def run_suite(
                 )
                 mats = _target_matrices(targets)
                 _check_state(
-                    state, mats, cfg, _loss_and_grads_vera, report,
+                    state, cfg, lambda s: _loss_and_grads_vera(s, mats, cfg), report,
                     f"vera[{index}] M={num_clusters} {kind.value}", step,
                 )
         report.instances += 1

@@ -22,6 +22,33 @@ with respect to ``P_i``:
     g[i, j] = <G_i, B_j @ A>                     (flattened inner product)
     dC[i,m] = (w[i, m] / temperature) * (g[i, m] - sum_j w[i, j] g[i, j])
 
+For the smooth distances (mse, fro, cos) on low-rank targets ``T_i =
+b_i a_i`` the dense ``d x k`` matrices are never formed.  With ``Bmix_i =
+sum_j w[i, j] B_j`` (``B_i`` under identity routing) every quantity is a
+trace of ``r x r`` Gram products:
+
+    tt_i = <T_i, T_i> = <b_i^T b_i,       a_i a_i^T>     (fixed per run)
+    tp_i = <T_i, P_i> = <Bmix_i^T b_i,    A a_i^T>
+    pp_i = <P_i, P_i> = <Bmix_i^T Bmix_i, A A^T>
+
+:func:`~hydramerge.linalg.smooth_terms` maps them to the loss and to
+``(alpha_i, beta_i)`` with ``G_i = alpha_i T_i + beta_i P_i``, so
+
+    dA      = sum_i alpha_i (Bmix_i^T b_i) a_i + beta_i (Bmix_i^T Bmix_i) A
+    dB_j^T  = sum_i w[i, j] (alpha_i (A a_i^T) b_i^T + beta_i (A A^T) Bmix_i^T)
+    g[i, j] = alpha_i <B_j^T b_i, A a_i^T> + beta_i <B_j^T Bmix_i, A A^T>
+
+at ``O(K M r^2 (d + k))`` per step.  Target-side and prediction-side
+products run through the same operations, so ``b_i == Bmix_i`` and
+``a_i == A`` give bit-equal traces, a loss of exactly 0 and gradient terms
+that cancel exactly.  MAE, scaled-vector targets and targets given as
+dense matrices use the dense kernel, which also serves as the reference
+the factored one is tested against.
+
+Training stops with :class:`~hydramerge.errors.NumericalError`, naming the
+slot and step, when the loss or a gradient turns non-finite or the loss
+exceeds ``DIVERGENCE_FACTOR`` times a positive initial loss.
+
 Updates use AdamW with bias correction.  After training each task is
 assigned ``argmax_j C[i, j]`` and the logits are discarded; storage per
 slot is then ``M * r * d + r * k`` against ``K * r * (d + k)`` for the
@@ -54,8 +81,9 @@ from .adapters import (
     VeraAdapter,
     delta_weight,
 )
-from .errors import ParameterError, ValidationError
+from .errors import NumericalError, ParameterError, ValidationError
 from .linalg import (
+    SMOOTH_DISTANCES,
     DistanceKind,
     Matrix,
     Rng,
@@ -64,11 +92,14 @@ from .linalg import (
     distance_grad,
     exact_mean,
     gaussian_sample,
+    smooth_terms,
     softmax_rows,
     stable_hash64,
 )
 
 _RANDOM_INIT_STDEV = 0.02
+# A loss above this multiple of a positive initial loss counts as divergence.
+DIVERGENCE_FACTOR = 1e3
 
 
 class InitScheme(str, Enum):
@@ -233,8 +264,16 @@ def init_state(targets: Sequence[LowRankAdapter], cfg: HydraConfig, rng: Rng) ->
     return state
 
 
+def _finite(products: list[Matrix]) -> list[Matrix]:
+    """Dense cluster products, checked so that an overflow stops training
+    with its step named rather than as a non-finite prediction."""
+    if not all(np.all(np.isfinite(p)) for p in products):
+        raise NumericalError("a cluster product overflowed to non-finite values")
+    return products
+
+
 def _lora_predictions(state: HydraState, cfg: HydraConfig, num_tasks: int):
-    products = [b @ state.a_shared for b in state.b_clusters]
+    products = _finite([b @ state.a_shared for b in state.b_clusters])
     if state.logits is None:
         if len(state.b_clusters) != num_tasks:
             raise ParameterError(
@@ -315,9 +354,103 @@ def _loss_and_grads_lora(state: HydraState, mats: list[Matrix], cfg: HydraConfig
     return float(sum(per_task)), per_task, HydraGrads(tensors=grads)
 
 
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y^T`` over the last two axes, always as the same general product.
+
+    Both operands reach BLAS C-contiguous, the right one as a fresh copy:
+    the rounding of a product depends on the operand layout, and numpy
+    turns ``x @ x.T`` on one buffer into a symmetric rank-k update.  The
+    exact-fit guarantee rests on every Gram factor taking one path.
+    """
+    return np.matmul(np.ascontiguousarray(x), np.ascontiguousarray(np.swapaxes(y, -1, -2)))
+
+
+def _trace(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``<x, y>`` over the last two axes, broadcasting the leading ones."""
+    return np.sum(x * y, axis=(-2, -1))
+
+
+@dataclass(frozen=True)
+class _LowRankTargets:
+    """Target factors in the layout of the factored kernel."""
+
+    b_t: np.ndarray  # (K, r, d): b_i^T
+    a: np.ndarray  # (K, r, k)
+    tt: np.ndarray  # (K,): <T_i, T_i>
+    size: int  # d * k
+
+    @classmethod
+    def of(cls, targets: Sequence[LowRankAdapter]) -> "_LowRankTargets":
+        b_t = np.ascontiguousarray(np.stack([as_matrix(t.b, "target B").T for t in targets]))
+        a = np.stack([as_matrix(t.a, "target A") for t in targets])
+        d, _, k = targets[0].shape_signature()
+        return cls(b_t=b_t, a=a, tt=_trace(_cross(b_t, b_t), _cross(a, a)), size=d * k)
+
+
+def _loss_and_grads_factored(state: HydraState, tgt: _LowRankTargets, cfg: HydraConfig):
+    """Loss and gradients of a smooth distance from r x r Gram products."""
+    num_tasks = len(tgt.tt)
+    a_shared = state.a_shared
+    clusters_t = np.ascontiguousarray(np.swapaxes(np.stack(state.b_clusters), 1, 2))  # B_j^T
+    if state.logits is None:
+        if len(state.b_clusters) != num_tasks:
+            raise ParameterError(
+                f"{len(state.b_clusters)} clusters cannot be identity-routed to "
+                f"{num_tasks} tasks"
+            )
+        weights = None
+        mix_t = clusters_t
+    else:
+        weights = softmax_rows(state.logits, cfg.temperature)
+        mix_t = np.tensordot(weights, clusters_t, axes=(1, 0))  # Bmix_i^T
+    cross_b = _cross(mix_t, tgt.b_t)  # Bmix_i^T b_i
+    gram_b = _cross(mix_t, mix_t)  # Bmix_i^T Bmix_i
+    cross_a = _cross(a_shared, tgt.a)  # A a_i^T
+    gram_a = _cross(a_shared, a_shared)  # A A^T
+    values, alpha, beta = smooth_terms(
+        tgt.tt, _trace(cross_b, cross_a), _trace(gram_b, gram_a), tgt.size, cfg.distance
+    )
+    alpha3 = alpha[:, None, None]
+    beta3 = beta[:, None, None]
+
+    grads: dict[str, np.ndarray] = {}
+    grads["a_shared"] = (
+        np.matmul(alpha3 * cross_b, tgt.a) + np.matmul(beta3 * gram_b, a_shared)
+    ).sum(axis=0)
+    # (G_i A^T)^T, one r x d block per task.
+    g_at_t = np.matmul(alpha3 * cross_a, tgt.b_t) + np.matmul(beta3 * gram_a, mix_t)
+    if weights is not None:
+        g_at_t = np.tensordot(weights, g_at_t, axes=(0, 0))
+        inner = alpha[:, None] * _trace(
+            _cross(clusters_t[None], tgt.b_t[:, None]), cross_a[:, None]
+        ) + beta[:, None] * _trace(_cross(clusters_t[None], mix_t[:, None]), gram_a)
+        row_mix = (weights * inner).sum(axis=1, keepdims=True)
+        grads["logits"] = (weights / cfg.temperature) * (inner - row_mix)
+    for j, block in enumerate(g_at_t):
+        grads[f"b.{j}"] = np.ascontiguousarray(block.T)
+    per_task = values.tolist()
+    return float(sum(per_task)), per_task, HydraGrads(tensors=grads)
+
+
+def _lora_kernel(targets, cfg: HydraConfig):
+    """The loss-and-gradient function ``state -> (loss, per_task, grads)``
+    for fixed targets: factored for a smooth distance on low-rank targets,
+    dense otherwise."""
+    if cfg.distance in SMOOTH_DISTANCES and all(
+        isinstance(t, LowRankAdapter) for t in targets
+    ):
+        factored = _LowRankTargets.of(targets)
+        return lambda state: _loss_and_grads_factored(state, factored, cfg)
+    mats = _target_matrices(targets)
+    return lambda state: _loss_and_grads_lora(state, mats, cfg)
+
+
 def gradients(state: HydraState, targets, cfg: HydraConfig) -> HydraGrads:
-    """Analytic gradients of the objective for every trainable tensor."""
-    return _loss_and_grads_lora(state, _target_matrices(targets), cfg)[2]
+    """Analytic gradients of the objective for every trainable tensor.
+
+    ``targets`` are adapters or their dense update matrices; the kernel is
+    the one :func:`train` runs for the same targets."""
+    return _lora_kernel(targets, cfg)(state)[2]
 
 
 def adamw_step(state, grads: HydraGrads, cfg: HydraConfig):
@@ -350,18 +483,41 @@ def train(
     ``final_loss`` is evaluated after the last update.
     """
     state = init_state(targets, cfg, rng)
-    mats = _target_matrices(targets)
+    return state, _fit(state, _lora_kernel(targets, cfg), cfg)
+
+
+def _fit(state, loss_and_grads, cfg: HydraConfig) -> TrainTrace:
+    """``cfg.epochs`` AdamW steps on ``loss_and_grads(state)``, guarded.
+
+    Raises :class:`NumericalError` naming the step when the loss or a
+    gradient is non-finite, the kernel overflows, or the loss exceeds
+    ``DIVERGENCE_FACTOR`` times a positive initial loss.
+    """
     losses: list[float] = []
     started = time.perf_counter()
-    for _ in range(cfg.epochs):
-        value, _, grads = _loss_and_grads_lora(state, mats, cfg)
-        losses.append(value)
-        adamw_step(state, grads, cfg)
-    final_loss = _loss_and_grads_lora(state, mats, cfg)[0]
-    trace = TrainTrace(
-        losses=losses, final_loss=final_loss, wall_time=time.perf_counter() - started
-    )
-    return state, trace
+    for step in range(cfg.epochs + 1):
+        try:
+            value, _, grads = loss_and_grads(state)
+        except NumericalError as exc:
+            raise NumericalError(f"step {step}: {exc}") from exc
+        _check_progress(step, value, grads, losses[0] if losses else value)
+        if step < cfg.epochs:
+            losses.append(value)
+            adamw_step(state, grads, cfg)
+    return TrainTrace(losses=losses, final_loss=value, wall_time=time.perf_counter() - started)
+
+
+def _check_progress(step: int, value: float, grads: HydraGrads, initial: float) -> None:
+    if not np.isfinite(value):
+        raise NumericalError(f"step {step}: loss became non-finite ({value})")
+    for name, grad in grads.tensors.items():
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError(f"step {step}: gradient of {name} became non-finite")
+    if initial > 0.0 and value > DIVERGENCE_FACTOR * initial:
+        raise NumericalError(
+            f"step {step}: loss {value:.6g} exceeds {DIVERGENCE_FACTOR:g} x the "
+            f"initial loss {initial:.6g}; training diverged (lower the learning rate)"
+        )
 
 
 def assign_tasks(state, cfg: HydraConfig) -> list[int]:
@@ -427,7 +583,7 @@ def _loss_and_grads_vera(state: VeraHydraState, mats: list[Matrix], cfg: HydraCo
     num_tasks = len(mats)
     m_clusters = len(state.lambda_b_clusters)
     inner = (state.shared_b * state.lambda_d[None, :]) @ state.shared_a
-    products = [lb[:, None] * inner for lb in state.lambda_b_clusters]
+    products = _finite([lb[:, None] * inner for lb in state.lambda_b_clusters])
     if state.logits is None:
         if m_clusters != num_tasks:
             raise ParameterError(
@@ -485,17 +641,7 @@ def train_vera(
     """Training loop for scaled-vector targets; mirrors :func:`train`."""
     state = init_vera_state(targets, cfg, rng)
     mats = _target_matrices(targets)
-    losses: list[float] = []
-    started = time.perf_counter()
-    for _ in range(cfg.epochs):
-        value, _, grads = _loss_and_grads_vera(state, mats, cfg)
-        losses.append(value)
-        adamw_step(state, grads, cfg)
-    final_loss = _loss_and_grads_vera(state, mats, cfg)[0]
-    trace = TrainTrace(
-        losses=losses, final_loss=final_loss, wall_time=time.perf_counter() - started
-    )
-    return state, trace
+    return state, _fit(state, lambda s: _loss_and_grads_vera(s, mats, cfg), cfg)
 
 
 # -- collection-level driver -------------------------------------------------
@@ -523,10 +669,13 @@ def export_slot(state, assignment: list[int]):
 def _train_slot(collection: AdapterCollection, slot: SlotKey, cfg: HydraConfig):
     rng = Rng(cfg.seed ^ stable_hash64(slot.label()))
     targets = collection.adapters_at(slot)
-    if collection.kind == "lora":
-        state, trace = train(targets, cfg, rng)
-    else:
-        state, trace = train_vera(targets, cfg, rng)
+    try:
+        if collection.kind == "lora":
+            state, trace = train(targets, cfg, rng)
+        else:
+            state, trace = train_vera(targets, cfg, rng)
+    except NumericalError as exc:
+        raise NumericalError(f"slot {slot.label()}: {exc}") from exc
     return export_slot(state, assign_tasks(state, cfg)), trace
 
 

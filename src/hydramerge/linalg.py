@@ -17,6 +17,11 @@ fro   sqrt(sum((x - y)^2))           -(x - y) / fro(x, y); zeros when x == y
 cos   1 - <x, y> / (|x|_F |y|_F)     -x/(|x||y|) + <x,y> y / (|x| |y|^3)
 ====  =============================  ==========================================
 
+For the three smooth kinds the gradient is ``alpha * x + beta * y`` with
+scalars that depend on ``x`` and ``y`` only through the traces
+``<x, x>``, ``<x, y>`` and ``<y, y>``; :func:`smooth_terms` maps those
+traces to the value and ``(alpha, beta)`` without touching a matrix.
+
 Randomness is a counter-based stream so that identical seeds reproduce
 identical values on every platform and numpy version.  The algorithm is
 pinned here and covered by regression tests:
@@ -42,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, ShapeError
+from .errors import DegenerateInputError, NumericalError, ParameterError, ShapeError
 
 Matrix = np.ndarray
 
@@ -61,6 +66,10 @@ class DistanceKind(str, Enum):
     MSE = "mse"
     FRO = "fro"
     COS = "cos"
+
+
+# Distances whose value and gradient follow from Gram traces (smooth_terms).
+SMOOTH_DISTANCES = frozenset({DistanceKind.MSE, DistanceKind.FRO, DistanceKind.COS})
 
 
 def as_matrix(x, name: str = "matrix") -> Matrix:
@@ -130,6 +139,16 @@ def distance(x, y, kind: DistanceKind) -> float:
     return 1.0 - float(np.vdot(a, b)) / (na * nb)
 
 
+def mae_and_fro(x, y) -> tuple[float, float]:
+    """``distance(x, y, MAE)`` and ``distance(x, y, FRO)``, bit for bit,
+    from one residual."""
+    a = as_matrix(x, "x")
+    b = as_matrix(y, "y")
+    _require_same_shape(a, b, "distance")
+    diff = a - b
+    return float(np.mean(np.abs(diff))), float(np.sqrt(np.sum(diff**2)))
+
+
 def distance_grad(x, y, kind: DistanceKind) -> Matrix:
     """Gradient of :func:`distance` with respect to its second argument."""
     a = as_matrix(x, "x")
@@ -153,6 +172,50 @@ def distance_grad(x, y, kind: DistanceKind) -> Matrix:
         raise DegenerateInputError("cosine distance is undefined for a zero matrix")
     dot = float(np.vdot(a, b))
     return -a / (na * nb) + dot * b / (na * nb**3)
+
+
+def smooth_terms(tt, tp, pp, n: int, kind: DistanceKind):
+    """Value and gradient coefficients of a smooth distance from Gram traces.
+
+    ``tt = <x, x>``, ``tp = <x, y>`` and ``pp = <y, y>`` are equally shaped
+    arrays with one entry per (x, y) pair of ``n``-entry matrices.  Returns
+    ``(value, alpha, beta)`` with ``distance(x, y, kind) == value`` and
+    ``distance_grad(x, y, kind) == alpha * x + beta * y`` up to rounding:
+
+    ====  ===========================  ===============  =====================
+    kind  value                        alpha            beta
+    ====  ===========================  ===============  =====================
+    mse   s / n                        -2 / n           2 / n
+    fro   sqrt(s)                      -1 / sqrt(s)     1 / sqrt(s); 0 at s=0
+    cos   1 - tp / (|x| |y|)           -1 / (|x| |y|)   tp / (|x| |y|^3)
+    ====  ===========================  ===============  =====================
+
+    where ``s = max(tt - 2 tp + pp, 0)`` is the squared residual norm.
+    Equal traces ``tt == tp == pp`` give value 0 and ``alpha == -beta``
+    exactly, so an exact fit has zero loss and exactly cancelling gradient
+    terms.
+    """
+    tt, tp, pp = (np.asarray(v, dtype=np.float64) for v in (tt, tp, pp))
+    if not all(np.all(np.isfinite(v)) for v in (tt, tp, pp)):
+        raise NumericalError("a Gram trace overflowed to a non-finite value")
+    kind = DistanceKind(kind)
+    if kind is DistanceKind.MSE or kind is DistanceKind.FRO:
+        squared = np.maximum(tt - 2.0 * tp + pp, 0.0)
+        if kind is DistanceKind.MSE:
+            return squared / n, np.full_like(tt, -2.0 / n), np.full_like(tt, 2.0 / n)
+        norm = np.sqrt(squared)
+        beta = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
+        return norm, -beta, beta
+    if kind is not DistanceKind.COS:
+        raise ParameterError(f"{kind.value} is not a smooth distance")
+    if np.any(tt == 0.0) or np.any(pp == 0.0):
+        raise DegenerateInputError("cosine distance is undefined for a zero matrix")
+    norm_x = np.sqrt(tt)
+    norm_y = np.sqrt(pp)
+    # tp / pp and norm_y / norm_x are exactly 1 at x == y.
+    ratio = tp / pp
+    scale = 1.0 / (norm_x * norm_y)
+    return 1.0 - ratio * (norm_y / norm_x), -scale, ratio * scale
 
 
 def finite_diff(loss_fn: Callable[[Matrix], float], at, h: float) -> Matrix:

@@ -3,6 +3,7 @@ import pytest
 
 from hydramerge.adapters import (
     AdapterCollection,
+    delta_weight,
     LowRankAdapter,
     MergedAdapterSlot,
     MergedBundle,
@@ -10,8 +11,10 @@ from hydramerge.adapters import (
     SlotKey,
 )
 from hydramerge.analysis import pairwise_similarity, reconstruction_report, storage_ratio
+from hydramerge.baselines import BaselineConfig, MergeMethod, merge_collection
 from hydramerge.errors import ParameterError, ValidationError
-from hydramerge.linalg import Rng, gaussian_sample
+from hydramerge.hydra import HydraConfig, merge_collection_hydra
+from hydramerge.linalg import DistanceKind, Rng, distance, gaussian_sample
 from hydramerge.synthetic import SynthSpec, generate
 
 
@@ -128,6 +131,24 @@ class TestReconstruction:
         )
         report = reconstruction_report(coll, bundle)
         assert report.grand_mean("mae") == 0.0
+
+    @pytest.mark.parametrize("method", ["hydraopt", "ta"])
+    def test_matches_per_task_reference_loop(self, method):
+        coll = generate(SynthSpec(tasks=4, layers=1, d=8, k=6, rank=2, seed=3))
+        if method == "hydraopt":
+            bundle, _ = merge_collection_hydra(coll, HydraConfig(num_clusters=2, epochs=5))
+        else:
+            bundle = merge_collection(coll, BaselineConfig(method=MergeMethod.TA))
+        report = reconstruction_report(coll, bundle)
+        mae, fro = {}, {}
+        for slot in coll.slots:
+            for task in coll.task_ids:
+                target = delta_weight(coll.adapter(task, slot))
+                prediction = bundle.prediction(task, slot)
+                mae[(task, slot)] = distance(target, prediction, DistanceKind.MAE)
+                fro[(task, slot)] = distance(target, prediction, DistanceKind.FRO)
+        assert report.mae == mae
+        assert report.fro == fro
 
     def test_slot_mismatch_rejected(self):
         coll = collection_of_identical()

@@ -209,6 +209,14 @@ class TestErrorPaths:
         with pytest.raises(ValidationError, match="task.t2.layer.0.q.B"):
             read_archive(path)
 
+    def test_value_beyond_float32_range_names_tensor(self, tmp_path):
+        coll = small_collection()
+        coll.adapter("t1", SlotKey(0, "v")).a[0, 1] = 1e39
+        path = tmp_path / "overflow.lrta"
+        with pytest.raises(ValidationError, match=r"task\.t1\.layer\.0\.v\.A"):
+            write_archive(coll, path)
+        assert not path.exists()
+
     def test_partial_collection_never_escapes(self, tmp_path):
         coll = small_collection()
         path = tmp_path / "coll.lrta"

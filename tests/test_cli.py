@@ -131,6 +131,19 @@ class TestMerge:
         )
         assert result.returncode == 3
 
+    def test_diverging_hydraopt_is_exit_three(self, tmp_path):
+        coll = tmp_path / "default.lrta"
+        assert run_cli("gen-synthetic", "--out", str(coll)).returncode == 0
+        out = tmp_path / "m.lrta"
+        result = run_cli(
+            "merge", "--in", str(coll), "--out", str(out), "--method", "hydraopt",
+            "--m", "2", "--lr", "1e6", "--epochs", "200",
+        )  # fmt: skip
+        assert result.returncode == 3
+        assert "slot layer.0.q: step 1: loss" in result.stderr
+        assert result.stdout == ""
+        assert not out.exists()
+
     def test_bundle_input_is_exit_three(self, small_archive, tmp_path):
         merged = tmp_path / "merged.lrta"
         run_cli("merge", "--in", str(small_archive), "--out", str(merged), "--method", "ta")

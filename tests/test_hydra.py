@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hydramerge.adapters import LowRankAdapter, SharedLoraSlot, VeraAdapter
-from hydramerge.errors import ParameterError, ValidationError
+from hydramerge import hydra
+from hydramerge.adapters import AdapterCollection, SlotKey
+from hydramerge.errors import DegenerateInputError, NumericalError, ParameterError, ValidationError
 from hydramerge.gradcheck import run_suite
 from hydramerge.hydra import (
     HydraConfig,
@@ -19,6 +21,7 @@ from hydramerge.hydra import (
     loss,
     loss_eq1,
     loss_eq2,
+    merge_collection_hydra,
     train,
     train_vera,
     vera_loss,
@@ -377,3 +380,177 @@ class TestExportShape:
         assert ratio(5, 1, 4, 16, 16) == 20.0
         assert ratio(5, 5, 4, 16, 16) == 60.0
         assert abs(ratio(100, 100, 4, 16, 16) - 50.0) <= 0.5
+
+
+SMOOTH = (DistanceKind.MSE, DistanceKind.FRO, DistanceKind.COS)
+
+
+def random_state(rng, num_tasks, num_clusters, d, r, k):
+    return zero_moment_state(
+        gaussian_sample(rng, r, k, 0.0, 1.0),
+        [gaussian_sample(rng, d, r, 0.0, 1.0) for _ in range(num_clusters)],
+        logits=(
+            gaussian_sample(rng, num_tasks, num_clusters, 0.0, 1.0)
+            if num_clusters < num_tasks
+            else None
+        ),
+    )
+
+
+def dense_kernel(targets, cfg):
+    mats = hydra._target_matrices(targets)
+    return lambda state: hydra._loss_and_grads_lora(state, mats, cfg)
+
+
+def exact_fit(num_clusters, kind):
+    """Targets that the state reproduces exactly: b_i is the cluster factor
+    the (one-hot) routing picks for task i, and every a_i is the shared A."""
+    rng = Rng(41)
+    d, r, k = 9, 3, 7
+    assignment = [0, 1, 1, 0] if num_clusters == 2 else [0, 1, 2, 3]
+    a_shared = gaussian_sample(rng, r, k, 0.0, 1.0)
+    b_clusters = [gaussian_sample(rng, d, r, 0.0, 1.0) for _ in range(num_clusters)]
+    logits = None
+    if num_clusters < len(assignment):
+        # softmax of a +-50 gap at T = 0.1 is exactly one-hot in float64
+        logits = np.full((len(assignment), num_clusters), -50.0)
+        logits[range(len(assignment)), assignment] = 50.0
+    targets = [LowRankAdapter(b=b_clusters[j].copy(), a=a_shared.copy()) for j in assignment]
+    state = zero_moment_state(a_shared, b_clusters, logits=logits)
+    return targets, state, HydraConfig(num_clusters=num_clusters, distance=kind)
+
+
+class TestFactoredKernel:
+    @pytest.mark.parametrize("kind", SMOOTH)
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    def test_matches_dense_kernel(self, kind, num_clusters):
+        rng = Rng(17)
+        for seed in range(10):
+            targets = make_targets(num_tasks=4, d=7, r=3, k=9, seed=seed)
+            state = random_state(rng, 4, num_clusters, d=7, r=3, k=9)
+            cfg = HydraConfig(num_clusters=num_clusters, distance=kind, temperature=0.7)
+            value, per_task, grads = hydra._lora_kernel(targets, cfg)(state)
+            ref_value, ref_per_task, ref_grads = dense_kernel(targets, cfg)(state)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+            assert per_task == pytest.approx(ref_per_task, rel=1e-12, abs=0.0)
+            assert sorted(grads.tensors) == sorted(ref_grads.tensors)
+            for name, ref in ref_grads.tensors.items():
+                got = grads.tensors[name]
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+
+    def test_train_dispatches_smooth_distances_only(self, monkeypatch):
+        calls = []
+        original = hydra._loss_and_grads_factored
+        monkeypatch.setattr(
+            hydra, "_loss_and_grads_factored", lambda *a: calls.append(1) or original(*a)
+        )
+        targets = make_targets(num_tasks=3)
+        train(targets, HydraConfig(num_clusters=2, epochs=2, distance=DistanceKind.MAE), Rng(0))
+        assert calls == []
+        for kind in SMOOTH:
+            train(targets, HydraConfig(num_clusters=2, epochs=2, distance=kind), Rng(0))
+        assert len(calls) == 3 * 3
+        # the gradient oracle checks the kernel training runs
+        run_suite(seed=0, instances=1, include_vera=False)
+        assert len(calls) > 9
+
+    @pytest.mark.parametrize("kind", SMOOTH)
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    def test_short_training_matches_dense(self, kind, num_clusters):
+        targets = make_targets(num_tasks=4, d=12, r=3, k=10, seed=5)
+        cfg = HydraConfig(num_clusters=num_clusters, distance=kind, epochs=40, temperature=0.5)
+        state, trace = train(targets, cfg, Rng(3))
+        ref_state = init_state(targets, cfg, Rng(3))
+        ref_trace = hydra._fit(ref_state, dense_kernel(targets, cfg), cfg)
+        assert assign_tasks(state, cfg) == assign_tasks(ref_state, cfg)
+        assert trace.final_loss == pytest.approx(ref_trace.final_loss, rel=1e-9, abs=0.0)
+        assert trace.final_loss < trace.initial_loss
+
+    @pytest.mark.parametrize("kind", SMOOTH)
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    def test_exact_fit_is_exact_zero(self, kind, num_clusters):
+        targets, state, cfg = exact_fit(num_clusters, kind)
+        value, per_task, grads = hydra._lora_kernel(targets, cfg)(state)
+        assert value == 0.0
+        assert per_task == [0.0] * len(targets)
+        for tensor in grads.tensors.values():
+            assert np.array_equal(tensor, np.zeros_like(tensor))
+
+    @pytest.mark.parametrize("kind", SMOOTH)
+    def test_warm_start_on_exact_fit_never_moves(self, kind):
+        # the factored counterpart of acceptance criterion 3
+        targets, state, _ = exact_fit(4, kind)
+        cfg = HydraConfig(
+            num_clusters=4, distance=kind, epochs=20, init_scheme=InitScheme.MEAN_A_COPY_B
+        )
+        trained, trace = train(targets, cfg, Rng(0))
+        assert trace.losses == [0.0] * 20 and trace.final_loss == 0.0
+        assert np.array_equal(trained.a_shared, state.a_shared)
+        for got, want in zip(trained.b_clusters, state.b_clusters):
+            assert np.array_equal(got, want)
+
+    def test_cos_zero_update_is_degenerate(self):
+        targets = make_targets(num_tasks=2)
+        cfg = HydraConfig(num_clusters=2, distance=DistanceKind.COS)
+        zero_pred = zero_moment_state(targets[0].a, [np.zeros_like(t.b) for t in targets])
+        with pytest.raises(DegenerateInputError):
+            gradients(zero_pred, targets, cfg)
+        zero_target = [LowRankAdapter(b=np.zeros_like(targets[0].b), a=targets[0].a), targets[1]]
+        state = random_state(Rng(0), 2, 2, d=6, r=2, k=5)
+        with pytest.raises(DegenerateInputError):
+            gradients(state, zero_target, cfg)
+
+    def test_overflowing_gram_trace_is_typed(self):
+        targets = make_targets(num_tasks=2)
+        huge = [LowRankAdapter(b=t.b * 1e160, a=t.a * 1e160) for t in targets]
+        cfg = HydraConfig(num_clusters=2, distance=DistanceKind.MSE)
+        state = random_state(Rng(0), 2, 2, d=6, r=2, k=5)
+        with pytest.raises(NumericalError, match="Gram trace"):
+            gradients(state, huge, cfg)
+
+    def test_gradients_accepts_dense_matrices(self):
+        targets = make_targets(num_tasks=3)
+        cfg = HydraConfig(num_clusters=2, distance=DistanceKind.MSE)
+        state = random_state(Rng(2), 3, 2, d=6, r=2, k=5)
+        mats = hydra._target_matrices(targets)
+        dense = gradients(state, mats, cfg)
+        factored = gradients(state, targets, cfg)
+        for name, tensor in dense.tensors.items():
+            np.testing.assert_allclose(factored.tensors[name], tensor, rtol=1e-10, atol=1e-14)
+
+
+class TestDivergenceGuard:
+    @pytest.mark.parametrize("kind", [DistanceKind.MAE, DistanceKind.MSE])
+    def test_runaway_loss_names_step(self, kind):
+        targets = make_targets(num_tasks=3)
+        cfg = HydraConfig(num_clusters=2, epochs=50, learning_rate=1e6, distance=kind)
+        with pytest.raises(NumericalError, match=r"step \d+: loss .* exceeds 1000 x"):
+            train(targets, cfg, Rng(0))
+
+    def test_vera_runaway_loss_names_step(self):
+        targets = TestVera().make_vera_targets(num_tasks=3)
+        cfg = HydraConfig(num_clusters=2, epochs=50, learning_rate=1e6)
+        with pytest.raises(NumericalError, match=r"step \d+: loss"):
+            train_vera(targets, cfg, Rng(0))
+
+    @pytest.mark.parametrize("kind", [DistanceKind.MAE, DistanceKind.MSE])
+    def test_overflow_names_step(self, kind):
+        targets = make_targets(num_tasks=3)
+        cfg = HydraConfig(num_clusters=2, epochs=5, learning_rate=1e300, distance=kind)
+        with pytest.raises(NumericalError, match=r"step 1: .*(overflow|non-finite)"):
+            train(targets, cfg, Rng(0))
+
+    def test_collection_merge_names_slot(self):
+        slot = SlotKey(3, "v")
+        tasks = ["t0", "t1", "t2"]
+        table = {(t, slot): a for t, a in zip(tasks, make_targets(num_tasks=3))}
+        collection = AdapterCollection.build(tasks, table)
+        cfg = HydraConfig(num_clusters=2, epochs=50, learning_rate=1e6)
+        with pytest.raises(NumericalError, match=r"slot layer\.3\.v: step \d+"):
+            merge_collection_hydra(collection, cfg)
+
+    def test_ordinary_training_is_untouched(self):
+        cfg = HydraConfig(num_clusters=2, epochs=200, distance=DistanceKind.MSE)
+        _, trace = train(make_targets(num_tasks=4), cfg, Rng(0))
+        assert trace.final_loss < trace.initial_loss

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydramerge.errors import DegenerateInputError, ParameterError, ShapeError
+from hydramerge.errors import DegenerateInputError, NumericalError, ParameterError, ShapeError
 from hydramerge.linalg import (
+    SMOOTH_DISTANCES,
     DistanceKind,
     Rng,
     distance,
@@ -14,7 +15,9 @@ from hydramerge.linalg import (
     exact_mean,
     finite_diff,
     gaussian_sample,
+    mae_and_fro,
     matmul,
+    smooth_terms,
     softmax_rows,
     stable_hash64,
 )
@@ -178,6 +181,63 @@ class TestDistanceGrad:
             numeric = finite_diff(lambda t: distance(x, t, kind), y, h=1e-5)
             scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)))
             assert np.max(np.abs(analytic - numeric)) <= 1e-6 * scale
+
+
+class TestSmoothTerms:
+    @pytest.mark.parametrize("kind", sorted(SMOOTH_DISTANCES))
+    def test_matches_dense_distance_and_gradient(self, kind):
+        rng = Rng(7)
+        for _ in range(20):
+            x = gaussian_sample(rng, 3, 4, 0.0, 1.0)
+            y = gaussian_sample(rng, 3, 4, 0.0, 1.0)
+            value, alpha, beta = smooth_terms(
+                [np.vdot(x, x)], [np.vdot(x, y)], [np.vdot(y, y)], x.size, kind
+            )
+            assert value[0] == pytest.approx(distance(x, y, kind), rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(
+                alpha[0] * x + beta[0] * y, distance_grad(x, y, kind), rtol=1e-11, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("kind", sorted(SMOOTH_DISTANCES))
+    def test_equal_traces_are_an_exact_fit(self, kind):
+        value, alpha, beta = smooth_terms([2.7], [2.7], [2.7], 12, kind)
+        assert value[0] == 0.0
+        assert alpha[0] == -beta[0]
+
+    def test_negative_rounded_residual_clamps_to_zero(self):
+        # tt - 2 tp + pp rounds below zero here; the squared norm is clamped
+        tt, tp, pp = 1.0, 1.0 + 2.0**-52, 1.0
+        for kind in (DistanceKind.MSE, DistanceKind.FRO):
+            value, alpha, beta = smooth_terms([tt], [tp], [pp], 4, kind)
+            assert value[0] == 0.0
+        assert alpha[0] == 0.0 and beta[0] == 0.0
+
+    def test_cos_zero_matrix_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            smooth_terms([0.0], [0.0], [1.0], 4, DistanceKind.COS)
+        with pytest.raises(DegenerateInputError):
+            smooth_terms([1.0], [0.0], [0.0], 4, DistanceKind.COS)
+
+    def test_non_finite_trace_rejected(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(NumericalError):
+                smooth_terms([1.0], [bad], [1.0], 4, DistanceKind.MSE)
+
+    def test_mae_has_no_smooth_terms(self):
+        with pytest.raises(ParameterError):
+            smooth_terms([1.0], [0.5], [1.0], 4, DistanceKind.MAE)
+
+
+class TestMaeAndFro:
+    def test_bit_identical_to_distance(self):
+        rng = Rng(3)
+        for _ in range(10):
+            x = gaussian_sample(rng, 5, 7, 0.0, 1.0)
+            y = gaussian_sample(rng, 5, 7, 0.0, 1.0)
+            assert mae_and_fro(x, y) == (
+                distance(x, y, DistanceKind.MAE),
+                distance(x, y, DistanceKind.FRO),
+            )
 
 
 class TestGaussianSample:
