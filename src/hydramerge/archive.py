@@ -28,6 +28,11 @@ Tensor names (``<slot>`` is ``layer.<n>.<name>``):
 Vectors are stored as n x 1.  Tensors are serialized in sorted-name order,
 so identical inputs always produce byte-identical files.  Values are
 written as float32 and widened to float64 on read.
+
+The reader accepts exactly what the writer can emit: payloads never
+overlap, ``meta.tasks`` is a list of distinct strings, and every tensor
+belongs to the collection or bundle read, so a stray name (for instance
+``task.<id>.*`` of an undeclared task) is an error that names it.
 """
 
 from __future__ import annotations
@@ -183,19 +188,23 @@ def _parse_file(path) -> tuple[dict[str, np.ndarray], dict]:
         )
     try:
         manifest = json.loads(raw[_HEADER_BYTES : _HEADER_BYTES + manifest_len])
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ArchiveFormatError(f"manifest at byte {_HEADER_BYTES} is not JSON: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("version") != 1:
         raise ArchiveFormatError(
             f"unsupported archive version {manifest.get('version')!r} at byte {_HEADER_BYTES}"
         )
     payload = raw[_HEADER_BYTES + manifest_len :]
+    entries = manifest.get("tensors", {})
+    if not isinstance(entries, dict):
+        raise ArchiveFormatError("manifest 'tensors' must map names to entries")
     tensors: dict[str, np.ndarray] = {}
-    for name, entry in manifest.get("tensors", {}).items():
+    spans: list[tuple[int, int, str]] = []
+    for name, entry in entries.items():
         try:
             rows, cols = (int(v) for v in entry["shape"])
             offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ArchiveFormatError(f"malformed manifest entry for {name!r}") from exc
         if rows < 1 or cols < 1:
             raise ArchiveFormatError(f"tensor {name!r} declares empty shape {rows}x{cols}")
@@ -213,24 +222,50 @@ def _parse_file(path) -> tuple[dict[str, np.ndarray], dict]:
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"tensor {name!r} contains non-finite entries")
         tensors[name] = arr
+        spans.append((offset, offset + nbytes, name))
+    spans.sort()
+    # Sorted by start, any overlap shows between neighbours.
+    for (_, end, name), (start, _, other) in zip(spans, spans[1:]):
+        if start < end:
+            raise ArchiveFormatError(
+                f"tensors {name!r} and {other!r} overlap in the payload "
+                f"(bytes {start}..{end})"
+            )
     meta = manifest.get("meta")
     if not isinstance(meta, dict) or "kind" not in meta or "tasks" not in meta:
         raise ArchiveFormatError("manifest meta must declare 'kind' and 'tasks'")
+    tasks = meta["tasks"]
+    if (
+        not isinstance(tasks, list)
+        or not all(isinstance(t, str) for t in tasks)
+        or len(set(tasks)) != len(tasks)
+    ):
+        raise ArchiveFormatError(f"meta.tasks must be a list of distinct strings, got {tasks!r}")
     return tensors, meta
 
 
 def read_archive(path):
     """Load an LRTA v1 file into an :class:`AdapterCollection` or
-    :class:`MergedBundle`, widening values to float64."""
+    :class:`MergedBundle`, widening values to float64.
+
+    Every tensor must be one the writer would emit for the object read;
+    a stray one raises :class:`ValidationError` naming it.
+    """
     tensors, meta = _parse_file(path)
     kind = meta["kind"]
     if kind == "lora":
-        return _read_lora_collection(tensors, meta)
-    if kind == "vera":
-        return _read_vera_collection(tensors, meta)
-    if kind == "bundle":
-        return _read_bundle(tensors, meta)
-    raise ArchiveFormatError(f"unknown archive kind {kind!r}")
+        obj = _read_lora_collection(tensors, meta)
+    elif kind == "vera":
+        obj = _read_vera_collection(tensors, meta)
+    elif kind == "bundle":
+        obj = _read_bundle(tensors, meta)
+    else:
+        raise ArchiveFormatError(f"unknown archive kind {kind!r}")
+    used, _ = _bundle_tensors(obj) if kind == "bundle" else _collection_tensors(obj)
+    stray = sorted(set(tensors) - set(used))
+    if stray:
+        raise ValidationError(f"stray tensor {stray[0]!r} is not part of the {kind} archive")
+    return obj
 
 
 def _require(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
@@ -239,14 +274,16 @@ def _require(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
     return tensors[name]
 
 
-def _slots_from_names(names, pattern) -> list[SlotKey]:
-    labels = {m.group("slot") for m in map(pattern.match, names) if m}
+def _slots_from_names(names, pattern, tasks=None) -> list[SlotKey]:
+    """Slots named by ``pattern`` matches; only declared tasks' if ``tasks``."""
+    matches = (m for m in map(pattern.match, names) if m)
+    labels = {m.group("slot") for m in matches if tasks is None or m.group("task") in tasks}
     return sorted(SlotKey.from_label(label) for label in labels)
 
 
 def _read_lora_collection(tensors, meta) -> AdapterCollection:
     tasks = list(meta["tasks"])
-    slots = _slots_from_names(tensors, _TASK_TENSOR)
+    slots = _slots_from_names(tensors, _TASK_TENSOR, tasks)
     if not slots:
         raise ValidationError("archive contains no adapter tensors")
     table: dict[tuple[str, SlotKey], Adapter] = {}
@@ -260,7 +297,7 @@ def _read_lora_collection(tensors, meta) -> AdapterCollection:
 
 def _read_vera_collection(tensors, meta) -> AdapterCollection:
     tasks = list(meta["tasks"])
-    slots = _slots_from_names(tensors, _TASK_TENSOR)
+    slots = _slots_from_names(tensors, _TASK_TENSOR, tasks)
     if not slots:
         raise ValidationError("archive contains no adapter tensors")
     table: dict[tuple[str, SlotKey], Adapter] = {}
@@ -282,7 +319,15 @@ def _read_bundle(tensors, meta) -> MergedBundle:
     if not tasks:
         raise ValidationError("bundle declares no tasks")
     method = meta.get("method", "")
+    if not isinstance(method, str):
+        raise ArchiveFormatError(f"meta.method must be a string, got {method!r}")
     assignment_meta = meta.get("assignment", {})
+    if not isinstance(assignment_meta, dict) or not all(
+        isinstance(per_task, dict)
+        and all(type(idx) is int for idx in per_task.values())
+        for per_task in assignment_meta.values()
+    ):
+        raise ArchiveFormatError("meta.assignment must map tasks to {slot: int} objects")
     slots = _slots_from_names(tensors, _MERGED_TENSOR)
     if not slots:
         raise ValidationError("bundle contains no merged tensors")
@@ -301,8 +346,10 @@ def _read_bundle(tensors, meta) -> MergedBundle:
     for slot in slots:
         info = by_slot[slot]
         label = slot.label()
+        cluster_field = "B" if kind == "lora" else "lambda_b"
         clustered = sorted(
-            (int(c), arr) for (f, c), arr in info.items() if c is not None
+            ((int(c), arr) for (f, c), arr in info.items() if f == cluster_field and c is not None),
+            key=lambda pair: pair[0],
         )
         if kind == "lora":
             a_shared = info.get(("A", None))
@@ -354,5 +401,5 @@ def _slot_assignment(assignment_meta: dict, tasks: list[str], label: str) -> lis
         per_task = assignment_meta.get(task, {})
         if label not in per_task:
             raise ValidationError(f"missing assignment for task {task!r} at slot {label}")
-        out.append(int(per_task[label]))
+        out.append(per_task[label])
     return out

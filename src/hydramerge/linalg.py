@@ -22,6 +22,15 @@ scalars that depend on ``x`` and ``y`` only through the traces
 ``<x, x>``, ``<x, y>`` and ``<y, y>``; :func:`smooth_terms` maps those
 traces to the value and ``(alpha, beta)`` without touching a matrix.
 
+:func:`exact_mean` is the correctly rounded elementwise mean behind the
+TA and DARE baselines and hydraopt's mean init.  It sums all entries at
+once, exactly, as a Shewchuk (1997) floating-point expansion built from
+vectorized TwoSum, divides, and certifies each rounded quotient with an
+exact residual test: ``|S - q K|`` against half the gap from ``q`` to its
+neighbour, times ``K``.  Only entries the test cannot certify (inputs
+beyond 2^960, means below 2^-960, non-finite values, or a candidate off
+by more than half a gap) are recomputed as a per-entry ``Fraction`` sum.
+
 Randomness is a counter-based stream so that identical seeds reproduce
 identical values on every platform and numpy version.  The algorithm is
 pinned here and covered by regression tests:
@@ -236,12 +245,123 @@ def finite_diff(loss_fn: Callable[[Matrix], float], at, h: float) -> Matrix:
     return grad
 
 
-def exact_mean(tensors: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise mean, exactly rounded.
+# The certified fast path of exact_mean holds only inside these bounds:
+# inputs up to _MEAN_MAX in magnitude cannot overflow a sum of K < _MEAN_MAX_K
+# terms, and a candidate mean of at least _MEAN_MIN keeps every split half,
+# every product with K and every half gap a normal float, hence exact.
+_MEAN_MAX = 2.0**960
+_MEAN_MIN = 2.0**-960
+_MEAN_MAX_K = 2**27
+_SPLITTER = 2.0**27 + 1.0  # Veltkamp: a double splits into two 26-bit halves
 
-    Summation runs in rational arithmetic with a single rounding at the end,
-    so the result is bit-identical under input permutation and the mean of K
-    identical arrays is exactly that array.
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum: ``s = fl(a + b)`` and the error ``e`` with ``s + e == a + b``."""
+    s = a + b
+    b_virtual = s - a
+    a_virtual = s - b_virtual
+    return s, (a - a_virtual) + (b - b_virtual)
+
+
+def _grow(expansion: list[np.ndarray], b: np.ndarray) -> list[np.ndarray]:
+    """Shewchuk's GROW-EXPANSION: an expansion of ``sum(expansion) + b``.
+
+    An expansion is a list of arrays whose elementwise sum is the exact
+    value.  Nonoverlapping components in increasing magnitude (zeros
+    anywhere) stay so, with one more component.
+    """
+    out = []
+    for component in expansion:
+        b, low = _two_sum(b, component)
+        out.append(low)
+    out.append(b)
+    return out
+
+
+def _approx(expansion: list[np.ndarray]) -> np.ndarray:
+    """Floating-point sum of an expansion, smallest component first."""
+    return sum(expansion[1:], expansion[0])
+
+
+def _sign(expansion: list[np.ndarray]) -> np.ndarray:
+    """Exact sign of an expansion: that of its largest nonzero component."""
+    sign = np.zeros_like(expansion[0])
+    for component in expansion:
+        sign = np.where(component != 0.0, np.sign(component), sign)
+    return sign
+
+
+def _minus_multiple(expansion: list[np.ndarray], q: np.ndarray, k: int) -> list[np.ndarray]:
+    """An expansion of ``sum(expansion) - k * q``.
+
+    ``q`` is split into two 26-bit halves, so each half times ``k`` is
+    exact; exact overall inside the ``_MEAN_*`` bounds.
+    """
+    scaled = _SPLITTER * q
+    high = scaled - (scaled - q)
+    return _grow(_grow(expansion, -k * high), -k * (q - high))
+
+
+def _is_rounded_mean(total: list[np.ndarray], q: np.ndarray, k: int) -> np.ndarray:
+    """Whether ``q`` is ``sum(total) / k`` rounded to nearest, ties to even.
+
+    Exact, with no tolerance, inside the ``_MEAN_*`` bounds: the residual
+    ``r = sum(total) - k q`` is compared with ``k gap / 2``, where ``gap``
+    is the spacing from ``q`` to its neighbour on the side of ``r``.
+    """
+    residual = _minus_multiple(total, q, k)
+    sign = _sign(residual)
+    gap = np.abs(np.nextafter(q, np.where(sign < 0.0, -np.inf, np.inf)) - q)
+    excess = _sign(_grow([sign * c for c in residual], (-0.5 * k) * gap))
+    even = (q.view(np.int64) & 1) == 0
+    return (excess < 0.0) | ((excess == 0.0) & even)
+
+
+def _certified_mean(flats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of a ``(K, n)`` stack and the mask of those certified.
+
+    A certified entry is the correctly rounded mean; any other entry is
+    only an approximation.  A zero mean comes out as ``+0.0``: the low
+    component of a TwoSum of finite values is never ``-0.0``.
+    """
+    k = flats.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = [flats[0]]
+        for row in flats[1:]:
+            total = _grow(total, row)
+        q = _approx(total) / k
+        q = q + _approx(_minus_multiple(total, q, k)) / k
+        certified = _is_rounded_mean(total, q, k)
+        certified &= np.abs(flats).max(axis=0) <= _MEAN_MAX
+        certified &= (np.abs(q) >= _MEAN_MIN) | (_sign(total) == 0.0)
+    return q, certified & (k < _MEAN_MAX_K)
+
+
+def exact_mean(tensors: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise mean, correctly rounded (round half to even).
+
+    The result is ``fl(sum(x_i) / K)`` of the exact rational sum, so it is
+    bit-identical under input permutation and the mean of K identical
+    arrays is exactly that array.  All entries are handled at once:
+
+    1. The K inputs are summed exactly into a nonoverlapping expansion of
+       K arrays (Shewchuk's GROW-EXPANSION over vectorized TwoSum).
+    2. A candidate ``q = fl(approx(S) / K)`` is refined once by the
+       approximate quotient of the exact residual ``S - q K``.  The
+       residual is exact because ``q`` is Dekker-split into two halves
+       whose products with a small integer ``K`` are exact.
+    3. ``q`` is the correctly rounded mean exactly when the residual of the
+       refined candidate satisfies ``|S - q K| < K gap / 2``, with ``gap``
+       the spacing from ``q`` to its neighbour on the residual's side; on
+       equality (a tie) when ``q`` is even.  Both sides are exact, so the
+       comparison, read off the sign of one more expansion, needs no
+       tolerance.
+
+    Entries the check cannot certify -- a residual beyond half a gap,
+    inputs beyond 2^960 in magnitude (the sum could overflow), a mean
+    below 2^-960 other than an exact zero (products could go subnormal),
+    or non-finite inputs -- are recomputed one by one as a ``Fraction``
+    sum with a single rounding at the end.
     """
     if not tensors:
         raise ParameterError("mean of an empty sequence")
@@ -252,10 +372,10 @@ def exact_mean(tensors: Sequence[np.ndarray]) -> np.ndarray:
     if len(stack) == 1 or all(np.array_equal(t, first) for t in stack[1:]):
         return first.copy()
     k = len(stack)
-    flats = [t.ravel() for t in stack]
-    out = np.empty(first.size, dtype=np.float64)
-    for i in range(first.size):
-        out[i] = float(sum(Fraction(f[i].item()) for f in flats) / k)
+    flats = np.stack([t.ravel() for t in stack])
+    out, certified = _certified_mean(flats)
+    for i in np.flatnonzero(~certified):
+        out[i] = float(sum(Fraction(v) for v in flats[:, i].tolist()) / k)
     return out.reshape(first.shape)
 
 

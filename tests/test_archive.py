@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydramerge.adapters import (
     AdapterCollection,
@@ -12,6 +14,7 @@ from hydramerge.adapters import (
     SlotKey,
     VeraAdapter,
 )
+from hydramerge import archive as archive_module
 from hydramerge.archive import read_archive, write_archive, write_raw_archive
 from hydramerge.errors import ArchiveFormatError, ValidationError
 from hydramerge.linalg import Rng, gaussian_sample
@@ -229,3 +232,176 @@ class TestErrorPaths:
             pass
         else:  # pragma: no cover
             pytest.fail("truncated archive parsed")
+
+
+def _raw_with_manifest(path, manifest, payload: bytes) -> None:
+    blob = json.dumps(manifest).encode()
+    path.write_bytes(len(blob).to_bytes(8, "little") + blob + payload)
+
+
+def _ta_bundle(tasks=("t0", "t1")):
+    slot = SlotKey(0, "q")
+    entry = MergedAdapterSlot(LowRankAdapter(b=np.ones((4, 2)), a=np.ones((2, 6))))
+    return MergedBundle(
+        method="ta", kind="lora", tasks=list(tasks), slots=[slot], entries={slot: entry}
+    )
+
+
+class TestReaderChecks:
+    @pytest.mark.parametrize("tasks", ["ab", ["t0", "t0"], ["t0", 1], {"t0": 1}, None])
+    def test_meta_tasks_must_be_distinct_strings(self, tmp_path, tasks):
+        coll = small_collection(tasks=1)
+        tensors, _ = archive_module._collection_tensors(coll)
+        path = tmp_path / "tasks.lrta"
+        write_raw_archive(path, tensors, {"kind": "lora", "tasks": tasks})
+        with pytest.raises(ArchiveFormatError, match=r"meta\.tasks"):
+            read_archive(path)
+
+    def test_stray_task_tensor_is_named(self, tmp_path):
+        coll = small_collection(tasks=2)
+        tensors, meta = archive_module._collection_tensors(coll)
+        tensors["task.zz.layer.0.q.A"] = coll.adapter("t0", SlotKey(0, "q")).a
+        path = tmp_path / "stray.lrta"
+        write_raw_archive(path, tensors, meta)
+        with pytest.raises(ValidationError, match=r"task\.zz\.layer\.0\.q\.A"):
+            read_archive(path)
+
+    def test_stray_tensor_of_undeclared_task_at_its_own_slot_is_named(self, tmp_path):
+        coll = small_collection(tasks=2)
+        tensors, meta = archive_module._collection_tensors(coll)
+        tensors["task.zz.layer.7.q.A"] = np.ones((2, 6))
+        tensors["task.zz.layer.7.q.B"] = np.ones((4, 2))
+        path = tmp_path / "stray.lrta"
+        write_raw_archive(path, tensors, meta)
+        with pytest.raises(ValidationError, match=r"task\.zz\.layer\.7\.q\.A"):
+            read_archive(path)
+
+    def test_stray_tensor_in_vera_collection_is_named(self, tmp_path):
+        coll = small_vera_collection()
+        tensors, meta = archive_module._collection_tensors(coll)
+        tensors["notes"] = np.ones((1, 1))
+        path = tmp_path / "stray.lrta"
+        write_raw_archive(path, tensors, meta)
+        with pytest.raises(ValidationError, match="'notes'"):
+            read_archive(path)
+
+    @pytest.mark.parametrize(
+        "extra", ["shared.layer.0.q.A", "merged.layer.0.q.A.1", "merged.layer.0.q.B.0x"]
+    )
+    def test_stray_tensor_in_bundle_is_named(self, tmp_path, extra):
+        tensors, meta = archive_module._bundle_tensors(_ta_bundle())
+        tensors[extra] = np.ones((2, 6))
+        path = tmp_path / "stray.lrta"
+        write_raw_archive(path, tensors, meta)
+        with pytest.raises(ValidationError, match=extra.replace(".", r"\.")):
+            read_archive(path)
+
+    def test_duplicate_cluster_index_is_stray(self, tmp_path):
+        slot = SlotKey(0, "q")
+        entry = SharedLoraSlot(
+            a_shared=np.ones((2, 6)), b_clusters=[np.ones((4, 2))] * 2, assignment=[0, 1]
+        )
+        bundle = MergedBundle(
+            method="hydraopt", kind="lora", tasks=["t0", "t1"], slots=[slot], entries={slot: entry}
+        )
+        tensors, meta = archive_module._bundle_tensors(bundle)
+        tensors["merged.layer.0.q.B.01"] = np.ones((4, 2))
+        path = tmp_path / "dup.lrta"
+        write_raw_archive(path, tensors, meta)
+        with pytest.raises(ValidationError, match=r"merged\.layer\.0\.q\.B\.01"):
+            read_archive(path)
+
+    def test_overlapping_payloads_name_both_tensors(self, tmp_path):
+        manifest = {
+            "version": 1,
+            "tensors": {
+                "task.t0.layer.0.q.A": {"shape": [2, 6], "offset": 0, "nbytes": 48},
+                "task.t0.layer.0.q.B": {"shape": [8, 2], "offset": 40, "nbytes": 64},
+            },
+            "meta": {"kind": "lora", "tasks": ["t0"]},
+        }
+        path = tmp_path / "overlap.lrta"
+        _raw_with_manifest(path, manifest, b"\x00" * 104)
+        with pytest.raises(ArchiveFormatError, match="overlap") as err:
+            read_archive(path)
+        assert "task.t0.layer.0.q.A" in str(err.value)
+        assert "task.t0.layer.0.q.B" in str(err.value)
+
+    def test_nested_overlap_is_found(self, tmp_path):
+        manifest = {
+            "version": 1,
+            "tensors": {
+                "task.t0.layer.0.q.A": {"shape": [2, 6], "offset": 0, "nbytes": 48},
+                "task.t0.layer.0.q.B": {"shape": [8, 2], "offset": 48, "nbytes": 64},
+                "task.t0.layer.0.v.A": {"shape": [2, 2], "offset": 52, "nbytes": 16},
+            },
+            "meta": {"kind": "lora", "tasks": ["t0"]},
+        }
+        path = tmp_path / "nested.lrta"
+        _raw_with_manifest(path, manifest, b"\x00" * 112)
+        with pytest.raises(ArchiveFormatError, match=r"layer\.0\.q\.B.*layer\.0\.v\.A"):
+            read_archive(path)
+
+    @pytest.mark.parametrize(
+        "assignment", [[0], {"t0": [0]}, {"t0": {"layer.0.q": "0"}}, {"t0": {"layer.0.q": True}}]
+    )
+    def test_malformed_assignment_is_format_error(self, tmp_path, assignment):
+        tensors, meta = archive_module._bundle_tensors(_ta_bundle())
+        meta["assignment"] = assignment
+        path = tmp_path / "assign.lrta"
+        write_raw_archive(path, tensors, meta)
+        with pytest.raises(ArchiveFormatError, match=r"meta\.assignment"):
+            read_archive(path)
+
+    def test_non_string_method_is_format_error(self, tmp_path):
+        tensors, meta = archive_module._bundle_tensors(_ta_bundle())
+        meta["method"] = ["ta"]
+        path = tmp_path / "method.lrta"
+        write_raw_archive(path, tensors, meta)
+        with pytest.raises(ArchiveFormatError, match=r"meta\.method"):
+            read_archive(path)
+
+
+# Bytes that keep a damaged manifest likely to parse as JSON.
+_JSON_BYTES = list(b'0123456789-.eE"[]{},:')
+
+
+@pytest.fixture(scope="module")
+def valid_archives(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    out = {}
+    for name, obj in [
+        ("lora", small_collection(tasks=2, d=3, r=1, k=2)),
+        ("vera", small_vera_collection(tasks=2, d=3, r=1, k=2)),
+        ("bundle", _ta_bundle()),
+    ]:
+        write_archive(obj, root / name)
+        out[name] = (root / name).read_bytes()
+    return out
+
+
+class TestFuzz:
+    @given(
+        kind=st.sampled_from(["lora", "vera", "bundle"]),
+        keep=st.none() | st.floats(0.0, 1.0),
+        edits=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.integers(0, 255) | st.sampled_from(_JSON_BYTES)),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_archive_raises_only_typed_errors(
+        self, tmp_path_factory, valid_archives, kind, keep, edits
+    ):
+        data = bytearray(valid_archives[kind])
+        if keep is not None:
+            del data[int(keep * len(data)) :]
+        for where, byte in edits:
+            if data:
+                data[min(int(where * len(data)), len(data) - 1)] = byte
+        path = tmp_path_factory.getbasetemp() / "fuzz.lrta"
+        path.write_bytes(bytes(data))
+        try:
+            read_archive(path)
+        except (ArchiveFormatError, ValidationError):
+            pass

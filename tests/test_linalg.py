@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from hydramerge import linalg
 from hydramerge.errors import DegenerateInputError, NumericalError, ParameterError, ShapeError
 from hydramerge.linalg import (
     SMOOTH_DISTANCES,
@@ -23,6 +26,34 @@ from hydramerge.linalg import (
 )
 
 KINDS = list(DistanceKind)
+
+
+def _fraction_mean(tensors):
+    # The per-entry rational reference: one Fraction sum per entry, a single
+    # rounding at the end.
+    stack = [np.asarray(t, dtype=np.float64) for t in tensors]
+    first = stack[0]
+    if len(stack) == 1 or all(np.array_equal(t, first) for t in stack[1:]):
+        return first.copy()
+    k = len(stack)
+    flats = [t.ravel() for t in stack]
+    out = np.empty(first.size, dtype=np.float64)
+    for i in range(first.size):
+        out[i] = float(sum(Fraction(f[i].item()) for f in flats) / k)
+    return out.reshape(first.shape)
+
+
+def _assert_bitwise_mean(rows):
+    # The int64 view tells -0.0 from 0.0, which np.array_equal does not.
+    rows = [np.asarray(r, dtype=np.float64) for r in rows]
+    got = exact_mean(rows)
+    want = _fraction_mean(rows)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _from_bits(bits):
+    return np.asarray(bits, dtype=np.int64).view(np.float64)
 
 
 def _splitmix64_reference(state: int) -> int:
@@ -343,3 +374,141 @@ class TestExactMean:
         fwd = exact_mean(mats)
         rev = exact_mean(mats[::-1])
         assert np.array_equal(fwd, rev)
+
+    @given(
+        rows=st.integers(1, 9).flatmap(
+            lambda k: hnp.arrays(
+                np.float64, (k, 7), elements=st.floats(allow_nan=False, allow_infinity=False)
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_oracle_on_any_finite_input(self, rows):
+        _assert_bitwise_mean(list(rows))
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9), scale=st.integers(-60, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_oracle_on_normals(self, seed, k, scale):
+        rng = np.random.default_rng(seed)
+        _assert_bitwise_mean([rng.standard_normal((4, 8)) * 2.0**scale for _ in range(k)])
+
+    @given(
+        base=st.integers(1, 0x7FE0000000000000),
+        offsets=st.lists(st.integers(0, 2**20), min_size=6, max_size=6),
+        negative=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_midpoints_round_half_to_even(self, base, offsets, negative):
+        # K = 2 over two doubles an odd number of ulps apart: within one
+        # binade, their mean is an exact midpoint between two doubles.
+        left = base + np.array(offsets[:3], dtype=np.int64)
+        right = left + 2 * np.array(offsets[3:], dtype=np.int64) + 1
+        sign = -1.0 if negative else 1.0
+        rows = [sign * _from_bits(left), sign * _from_bits(right)]
+        assert np.all(rows[0] != rows[1])
+        _assert_bitwise_mean(rows)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_exponent_spread_beyond_2_pow_100(self, seed, k):
+        rng = np.random.default_rng(seed)
+        rows = [
+            rng.standard_normal(16) * 2.0 ** rng.integers(-160, 160, size=16) for _ in range(k)
+        ]
+        spread = np.log2(np.abs(np.stack(rows)).max(axis=0) / np.abs(np.stack(rows)).min(axis=0))
+        assert spread.max() > 100
+        _assert_bitwise_mean(rows)
+
+    @given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 4), zeros=st.integers(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_cancellation_to_exactly_zero(self, seed, pairs, zeros):
+        rng = np.random.default_rng(seed)
+        halves = [
+            rng.standard_normal(12) * 2.0 ** rng.integers(-40, 40, size=12) for _ in range(pairs)
+        ]
+        rows = halves + [-h for h in halves] + [np.full(12, -0.0)] * zeros
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        _assert_bitwise_mean(rows)
+        assert np.all(exact_mean(rows).view(np.int64) == 0)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_subnormal_means(self, seed, k):
+        rng = np.random.default_rng(seed)
+        rows = [rng.integers(-(2**20), 2**20, size=10) * 2.0**-1074 for _ in range(k)]
+        # a normal-sized pair that cancels exactly leaves a subnormal mean
+        big = rng.standard_normal(10) * 2.0**-1000
+        rows += [big, -big]
+        _assert_bitwise_mean(rows)
+        mean = exact_mean(rows)
+        assert np.any((mean != 0.0) & (np.abs(mean) < np.finfo(np.float64).tiny))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_sum_beyond_float_max_with_finite_mean(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = [1.7e308 * (1.0 - 1e-3 * rng.random(5)) for _ in range(8)]
+        with np.errstate(over="ignore"):
+            assert np.all(np.isinf(np.sum(rows, axis=0)))
+        _assert_bitwise_mean(rows)
+        assert np.all(np.isfinite(exact_mean(rows)))
+
+    def _count_fraction_calls(self, monkeypatch):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return Fraction(value)
+
+        monkeypatch.setattr(linalg, "Fraction", counting)
+        return calls
+
+    def test_uncertified_entries_take_the_fallback(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        rows = [rng.standard_normal(6) for _ in range(3)]
+        rows[0][1] = 1.7e308  # the sum overflows
+        rows[2][3] = 2.0**970  # no overflow, but beyond the certified range
+        rows[1][4] = 2.0**-1074  # a subnormal mean
+        rows[2][4] = rows[0][4] = rows[1][4]
+        calls = self._count_fraction_calls(monkeypatch)
+        got = exact_mean(rows)
+        assert len(calls) == 3 * len(rows)
+        monkeypatch.undo()
+        assert np.array_equal(got.view(np.int64), _fraction_mean(rows).view(np.int64))
+
+    def test_float32_data_takes_no_fallback(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        rows = [
+            rng.standard_normal((16, 256)).astype(np.float32).astype(np.float64) for _ in range(8)
+        ]
+        calls = self._count_fraction_calls(monkeypatch)
+        got = exact_mean(rows)
+        assert calls == []
+        monkeypatch.undo()
+        assert np.array_equal(got.view(np.int64), _fraction_mean(rows).view(np.int64))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 9),
+        midpoints=st.booleans(),
+        negative=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_accepts_only_the_rounded_mean(self, seed, k, midpoints, negative):
+        rng = np.random.default_rng(seed)
+        if midpoints:
+            # two doubles an odd number of ulps apart: the odd neighbour of
+            # the rounded mean is exactly as close as the mean itself
+            left = rng.integers(0x0400000000000000, 0x7C00000000000000, size=8)
+            rows = [_from_bits(left), _from_bits(left + 2 * rng.integers(0, 2**20, size=8) + 1)]
+            k = 2
+        else:
+            rows = [rng.standard_normal(8) * 2.0 ** rng.integers(-300, 300) for _ in range(k)]
+        rows = [-r if negative else r for r in rows]
+        total = [rows[0]]
+        for row in rows[1:]:
+            total = linalg._grow(total, row)
+        want = _fraction_mean(rows).view(np.int64)
+        for step in (-2, -1, 0, 1, 2):
+            accepted = linalg._is_rounded_mean(total, _from_bits(want + step), k)
+            assert np.all(accepted == (step == 0))
