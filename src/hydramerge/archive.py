@@ -29,8 +29,10 @@ Vectors are stored as n x 1.  Tensors are serialized in sorted-name order,
 so identical inputs always produce byte-identical files.  Values are
 written as float32 and widened to float64 on read.
 
-The reader accepts exactly what the writer can emit: payloads never
-overlap, ``meta.tasks`` is a list of distinct strings, and every tensor
+The reader accepts exactly what the writer can emit: the version, shapes,
+offsets and sizes are JSON integers (not booleans or floats), the
+payloads tile the payload section with no overlap, gap or trailing
+bytes, ``meta.tasks`` is a list of distinct strings, and every tensor
 belongs to the collection or bundle read, so a stray name (for instance
 ``task.<id>.*`` of an undeclared task) is an error that names it.
 """
@@ -190,9 +192,10 @@ def _parse_file(path) -> tuple[dict[str, np.ndarray], dict]:
         manifest = json.loads(raw[_HEADER_BYTES : _HEADER_BYTES + manifest_len])
     except (ValueError, RecursionError) as exc:
         raise ArchiveFormatError(f"manifest at byte {_HEADER_BYTES} is not JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("version") != 1:
+    version = manifest.get("version") if isinstance(manifest, dict) else None
+    if type(version) is not int or version != 1:
         raise ArchiveFormatError(
-            f"unsupported archive version {manifest.get('version')!r} at byte {_HEADER_BYTES}"
+            f"unsupported archive version {version!r} at byte {_HEADER_BYTES}"
         )
     payload = raw[_HEADER_BYTES + manifest_len :]
     entries = manifest.get("tensors", {})
@@ -201,11 +204,18 @@ def _parse_file(path) -> tuple[dict[str, np.ndarray], dict]:
     tensors: dict[str, np.ndarray] = {}
     spans: list[tuple[int, int, str]] = []
     for name, entry in entries.items():
-        try:
-            rows, cols = (int(v) for v in entry["shape"])
-            offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ArchiveFormatError(f"malformed manifest entry for {name!r}") from exc
+        if not isinstance(entry, dict):
+            raise ArchiveFormatError(f"malformed manifest entry for {name!r}")
+        shape = entry.get("shape")
+        if not (isinstance(shape, list) and len(shape) == 2 and all(map(_is_int, shape))):
+            raise ArchiveFormatError(f"tensor {name!r}: shape must be two integers, got {shape!r}")
+        for field in ("offset", "nbytes"):
+            if not _is_int(entry.get(field)):
+                raise ArchiveFormatError(
+                    f"tensor {name!r}: {field} must be an integer, got {entry.get(field)!r}"
+                )
+        rows, cols = shape
+        offset, nbytes = entry["offset"], entry["nbytes"]
         if rows < 1 or cols < 1:
             raise ArchiveFormatError(f"tensor {name!r} declares empty shape {rows}x{cols}")
         if nbytes != 4 * rows * cols:
@@ -223,14 +233,7 @@ def _parse_file(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValidationError(f"tensor {name!r} contains non-finite entries")
         tensors[name] = arr
         spans.append((offset, offset + nbytes, name))
-    spans.sort()
-    # Sorted by start, any overlap shows between neighbours.
-    for (_, end, name), (start, _, other) in zip(spans, spans[1:]):
-        if start < end:
-            raise ArchiveFormatError(
-                f"tensors {name!r} and {other!r} overlap in the payload "
-                f"(bytes {start}..{end})"
-            )
+    _check_tiling(sorted(spans), len(payload))
     meta = manifest.get("meta")
     if not isinstance(meta, dict) or "kind" not in meta or "tasks" not in meta:
         raise ArchiveFormatError("manifest meta must declare 'kind' and 'tasks'")
@@ -242,6 +245,31 @@ def _parse_file(path) -> tuple[dict[str, np.ndarray], dict]:
     ):
         raise ArchiveFormatError(f"meta.tasks must be a list of distinct strings, got {tasks!r}")
     return tensors, meta
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # excludes bool, an int subclass
+
+
+def _check_tiling(spans: list[tuple[int, int, str]], size: int) -> None:
+    """Sorted payload spans must cover ``[0, size)`` exactly once: the
+    writer packs tensors back to back with no padding."""
+    end, previous = 0, None
+    for start, stop, name in spans:
+        if start < end:
+            raise ArchiveFormatError(
+                f"tensors {previous!r} and {name!r} overlap in the payload "
+                f"(bytes {start}..{end})"
+            )
+        if start > end:
+            raise ArchiveFormatError(
+                f"payload bytes {end}..{start} before tensor {name!r} belong to no tensor"
+            )
+        end, previous = stop, name
+    if end != size:
+        raise ArchiveFormatError(
+            f"payload bytes {end}..{size} after the last tensor belong to no tensor"
+        )
 
 
 def read_archive(path):

@@ -69,11 +69,17 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument("--epochs", type=int, default=1000)
     merge.add_argument("--lr", type=float, default=1e-2)
     merge.add_argument(
-        "--distance", choices=[k.value for k in DistanceKind], default="mae"
+        "--distance",
+        choices=[k.value for k in DistanceKind],
+        default="mae",
+        help="hydraopt objective; cos is undefined for a zero update, so a task whose "
+        "adapter is zero (LoRA B = 0, VeRA lambda_b = 0) exits 3, naming the slot and task",
     )
     merge.add_argument("--init", choices=["mean", "random"], default="random")
     merge.add_argument("--seed", type=int, default=0)
-    merge.add_argument("--jobs", type=int, default=1, help="parallel slots (hydraopt)")
+    merge.add_argument(
+        "--jobs", type=int, default=1, help="ignored; slots train one after another"
+    )
     merge.add_argument(
         "--globalize-assignment",
         action="store_true",
@@ -179,7 +185,7 @@ def _cmd_merge(args, parser: argparse.ArgumentParser) -> int:
             seed=args.seed,
             init_scheme=InitScheme.MEAN_A_COPY_B if args.init == "mean" else InitScheme.RANDOM,
         )
-        bundle, report = merge_collection_hydra(collection, cfg, jobs=max(1, args.jobs))
+        bundle, report = merge_collection_hydra(collection, cfg)
         if args.globalize_assignment:
             globalize_assignment(bundle)
         doc["initial_loss"] = report["initial_loss"]

@@ -15,7 +15,12 @@ class ParameterError(HydraMergeError, ValueError):
 
 class DegenerateInputError(HydraMergeError, ValueError):
     """Input is degenerate for the requested operation (e.g. a zero matrix
-    passed to the cosine distance)."""
+    passed to the cosine distance).  ``task`` is the index of the task
+    whose input is degenerate, when one task is to blame."""
+
+    def __init__(self, message: str, task: int | None = None):
+        super().__init__(message)
+        self.task = task
 
 
 class ArchiveFormatError(HydraMergeError, ValueError):

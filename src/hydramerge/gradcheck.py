@@ -20,16 +20,7 @@ import numpy as np
 
 from .adapters import LowRankAdapter, VeraAdapter
 from .errors import ValidationError
-from .hydra import (
-    HydraConfig,
-    HydraState,
-    VeraHydraState,
-    _lora_kernel,
-    _loss_and_grads_vera,
-    _target_matrices,
-    init_state,
-    init_vera_state,
-)
+from .hydra import HydraConfig, _kernel, _new_state, _predictions, _target_matrices
 from .linalg import DistanceKind, Rng, finite_diff, gaussian_sample
 
 DEFAULT_STEP = 1e-5
@@ -77,100 +68,43 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric)) / scale)
 
 
-def _min_residual(mats, preds) -> float:
-    return min(float(np.min(np.abs(m - p))) for m, p in zip(mats, preds))
-
-
-def _random_lora_instance(rng: Rng, d, k, r, num_tasks, num_clusters, cfg_kind):
-    """Targets plus a perturbed state whose residuals stay off the kinks."""
-    for _ in range(200):
-        targets = [
-            LowRankAdapter(
-                b=gaussian_sample(rng, d, r, 0.0, 1.0),
-                a=gaussian_sample(rng, r, k, 0.0, 1.0),
-            )
-            for _ in range(num_tasks)
-        ]
-        cfg = HydraConfig(
-            num_clusters=num_clusters, distance=cfg_kind, temperature=CHECK_TEMPERATURE
+def _lora_targets(rng: Rng, d, k, r, num_tasks):
+    return [
+        LowRankAdapter(
+            b=gaussian_sample(rng, d, r, 0.0, 1.0), a=gaussian_sample(rng, r, k, 0.0, 1.0)
         )
-        state = HydraState(
-            a_shared=gaussian_sample(rng, r, k, 0.0, 1.0),
-            b_clusters=[gaussian_sample(rng, d, r, 0.0, 1.0) for _ in range(num_clusters)],
-            logits=(
-                gaussian_sample(rng, num_tasks, num_clusters, 0.0, 1.0)
-                if num_clusters < num_tasks
-                else None
-            ),
-        )
-        mats = _target_matrices(targets)
-        from .hydra import _lora_predictions
-        from .linalg import softmax_rows
-
-        _, _, preds = _lora_predictions(state, cfg, num_tasks)
-        if _min_residual(mats, preds) <= RESIDUAL_FLOOR:
-            continue
-        if state.logits is not None:
-            weights = softmax_rows(state.logits, cfg.temperature)
-            if float(weights.min()) <= WEIGHT_FLOOR:
-                continue
-        return targets, state, cfg
-    raise ValidationError("could not sample an instance away from the residual floor")
+        for _ in range(num_tasks)
+    ]
 
 
-def _random_vera_instance(rng: Rng, d, k, r, num_tasks, num_clusters, cfg_kind):
-    for _ in range(200):
-        shared_b = gaussian_sample(rng, d, r, 0.0, 1.0)
-        shared_a = gaussian_sample(rng, r, k, 0.0, 1.0)
-        targets = [
-            VeraAdapter(
-                lambda_b=gaussian_sample(rng, d, 1, 0.0, 1.0).ravel(),
-                lambda_d=gaussian_sample(rng, r, 1, 0.0, 1.0).ravel(),
-                shared_b=shared_b,
-                shared_a=shared_a,
-            )
-            for _ in range(num_tasks)
-        ]
-        cfg = HydraConfig(
-            num_clusters=num_clusters, distance=cfg_kind, temperature=CHECK_TEMPERATURE
-        )
-        state = VeraHydraState(
+def _vera_targets(rng: Rng, d, k, r, num_tasks):
+    shared_b = gaussian_sample(rng, d, r, 0.0, 1.0)
+    shared_a = gaussian_sample(rng, r, k, 0.0, 1.0)
+    return [
+        VeraAdapter(
+            lambda_b=gaussian_sample(rng, d, 1, 0.0, 1.0).ravel(),
             lambda_d=gaussian_sample(rng, r, 1, 0.0, 1.0).ravel(),
-            lambda_b_clusters=[
-                gaussian_sample(rng, d, 1, 0.0, 1.0).ravel() for _ in range(num_clusters)
-            ],
-            logits=(
-                gaussian_sample(rng, num_tasks, num_clusters, 0.0, 1.0)
-                if num_clusters < num_tasks
-                else None
-            ),
             shared_b=shared_b,
             shared_a=shared_a,
         )
-        mats = _target_matrices(targets)
-        preds = _vera_predictions(state, cfg, num_tasks)
-        if _min_residual(mats, preds) <= RESIDUAL_FLOOR:
-            continue
-        if state.logits is not None:
-            from .linalg import softmax_rows
+        for _ in range(num_tasks)
+    ]
 
-            weights = softmax_rows(state.logits, cfg.temperature)
-            if float(weights.min()) <= WEIGHT_FLOOR:
-                continue
+
+def _random_instance(rng: Rng, draw_targets, d, k, r, num_tasks, num_clusters, cfg_kind):
+    """Targets plus a perturbed state whose residuals stay off the kinks."""
+    cfg = HydraConfig(num_clusters=num_clusters, distance=cfg_kind, temperature=CHECK_TEMPERATURE)
+    for _ in range(200):
+        targets = draw_targets(rng, d, k, r, num_tasks)
+        state = _new_state(targets, num_clusters, rng, stdev=1.0)
+        _, weights, preds = _predictions(state, cfg, num_tasks)
+        residuals = (np.abs(t - p) for t, p in zip(_target_matrices(targets), preds))
+        if min(float(np.min(res)) for res in residuals) <= RESIDUAL_FLOOR:
+            continue
+        if weights is not None and float(weights.min()) <= WEIGHT_FLOOR:
+            continue
         return targets, state, cfg
     raise ValidationError("could not sample an instance away from the residual floor")
-
-
-def _vera_predictions(state: VeraHydraState, cfg: HydraConfig, num_tasks: int):
-    from .linalg import softmax_rows
-
-    inner = (state.shared_b * state.lambda_d[None, :]) @ state.shared_a
-    products = [lb[:, None] * inner for lb in state.lambda_b_clusters]
-    if state.logits is None:
-        return products
-    weights = softmax_rows(state.logits, cfg.temperature)
-    stacked = np.stack(products)
-    return [np.tensordot(weights[i], stacked, axes=(0, 0)) for i in range(num_tasks)]
 
 
 def _check_state(state, cfg, loss_and_grads, report, label, step):
@@ -207,24 +141,17 @@ def run_suite(
     """
     report = GradCheckReport(tolerance=tolerance)
     rng = Rng(seed)
+    kinds = [("lora", _lora_targets), ("vera", _vera_targets)][: 1 + include_vera]
     for index in range(instances):
         num_clusters = 2 if index % 2 == 0 else num_tasks
         for kind in DistanceKind:
-            targets, state, cfg = _random_lora_instance(
-                rng, d, k, r, num_tasks, num_clusters, kind
-            )
-            _check_state(
-                state, cfg, _lora_kernel(targets, cfg), report,
-                f"lora[{index}] M={num_clusters} {kind.value}", step,
-            )
-            if include_vera:
-                targets, state, cfg = _random_vera_instance(
-                    rng, d, k, r, num_tasks, num_clusters, kind
+            for name, draw_targets in kinds:
+                targets, state, cfg = _random_instance(
+                    rng, draw_targets, d, k, r, num_tasks, num_clusters, kind
                 )
-                mats = _target_matrices(targets)
                 _check_state(
-                    state, cfg, lambda s: _loss_and_grads_vera(s, mats, cfg), report,
-                    f"vera[{index}] M={num_clusters} {kind.value}", step,
+                    state, cfg, _kernel(targets, cfg), report,
+                    f"{name}[{index}] M={num_clusters} {kind.value}", step,
                 )
         report.instances += 1
     return report

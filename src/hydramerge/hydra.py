@@ -1,29 +1,35 @@
 """Optimization-based merging with cluster routing.
 
-Given K per-task weight updates ``T_i = b_i @ a_i``, this module learns a
-single shared input-side factor ``A`` (r x k), ``M <= K`` cluster
-output-side factors ``B_j`` (d x r) and, when ``M < K``, routing logits
-``C`` (K x M).  With routing weights ``w = softmax_rows(C, temperature)``
-the prediction for task i is
+Given K per-task weight updates ``T_i``, this module learns one shared
+parameter, ``M <= K`` cluster parameters and, when ``M < K``, routing
+logits ``C`` (K x M).  Cluster j has a dense product ``U_j``.  With
+routing weights ``w = softmax_rows(C, temperature)`` the prediction for
+task i is ``P_i = sum_j w[i, j] U_j``, and the objective is
+``sum_i f(T_i, P_i)`` for a configurable distance ``f``.  When ``M == K``
+the logits are dropped and task i is tied to cluster i: ``P_i = U_i``.
 
-    P_i = sum_j w[i, j] * (B_j @ A)
+Both adapter kinds share one optimizer; a kind is a state class with
+three hooks: ``products()`` gives the ``U_j``, ``backprop(S)`` the
+gradients of its own parameters from ``S_j = sum_i w[i, j] G_i`` (``G_i``
+the distance gradient at ``P_i``), ``export(assignment)`` the bundle slot.
 
-and the training objective is ``sum_i f(T_i, P_i)`` for a configurable
-distance ``f``.  When ``M == K`` the logits are dropped entirely and task
-i is tied to cluster i:
+* LoRA learns a shared input-side factor ``A`` (r x k) and cluster
+  output-side factors ``B_j`` (d x r): ``U_j = B_j A``,
+  ``dB_j = S_j A^T`` and ``dA = sum_j B_j^T S_j``.
+* VeRA keeps its targets' frozen pair ``B_s`` (d x r), ``A_s`` (r x k)
+  and learns a shared inner scaling vector ``lambda_d`` (r) and cluster
+  outer scaling vectors ``lambda_b_j`` (d): ``U_j = diag(lambda_b_j)
+  core`` with ``core = B_s diag(lambda_d) A_s``, ``dlambda_b_j =
+  rowsum(S_j * core)`` and ``dlambda_d = rowsum((B_s^T H) * A_s)`` with
+  ``H = sum_j diag(lambda_b_j) S_j``.
 
-    P_i = B_i @ A
+For both kinds the routing logits get
 
-Analytic gradients, with ``G_i`` the distance gradient at task i taken
-with respect to ``P_i``:
-
-    dA      = sum_i (sum_j w[i, j] B_j)^T @ G_i
-    dB_j    = (sum_i w[i, j] G_i) @ A^T
-    g[i, j] = <G_i, B_j @ A>                     (flattened inner product)
+    g[i, j] = <G_i, U_j>                         (flattened inner product)
     dC[i,m] = (w[i, m] / temperature) * (g[i, m] - sum_j w[i, j] g[i, j])
 
-For the smooth distances (mse, fro, cos) on low-rank targets ``T_i =
-b_i a_i`` the dense ``d x k`` matrices are never formed.  With ``Bmix_i =
+For the smooth distances (mse, fro, cos) on LoRA targets ``T_i = b_i
+a_i`` the dense ``d x k`` matrices are never formed.  With ``Bmix_i =
 sum_j w[i, j] B_j`` (``B_i`` under identity routing) every quantity is a
 trace of ``r x r`` Gram products:
 
@@ -41,33 +47,26 @@ trace of ``r x r`` Gram products:
 at ``O(K M r^2 (d + k))`` per step.  Target-side and prediction-side
 products run through the same operations, so ``b_i == Bmix_i`` and
 ``a_i == A`` give bit-equal traces, a loss of exactly 0 and gradient terms
-that cancel exactly.  MAE, scaled-vector targets and targets given as
-dense matrices use the dense kernel, which also serves as the reference
-the factored one is tested against.
+that cancel exactly.  MAE, VeRA targets and targets given as dense
+matrices use the dense kernel, which also serves as the reference the
+factored one is tested against.
 
 Training stops with :class:`~hydramerge.errors.NumericalError`, naming the
 slot and step, when the loss or a gradient turns non-finite or the loss
 exceeds ``DIVERGENCE_FACTOR`` times a positive initial loss.
 
-Updates use AdamW with bias correction.  After training each task is
-assigned ``argmax_j C[i, j]`` and the logits are discarded; storage per
-slot is then ``M * r * d + r * k`` against ``K * r * (d + k)`` for the
-originals.
-
-The scaled-vector variant (:func:`train_vera`) keeps the frozen factor
-pair of its targets and instead learns a shared inner scaling vector plus
-M outer scaling vectors, routed identically.
-
-Training never looks at task data: the target adapters themselves are the
-regression labels.
+Updates use Adam with bias correction and no weight decay.  After
+training each task is assigned ``argmax_j C[i, j]`` and the logits are
+discarded; storage per LoRA slot is then ``M * r * d + r * k`` against
+``K * r * (d + k)`` for the originals.  Training never looks at task
+data: the target adapters themselves are the regression labels.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -81,7 +80,13 @@ from .adapters import (
     VeraAdapter,
     delta_weight,
 )
-from .errors import NumericalError, ParameterError, ValidationError
+from .errors import (
+    DegenerateInputError,
+    HydraMergeError,
+    NumericalError,
+    ParameterError,
+    ValidationError,
+)
 from .linalg import (
     SMOOTH_DISTANCES,
     DistanceKind,
@@ -100,6 +105,9 @@ from .linalg import (
 _RANDOM_INIT_STDEV = 0.02
 # A loss above this multiple of a positive initial loss counts as divergence.
 DIVERGENCE_FACTOR = 1e3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class InitScheme(str, Enum):
@@ -122,13 +130,10 @@ class HydraConfig:
     temperature: float = 0.1
     epochs: int = 1000
     learning_rate: float = 1e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     distance: DistanceKind = DistanceKind.MAE
     seed: int = 0
     init_scheme: InitScheme = InitScheme.RANDOM
+    adam_eps: ClassVar[float] = ADAM_EPS
 
     def validate(self, num_tasks: int) -> None:
         if self.num_clusters < 1:
@@ -143,53 +148,128 @@ class HydraConfig:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
         if not (self.learning_rate > 0):
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name, beta in (("adam_beta1", self.adam_beta1), ("adam_beta2", self.adam_beta2)):
-            if not (0.0 <= beta < 1.0):
-                raise ParameterError(f"{name} must be in [0, 1), got {beta}")
-        if not (self.adam_eps > 0):
-            raise ParameterError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if self.weight_decay < 0:
-            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
+
+
+@dataclass(kw_only=True)
+class _RoutedState:
+    """Routing logits (absent when M == K) and Adam's ``(m, v)`` moments
+    around a kind's ``params``, which ``NAMES`` names."""
+
+    NAMES: ClassVar[tuple[str, str]]
+    logits: Matrix | None
+    moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    step: int = 0
+
+    @property
+    def num_clusters(self) -> int:
+        return len(self.params[1])
+
+    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
+        shared_name, cluster_name = self.NAMES
+        shared, clusters = self.params
+        out = [(shared_name, shared)]
+        out += [(f"{cluster_name}.{j}", c) for j, c in enumerate(clusters)]
+        if self.logits is not None:
+            out.append(("logits", self.logits))
+        return out
 
 
 @dataclass
-class Moments:
-    m: np.ndarray
-    v: np.ndarray
+class HydraState(_RoutedState):
+    """LoRA: shared input-side factor ``A``, cluster factors ``B_j``."""
 
-
-@dataclass
-class HydraState:
     a_shared: Matrix
     b_clusters: list[Matrix]
-    logits: Matrix | None
-    moments: dict[str, Moments] = field(default_factory=dict)
-    step: int = 0
+    NAMES: ClassVar[tuple[str, str]] = ("a_shared", "b")
 
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        out: list[tuple[str, np.ndarray]] = [("a_shared", self.a_shared)]
-        out += [(f"b.{j}", b) for j, b in enumerate(self.b_clusters)]
-        if self.logits is not None:
-            out.append(("logits", self.logits))
-        return out
+    @property
+    def params(self):
+        return self.a_shared, self.b_clusters
+
+    @staticmethod
+    def factors(target: LowRankAdapter) -> tuple[Matrix, Matrix]:
+        return target.a, target.b
+
+    @classmethod
+    def build(cls, targets, shared, clusters, logits) -> "HydraState":
+        return cls(a_shared=shared, b_clusters=clusters, logits=logits)
+
+    def products(self) -> list[Matrix]:
+        return [b @ self.a_shared for b in self.b_clusters]
+
+    def backprop(self, summed: list[Matrix]) -> dict[str, np.ndarray]:
+        grad_a = np.zeros_like(self.a_shared)
+        for b, s in zip(self.b_clusters, summed):
+            grad_a += b.T @ s
+        grads = {"a_shared": grad_a}
+        for j, s in enumerate(summed):
+            grads[f"b.{j}"] = s @ self.a_shared.T
+        return grads
+
+    def export(self, assignment: list[int]) -> SharedLoraSlot:
+        return SharedLoraSlot(
+            a_shared=self.a_shared, b_clusters=self.b_clusters, assignment=assignment
+        )
 
 
 @dataclass
-class VeraHydraState:
+class VeraHydraState(_RoutedState):
+    """VeRA: inner vector ``lambda_d``, cluster outer vectors ``lambda_b_j``."""
+
     lambda_d: np.ndarray
     lambda_b_clusters: list[np.ndarray]
-    logits: Matrix | None
     shared_b: Matrix
     shared_a: Matrix
-    moments: dict[str, Moments] = field(default_factory=dict)
-    step: int = 0
+    NAMES: ClassVar[tuple[str, str]] = ("lambda_d", "lambda_b")
 
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        out: list[tuple[str, np.ndarray]] = [("lambda_d", self.lambda_d)]
-        out += [(f"lambda_b.{j}", v) for j, v in enumerate(self.lambda_b_clusters)]
-        if self.logits is not None:
-            out.append(("logits", self.logits))
-        return out
+    @property
+    def params(self):
+        return self.lambda_d, self.lambda_b_clusters
+
+    @staticmethod
+    def factors(target: VeraAdapter) -> tuple[Matrix, Matrix]:
+        return target.lambda_d.reshape(-1, 1), target.lambda_b.reshape(-1, 1)
+
+    @classmethod
+    def build(cls, targets, shared, clusters, logits) -> "VeraHydraState":
+        first = targets[0]
+        for t in targets[1:]:
+            if not (
+                np.array_equal(t.shared_a, first.shared_a)
+                and np.array_equal(t.shared_b, first.shared_b)
+            ):
+                raise ValidationError("targets do not share identical frozen factors")
+        return cls(
+            lambda_d=shared.ravel(),
+            lambda_b_clusters=[c.ravel() for c in clusters],
+            logits=logits,
+            shared_b=first.shared_b,
+            shared_a=first.shared_a,
+        )
+
+    def _core(self) -> Matrix:
+        return (self.shared_b * self.lambda_d[None, :]) @ self.shared_a
+
+    def products(self) -> list[Matrix]:
+        core = self._core()
+        return [lb[:, None] * core for lb in self.lambda_b_clusters]
+
+    def backprop(self, summed: list[Matrix]) -> dict[str, np.ndarray]:
+        core = self._core()
+        mixed = sum(lb[:, None] * s for lb, s in zip(self.lambda_b_clusters, summed))
+        grads = {"lambda_d": ((self.shared_b.T @ mixed) * self.shared_a).sum(axis=1)}
+        for j, s in enumerate(summed):
+            grads[f"lambda_b.{j}"] = (s * core).sum(axis=1)
+        return grads
+
+    def export(self, assignment: list[int]) -> SharedVeraSlot:
+        return SharedVeraSlot(
+            lambda_d=self.lambda_d,
+            lambda_b_clusters=self.lambda_b_clusters,
+            shared_b=self.shared_b,
+            shared_a=self.shared_a,
+            assignment=assignment,
+        )
 
 
 @dataclass
@@ -201,7 +281,6 @@ class HydraGrads:
 class TrainTrace:
     losses: list[float]
     final_loss: float
-    wall_time: float = 0.0
 
     @property
     def initial_loss(self) -> float:
@@ -210,148 +289,122 @@ class TrainTrace:
 
 def _zero_moments(state) -> None:
     state.moments = {
-        name: Moments(m=np.zeros_like(t), v=np.zeros_like(t))
-        for name, t in state.named_tensors()
+        name: (np.zeros_like(t), np.zeros_like(t)) for name, t in state.named_tensors()
     }
 
 
 def _target_matrices(targets) -> list[Matrix]:
-    mats = []
-    for t in targets:
-        if isinstance(t, (LowRankAdapter, VeraAdapter)):
-            mats.append(delta_weight(t))
-        else:
-            mats.append(as_matrix(t, "target"))
-    return mats
+    adapters = (LowRankAdapter, VeraAdapter)
+    return [delta_weight(t) if isinstance(t, adapters) else as_matrix(t, "target") for t in targets]
 
 
-def init_state(targets: Sequence[LowRankAdapter], cfg: HydraConfig, rng: Rng) -> HydraState:
-    """Fresh trainable state for a list of same-shaped target adapters.
-
-    Mean init sets the shared factor to the exact mean of the targets'
-    input factors and copies the first M output factors; random init draws
-    both from N(0, 0.02).  Routing logits, present only when M < K, are
-    always drawn from N(0, 1).  Draw order: shared factor, cluster factors,
-    then logits.
-    """
-    if not targets:
-        raise ParameterError("need at least one target adapter")
-    cfg.validate(len(targets))
+def _new_state(targets, num_clusters: int, rng: Rng, stdev: float | None):
+    """A state of the targets' kind as :func:`init_state` draws it, with
+    N(0, stdev) parameters or, for ``stdev=None``, the mean init."""
     first = targets[0]
+    kind = VeraHydraState if isinstance(first, VeraAdapter) else HydraState
     signature = first.shape_signature()
     for t in targets[1:]:
-        if t.shape_signature() != signature:
+        if type(t) is not type(first) or t.shape_signature() != signature:
             raise ValidationError(
-                f"targets disagree on (d, r, k): {t.shape_signature()} vs {signature}"
+                f"targets disagree on kind or (d, r, k): {t.shape_signature()} vs {signature}"
             )
-    d, r, k = signature
-    m_clusters = cfg.num_clusters
-    if cfg.init_scheme is InitScheme.RANDOM:
-        a_shared = gaussian_sample(rng, r, k, 0.0, _RANDOM_INIT_STDEV)
-        b_clusters = [
-            gaussian_sample(rng, d, r, 0.0, _RANDOM_INIT_STDEV) for _ in range(m_clusters)
-        ]
+    own = [kind.factors(t) for t in targets]
+    if stdev is None:
+        shared = exact_mean([s for s, _ in own])
+        clusters = [c.copy() for _, c in own[:num_clusters]]
     else:
-        a_shared = exact_mean([t.a for t in targets])
-        b_clusters = [targets[j].b.copy() for j in range(m_clusters)]
+        shared = gaussian_sample(rng, *own[0][0].shape, 0.0, stdev)
+        clusters = [gaussian_sample(rng, *own[0][1].shape, 0.0, stdev) for _ in range(num_clusters)]
     logits = (
-        gaussian_sample(rng, len(targets), m_clusters, 0.0, 1.0)
-        if m_clusters < len(targets)
+        gaussian_sample(rng, len(targets), num_clusters, 0.0, 1.0)
+        if num_clusters < len(targets)
         else None
     )
-    state = HydraState(a_shared=a_shared, b_clusters=b_clusters, logits=logits)
+    state = kind.build(targets, shared, clusters, logits)
     _zero_moments(state)
     return state
 
 
-def _finite(products: list[Matrix]) -> list[Matrix]:
-    """Dense cluster products, checked so that an overflow stops training
-    with its step named rather than as a non-finite prediction."""
+def init_state(targets: Sequence, cfg: HydraConfig, rng: Rng):
+    """Fresh trainable state for same-kind, same-shaped target adapters;
+    VeRA targets must share one frozen pair.
+
+    Mean init sets the shared parameter to the exact mean of the targets'
+    and copies the first M cluster parameters; random init draws both
+    from N(0, 0.02).  Routing logits, present only when M < K, are always
+    drawn from N(0, 1).  Draw order: shared, clusters, then logits.
+    """
+    if not targets:
+        raise ParameterError("need at least one target adapter")
+    cfg.validate(len(targets))
+    random = cfg.init_scheme is InitScheme.RANDOM
+    return _new_state(targets, cfg.num_clusters, rng, _RANDOM_INIT_STDEV if random else None)
+
+
+def _routing(state, cfg: HydraConfig, num_tasks: int) -> np.ndarray | None:
+    """Routing weights, or None under identity routing (which needs M == K)."""
+    if state.logits is not None:
+        return softmax_rows(state.logits, cfg.temperature)
+    if state.num_clusters != num_tasks:
+        raise ParameterError(
+            f"{state.num_clusters} clusters cannot be identity-routed to {num_tasks} tasks"
+        )
+    return None
+
+
+def _predictions(state, cfg: HydraConfig, num_tasks: int):
+    """``(products, weights, predictions)``; an overflowed product raises."""
+    products = state.products()
     if not all(np.all(np.isfinite(p)) for p in products):
         raise NumericalError("a cluster product overflowed to non-finite values")
-    return products
-
-
-def _lora_predictions(state: HydraState, cfg: HydraConfig, num_tasks: int):
-    products = _finite([b @ state.a_shared for b in state.b_clusters])
-    if state.logits is None:
-        if len(state.b_clusters) != num_tasks:
-            raise ParameterError(
-                f"{len(state.b_clusters)} clusters cannot be identity-routed to "
-                f"{num_tasks} tasks"
-            )
-        return products, None, [products[i] for i in range(num_tasks)]
-    weights = softmax_rows(state.logits, cfg.temperature)
+    weights = _routing(state, cfg, num_tasks)
+    if weights is None:
+        return products, None, products
     stacked = np.stack(products)
     preds = [np.tensordot(weights[i], stacked, axes=(0, 0)) for i in range(num_tasks)]
     return products, weights, preds
 
 
-def loss_eq1(state: HydraState, targets, cfg: HydraConfig) -> tuple[float, list[float]]:
+def loss(state, targets, cfg: HydraConfig) -> tuple[float, list[float]]:
+    """Objective and per-task distances, routed if the state has logits."""
+    value, per_task, _ = _loss_and_grads_dense(state, _target_matrices(targets), cfg)
+    return value, per_task
+
+
+def loss_eq1(state, targets, cfg: HydraConfig) -> tuple[float, list[float]]:
     """Routed objective; requires routing logits to be present."""
     if state.logits is None:
         raise ParameterError("routed loss needs logits; this state was built with M == K")
-    mats = _target_matrices(targets)
-    _, _, preds = _lora_predictions(state, cfg, len(mats))
-    per_task = [distance(mats[i], preds[i], cfg.distance) for i in range(len(mats))]
-    return float(sum(per_task)), per_task
+    return loss(state, targets, cfg)
 
 
-def loss_eq2(state: HydraState, targets, cfg: HydraConfig) -> tuple[float, list[float]]:
+def loss_eq2(state, targets, cfg: HydraConfig) -> tuple[float, list[float]]:
     """Identity-routed objective for M == K (one cluster per task)."""
     if state.logits is not None:
         raise ParameterError("identity-routed loss does not use logits")
-    mats = _target_matrices(targets)
-    if len(state.b_clusters) != len(mats):
-        raise ParameterError(
-            f"{len(state.b_clusters)} clusters vs {len(mats)} tasks: identity routing "
-            "needs M == K"
-        )
-    per_task = [
-        distance(mats[i], state.b_clusters[i] @ state.a_shared, cfg.distance)
-        for i in range(len(mats))
-    ]
-    return float(sum(per_task)), per_task
+    return loss(state, targets, cfg)
 
 
-def loss(state: HydraState, targets, cfg: HydraConfig) -> tuple[float, list[float]]:
-    if state.logits is None:
-        return loss_eq2(state, targets, cfg)
-    return loss_eq1(state, targets, cfg)
+def _logit_grad(weights: np.ndarray, inner: np.ndarray, temperature: float) -> np.ndarray:
+    """dC from ``inner[i, j] = <G_i, U_j>`` through the softmax."""
+    row_mix = (weights * inner).sum(axis=1, keepdims=True)
+    return (weights / temperature) * (inner - row_mix)
 
 
-def _loss_and_grads_lora(state: HydraState, mats: list[Matrix], cfg: HydraConfig):
-    num_tasks = len(mats)
-    products, weights, preds = _lora_predictions(state, cfg, num_tasks)
-    per_task = [distance(mats[i], preds[i], cfg.distance) for i in range(num_tasks)]
-    residual_grads = [distance_grad(mats[i], preds[i], cfg.distance) for i in range(num_tasks)]
-
-    a_t = state.a_shared.T
-    grads: dict[str, np.ndarray] = {}
+def _loss_and_grads_dense(state, mats: list[Matrix], cfg: HydraConfig):
+    """Loss and gradients from the dense d x k cluster products."""
+    products, weights, preds = _predictions(state, cfg, len(mats))
+    per_task = [distance(t, p, cfg.distance) for t, p in zip(mats, preds)]
+    residual_grads = [distance_grad(t, p, cfg.distance) for t, p in zip(mats, preds)]
     if weights is None:
-        grad_a = np.zeros_like(state.a_shared)
-        for i in range(num_tasks):
-            grad_a += state.b_clusters[i].T @ residual_grads[i]
-            grads[f"b.{i}"] = residual_grads[i] @ a_t
-        grads["a_shared"] = grad_a
-    else:
-        b_stack = np.stack(state.b_clusters)
-        grad_a = np.zeros_like(state.a_shared)
-        for i in range(num_tasks):
-            mixed_b = np.tensordot(weights[i], b_stack, axes=(0, 0))
-            grad_a += mixed_b.T @ residual_grads[i]
-        grads["a_shared"] = grad_a
-        g_stack = np.stack(residual_grads)
-        for j in range(len(state.b_clusters)):
-            summed = np.tensordot(weights[:, j], g_stack, axes=(0, 0))
-            grads[f"b.{j}"] = summed @ a_t
-        inner = np.array(
-            [[float(np.vdot(residual_grads[i], products[j])) for j in range(len(products))]
-             for i in range(num_tasks)]
-        )
-        row_mix = (weights * inner).sum(axis=1, keepdims=True)
-        grads["logits"] = (weights / cfg.temperature) * (inner - row_mix)
-    return float(sum(per_task)), per_task, HydraGrads(tensors=grads)
+        return float(sum(per_task)), per_task, HydraGrads(state.backprop(residual_grads))
+    g_stack = np.stack(residual_grads)
+    summed = [np.tensordot(weights[:, j], g_stack, axes=(0, 0)) for j in range(len(products))]
+    grads = state.backprop(summed)
+    inner = np.array([[float(np.vdot(g, p)) for p in products] for g in residual_grads])
+    grads["logits"] = _logit_grad(weights, inner, cfg.temperature)
+    return float(sum(per_task)), per_task, HydraGrads(grads)
 
 
 def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -389,19 +442,12 @@ class _LowRankTargets:
 
 def _loss_and_grads_factored(state: HydraState, tgt: _LowRankTargets, cfg: HydraConfig):
     """Loss and gradients of a smooth distance from r x r Gram products."""
-    num_tasks = len(tgt.tt)
     a_shared = state.a_shared
     clusters_t = np.ascontiguousarray(np.swapaxes(np.stack(state.b_clusters), 1, 2))  # B_j^T
-    if state.logits is None:
-        if len(state.b_clusters) != num_tasks:
-            raise ParameterError(
-                f"{len(state.b_clusters)} clusters cannot be identity-routed to "
-                f"{num_tasks} tasks"
-            )
-        weights = None
+    weights = _routing(state, cfg, len(tgt.tt))
+    if weights is None:
         mix_t = clusters_t
     else:
-        weights = softmax_rows(state.logits, cfg.temperature)
         mix_t = np.tensordot(weights, clusters_t, axes=(1, 0))  # Bmix_i^T
     cross_b = _cross(mix_t, tgt.b_t)  # Bmix_i^T b_i
     gram_b = _cross(mix_t, mix_t)  # Bmix_i^T Bmix_i
@@ -424,66 +470,66 @@ def _loss_and_grads_factored(state: HydraState, tgt: _LowRankTargets, cfg: Hydra
         inner = alpha[:, None] * _trace(
             _cross(clusters_t[None], tgt.b_t[:, None]), cross_a[:, None]
         ) + beta[:, None] * _trace(_cross(clusters_t[None], mix_t[:, None]), gram_a)
-        row_mix = (weights * inner).sum(axis=1, keepdims=True)
-        grads["logits"] = (weights / cfg.temperature) * (inner - row_mix)
+        grads["logits"] = _logit_grad(weights, inner, cfg.temperature)
     for j, block in enumerate(g_at_t):
         grads[f"b.{j}"] = np.ascontiguousarray(block.T)
     per_task = values.tolist()
     return float(sum(per_task)), per_task, HydraGrads(tensors=grads)
 
 
-def _lora_kernel(targets, cfg: HydraConfig):
-    """The loss-and-gradient function ``state -> (loss, per_task, grads)``
-    for fixed targets: factored for a smooth distance on low-rank targets,
-    dense otherwise."""
-    if cfg.distance in SMOOTH_DISTANCES and all(
-        isinstance(t, LowRankAdapter) for t in targets
-    ):
+def _kernel(targets, cfg: HydraConfig):
+    """``state -> (loss, per_task, grads)`` for fixed targets: factored for a
+    smooth distance on LoRA targets, dense otherwise.  Under ``cos`` a zero
+    target raises :class:`DegenerateInputError` carrying the task index."""
+    if cfg.distance in SMOOTH_DISTANCES and all(isinstance(t, LowRankAdapter) for t in targets):
         factored = _LowRankTargets.of(targets)
-        return lambda state: _loss_and_grads_factored(state, factored, cfg)
-    mats = _target_matrices(targets)
-    return lambda state: _loss_and_grads_lora(state, mats, cfg)
+        norms = factored.tt
+        kernel = lambda state: _loss_and_grads_factored(state, factored, cfg)
+    else:
+        mats = _target_matrices(targets)
+        norms = map(np.linalg.norm, mats)  # lazy: only cos reads them
+        kernel = lambda state: _loss_and_grads_dense(state, mats, cfg)
+    if cfg.distance is DistanceKind.COS:
+        for i, norm in enumerate(norms):
+            if norm == 0.0:
+                msg = f"cosine distance is undefined for a zero matrix (target {i} is zero)"
+                raise DegenerateInputError(msg, task=i)
+    return kernel
 
 
-def gradients(state: HydraState, targets, cfg: HydraConfig) -> HydraGrads:
+def gradients(state, targets, cfg: HydraConfig) -> HydraGrads:
     """Analytic gradients of the objective for every trainable tensor.
 
     ``targets`` are adapters or their dense update matrices; the kernel is
     the one :func:`train` runs for the same targets."""
-    return _lora_kernel(targets, cfg)(state)[2]
+    return _kernel(targets, cfg)(state)[2]
 
 
 def adamw_step(state, grads: HydraGrads, cfg: HydraConfig):
-    """One AdamW update with bias correction over all trainable tensors.
+    """One Adam update with bias correction over all trainable tensors.
 
-    theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + ADAM_EPS)
     """
     state.step += 1
-    correction1 = 1.0 - cfg.adam_beta1**state.step
-    correction2 = 1.0 - cfg.adam_beta2**state.step
+    correction1 = 1.0 - ADAM_BETA1**state.step
+    correction2 = 1.0 - ADAM_BETA2**state.step
     for name, theta in state.named_tensors():
         grad = grads.tensors[name]
-        mom = state.moments[name]
-        mom.m = cfg.adam_beta1 * mom.m + (1.0 - cfg.adam_beta1) * grad
-        mom.v = cfg.adam_beta2 * mom.v + (1.0 - cfg.adam_beta2) * grad * grad
-        m_hat = mom.m / correction1
-        v_hat = mom.v / correction2
-        theta -= cfg.learning_rate * (
-            m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * theta
-        )
+        m, v = state.moments[name]
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        state.moments[name] = (m, v)
+        theta -= cfg.learning_rate * ((m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS))
     return state
 
 
-def train(
-    targets: Sequence[LowRankAdapter], cfg: HydraConfig, rng: Rng
-) -> tuple[HydraState, TrainTrace]:
-    """Full-batch training loop: gradients + AdamW for ``cfg.epochs`` steps.
-
-    The trace records the loss at the start of every iteration; its
+def train(targets: Sequence, cfg: HydraConfig, rng: Rng):
+    """Full-batch training loop for either kind: gradients + AdamW for
+    ``cfg.epochs`` steps.  The trace records the loss at the start of every iteration; its
     ``final_loss`` is evaluated after the last update.
     """
     state = init_state(targets, cfg, rng)
-    return state, _fit(state, _lora_kernel(targets, cfg), cfg)
+    return state, _fit(state, _kernel(targets, cfg), cfg)
 
 
 def _fit(state, loss_and_grads, cfg: HydraConfig) -> TrainTrace:
@@ -494,7 +540,6 @@ def _fit(state, loss_and_grads, cfg: HydraConfig) -> TrainTrace:
     ``DIVERGENCE_FACTOR`` times a positive initial loss.
     """
     losses: list[float] = []
-    started = time.perf_counter()
     for step in range(cfg.epochs + 1):
         try:
             value, _, grads = loss_and_grads(state)
@@ -504,7 +549,7 @@ def _fit(state, loss_and_grads, cfg: HydraConfig) -> TrainTrace:
         if step < cfg.epochs:
             losses.append(value)
             adamw_step(state, grads, cfg)
-    return TrainTrace(losses=losses, final_loss=value, wall_time=time.perf_counter() - started)
+    return TrainTrace(losses=losses, final_loss=value)
 
 
 def _check_progress(step: int, value: float, grads: HydraGrads, initial: float) -> None:
@@ -525,167 +570,39 @@ def assign_tasks(state, cfg: HydraConfig) -> list[int]:
     to the lowest index), or the identity when logits were never created.
     The logits play no further role after this."""
     if state.logits is None:
-        return list(range(len(_cluster_list(state))))
+        return list(range(state.num_clusters))
     return [int(np.argmax(row)) for row in state.logits]
-
-
-def _cluster_list(state) -> list:
-    if isinstance(state, HydraState):
-        return state.b_clusters
-    return state.lambda_b_clusters
-
-
-# -- scaled-vector (vera) variant -------------------------------------------
-
-
-def init_vera_state(
-    targets: Sequence[VeraAdapter], cfg: HydraConfig, rng: Rng
-) -> VeraHydraState:
-    """Fresh state for scaled-vector targets sharing one frozen factor pair."""
-    if not targets:
-        raise ParameterError("need at least one target adapter")
-    cfg.validate(len(targets))
-    first = targets[0]
-    for t in targets[1:]:
-        if not (
-            np.array_equal(t.shared_a, first.shared_a)
-            and np.array_equal(t.shared_b, first.shared_b)
-        ):
-            raise ValidationError("targets do not share identical frozen factors")
-    d, r, _ = first.shape_signature()
-    m_clusters = cfg.num_clusters
-    if cfg.init_scheme is InitScheme.RANDOM:
-        lambda_d = gaussian_sample(rng, r, 1, 0.0, _RANDOM_INIT_STDEV).ravel()
-        lambda_bs = [
-            gaussian_sample(rng, d, 1, 0.0, _RANDOM_INIT_STDEV).ravel()
-            for _ in range(m_clusters)
-        ]
-    else:
-        lambda_d = exact_mean([t.lambda_d.reshape(-1, 1) for t in targets]).ravel()
-        lambda_bs = [targets[j].lambda_b.copy() for j in range(m_clusters)]
-    logits = (
-        gaussian_sample(rng, len(targets), m_clusters, 0.0, 1.0)
-        if m_clusters < len(targets)
-        else None
-    )
-    state = VeraHydraState(
-        lambda_d=lambda_d,
-        lambda_b_clusters=lambda_bs,
-        logits=logits,
-        shared_b=first.shared_b,
-        shared_a=first.shared_a,
-    )
-    _zero_moments(state)
-    return state
-
-
-def _loss_and_grads_vera(state: VeraHydraState, mats: list[Matrix], cfg: HydraConfig):
-    num_tasks = len(mats)
-    m_clusters = len(state.lambda_b_clusters)
-    inner = (state.shared_b * state.lambda_d[None, :]) @ state.shared_a
-    products = _finite([lb[:, None] * inner for lb in state.lambda_b_clusters])
-    if state.logits is None:
-        if m_clusters != num_tasks:
-            raise ParameterError(
-                f"{m_clusters} clusters cannot be identity-routed to {num_tasks} tasks"
-            )
-        weights = None
-        preds = products
-    else:
-        weights = softmax_rows(state.logits, cfg.temperature)
-        stacked = np.stack(products)
-        preds = [np.tensordot(weights[i], stacked, axes=(0, 0)) for i in range(num_tasks)]
-
-    per_task = [distance(mats[i], preds[i], cfg.distance) for i in range(num_tasks)]
-    residual_grads = [distance_grad(mats[i], preds[i], cfg.distance) for i in range(num_tasks)]
-
-    grads: dict[str, np.ndarray] = {}
-    lb_stack = np.stack(state.lambda_b_clusters)
-    grad_ld = np.zeros_like(state.lambda_d)
-    for i in range(num_tasks):
-        outer_scale = (
-            lb_stack[i] if weights is None else np.tensordot(weights[i], lb_stack, axes=(0, 0))
-        )
-        scaled_grad = outer_scale[:, None] * residual_grads[i]
-        grad_ld += np.einsum("dt,dk,tk->t", state.shared_b, scaled_grad, state.shared_a)
-    grads["lambda_d"] = grad_ld
-    if weights is None:
-        for i in range(num_tasks):
-            grads[f"lambda_b.{i}"] = (residual_grads[i] * inner).sum(axis=1)
-    else:
-        g_stack = np.stack(residual_grads)
-        for j in range(m_clusters):
-            summed = np.tensordot(weights[:, j], g_stack, axes=(0, 0))
-            grads[f"lambda_b.{j}"] = (summed * inner).sum(axis=1)
-        inner_products = np.array(
-            [[float(np.vdot(residual_grads[i], products[j])) for j in range(m_clusters)]
-             for i in range(num_tasks)]
-        )
-        row_mix = (weights * inner_products).sum(axis=1, keepdims=True)
-        grads["logits"] = (weights / cfg.temperature) * (inner_products - row_mix)
-    return float(sum(per_task)), per_task, HydraGrads(tensors=grads)
-
-
-def vera_loss(state: VeraHydraState, targets, cfg: HydraConfig) -> tuple[float, list[float]]:
-    value, per_task, _ = _loss_and_grads_vera(state, _target_matrices(targets), cfg)
-    return value, per_task
-
-
-def vera_gradients(state: VeraHydraState, targets, cfg: HydraConfig) -> HydraGrads:
-    return _loss_and_grads_vera(state, _target_matrices(targets), cfg)[2]
-
-
-def train_vera(
-    targets: Sequence[VeraAdapter], cfg: HydraConfig, rng: Rng
-) -> tuple[VeraHydraState, TrainTrace]:
-    """Training loop for scaled-vector targets; mirrors :func:`train`."""
-    state = init_vera_state(targets, cfg, rng)
-    mats = _target_matrices(targets)
-    return state, _fit(state, lambda s: _loss_and_grads_vera(s, mats, cfg), cfg)
 
 
 # -- collection-level driver -------------------------------------------------
 
 
 def export_slot(state, assignment: list[int]):
-    """Package a trained state as one bundle slot: the shared factor, the M
-    cluster factors, and the per-task assignment.  The slot's declared
-    parameter count is ``M*r*d + r*k`` (plus the frozen pair for the
-    scaled-vector variant); the routing logits are not part of it.
-    """
-    if isinstance(state, HydraState):
-        return SharedLoraSlot(
-            a_shared=state.a_shared, b_clusters=state.b_clusters, assignment=assignment
-        )
-    return SharedVeraSlot(
-        lambda_d=state.lambda_d,
-        lambda_b_clusters=state.lambda_b_clusters,
-        shared_b=state.shared_b,
-        shared_a=state.shared_a,
-        assignment=assignment,
-    )
+    """Package a trained state as one bundle slot; the routing logits are
+    not part of it."""
+    return state.export(assignment)
 
 
 def _train_slot(collection: AdapterCollection, slot: SlotKey, cfg: HydraConfig):
+    """Train one slot; an error keeps its type and gains the slot label
+    (and the task name when one task is to blame)."""
     rng = Rng(cfg.seed ^ stable_hash64(slot.label()))
-    targets = collection.adapters_at(slot)
     try:
-        if collection.kind == "lora":
-            state, trace = train(targets, cfg, rng)
-        else:
-            state, trace = train_vera(targets, cfg, rng)
-    except NumericalError as exc:
-        raise NumericalError(f"slot {slot.label()}: {exc}") from exc
+        state, trace = train(collection.adapters_at(slot), cfg, rng)
+    except HydraMergeError as exc:
+        task = getattr(exc, "task", None)
+        where = "" if task is None else f"task {collection.task_ids[task]}: "
+        raise type(exc)(f"slot {slot.label()}: {where}{exc}") from exc
     return export_slot(state, assign_tasks(state, cfg)), trace
 
 
 def merge_collection_hydra(
-    collection: AdapterCollection, cfg: HydraConfig, jobs: int = 1
+    collection: AdapterCollection, cfg: HydraConfig
 ) -> tuple[MergedBundle, dict]:
     """Train one independent state per slot and assemble the bundle.
 
-    Slots derive their streams from ``seed xor hash(slot label)``, so the
-    result is identical whether slots run sequentially or in parallel.
+    Each slot draws from its own stream, ``seed xor hash(slot label)``, so
+    no slot's result depends on another's.
     """
     cfg.validate(collection.num_tasks)
     bundle = MergedBundle(
@@ -694,31 +611,16 @@ def merge_collection_hydra(
         tasks=list(collection.task_ids),
         slots=list(collection.slots),
     )
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda s: (s, _train_slot(collection, s, cfg)), collection.slots)
-            )
-        outcome = dict(results)
-    else:
-        outcome = {slot: _train_slot(collection, slot, cfg) for slot in collection.slots}
-
-    report = {"per_slot": {}}
-    total_initial = 0.0
-    total_final = 0.0
+    per_slot = {}
     for slot in collection.slots:
-        entry, trace = outcome[slot]
-        bundle.entries[slot] = entry
-        report["per_slot"][slot.label()] = {
+        bundle.entries[slot], trace = _train_slot(collection, slot, cfg)
+        per_slot[slot.label()] = {
             "initial_loss": trace.initial_loss,
             "final_loss": trace.final_loss,
         }
-        total_initial += trace.initial_loss
-        total_final += trace.final_loss
-    report["initial_loss"] = total_initial
-    report["final_loss"] = total_final
+    report = {"per_slot": per_slot}
+    for key in ("initial_loss", "final_loss"):
+        report[key] = sum(entry[key] for entry in per_slot.values())
     bundle.validate()
     return bundle, report
 
@@ -753,3 +655,19 @@ def _entry_clusters(entry) -> list:
     if isinstance(entry, SharedLoraSlot):
         return entry.b_clusters
     return entry.lambda_b_clusters
+
+
+# Names from when each kind had its own functions.
+vera_loss = loss
+_loss_and_grads_lora = _loss_and_grads_dense
+_lora_kernel = _kernel
+
+
+def init_vera_state(targets: Sequence[VeraAdapter], cfg: HydraConfig, rng: Rng):
+    """:func:`init_state` for VeRA targets."""
+    return init_state(targets, cfg, rng)
+
+
+def train_vera(targets: Sequence[VeraAdapter], cfg: HydraConfig, rng: Rng):
+    """:func:`train` for VeRA targets."""
+    return train(targets, cfg, rng)

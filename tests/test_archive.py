@@ -11,6 +11,7 @@ from hydramerge.adapters import (
     MergedAdapterSlot,
     MergedBundle,
     SharedLoraSlot,
+    SharedVeraSlot,
     SlotKey,
     VeraAdapter,
 )
@@ -405,3 +406,160 @@ class TestFuzz:
             read_archive(path)
         except (ArchiveFormatError, ValidationError):
             pass
+
+
+_A, _B = "task.t0.layer.0.q.A", "task.t0.layer.0.q.B"
+
+
+def _one_adapter_manifest() -> dict:
+    return {
+        "version": 1,
+        "tensors": {
+            _A: {"shape": [2, 6], "offset": 0, "nbytes": 48},
+            _B: {"shape": [8, 2], "offset": 48, "nbytes": 64},
+        },
+        "meta": {"kind": "lora", "tasks": ["t0"]},
+    }
+
+
+class TestManifestFields:
+    def test_untouched_manifest_reads(self, tmp_path):
+        path = tmp_path / "ok.lrta"
+        _raw_with_manifest(path, _one_adapter_manifest(), b"\x00" * 112)
+        assert read_archive(path).task_ids == ["t0"]
+
+    @pytest.mark.parametrize(
+        "tensor, field, value, match",
+        [
+            (None, "version", True, "version True"),
+            (None, "version", 1.0, r"version 1\.0"),
+            (_A, "shape", [2.0, 6], r"'task\.t0\.layer\.0\.q\.A': shape"),
+            (_A, "shape", [True, 6], r"'task\.t0\.layer\.0\.q\.A': shape"),
+            (_A, "shape", [1.9, 2], r"'task\.t0\.layer\.0\.q\.A': shape"),
+            (_A, "shape", [2, 6, 1], r"'task\.t0\.layer\.0\.q\.A': shape"),
+            (_A, "offset", 0.7, r"'task\.t0\.layer\.0\.q\.A': offset"),
+            (_B, "offset", 48.0, r"'task\.t0\.layer\.0\.q\.B': offset"),
+            (_A, "offset", False, r"'task\.t0\.layer\.0\.q\.A': offset"),
+            (_A, "nbytes", 48.0, r"'task\.t0\.layer\.0\.q\.A': nbytes"),
+            (_B, "nbytes", "64", r"'task\.t0\.layer\.0\.q\.B': nbytes"),
+        ],
+    )
+    def test_non_integer_field_names_field_and_tensor(self, tmp_path, tensor, field, value, match):
+        manifest = _one_adapter_manifest()
+        (manifest if tensor is None else manifest["tensors"][tensor])[field] = value
+        path = tmp_path / "field.lrta"
+        _raw_with_manifest(path, manifest, b"\x00" * 112)
+        with pytest.raises(ArchiveFormatError, match=match):
+            read_archive(path)
+
+    def test_manifest_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.lrta"
+        _raw_with_manifest(path, [1, 2], b"")
+        with pytest.raises(ArchiveFormatError, match="version None"):
+            read_archive(path)
+
+    @pytest.mark.parametrize(
+        "offset_b, size, match",
+        [
+            (52, 116, r"bytes 48\.\.52 before tensor 'task\.t0\.layer\.0\.q\.B'"),
+            (48, 120, r"bytes 112\.\.120 after the last tensor"),
+        ],
+    )
+    def test_payload_bytes_outside_every_tensor(self, tmp_path, offset_b, size, match):
+        manifest = _one_adapter_manifest()
+        manifest["tensors"][_B]["offset"] = offset_b
+        path = tmp_path / "gap.lrta"
+        _raw_with_manifest(path, manifest, b"\x00" * size)
+        with pytest.raises(ArchiveFormatError, match=match):
+            read_archive(path)
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32_SUBNORMAL = float(np.float32(2.0**-149))
+_F32_VALUES = st.sampled_from(
+    [_F32_MAX, -_F32_MAX, _F32_SUBNORMAL, -_F32_SUBNORMAL, -0.0, 0.0]
+) | st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _archivable(draw):
+    """A LoRA or VeRA collection, a ``ta`` bundle or a ``hydraopt`` bundle
+    whose values are all float32 numbers, edge values included."""
+    kind = draw(st.sampled_from(["lora", "vera"]))
+    form = draw(st.sampled_from(["collection", "ta", "hydraopt"]))
+    tasks = [f"t{i}" for i in range(draw(st.integers(1, 3)))]
+    slot_keys = st.builds(SlotKey, st.integers(0, 2), st.sampled_from(["q", "v"]))
+    slots = sorted(draw(st.lists(slot_keys, min_size=1, max_size=2, unique=True)))
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    r = draw(st.integers(1, min(d, k)))
+
+    def mat(rows, cols):
+        values = draw(st.lists(_F32_VALUES, min_size=rows * cols, max_size=rows * cols))
+        return np.array(values, dtype=np.float64).reshape(rows, cols)
+
+    pairs = {slot: (mat(d, r), mat(r, k)) for slot in slots}
+
+    def adapter(slot):
+        if kind == "lora":
+            return LowRankAdapter(b=mat(d, r), a=mat(r, k))
+        return VeraAdapter(
+            lambda_b=mat(d, 1).ravel(),
+            lambda_d=mat(r, 1).ravel(),
+            shared_b=pairs[slot][0],
+            shared_a=pairs[slot][1],
+        )
+
+    def shared_slot(slot):
+        m = draw(st.integers(1, len(tasks)))
+        assignment = draw(st.lists(st.integers(0, m - 1), min_size=len(tasks), max_size=len(tasks)))
+        if kind == "lora":
+            return SharedLoraSlot(
+                a_shared=mat(r, k), b_clusters=[mat(d, r) for _ in range(m)], assignment=assignment
+            )
+        return SharedVeraSlot(
+            lambda_d=mat(r, 1).ravel(),
+            lambda_b_clusters=[mat(d, 1).ravel() for _ in range(m)],
+            shared_b=pairs[slot][0],
+            shared_a=pairs[slot][1],
+            assignment=assignment,
+        )
+
+    if form == "collection":
+        return AdapterCollection.build(tasks, {(t, s): adapter(s) for t in tasks for s in slots})
+    make = (lambda s: MergedAdapterSlot(adapter(s))) if form == "ta" else shared_slot
+    entries = {slot: make(slot) for slot in slots}
+    return MergedBundle(method=form, kind=kind, tasks=tasks, slots=slots, entries=entries)
+
+
+def _float32_bits(obj) -> tuple[dict, dict]:
+    """Every tensor the writer emits for ``obj``, as raw float32 bits, and
+    the manifest meta."""
+    if isinstance(obj, MergedBundle):
+        tensors, meta = archive_module._bundle_tensors(obj)
+    else:
+        tensors, meta = archive_module._collection_tensors(obj)
+    bits = {
+        name: archive_module._as_f32_payload(arr, name).view(np.uint32)
+        for name, arr in tensors.items()
+    }
+    return bits, meta
+
+
+class TestRoundTripProperty:
+    @given(obj=_archivable())
+    @settings(max_examples=150, deadline=None)
+    def test_read_of_write_is_bit_exact(self, tmp_path_factory, obj):
+        first = tmp_path_factory.getbasetemp() / "first.lrta"
+        second = tmp_path_factory.getbasetemp() / "second.lrta"
+        write_archive(obj, first)
+        back = read_archive(first)
+        assert type(back) is type(obj)
+        want_bits, want_meta = _float32_bits(obj)
+        got_bits, got_meta = _float32_bits(back)
+        assert got_meta == want_meta
+        assert sorted(got_bits) == sorted(want_bits)
+        for name, want in want_bits.items():
+            assert got_bits[name].shape == want.shape, name
+            assert np.array_equal(got_bits[name], want), name
+        write_archive(back, second)
+        assert second.read_bytes() == first.read_bytes()

@@ -144,6 +144,39 @@ class TestMerge:
         assert result.stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    @pytest.mark.parametrize("m", ["2", "3"])
+    def test_cos_on_zero_adapter_names_slot_and_task(self, tmp_path, kind, m):
+        import numpy as np
+
+        from hydramerge import AdapterCollection, LowRankAdapter, SlotKey, VeraAdapter
+        from hydramerge import write_archive
+
+        rng = np.random.default_rng(0)
+        slot = SlotKey(1, "v")
+        frozen = dict(shared_b=rng.standard_normal((6, 2)), shared_a=rng.standard_normal((2, 5)))
+        table = {}
+        for task in ("alpha", "beta", "gamma"):
+            scale = 0.0 if task == "beta" else 1.0
+            if kind == "lora":
+                b = scale * rng.standard_normal((6, 2))
+                adapter = LowRankAdapter(b=b, a=frozen["shared_a"])
+            else:
+                adapter = VeraAdapter(
+                    lambda_b=scale * rng.standard_normal(6), lambda_d=np.ones(2), **frozen
+                )
+            table[(task, slot)] = adapter
+        coll = tmp_path / "zero.lrta"
+        write_archive(AdapterCollection.build(["alpha", "beta", "gamma"], table), coll)
+        out = tmp_path / "m.lrta"
+        result = run_cli(
+            "merge", "--in", str(coll), "--out", str(out), "--method", "hydraopt",
+            "--m", m, "--distance", "cos", "--epochs", "5",
+        )  # fmt: skip
+        assert result.returncode == 3
+        assert "slot layer.1.v: task beta: cosine distance is undefined" in result.stderr
+        assert not out.exists()
+
     def test_bundle_input_is_exit_three(self, small_archive, tmp_path):
         merged = tmp_path / "merged.lrta"
         run_cli("merge", "--in", str(small_archive), "--out", str(merged), "--method", "ta")

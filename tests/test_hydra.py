@@ -554,3 +554,69 @@ class TestDivergenceGuard:
         cfg = HydraConfig(num_clusters=2, epochs=200, distance=DistanceKind.MSE)
         _, trace = train(make_targets(num_tasks=4), cfg, Rng(0))
         assert trace.final_loss < trace.initial_loss
+
+
+def per_task_vera_kernel(state, mats, cfg):
+    """The former VeRA loss-and-gradient kernel, kept as the oracle for the
+    shared dense kernel: it takes dlambda_d task by task from the mixed
+    outer vector, where the shared kernel takes one product over clusters."""
+    from hydramerge.linalg import distance, distance_grad, softmax_rows
+
+    num_tasks = len(mats)
+    inner = (state.shared_b * state.lambda_d[None, :]) @ state.shared_a
+    products = [lb[:, None] * inner for lb in state.lambda_b_clusters]
+    weights = None if state.logits is None else softmax_rows(state.logits, cfg.temperature)
+    preds = products
+    if weights is not None:
+        stacked = np.stack(products)
+        preds = [np.tensordot(weights[i], stacked, axes=(0, 0)) for i in range(num_tasks)]
+    per_task = [distance(mats[i], preds[i], cfg.distance) for i in range(num_tasks)]
+    residual_grads = [distance_grad(mats[i], preds[i], cfg.distance) for i in range(num_tasks)]
+    lb_stack = np.stack(state.lambda_b_clusters)
+    grads = {"lambda_d": np.zeros_like(state.lambda_d)}
+    for i in range(num_tasks):
+        outer = lb_stack[i] if weights is None else np.tensordot(weights[i], lb_stack, axes=(0, 0))
+        scaled = outer[:, None] * residual_grads[i]
+        grads["lambda_d"] += np.einsum("dt,dk,tk->t", state.shared_b, scaled, state.shared_a)
+    if weights is None:
+        for i in range(num_tasks):
+            grads[f"lambda_b.{i}"] = (residual_grads[i] * inner).sum(axis=1)
+        return float(sum(per_task)), per_task, grads
+    g_stack = np.stack(residual_grads)
+    for j in range(len(products)):
+        summed = np.tensordot(weights[:, j], g_stack, axes=(0, 0))
+        grads[f"lambda_b.{j}"] = (summed * inner).sum(axis=1)
+    g = np.array([[float(np.vdot(gi, p)) for p in products] for gi in residual_grads])
+    grads["logits"] = (weights / cfg.temperature) * (g - (weights * g).sum(axis=1, keepdims=True))
+    return float(sum(per_task)), per_task, grads
+
+
+class TestSharedDenseKernel:
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    def test_vera_matches_per_task_formula(self, kind, num_clusters):
+        rng = Rng(23)
+        for seed in range(5):
+            targets = TestVera().make_vera_targets(num_tasks=4, d=7, r=3, k=6, seed=seed)
+            state = hydra._new_state(targets, num_clusters, rng, stdev=1.0)
+            cfg = HydraConfig(num_clusters=num_clusters, distance=kind, temperature=0.7)
+            mats = hydra._target_matrices(targets)
+            value, per_task, grads = hydra._loss_and_grads_dense(state, mats, cfg)
+            ref_value, ref_per_task, ref_grads = per_task_vera_kernel(state, mats, cfg)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+            assert per_task == pytest.approx(ref_per_task, rel=1e-12, abs=0.0)
+            assert sorted(grads.tensors) == sorted(ref_grads)
+            for name, ref in ref_grads.items():
+                got = grads.tensors[name]
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    def test_gradients_of_vera_state_on_dense_matrices(self):
+        targets = TestVera().make_vera_targets(num_tasks=3)
+        cfg = HydraConfig(num_clusters=2)
+        state = init_vera_state(targets, cfg, Rng(0))
+        grads = gradients(state, hydra._target_matrices(targets), cfg)
+        assert sorted(grads.tensors) == ["lambda_b.0", "lambda_b.1", "lambda_d", "logits"]
+        assert grads.tensors["lambda_d"].shape == state.lambda_d.shape
+        adamw_step(state, grads, cfg)
+        assert state.step == 1
