@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import LowRankAdapter, VeraAdapter
-from .errors import ValidationError
-from .hydra import HydraConfig, _kernel, _new_state, _predictions, _target_matrices
+from .errors import ParameterError, ValidationError
+from .hydra import HydraConfig, _kernel, _new_state, _routing, _target_matrices
 from .linalg import DistanceKind, Rng, finite_diff, gaussian_sample
 
 DEFAULT_STEP = 1e-5
@@ -97,7 +97,9 @@ def _random_instance(rng: Rng, draw_targets, d, k, r, num_tasks, num_clusters, c
     for _ in range(200):
         targets = draw_targets(rng, d, k, r, num_tasks)
         state = _new_state(targets, num_clusters, rng, stdev=1.0)
-        _, weights, preds = _predictions(state, cfg, num_tasks)
+        weights = _routing(state, cfg, num_tasks)
+        basis = state.basis()
+        preds = (state.predict(c, basis) for c in state.mix(weights))
         residuals = (np.abs(t - p) for t, p in zip(_target_matrices(targets), preds))
         if min(float(np.min(res)) for res in residuals) <= RESIDUAL_FLOOR:
             continue
@@ -139,6 +141,10 @@ def run_suite(
     Alternates between routed (M < K) and identity-routed (M == K)
     instances and covers all four distances for both adapter variants.
     """
+    if instances < 1:
+        raise ParameterError(f"--instances must be >= 1, got {instances}")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ParameterError(f"--tolerance must be finite and > 0, got {tolerance}")
     report = GradCheckReport(tolerance=tolerance)
     rng = Rng(seed)
     kinds = [("lora", _lora_targets), ("vera", _vera_targets)][: 1 + include_vera]

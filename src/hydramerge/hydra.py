@@ -8,25 +8,32 @@ task i is ``P_i = sum_j w[i, j] U_j``, and the objective is
 ``sum_i f(T_i, P_i)`` for a configurable distance ``f``.  When ``M == K``
 the logits are dropped and task i is tied to cluster i: ``P_i = U_i``.
 
-Both adapter kinds share one optimizer; a kind is a state class with
-three hooks: ``products()`` gives the ``U_j``, ``backprop(S)`` the
-gradients of its own parameters from ``S_j = sum_i w[i, j] G_i`` (``G_i``
-the distance gradient at ``P_i``), ``export(assignment)`` the bundle slot.
+Both adapter kinds share one optimizer.  A cluster parameter enters its
+product linearly, ``U_j = L(c_j)``, so predictions mix in cluster space:
+``P_i = L(c_mix_i)`` with ``c_mix = w @ c``.  A kind is a state class
+whose hooks give ``L`` and its adjoint: ``basis()``, the factor ``L``
+multiplies by, built once per step; ``predict``, which is ``L``;
+``pull_back``, which gives ``E_i = L^T(G_i)`` (``G_i`` the distance
+gradient at ``P_i``) and the task's term of the shared gradient;
+``shared_grad``, the shared gradient from the summed terms; ``export``.
 
 * LoRA learns a shared input-side factor ``A`` (r x k) and cluster
-  output-side factors ``B_j`` (d x r): ``U_j = B_j A``,
-  ``dB_j = S_j A^T`` and ``dA = sum_j B_j^T S_j``.
+  output-side factors ``B_j`` (d x r): ``L(c) = c A``, ``E_i = G_i A^T``
+  and ``dA = sum_i Bmix_i^T G_i`` with ``Bmix_i = c_mix_i``.
 * VeRA keeps its targets' frozen pair ``B_s`` (d x r), ``A_s`` (r x k)
   and learns a shared inner scaling vector ``lambda_d`` (r) and cluster
-  outer scaling vectors ``lambda_b_j`` (d): ``U_j = diag(lambda_b_j)
-  core`` with ``core = B_s diag(lambda_d) A_s``, ``dlambda_b_j =
-  rowsum(S_j * core)`` and ``dlambda_d = rowsum((B_s^T H) * A_s)`` with
-  ``H = sum_j diag(lambda_b_j) S_j``.
+  outer scaling vectors ``lambda_b_j`` (d): ``L(c) = diag(c) core`` with
+  ``core = B_s diag(lambda_d) A_s``, ``E_i = rowsum(G_i * core)`` and
+  ``dlambda_d = rowsum((B_s^T H) * A_s)`` with ``H = sum_i
+  diag(c_mix_i) G_i``.
 
-For both kinds the routing logits get
+For both kinds ``dc_j = sum_i w[i, j] E_i``, and the routing logits get
 
-    g[i, j] = <G_i, U_j>                         (flattened inner product)
+    g[i, j] = <G_i, U_j> = <E_i, c_j>            (flattened inner products)
     dC[i,m] = (w[i, m] / temperature) * (g[i, m] - sum_j w[i, j] g[i, j])
+
+The dense kernel streams one ``d x k`` residual per task.  It serves MAE,
+which has no factored form, VeRA targets and dense target matrices.
 
 For the smooth distances (mse, fro, cos) on LoRA targets ``T_i = b_i
 a_i`` the dense ``d x k`` matrices are never formed.  With ``Bmix_i =
@@ -47,13 +54,12 @@ trace of ``r x r`` Gram products:
 at ``O(K M r^2 (d + k))`` per step.  Target-side and prediction-side
 products run through the same operations, so ``b_i == Bmix_i`` and
 ``a_i == A`` give bit-equal traces, a loss of exactly 0 and gradient terms
-that cancel exactly.  MAE, VeRA targets and targets given as dense
-matrices use the dense kernel, which also serves as the reference the
-factored one is tested against.
+that cancel exactly.  The dense kernel is the reference the factored
+one is tested against.
 
 Training stops with :class:`~hydramerge.errors.NumericalError`, naming the
-slot and step, when the loss or a gradient turns non-finite or the loss
-exceeds ``DIVERGENCE_FACTOR`` times a positive initial loss.
+slot and step, when a prediction, the loss or a gradient turns non-finite
+or the loss exceeds ``DIVERGENCE_FACTOR`` times a positive initial loss.
 
 Updates use Adam with bias correction and no weight decay.  After
 training each task is assigned ``argmax_j C[i, j]`` and the logits are
@@ -93,8 +99,7 @@ from .linalg import (
     Matrix,
     Rng,
     as_matrix,
-    distance,
-    distance_grad,
+    distance_and_grad,
     exact_mean,
     gaussian_sample,
     smooth_terms,
@@ -173,6 +178,11 @@ class _RoutedState:
             out.append(("logits", self.logits))
         return out
 
+    def mix(self, weights: np.ndarray | None) -> np.ndarray:
+        """``w @ c`` per task; the stacked clusters under identity routing."""
+        clusters = np.stack(self.params[1])
+        return clusters if weights is None else np.tensordot(weights, clusters, axes=(1, 0))
+
 
 @dataclass
 class HydraState(_RoutedState):
@@ -194,17 +204,19 @@ class HydraState(_RoutedState):
     def build(cls, targets, shared, clusters, logits) -> "HydraState":
         return cls(a_shared=shared, b_clusters=clusters, logits=logits)
 
-    def products(self) -> list[Matrix]:
-        return [b @ self.a_shared for b in self.b_clusters]
+    def basis(self) -> Matrix:
+        return self.a_shared
 
-    def backprop(self, summed: list[Matrix]) -> dict[str, np.ndarray]:
-        grad_a = np.zeros_like(self.a_shared)
-        for b, s in zip(self.b_clusters, summed):
-            grad_a += b.T @ s
-        grads = {"a_shared": grad_a}
-        for j, s in enumerate(summed):
-            grads[f"b.{j}"] = s @ self.a_shared.T
-        return grads
+    @staticmethod
+    def predict(c: Matrix, basis: Matrix) -> Matrix:
+        return c @ basis
+
+    @staticmethod
+    def pull_back(g: Matrix, c: Matrix, basis: Matrix) -> tuple[Matrix, Matrix]:
+        return g @ basis.T, c.T @ g
+
+    def shared_grad(self, total: Matrix) -> Matrix:
+        return total
 
     def export(self, assignment: list[int]) -> SharedLoraSlot:
         return SharedLoraSlot(
@@ -247,20 +259,19 @@ class VeraHydraState(_RoutedState):
             shared_a=first.shared_a,
         )
 
-    def _core(self) -> Matrix:
+    def basis(self) -> Matrix:
         return (self.shared_b * self.lambda_d[None, :]) @ self.shared_a
 
-    def products(self) -> list[Matrix]:
-        core = self._core()
-        return [lb[:, None] * core for lb in self.lambda_b_clusters]
+    @staticmethod
+    def predict(c: np.ndarray, basis: Matrix) -> Matrix:
+        return c[:, None] * basis
 
-    def backprop(self, summed: list[Matrix]) -> dict[str, np.ndarray]:
-        core = self._core()
-        mixed = sum(lb[:, None] * s for lb, s in zip(self.lambda_b_clusters, summed))
-        grads = {"lambda_d": ((self.shared_b.T @ mixed) * self.shared_a).sum(axis=1)}
-        for j, s in enumerate(summed):
-            grads[f"lambda_b.{j}"] = (s * core).sum(axis=1)
-        return grads
+    @staticmethod
+    def pull_back(g: Matrix, c: np.ndarray, basis: Matrix) -> tuple[np.ndarray, Matrix]:
+        return (g * basis).sum(axis=1), c[:, None] * g
+
+    def shared_grad(self, total: Matrix) -> np.ndarray:
+        return ((self.shared_b.T @ total) * self.shared_a).sum(axis=1)
 
     def export(self, assignment: list[int]) -> SharedVeraSlot:
         return SharedVeraSlot(
@@ -353,19 +364,6 @@ def _routing(state, cfg: HydraConfig, num_tasks: int) -> np.ndarray | None:
     return None
 
 
-def _predictions(state, cfg: HydraConfig, num_tasks: int):
-    """``(products, weights, predictions)``; an overflowed product raises."""
-    products = state.products()
-    if not all(np.all(np.isfinite(p)) for p in products):
-        raise NumericalError("a cluster product overflowed to non-finite values")
-    weights = _routing(state, cfg, num_tasks)
-    if weights is None:
-        return products, None, products
-    stacked = np.stack(products)
-    preds = [np.tensordot(weights[i], stacked, axes=(0, 0)) for i in range(num_tasks)]
-    return products, weights, preds
-
-
 def loss(state, targets, cfg: HydraConfig) -> tuple[float, list[float]]:
     """Objective and per-task distances, routed if the state has logits."""
     value, per_task, _ = _loss_and_grads_dense(state, _target_matrices(targets), cfg)
@@ -393,17 +391,32 @@ def _logit_grad(weights: np.ndarray, inner: np.ndarray, temperature: float) -> n
 
 
 def _loss_and_grads_dense(state, mats: list[Matrix], cfg: HydraConfig):
-    """Loss and gradients from the dense d x k cluster products."""
-    products, weights, preds = _predictions(state, cfg, len(mats))
-    per_task = [distance(t, p, cfg.distance) for t, p in zip(mats, preds)]
-    residual_grads = [distance_grad(t, p, cfg.distance) for t, p in zip(mats, preds)]
-    if weights is None:
-        return float(sum(per_task)), per_task, HydraGrads(state.backprop(residual_grads))
-    g_stack = np.stack(residual_grads)
-    summed = [np.tensordot(weights[:, j], g_stack, axes=(0, 0)) for j in range(len(products))]
-    grads = state.backprop(summed)
-    inner = np.array([[float(np.vdot(g, p)) for p in products] for g in residual_grads])
-    grads["logits"] = _logit_grad(weights, inner, cfg.temperature)
+    """Loss and gradients from one streamed d x k residual per task, with
+    mixing and the chain rule in cluster space; no cluster product is
+    formed.  A non-finite prediction raises :class:`NumericalError`."""
+    weights = _routing(state, cfg, len(mats))
+    basis = state.basis()
+    mixed = state.mix(weights)
+    pulled = np.empty_like(mixed)  # E_i, the gradient with respect to c_mix_i
+    per_task, shared = [], None
+    for i, (target, c) in enumerate(zip(mats, mixed)):
+        pred = state.predict(c, basis)
+        value, g = distance_and_grad(target, pred, cfg.distance)
+        cos_overflow = cfg.distance is DistanceKind.COS and not np.all(np.isfinite(pred))
+        if cos_overflow or not np.isfinite(value):
+            raise NumericalError(f"the prediction for task {i} overflowed to non-finite values")
+        per_task.append(value)
+        pulled[i], term = state.pull_back(g, c, basis)
+        shared = term if shared is None else np.add(shared, term, out=shared)
+    shared_name, cluster_name = state.NAMES
+    grads = {shared_name: state.shared_grad(shared)}
+    if weights is not None:
+        clusters = np.stack(state.params[1])
+        inner = pulled.reshape(len(mats), -1) @ clusters.reshape(len(clusters), -1).T
+        grads["logits"] = _logit_grad(weights, inner, cfg.temperature)
+        pulled = np.tensordot(weights, pulled, axes=(0, 0))
+    for j, grad in enumerate(pulled):
+        grads[f"{cluster_name}.{j}"] = grad
     return float(sum(per_task)), per_task, HydraGrads(grads)
 
 

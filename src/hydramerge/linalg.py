@@ -183,6 +183,27 @@ def distance_grad(x, y, kind: DistanceKind) -> Matrix:
     return -a / (na * nb) + dot * b / (na * nb**3)
 
 
+def distance_and_grad(x: Matrix, y: Matrix, kind: DistanceKind) -> tuple[float, Matrix]:
+    """``(distance(x, y, kind), distance_grad(x, y, kind))`` bit for bit,
+    from one residual and without the checks: ``x`` and ``y`` must be
+    equally shaped float64 matrices, ``x`` finite.  Under mae, mse and fro
+    a non-finite ``y`` gives a non-finite distance instead of an error."""
+    if kind is DistanceKind.COS:
+        nx = float(np.linalg.norm(x))
+        ny = float(np.linalg.norm(y))
+        if nx == 0.0 or ny == 0.0:
+            raise DegenerateInputError("cosine distance is undefined for a zero matrix")
+        dot = float(np.vdot(x, y))
+        return 1.0 - dot / (nx * ny), -x / (nx * ny) + dot * y / (nx * ny**3)
+    diff = x - y
+    if kind is DistanceKind.MAE:
+        return float(np.mean(np.abs(diff))), -np.sign(diff) / diff.size
+    if kind is DistanceKind.MSE:
+        return float(np.mean(diff**2)), -2.0 * diff / diff.size
+    norm = float(np.sqrt(np.sum(diff**2)))
+    return norm, (np.zeros_like(y) if norm == 0.0 else -diff / norm)
+
+
 def smooth_terms(tt, tp, pp, n: int, kind: DistanceKind):
     """Value and gradient coefficients of a smooth distance from Gram traces.
 

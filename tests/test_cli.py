@@ -304,6 +304,18 @@ class TestGradCheck:
         assert doc["grad_check"]["max_rel_error"] < doc["grad_check"]["tolerance"]
 
 
+class TestGradCheckArguments:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--instances", "0"), ("--instances", "-1"), ("--tolerance", "0"), ("--tolerance", "nan")],
+    )
+    def test_vacuous_check_exits_3_naming_the_flag(self, flag, value):
+        result = run_cli("grad-check", flag, value)
+        assert result.returncode == 3, result.stdout
+        assert result.stdout == ""
+        assert flag in result.stderr
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         result = run_cli("gen-synthetic", "--out", "x.lrta", "--bogus", "1")

@@ -620,3 +620,140 @@ class TestSharedDenseKernel:
         assert grads.tensors["lambda_d"].shape == state.lambda_d.shape
         adamw_step(state, grads, cfg)
         assert state.step == 1
+
+
+def _oracle_products(state):
+    if isinstance(state, hydra.VeraHydraState):
+        core = (state.shared_b * state.lambda_d[None, :]) @ state.shared_a
+        return [lb[:, None] * core for lb in state.lambda_b_clusters]
+    return [b @ state.a_shared for b in state.b_clusters]
+
+
+def _oracle_backprop(state, summed):
+    """Parameter gradients from ``S_j = sum_i w[i, j] G_i``, per kind."""
+    if isinstance(state, hydra.VeraHydraState):
+        core = (state.shared_b * state.lambda_d[None, :]) @ state.shared_a
+        mixed = sum(lb[:, None] * s for lb, s in zip(state.lambda_b_clusters, summed))
+        grads = {"lambda_d": ((state.shared_b.T @ mixed) * state.shared_a).sum(axis=1)}
+        for j, s in enumerate(summed):
+            grads[f"lambda_b.{j}"] = (s * core).sum(axis=1)
+        return grads
+    grad_a = np.zeros_like(state.a_shared)
+    for b, s in zip(state.b_clusters, summed):
+        grad_a += b.T @ s
+    grads = {"a_shared": grad_a}
+    for j, s in enumerate(summed):
+        grads[f"b.{j}"] = s @ state.a_shared.T
+    return grads
+
+
+def summed_dense_kernel(state, mats, cfg):
+    """The dense kernel that mixed dense cluster products, kept as the
+    oracle for the residual-once kernel: it stacks the M products, mixes K
+    predictions with tensordot and pulls the cluster-summed residual
+    gradients back per kind."""
+    from hydramerge.linalg import distance, distance_grad, softmax_rows
+
+    products = _oracle_products(state)
+    weights = None if state.logits is None else softmax_rows(state.logits, cfg.temperature)
+    preds = products
+    if weights is not None:
+        stacked = np.stack(products)
+        preds = [np.tensordot(weights[i], stacked, axes=(0, 0)) for i in range(len(mats))]
+    per_task = [distance(t, p, cfg.distance) for t, p in zip(mats, preds)]
+    residual_grads = [distance_grad(t, p, cfg.distance) for t, p in zip(mats, preds)]
+    if weights is None:
+        return float(sum(per_task)), per_task, _oracle_backprop(state, residual_grads)
+    g_stack = np.stack(residual_grads)
+    summed = [np.tensordot(weights[:, j], g_stack, axes=(0, 0)) for j in range(len(products))]
+    grads = _oracle_backprop(state, summed)
+    g = np.array([[float(np.vdot(gi, p)) for p in products] for gi in residual_grads])
+    grads["logits"] = (weights / cfg.temperature) * (g - (weights * g).sum(axis=1, keepdims=True))
+    return float(sum(per_task)), per_task, grads
+
+
+def kind_targets(kind, num_tasks, d, r, k, seed):
+    if kind == "vera":
+        return TestVera().make_vera_targets(num_tasks=num_tasks, d=d, r=r, k=k, seed=seed)
+    return make_targets(num_tasks=num_tasks, d=d, r=r, k=k, seed=seed)
+
+
+class TestResidualOnceKernel:
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    def test_matches_summed_dense_kernel(self, adapter, kind, num_clusters):
+        rng = Rng(29)
+        for seed in range(5):
+            targets = kind_targets(adapter, 4, d=7, r=3, k=6, seed=seed)
+            state = hydra._new_state(targets, num_clusters, rng, stdev=1.0)
+            cfg = HydraConfig(num_clusters=num_clusters, distance=kind, temperature=0.7)
+            mats = hydra._target_matrices(targets)
+            value, per_task, grads = hydra._loss_and_grads_dense(state, mats, cfg)
+            ref_value, ref_per_task, ref_grads = summed_dense_kernel(state, mats, cfg)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+            assert per_task == pytest.approx(ref_per_task, rel=1e-12, abs=0.0)
+            assert sorted(grads.tensors) == sorted(ref_grads)
+            for name, ref in ref_grads.items():
+                got = grads.tensors[name]
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("kind", [DistanceKind.MAE, DistanceKind.MSE, DistanceKind.FRO])
+    def test_identity_routed_exact_fit_is_exact_zero(self, adapter, kind):
+        targets = kind_targets(adapter, 3, d=7, r=3, k=6, seed=4)
+        if adapter == "vera":
+            targets = [
+                VeraAdapter(
+                    lambda_b=t.lambda_b, lambda_d=targets[0].lambda_d,
+                    shared_b=t.shared_b, shared_a=t.shared_a,
+                )
+                for t in targets
+            ]
+        else:
+            targets = [LowRankAdapter(b=t.b, a=targets[0].a) for t in targets]
+        cfg = HydraConfig(num_clusters=3, distance=kind, init_scheme=InitScheme.MEAN_A_COPY_B)
+        state = init_state(targets, cfg, Rng(0))
+        value, per_task, grads = hydra._loss_and_grads_dense(
+            state, hydra._target_matrices(targets), cfg
+        )
+        assert value == 0.0 and per_task == [0.0] * 3
+        for tensor in grads.tensors.values():
+            assert np.array_equal(tensor, np.zeros_like(tensor))
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    def test_non_finite_prediction_names_step(self, adapter, kind):
+        targets = kind_targets(adapter, 3, d=6, r=2, k=5, seed=1)
+        cfg = HydraConfig(num_clusters=2, distance=kind, epochs=3)
+        state = init_state(targets, cfg, Rng(0))
+        state.params[1][1][0] = np.inf
+        kernel = lambda s: hydra._loss_and_grads_dense(s, hydra._target_matrices(targets), cfg)
+        with pytest.raises(NumericalError, match=r"^step 0: .*task \d+ overflowed"):
+            hydra._fit(state, kernel, cfg)
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    def test_peak_memory_does_not_grow_with_tasks(self, adapter):
+        """Peak allocation of one call stays a few d x k matrices at any K.
+        Only the K mixed cluster parameters and their gradients grow with
+        K, 2 K d r doubles for LoRA: at r = 8 << k that is half a d x k
+        matrix from K = 8 to K = 16."""
+        import tracemalloc
+
+        d = k = 256
+        cfg = HydraConfig(num_clusters=3, distance=DistanceKind.MAE)
+        peaks = []
+        for num_tasks in (8, 16):
+            targets = kind_targets(adapter, num_tasks, d=d, r=8, k=k, seed=num_tasks)
+            state = init_state(targets, cfg, Rng(0))
+            mats = hydra._target_matrices(targets)
+            tracemalloc.start()
+            try:
+                hydra._loss_and_grads_dense(state, mats, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        dense = d * k * 8
+        assert max(peaks) < 8 * dense, [p / dense for p in peaks]
+        assert abs(peaks[1] - peaks[0]) < dense, [p / dense for p in peaks]
