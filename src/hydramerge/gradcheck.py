@@ -20,7 +20,7 @@ import numpy as np
 
 from .adapters import LowRankAdapter, VeraAdapter
 from .errors import ParameterError, ValidationError
-from .hydra import HydraConfig, _kernel, _new_state, _routing, _target_matrices
+from .hydra import HydraConfig, _kernel, _mix, _new_state, _routing, _target_matrices
 from .linalg import DistanceKind, Rng, finite_diff, gaussian_sample
 
 DEFAULT_STEP = 1e-5
@@ -99,7 +99,7 @@ def _random_instance(rng: Rng, draw_targets, d, k, r, num_tasks, num_clusters, c
         state = _new_state(targets, num_clusters, rng, stdev=1.0)
         weights = _routing(state, cfg, num_tasks)
         basis = state.basis()
-        preds = (state.predict(c, basis) for c in state.mix(weights))
+        preds = (state.predict(c, basis) for c in _mix(weights, np.stack(state.params[1])))
         residuals = (np.abs(t - p) for t, p in zip(_target_matrices(targets), preds))
         if min(float(np.min(res)) for res in residuals) <= RESIDUAL_FLOOR:
             continue

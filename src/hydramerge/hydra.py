@@ -91,6 +91,7 @@ from .errors import (
     HydraMergeError,
     NumericalError,
     ParameterError,
+    ShapeError,
     ValidationError,
 )
 from .linalg import (
@@ -177,11 +178,6 @@ class _RoutedState:
         if self.logits is not None:
             out.append(("logits", self.logits))
         return out
-
-    def mix(self, weights: np.ndarray | None) -> np.ndarray:
-        """``w @ c`` per task; the stacked clusters under identity routing."""
-        clusters = np.stack(self.params[1])
-        return clusters if weights is None else np.tensordot(weights, clusters, axes=(1, 0))
 
 
 @dataclass
@@ -299,9 +295,7 @@ class TrainTrace:
 
 
 def _zero_moments(state) -> None:
-    state.moments = {
-        name: (np.zeros_like(t), np.zeros_like(t)) for name, t in state.named_tensors()
-    }
+    state.moments = {n: (np.zeros_like(t), np.zeros_like(t)) for n, t in state.named_tensors()}
 
 
 def _target_matrices(targets) -> list[Matrix]:
@@ -356,6 +350,8 @@ def init_state(targets: Sequence, cfg: HydraConfig, rng: Rng):
 def _routing(state, cfg: HydraConfig, num_tasks: int) -> np.ndarray | None:
     """Routing weights, or None under identity routing (which needs M == K)."""
     if state.logits is not None:
+        if len(state.logits) != num_tasks:
+            raise ParameterError(f"{len(state.logits)} logit rows cannot route {num_tasks} tasks")
         return softmax_rows(state.logits, cfg.temperature)
     if state.num_clusters != num_tasks:
         raise ParameterError(
@@ -390,20 +386,28 @@ def _logit_grad(weights: np.ndarray, inner: np.ndarray, temperature: float) -> n
     return (weights / temperature) * (inner - row_mix)
 
 
+def _mix(weights: np.ndarray | None, clusters: np.ndarray) -> np.ndarray:
+    """``w @ c`` per task, from the stacked clusters ``c``."""
+    return clusters if weights is None else np.tensordot(weights, clusters, axes=(1, 0))
+
+
 def _loss_and_grads_dense(state, mats: list[Matrix], cfg: HydraConfig):
     """Loss and gradients from one streamed d x k residual per task, with
     mixing and the chain rule in cluster space; no cluster product is
-    formed.  A non-finite prediction raises :class:`NumericalError`."""
+    formed.  A target shaped unlike its prediction raises
+    :class:`ShapeError`, a non-finite prediction :class:`NumericalError`."""
     weights = _routing(state, cfg, len(mats))
     basis = state.basis()
-    mixed = state.mix(weights)
+    clusters = np.stack(state.params[1])
+    mixed = _mix(weights, clusters)
     pulled = np.empty_like(mixed)  # E_i, the gradient with respect to c_mix_i
     per_task, shared = [], None
     for i, (target, c) in enumerate(zip(mats, mixed)):
         pred = state.predict(c, basis)
+        if target.shape != pred.shape:
+            raise ShapeError(f"target {i} has shape {target.shape}, its prediction {pred.shape}")
         value, g = distance_and_grad(target, pred, cfg.distance)
-        cos_overflow = cfg.distance is DistanceKind.COS and not np.all(np.isfinite(pred))
-        if cos_overflow or not np.isfinite(value):
+        if not np.isfinite(value):
             raise NumericalError(f"the prediction for task {i} overflowed to non-finite values")
         per_task.append(value)
         pulled[i], term = state.pull_back(g, c, basis)
@@ -411,7 +415,6 @@ def _loss_and_grads_dense(state, mats: list[Matrix], cfg: HydraConfig):
     shared_name, cluster_name = state.NAMES
     grads = {shared_name: state.shared_grad(shared)}
     if weights is not None:
-        clusters = np.stack(state.params[1])
         inner = pulled.reshape(len(mats), -1) @ clusters.reshape(len(clusters), -1).T
         grads["logits"] = _logit_grad(weights, inner, cfg.temperature)
         pulled = np.tensordot(weights, pulled, axes=(0, 0))
@@ -458,10 +461,7 @@ def _loss_and_grads_factored(state: HydraState, tgt: _LowRankTargets, cfg: Hydra
     a_shared = state.a_shared
     clusters_t = np.ascontiguousarray(np.swapaxes(np.stack(state.b_clusters), 1, 2))  # B_j^T
     weights = _routing(state, cfg, len(tgt.tt))
-    if weights is None:
-        mix_t = clusters_t
-    else:
-        mix_t = np.tensordot(weights, clusters_t, axes=(1, 0))  # Bmix_i^T
+    mix_t = _mix(weights, clusters_t)  # Bmix_i^T
     cross_b = _cross(mix_t, tgt.b_t)  # Bmix_i^T b_i
     gram_b = _cross(mix_t, mix_t)  # Bmix_i^T Bmix_i
     cross_a = _cross(a_shared, tgt.a)  # A a_i^T

@@ -163,31 +163,15 @@ def distance_grad(x, y, kind: DistanceKind) -> Matrix:
     a = as_matrix(x, "x")
     b = as_matrix(y, "y")
     _require_same_shape(a, b, "distance_grad")
-    kind = DistanceKind(kind)
-    n = a.size
-    diff = a - b
-    if kind is DistanceKind.MAE:
-        return -np.sign(diff) / n
-    if kind is DistanceKind.MSE:
-        return -2.0 * diff / n
-    if kind is DistanceKind.FRO:
-        norm = float(np.sqrt(np.sum(diff**2)))
-        if norm == 0.0:
-            return np.zeros_like(b)
-        return -diff / norm
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine distance is undefined for a zero matrix")
-    dot = float(np.vdot(a, b))
-    return -a / (na * nb) + dot * b / (na * nb**3)
+    return distance_and_grad(a, b, kind)[1]
 
 
 def distance_and_grad(x: Matrix, y: Matrix, kind: DistanceKind) -> tuple[float, Matrix]:
-    """``(distance(x, y, kind), distance_grad(x, y, kind))`` bit for bit,
-    from one residual and without the checks: ``x`` and ``y`` must be
-    equally shaped float64 matrices, ``x`` finite.  Under mae, mse and fro
-    a non-finite ``y`` gives a non-finite distance instead of an error."""
+    """``(distance(x, y, kind), distance_grad(x, y, kind))`` from one
+    residual and without the checks: ``x`` and ``y`` must be equally shaped
+    float64 matrices, ``x`` finite.  A non-finite ``y`` gives a non-finite
+    distance instead of an error."""
+    kind = DistanceKind(kind)
     if kind is DistanceKind.COS:
         nx = float(np.linalg.norm(x))
         ny = float(np.linalg.norm(y))

@@ -6,7 +6,13 @@ import pytest
 from hydramerge.adapters import LowRankAdapter, SharedLoraSlot, VeraAdapter
 from hydramerge import hydra
 from hydramerge.adapters import AdapterCollection, SlotKey
-from hydramerge.errors import DegenerateInputError, NumericalError, ParameterError, ValidationError
+from hydramerge.errors import (
+    DegenerateInputError,
+    NumericalError,
+    ParameterError,
+    ShapeError,
+    ValidationError,
+)
 from hydramerge.gradcheck import run_suite
 from hydramerge.hydra import (
     HydraConfig,
@@ -732,6 +738,28 @@ class TestResidualOnceKernel:
         kernel = lambda s: hydra._loss_and_grads_dense(s, hydra._target_matrices(targets), cfg)
         with pytest.raises(NumericalError, match=r"^step 0: .*task \d+ overflowed"):
             hydra._fit(state, kernel, cfg)
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    @pytest.mark.parametrize("num_clusters", [2, 3])
+    @pytest.mark.parametrize("shape", [(1, 5), (6, 1), (5, 6)])
+    def test_wrongly_shaped_dense_target_raises(self, adapter, kind, num_clusters, shape):
+        """A (1, k) or (d, 1) target would broadcast against the d x k
+        prediction; it is refused like any other wrong shape."""
+        targets = kind_targets(adapter, 3, d=6, r=2, k=5, seed=2)
+        cfg = HydraConfig(num_clusters=num_clusters, distance=kind)
+        state = init_state(targets, cfg, Rng(0))
+        mats = hydra._target_matrices(targets)
+        mats[1] = np.ones(shape)
+        with pytest.raises(ShapeError, match=r"target 1 has shape"):
+            gradients(state, mats, cfg)
+
+    def test_logit_rows_must_match_tasks(self):
+        targets = kind_targets("lora", 4, d=6, r=2, k=5, seed=2)
+        cfg = HydraConfig(num_clusters=2)
+        state = init_state(targets, cfg, Rng(0))
+        with pytest.raises(ParameterError, match="4 logit rows cannot route 3 tasks"):
+            gradients(state, targets[:3], cfg)
 
     @pytest.mark.parametrize("adapter", ["lora", "vera"])
     def test_peak_memory_does_not_grow_with_tasks(self, adapter):

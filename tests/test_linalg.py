@@ -14,6 +14,7 @@ from hydramerge.linalg import (
     DistanceKind,
     Rng,
     distance,
+    distance_and_grad,
     distance_grad,
     exact_mean,
     finite_diff,
@@ -212,6 +213,20 @@ class TestDistanceGrad:
             numeric = finite_diff(lambda t: distance(x, t, kind), y, h=1e-5)
             scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)))
             assert np.max(np.abs(analytic - numeric)) <= 1e-6 * scale
+
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_distance_and_grad_value_is_distance(self, kind):
+        rng = Rng(11)
+        x = gaussian_sample(rng, 3, 4, 0.0, 1.0)
+        y = gaussian_sample(rng, 3, 4, 0.0, 1.0)
+        value, grad = distance_and_grad(x, y, kind.value)
+        assert value == distance(x, y, kind)
+        assert np.array_equal(grad, distance_grad(x, y, kind))
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ShapeError, match="distance_grad"):
+            distance_grad(np.ones((1, 4)), np.ones((3, 4)), DistanceKind.MAE)
 
 
 class TestSmoothTerms:
