@@ -3,16 +3,26 @@ collections of them, and merged bundles.
 
 A collection is ``K`` tasks x a set of (layer, slot) positions, homogeneous
 in adapter kind, with identical shapes across tasks at each slot.  Merged
-bundles hold either one adapter per slot (baseline output) or a shared
-input-side factor plus a list of output-side factors with a per-task
-cluster assignment.
+bundles hold either one adapter per slot (baseline output) or a
+:class:`SharedSlot`: one shared side plus a list of cluster sides with a
+per-task cluster assignment.
+
+Each adapter class describes its kind, so no other layer branches on it:
+
+* ``kind`` is ``"lora"`` or ``"vera"``;
+* ``sides()`` is ``(shared, cluster)`` as 2-D arrays: ``(a, b)`` for LoRA,
+  ``(lambda_d, lambda_b)`` as columns for VeRA;
+* ``frozen`` is ``()`` for LoRA and ``(shared_a, shared_b)`` for VeRA,
+  the pair every task at a slot carries unchanged;
+* ``from_sides`` and ``shared_slot`` build an adapter, or a
+  :class:`SharedSlot`, back from those parts.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import ClassVar, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -59,6 +69,8 @@ class LowRankAdapter:
 
     b: Matrix
     a: Matrix
+    kind: ClassVar[str] = "lora"
+    frozen: ClassVar[tuple] = ()
 
     def __post_init__(self):
         self.b = as_matrix(self.b, "b")
@@ -91,6 +103,17 @@ class LowRankAdapter:
     def shape_signature(self) -> tuple:
         return (self.d, self.rank, self.k)
 
+    def sides(self) -> tuple[Matrix, Matrix]:
+        return self.a, self.b
+
+    @classmethod
+    def from_sides(cls, shared, cluster, frozen) -> "LowRankAdapter":
+        return cls(b=cluster, a=shared)
+
+    @classmethod
+    def shared_slot(cls, shared, clusters, frozen, assignment) -> "SharedLoraSlot":
+        return SharedLoraSlot(a_shared=shared, b_clusters=clusters, assignment=assignment)
+
 
 @dataclass
 class VeraAdapter:
@@ -103,10 +126,12 @@ class VeraAdapter:
     lambda_d: np.ndarray
     shared_b: Matrix
     shared_a: Matrix
+    kind: ClassVar[str] = "vera"
 
     def __post_init__(self):
-        self.lambda_b = np.asarray(self.lambda_b, dtype=np.float64).reshape(-1)
-        self.lambda_d = np.asarray(self.lambda_d, dtype=np.float64).reshape(-1)
+        # as_matrix rejects an empty or non-finite vector
+        self.lambda_b = as_matrix(np.reshape(self.lambda_b, (-1, 1)), "lambda_b").ravel()
+        self.lambda_d = as_matrix(np.reshape(self.lambda_d, (-1, 1)), "lambda_d").ravel()
         self.shared_b = as_matrix(self.shared_b, "shared_b")
         self.shared_a = as_matrix(self.shared_a, "shared_a")
         if self.shared_b.shape[1] != self.shared_a.shape[0]:
@@ -144,8 +169,32 @@ class VeraAdapter:
     def shape_signature(self) -> tuple:
         return (self.d, self.rank, self.k)
 
+    def sides(self) -> tuple[Matrix, Matrix]:
+        return self.lambda_d.reshape(-1, 1), self.lambda_b.reshape(-1, 1)
+
+    @property
+    def frozen(self) -> tuple[Matrix, Matrix]:
+        return self.shared_a, self.shared_b
+
+    @classmethod
+    def from_sides(cls, shared, cluster, frozen) -> "VeraAdapter":
+        shared_a, shared_b = frozen
+        return cls(lambda_b=cluster, lambda_d=shared, shared_b=shared_b, shared_a=shared_a)
+
+    @classmethod
+    def shared_slot(cls, shared, clusters, frozen, assignment) -> "SharedVeraSlot":
+        shared_a, shared_b = frozen
+        clusters = [c.ravel() for c in clusters]
+        return SharedVeraSlot(shared.ravel(), clusters, shared_b, shared_a, assignment)
+
 
 Adapter = Union[LowRankAdapter, VeraAdapter]
+
+
+def same_frozen(adapters: Sequence[Adapter]) -> bool:
+    """Whether every adapter carries the first one's frozen pair."""
+    first = adapters[0].frozen
+    return all(all(map(np.array_equal, first, other.frozen)) for other in adapters[1:])
 
 
 def vera_update(lambda_b, lambda_d, shared_b, shared_a) -> Matrix:
@@ -217,22 +266,14 @@ class AdapterCollection:
                         f"inconsistent shapes at slot {slot.label()}: task {task!r} "
                         f"has (d, r, k) = {adapter.shape_signature()}, expected {signature}"
                     )
-            if self.kind == "vera":
-                first = self.table[(self.task_ids[0], slot)]
-                for task in self.task_ids[1:]:
-                    other = self.table[(task, slot)]
-                    if not (
-                        np.array_equal(first.shared_a, other.shared_a)
-                        and np.array_equal(first.shared_b, other.shared_b)
-                    ):
-                        raise ValidationError(
-                            f"frozen shared factors differ across tasks at slot {slot.label()}"
-                        )
+            if not same_frozen(self.adapters_at(slot)):
+                raise ValidationError(
+                    f"frozen shared factors differ across tasks at slot {slot.label()}"
+                )
 
     @property
     def kind(self) -> str:
-        adapter = next(iter(self.table.values()))
-        return "lora" if isinstance(adapter, LowRankAdapter) else "vera"
+        return next(iter(self.table.values())).kind
 
     @property
     def num_tasks(self) -> int:
@@ -247,10 +288,8 @@ class AdapterCollection:
     def param_count(self) -> int:
         """Number of stored real entries, counting frozen factors once per slot."""
         total = sum(adapter.param_count for adapter in self.table.values())
-        if self.kind == "vera":
-            for slot in self.slots:
-                first = self.table[(self.task_ids[0], slot)]
-                total += first.shared_a.size + first.shared_b.size
+        for slot in self.slots:
+            total += sum(f.size for f in self.table[(self.task_ids[0], slot)].frozen)
         return total
 
 
@@ -262,40 +301,58 @@ class MergedAdapterSlot:
 
     @property
     def param_count(self) -> int:
-        count = self.adapter.param_count
-        if isinstance(self.adapter, VeraAdapter):
-            # the frozen pair is stored alongside the merged vectors
-            count += self.adapter.shared_a.size + self.adapter.shared_b.size
-        return count
+        # the frozen pair, if any, is stored alongside the merged adapter
+        return self.adapter.param_count + sum(f.size for f in self.adapter.frozen)
 
     def prediction(self, task_index: int) -> Matrix:
         return delta_weight(self.adapter)
 
 
+class SharedSlot:
+    """One shared side plus per-cluster sides of one adapter kind, and each
+    task's cluster.  A subclass names its parts ``shared``, ``clusters``
+    and ``frozen``; cluster j's adapter is ``member(j)``."""
+
+    adapter_type: ClassVar[type]
+
+    def __post_init__(self):
+        m = len(self.clusters)
+        for idx in self.assignment:
+            if not (0 <= idx < m):
+                raise ValidationError(f"assignment index {idx} out of range [0, {m})")
+
+    def member(self, j: int) -> Adapter:
+        return self.adapter_type.from_sides(self.shared, self.clusters[j], self.frozen)
+
+    @property
+    def param_count(self) -> int:
+        return sum(part.size for part in (self.shared, *self.clusters, *self.frozen))
+
+    def prediction(self, task_index: int) -> Matrix:
+        return delta_weight(self.member(self.assignment[task_index]))
+
+
 @dataclass
-class SharedLoraSlot:
+class SharedLoraSlot(SharedSlot):
     """Shared input-side factor plus per-cluster output factors."""
 
     a_shared: Matrix
     b_clusters: list[Matrix]
     assignment: list[int]
-
-    def __post_init__(self):
-        m = len(self.b_clusters)
-        for idx in self.assignment:
-            if not (0 <= idx < m):
-                raise ValidationError(f"assignment index {idx} out of range [0, {m})")
+    adapter_type: ClassVar[type] = LowRankAdapter
+    frozen: ClassVar[tuple] = ()
 
     @property
-    def param_count(self) -> int:
-        return self.a_shared.size + sum(b.size for b in self.b_clusters)
+    def shared(self) -> Matrix:
+        return self.a_shared
 
-    def prediction(self, task_index: int) -> Matrix:
-        return matmul(self.b_clusters[self.assignment[task_index]], self.a_shared)
+    @property
+    def clusters(self) -> list[Matrix]:
+        return self.b_clusters
 
 
 @dataclass
-class SharedVeraSlot:
+class SharedVeraSlot(SharedSlot):
     """Shared inner scaling vector plus per-cluster outer scaling vectors,
     alongside the frozen factor pair they modulate."""
 
@@ -304,24 +361,22 @@ class SharedVeraSlot:
     shared_b: Matrix
     shared_a: Matrix
     assignment: list[int]
-
-    def __post_init__(self):
-        m = len(self.lambda_b_clusters)
-        for idx in self.assignment:
-            if not (0 <= idx < m):
-                raise ValidationError(f"assignment index {idx} out of range [0, {m})")
+    adapter_type: ClassVar[type] = VeraAdapter
 
     @property
-    def param_count(self) -> int:
-        vecs = self.lambda_d.size + sum(v.size for v in self.lambda_b_clusters)
-        return vecs + self.shared_a.size + self.shared_b.size
+    def shared(self) -> np.ndarray:
+        return self.lambda_d
 
-    def prediction(self, task_index: int) -> Matrix:
-        lb = self.lambda_b_clusters[self.assignment[task_index]]
-        return vera_update(lb, self.lambda_d, self.shared_b, self.shared_a)
+    @property
+    def clusters(self) -> list[np.ndarray]:
+        return self.lambda_b_clusters
+
+    @property
+    def frozen(self) -> tuple[Matrix, Matrix]:
+        return self.shared_a, self.shared_b
 
 
-MergedSlot = Union[MergedAdapterSlot, SharedLoraSlot, SharedVeraSlot]
+MergedSlot = Union[MergedAdapterSlot, SharedSlot]
 
 
 @dataclass
@@ -342,7 +397,7 @@ class MergedBundle:
         if set(self.slots) != set(self.entries):
             raise ValidationError("bundle slots and entries disagree")
         for slot, entry in self.entries.items():
-            if isinstance(entry, (SharedLoraSlot, SharedVeraSlot)):
+            if isinstance(entry, SharedSlot):
                 if len(entry.assignment) != len(self.tasks):
                     raise ValidationError(
                         f"slot {slot.label()} assigns {len(entry.assignment)} tasks, "
@@ -361,11 +416,9 @@ class MergedBundle:
         out: dict[str, dict[str, int]] = {task: {} for task in self.tasks}
         for slot in self.slots:
             entry = self.entries[slot]
+            shared = isinstance(entry, SharedSlot)
             for i, task in enumerate(self.tasks):
-                if isinstance(entry, (SharedLoraSlot, SharedVeraSlot)):
-                    out[task][slot.label()] = entry.assignment[i]
-                else:
-                    out[task][slot.label()] = 0
+                out[task][slot.label()] = entry.assignment[i] if shared else 0
         return out
 
 

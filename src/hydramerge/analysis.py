@@ -7,14 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import (
-    AdapterCollection,
-    MergedBundle,
-    SharedLoraSlot,
-    SharedVeraSlot,
-    SlotKey,
-    delta_weight,
-)
+from .adapters import AdapterCollection, MergedBundle, SharedSlot, SlotKey, delta_weight
 from .errors import ParameterError, ValidationError
 from .linalg import DistanceKind, distance, mae_and_fro
 
@@ -26,9 +19,6 @@ class SimilarityReport:
     tasks: list[str]
     a_matrices: dict[SlotKey, np.ndarray] = field(default_factory=dict)
     b_matrices: dict[SlotKey, np.ndarray] = field(default_factory=dict)
-
-    def slot_mean(self, slot: SlotKey, which: str) -> float:
-        return _offdiag_mean(self._pick(which)[slot])
 
     def grand_mean(self, which: str) -> float:
         mats = self._pick(which)
@@ -160,7 +150,7 @@ def reconstruction_report(original: AdapterCollection, merged: MergedBundle) -> 
     report = ReconReport(tasks=list(original.task_ids), slots=list(original.slots))
     for slot in original.slots:
         entry = merged.entries[slot]
-        shared = isinstance(entry, (SharedLoraSlot, SharedVeraSlot))
+        shared = isinstance(entry, SharedSlot)
         # Each distinct merged product is built once: one per cluster for a
         # shared slot, one for a single merged adapter.
         products: dict[int, np.ndarray] = {}

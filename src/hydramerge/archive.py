@@ -25,16 +25,27 @@ Tensor names (``<slot>`` is ``layer.<n>.<name>``):
   ``merged.<slot>.B.<j>`` for cluster factors, and the vera analogues
   ``merged.<slot>.lambda_b|lambda_d[.<j>]``
 
+One table, ``_LAYOUTS``, maps each adapter kind to its field names: the
+shared side (``A`` / ``lambda_d``), the cluster side (``B`` /
+``lambda_b``) and the frozen pair (none / ``shared.<slot>.A|B``).  The
+writer and the reader take the parts themselves from the adapter's
+``sides()`` and ``frozen`` (see :mod:`hydramerge.adapters`), so neither
+branches on the kind.
+
 Vectors are stored as n x 1.  Tensors are serialized in sorted-name order,
 so identical inputs always produce byte-identical files.  Values are
-written as float32 and widened to float64 on read.
+written as float32 and widened to float64 on read.  The writer rejects a
+non-finite value, or a finite one beyond float32 range, naming the tensor,
+before it opens the file.
 
 The reader accepts exactly what the writer can emit: the version, shapes,
 offsets and sizes are JSON integers (not booleans or floats), the
 payloads tile the payload section with no overlap, gap or trailing
-bytes, ``meta.tasks`` is a list of distinct strings, and every tensor
+bytes, ``meta.tasks`` is a list of distinct strings, every tensor
 belongs to the collection or bundle read, so a stray name (for instance
-``task.<id>.*`` of an undeclared task) is an error that names it.
+``task.<id>.*`` of an undeclared task) is an error that names it, and
+``meta`` equals the writer's meta for the object read, so an unknown key
+or an assignment the writer would not emit is an error naming the key.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,12 +63,24 @@ from .adapters import (
     LowRankAdapter,
     MergedAdapterSlot,
     MergedBundle,
-    SharedLoraSlot,
-    SharedVeraSlot,
+    SharedSlot,
     SlotKey,
     VeraAdapter,
 )
 from .errors import ArchiveFormatError, ValidationError
+
+
+class _Layout(NamedTuple):
+    adapter: type
+    shared: str
+    cluster: str
+    frozen: tuple[str, ...]  # stored once per slot as shared.<slot>.<name>
+
+
+_LAYOUTS = {
+    "lora": _Layout(LowRankAdapter, "A", "B", ()),
+    "vera": _Layout(VeraAdapter, "lambda_d", "lambda_b", ("A", "B")),
+}
 
 _HEADER_BYTES = 8
 _TASK_TENSOR = re.compile(
@@ -73,9 +97,11 @@ def _as_f32_payload(arr: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         payload = np.ascontiguousarray(a, dtype="<f4")
-    if np.any(np.isinf(payload) & np.isfinite(a)):
+    if not np.all(np.isfinite(payload)):
+        if not np.all(np.isfinite(a)):
+            raise ValidationError(f"tensor {name!r} contains non-finite entries")
         raise ValidationError(
             f"tensor {name!r} holds a finite value beyond float32 range "
             f"(|x| > {float(np.finfo(np.float32).max):.7g})"
@@ -122,23 +148,20 @@ def write_archive(obj, path) -> None:
     write_raw_archive(path, tensors, meta)
 
 
+def _frozen_tensors(layout: _Layout, label: str, frozen: tuple) -> dict:
+    return {f"shared.{label}.{name}": t for name, t in zip(layout.frozen, frozen)}
+
+
 def _collection_tensors(coll: AdapterCollection) -> tuple[dict, dict]:
+    layout = _LAYOUTS[coll.kind]
     tensors: dict[str, np.ndarray] = {}
     for slot in coll.slots:
         label = slot.label()
-        if coll.kind == "lora":
-            for task in coll.task_ids:
-                adapter = coll.adapter(task, slot)
-                tensors[f"task.{task}.{label}.A"] = adapter.a
-                tensors[f"task.{task}.{label}.B"] = adapter.b
-        else:
-            first = coll.adapter(coll.task_ids[0], slot)
-            tensors[f"shared.{label}.A"] = first.shared_a
-            tensors[f"shared.{label}.B"] = first.shared_b
-            for task in coll.task_ids:
-                adapter = coll.adapter(task, slot)
-                tensors[f"task.{task}.{label}.lambda_b"] = adapter.lambda_b
-                tensors[f"task.{task}.{label}.lambda_d"] = adapter.lambda_d
+        tensors.update(_frozen_tensors(layout, label, coll.adapter(coll.task_ids[0], slot).frozen))
+        for task in coll.task_ids:
+            shared, cluster = coll.adapter(task, slot).sides()
+            tensors[f"task.{task}.{label}.{layout.shared}"] = shared
+            tensors[f"task.{task}.{label}.{layout.cluster}"] = cluster
     return tensors, {"kind": coll.kind, "tasks": list(coll.task_ids)}
 
 
@@ -147,26 +170,17 @@ def _bundle_tensors(bundle: MergedBundle) -> tuple[dict, dict]:
     for slot in bundle.slots:
         label = slot.label()
         entry = bundle.entries[slot]
-        if isinstance(entry, MergedAdapterSlot):
-            adapter = entry.adapter
-            if isinstance(adapter, LowRankAdapter):
-                tensors[f"merged.{label}.A"] = adapter.a
-                tensors[f"merged.{label}.B"] = adapter.b
-            else:
-                tensors[f"merged.{label}.lambda_b"] = adapter.lambda_b
-                tensors[f"merged.{label}.lambda_d"] = adapter.lambda_d
-                tensors[f"shared.{label}.A"] = adapter.shared_a
-                tensors[f"shared.{label}.B"] = adapter.shared_b
-        elif isinstance(entry, SharedLoraSlot):
-            tensors[f"merged.{label}.A"] = entry.a_shared
-            for j, b in enumerate(entry.b_clusters):
-                tensors[f"merged.{label}.B.{j}"] = b
+        if isinstance(entry, SharedSlot):
+            layout = _LAYOUTS[entry.adapter_type.kind]
+            shared, frozen = entry.shared, entry.frozen
+            for j, cluster in enumerate(entry.clusters):
+                tensors[f"merged.{label}.{layout.cluster}.{j}"] = cluster
         else:
-            tensors[f"merged.{label}.lambda_d"] = entry.lambda_d
-            for j, lb in enumerate(entry.lambda_b_clusters):
-                tensors[f"merged.{label}.lambda_b.{j}"] = lb
-            tensors[f"shared.{label}.A"] = entry.shared_a
-            tensors[f"shared.{label}.B"] = entry.shared_b
+            layout = _LAYOUTS[entry.adapter.kind]
+            (shared, cluster), frozen = entry.adapter.sides(), entry.adapter.frozen
+            tensors[f"merged.{label}.{layout.cluster}"] = cluster
+        tensors[f"merged.{label}.{layout.shared}"] = shared
+        tensors.update(_frozen_tensors(layout, label, frozen))
     meta = {
         "kind": "bundle",
         "tasks": list(bundle.tasks),
@@ -281,18 +295,22 @@ def read_archive(path):
     """
     tensors, meta = _parse_file(path)
     kind = meta["kind"]
-    if kind == "lora":
-        obj = _read_lora_collection(tensors, meta)
-    elif kind == "vera":
-        obj = _read_vera_collection(tensors, meta)
-    elif kind == "bundle":
+    if kind == "bundle":
         obj = _read_bundle(tensors, meta)
+    elif isinstance(kind, str) and kind in _LAYOUTS:
+        obj = _read_collection(tensors, meta, _LAYOUTS[kind])
     else:
         raise ArchiveFormatError(f"unknown archive kind {kind!r}")
-    used, _ = _bundle_tensors(obj) if kind == "bundle" else _collection_tensors(obj)
+    used, written = _bundle_tensors(obj) if kind == "bundle" else _collection_tensors(obj)
     stray = sorted(set(tensors) - set(used))
     if stray:
         raise ValidationError(f"stray tensor {stray[0]!r} is not part of the {kind} archive")
+    keys = sorted(set(meta) | set(written))
+    differ = [k for k in keys if (k in meta, meta.get(k)) != (k in written, written.get(k))]
+    if differ:
+        raise ArchiveFormatError(
+            f"meta.{differ[0]} is not what the writer emits for the {kind} archive read"
+        )
     return obj
 
 
@@ -309,21 +327,11 @@ def _slots_from_names(names, pattern, tasks=None) -> list[SlotKey]:
     return sorted(SlotKey.from_label(label) for label in labels)
 
 
-def _read_lora_collection(tensors, meta) -> AdapterCollection:
-    tasks = list(meta["tasks"])
-    slots = _slots_from_names(tensors, _TASK_TENSOR, tasks)
-    if not slots:
-        raise ValidationError("archive contains no adapter tensors")
-    table: dict[tuple[str, SlotKey], Adapter] = {}
-    for slot in slots:
-        for task in tasks:
-            a = _require(tensors, f"task.{task}.{slot.label()}.A")
-            b = _require(tensors, f"task.{task}.{slot.label()}.B")
-            table[(task, slot)] = LowRankAdapter(b=b, a=a)
-    return AdapterCollection.build(tasks, table)
+def _require_frozen(tensors, layout: _Layout, label: str) -> tuple:
+    return tuple(_require(tensors, f"shared.{label}.{name}") for name in layout.frozen)
 
 
-def _read_vera_collection(tensors, meta) -> AdapterCollection:
+def _read_collection(tensors, meta, layout: _Layout) -> AdapterCollection:
     tasks = list(meta["tasks"])
     slots = _slots_from_names(tensors, _TASK_TENSOR, tasks)
     if not slots:
@@ -331,14 +339,11 @@ def _read_vera_collection(tensors, meta) -> AdapterCollection:
     table: dict[tuple[str, SlotKey], Adapter] = {}
     for slot in slots:
         label = slot.label()
-        shared_a = _require(tensors, f"shared.{label}.A")
-        shared_b = _require(tensors, f"shared.{label}.B")
+        frozen = _require_frozen(tensors, layout, label)
         for task in tasks:
-            lb = _require(tensors, f"task.{task}.{label}.lambda_b")
-            ld = _require(tensors, f"task.{task}.{label}.lambda_d")
-            table[(task, slot)] = VeraAdapter(
-                lambda_b=lb, lambda_d=ld, shared_b=shared_b, shared_a=shared_a
-            )
+            shared = _require(tensors, f"task.{task}.{label}.{layout.shared}")
+            cluster = _require(tensors, f"task.{task}.{label}.{layout.cluster}")
+            table[(task, slot)] = layout.adapter.from_sides(shared, cluster, frozen)
     return AdapterCollection.build(tasks, table)
 
 
@@ -370,54 +375,24 @@ def _read_bundle(tensors, meta) -> MergedBundle:
         by_slot[slot][(field, cluster)] = tensors[name]
 
     kind = "vera" if any(f.startswith("lambda") for info in by_slot.values() for (f, _) in info) else "lora"
+    layout = _LAYOUTS[kind]
     entries: dict[SlotKey, object] = {}
     for slot in slots:
         info = by_slot[slot]
         label = slot.label()
-        cluster_field = "B" if kind == "lora" else "lambda_b"
+        frozen = _require_frozen(tensors, layout, label)
+        shared = _require(tensors, f"merged.{label}.{layout.shared}")
         clustered = sorted(
-            ((int(c), arr) for (f, c), arr in info.items() if f == cluster_field and c is not None),
+            ((int(c), t) for (f, c), t in info.items() if f == layout.cluster and c is not None),
             key=lambda pair: pair[0],
         )
-        if kind == "lora":
-            a_shared = info.get(("A", None))
-            if a_shared is None:
-                raise ValidationError(f"missing tensor 'merged.{label}.A'")
-            if clustered:
-                b_list = [arr for _, arr in clustered]
-                entries[slot] = SharedLoraSlot(
-                    a_shared=a_shared,
-                    b_clusters=b_list,
-                    assignment=_slot_assignment(assignment_meta, tasks, label),
-                )
-            else:
-                b = info.get(("B", None))
-                if b is None:
-                    raise ValidationError(f"missing tensor 'merged.{label}.B'")
-                entries[slot] = MergedAdapterSlot(LowRankAdapter(b=b, a=a_shared))
+        if clustered:
+            assignment = _slot_assignment(assignment_meta, tasks, label)
+            clusters = [arr for _, arr in clustered]
+            entries[slot] = layout.adapter.shared_slot(shared, clusters, frozen, assignment)
         else:
-            shared_a = _require(tensors, f"shared.{label}.A")
-            shared_b = _require(tensors, f"shared.{label}.B")
-            lambda_d = info.get(("lambda_d", None))
-            if lambda_d is None:
-                raise ValidationError(f"missing tensor 'merged.{label}.lambda_d'")
-            if clustered:
-                entries[slot] = SharedVeraSlot(
-                    lambda_d=lambda_d.reshape(-1),
-                    lambda_b_clusters=[arr.reshape(-1) for _, arr in clustered],
-                    shared_b=shared_b,
-                    shared_a=shared_a,
-                    assignment=_slot_assignment(assignment_meta, tasks, label),
-                )
-            else:
-                lb = info.get(("lambda_b", None))
-                if lb is None:
-                    raise ValidationError(f"missing tensor 'merged.{label}.lambda_b'")
-                entries[slot] = MergedAdapterSlot(
-                    VeraAdapter(
-                        lambda_b=lb, lambda_d=lambda_d, shared_b=shared_b, shared_a=shared_a
-                    )
-                )
+            cluster = _require(tensors, f"merged.{label}.{layout.cluster}")
+            entries[slot] = MergedAdapterSlot(layout.adapter.from_sides(shared, cluster, frozen))
     bundle = MergedBundle(method=method, kind=kind, tasks=tasks, slots=slots, entries=entries)
     bundle.validate()
     return bundle

@@ -2,9 +2,12 @@
 merging, random drop-and-rescale, and their composition.
 
 All four methods collapse K per-task tensors into one tensor per matrix
-position.  ``merge_collection`` applies them per slot, either to both
-factors independently (one merged adapter per slot) or to the input-side
-factor only, keeping every per-task output factor.
+position.  ``merge_collection`` applies them per slot to the adapters'
+``sides()``, for either kind alike: either to both sides independently
+(one merged adapter per slot) or to the shared side only, keeping every
+per-task cluster side in a shared slot.  A LoRA adapter's sides are its
+factors ``(A, B)``; a VeRA adapter's are its scaling vectors ``(lambda_d,
+lambda_b)`` as n x 1 columns, and its frozen pair passes through.
 
 Determinism: every stochastic step consumes an explicit :class:`Rng`, and
 each slot derives its own stream from ``seed xor hash(slot label)``, so
@@ -20,15 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import (
-    AdapterCollection,
-    LowRankAdapter,
-    MergedAdapterSlot,
-    MergedBundle,
-    SharedLoraSlot,
-    SharedVeraSlot,
-    VeraAdapter,
-)
+from .adapters import AdapterCollection, MergedAdapterSlot, MergedBundle
 from .errors import ParameterError, ShapeError
 from .linalg import Matrix, Rng, as_matrix, exact_mean, stable_hash64
 
@@ -59,8 +54,8 @@ class BaselineConfig:
             raise ParameterError(f"ties_density must be in (0, 1], got {self.ties_density}")
         if not (0.0 <= self.dare_drop_p < 1.0):
             raise ParameterError(f"dare_drop_p must be in [0, 1), got {self.dare_drop_p}")
-        if self.scale <= 0.0:
-            raise ParameterError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ParameterError(f"scale must be finite and > 0, got {self.scale}")
 
 
 def merge_ta(tensors: Sequence[Matrix], scale: float = 1.0) -> Matrix:
@@ -157,9 +152,8 @@ def _merge_tensors(tensors: list[Matrix], cfg: BaselineConfig, rng: Rng) -> Matr
 def merge_collection(collection: AdapterCollection, cfg: BaselineConfig) -> MergedBundle:
     """Merge every slot of a collection with one baseline method.
 
-    Per slot the input-side tensors are merged first, then (per-matrix mode)
-    the output-side tensors, drawing from that slot's stream throughout.
-    Vera collections merge their scaling vectors, treated as n x 1.
+    Per slot the shared sides are merged first, then (per-matrix mode) the
+    cluster sides, drawing from that slot's stream throughout.
     """
     cfg.validate()
     bundle = MergedBundle(
@@ -172,43 +166,16 @@ def merge_collection(collection: AdapterCollection, cfg: BaselineConfig) -> Merg
     for slot in collection.slots:
         rng = Rng(cfg.seed ^ stable_hash64(slot.label()))
         adapters = collection.adapters_at(slot)
-        if collection.kind == "lora":
-            a_tensors = [ad.a for ad in adapters]
-            merged_a = _merge_tensors(a_tensors, cfg, rng)
-            if cfg.merge_target is MergeTarget.PER_MATRIX:
-                merged_b = _merge_tensors([ad.b for ad in adapters], cfg, rng)
-                bundle.entries[slot] = MergedAdapterSlot(
-                    LowRankAdapter(b=merged_b, a=merged_a)
-                )
-            else:
-                bundle.entries[slot] = SharedLoraSlot(
-                    a_shared=merged_a,
-                    b_clusters=[ad.b.copy() for ad in adapters],
-                    assignment=identity.copy(),
-                )
+        adapter_type, frozen = type(adapters[0]), adapters[0].frozen
+        shared, clusters = zip(*(ad.sides() for ad in adapters))
+        merged_shared = _merge_tensors(list(shared), cfg, rng)
+        if cfg.merge_target is MergeTarget.PER_MATRIX:
+            merged_cluster = _merge_tensors(list(clusters), cfg, rng)
+            adapter = adapter_type.from_sides(merged_shared, merged_cluster, frozen)
+            bundle.entries[slot] = MergedAdapterSlot(adapter)
         else:
-            ld_tensors = [ad.lambda_d.reshape(-1, 1) for ad in adapters]
-            merged_ld = _merge_tensors(ld_tensors, cfg, rng).ravel()
-            shared_b = adapters[0].shared_b
-            shared_a = adapters[0].shared_a
-            if cfg.merge_target is MergeTarget.PER_MATRIX:
-                lb_tensors = [ad.lambda_b.reshape(-1, 1) for ad in adapters]
-                merged_lb = _merge_tensors(lb_tensors, cfg, rng).ravel()
-                bundle.entries[slot] = MergedAdapterSlot(
-                    VeraAdapter(
-                        lambda_b=merged_lb,
-                        lambda_d=merged_ld,
-                        shared_b=shared_b,
-                        shared_a=shared_a,
-                    )
-                )
-            else:
-                bundle.entries[slot] = SharedVeraSlot(
-                    lambda_d=merged_ld,
-                    lambda_b_clusters=[ad.lambda_b.copy() for ad in adapters],
-                    shared_b=shared_b,
-                    shared_a=shared_a,
-                    assignment=identity.copy(),
-                )
+            kept = [c.copy() for c in clusters]
+            entry = adapter_type.shared_slot(merged_shared, kept, frozen, identity.copy())
+            bundle.entries[slot] = entry
     bundle.validate()
     return bundle

@@ -10,12 +10,14 @@ the logits are dropped and task i is tied to cluster i: ``P_i = U_i``.
 
 Both adapter kinds share one optimizer.  A cluster parameter enters its
 product linearly, ``U_j = L(c_j)``, so predictions mix in cluster space:
-``P_i = L(c_mix_i)`` with ``c_mix = w @ c``.  A kind is a state class
-whose hooks give ``L`` and its adjoint: ``basis()``, the factor ``L``
-multiplies by, built once per step; ``predict``, which is ``L``;
-``pull_back``, which gives ``E_i = L^T(G_i)`` (``G_i`` the distance
-gradient at ``P_i``) and the task's term of the shared gradient;
-``shared_grad``, the shared gradient from the summed terms; ``export``.
+``P_i = L(c_mix_i)`` with ``c_mix = w @ c``.  The parameters start from
+the targets' ``sides()`` and carry their ``frozen`` pair (see
+:mod:`hydramerge.adapters`).  A kind is a state class whose hooks give
+``L`` and its adjoint: ``basis()``, the factor ``L`` multiplies by, built
+once per step; ``predict``, which is ``L``; ``pull_back``, which gives
+``E_i = L^T(G_i)`` (``G_i`` the distance gradient at ``P_i``) and the
+task's term of the shared gradient; ``shared_grad``, the shared gradient
+from the summed terms.
 
 * LoRA learns a shared input-side factor ``A`` (r x k) and cluster
   output-side factors ``B_j`` (d x r): ``L(c) = c A``, ``E_i = G_i A^T``
@@ -70,6 +72,7 @@ data: the target adapters themselves are the regression labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar, Sequence
@@ -80,11 +83,11 @@ from .adapters import (
     AdapterCollection,
     LowRankAdapter,
     MergedBundle,
-    SharedLoraSlot,
-    SharedVeraSlot,
+    SharedSlot,
     SlotKey,
     VeraAdapter,
     delta_weight,
+    same_frozen,
 )
 from .errors import (
     DegenerateInputError,
@@ -148,20 +151,22 @@ class HydraConfig:
             raise ParameterError(
                 f"num_clusters = {self.num_clusters} exceeds the {num_tasks} tasks"
             )
-        if not (self.temperature > 0):
-            raise ParameterError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ParameterError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if not (self.learning_rate > 0):
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ParameterError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass(kw_only=True)
 class _RoutedState:
     """Routing logits (absent when M == K) and Adam's ``(m, v)`` moments
-    around a kind's ``params``, which ``NAMES`` names."""
+    around a kind's ``params``, which ``NAMES`` names, of an ``ADAPTER``
+    kind with its ``frozen`` pair."""
 
     NAMES: ClassVar[tuple[str, str]]
+    ADAPTER: ClassVar[type]
     logits: Matrix | None
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     step: int = 0
@@ -179,6 +184,10 @@ class _RoutedState:
             out.append(("logits", self.logits))
         return out
 
+    def export(self, assignment: list[int]) -> SharedSlot:
+        shared, clusters = self.params
+        return self.ADAPTER.shared_slot(shared, clusters, self.frozen, assignment)
+
 
 @dataclass
 class HydraState(_RoutedState):
@@ -187,17 +196,15 @@ class HydraState(_RoutedState):
     a_shared: Matrix
     b_clusters: list[Matrix]
     NAMES: ClassVar[tuple[str, str]] = ("a_shared", "b")
+    ADAPTER: ClassVar[type] = LowRankAdapter
+    frozen: ClassVar[tuple] = ()
 
     @property
     def params(self):
         return self.a_shared, self.b_clusters
 
-    @staticmethod
-    def factors(target: LowRankAdapter) -> tuple[Matrix, Matrix]:
-        return target.a, target.b
-
     @classmethod
-    def build(cls, targets, shared, clusters, logits) -> "HydraState":
+    def build(cls, shared, clusters, logits, frozen) -> "HydraState":
         return cls(a_shared=shared, b_clusters=clusters, logits=logits)
 
     def basis(self) -> Matrix:
@@ -214,11 +221,6 @@ class HydraState(_RoutedState):
     def shared_grad(self, total: Matrix) -> Matrix:
         return total
 
-    def export(self, assignment: list[int]) -> SharedLoraSlot:
-        return SharedLoraSlot(
-            a_shared=self.a_shared, b_clusters=self.b_clusters, assignment=assignment
-        )
-
 
 @dataclass
 class VeraHydraState(_RoutedState):
@@ -229,31 +231,21 @@ class VeraHydraState(_RoutedState):
     shared_b: Matrix
     shared_a: Matrix
     NAMES: ClassVar[tuple[str, str]] = ("lambda_d", "lambda_b")
+    ADAPTER: ClassVar[type] = VeraAdapter
 
     @property
     def params(self):
         return self.lambda_d, self.lambda_b_clusters
 
-    @staticmethod
-    def factors(target: VeraAdapter) -> tuple[Matrix, Matrix]:
-        return target.lambda_d.reshape(-1, 1), target.lambda_b.reshape(-1, 1)
+    @property
+    def frozen(self) -> tuple[Matrix, Matrix]:
+        return self.shared_a, self.shared_b
 
     @classmethod
-    def build(cls, targets, shared, clusters, logits) -> "VeraHydraState":
-        first = targets[0]
-        for t in targets[1:]:
-            if not (
-                np.array_equal(t.shared_a, first.shared_a)
-                and np.array_equal(t.shared_b, first.shared_b)
-            ):
-                raise ValidationError("targets do not share identical frozen factors")
-        return cls(
-            lambda_d=shared.ravel(),
-            lambda_b_clusters=[c.ravel() for c in clusters],
-            logits=logits,
-            shared_b=first.shared_b,
-            shared_a=first.shared_a,
-        )
+    def build(cls, shared, clusters, logits, frozen) -> "VeraHydraState":
+        shared_a, shared_b = frozen
+        clusters = [c.ravel() for c in clusters]
+        return cls(shared.ravel(), clusters, shared_b, shared_a, logits=logits)
 
     def basis(self) -> Matrix:
         return (self.shared_b * self.lambda_d[None, :]) @ self.shared_a
@@ -269,14 +261,8 @@ class VeraHydraState(_RoutedState):
     def shared_grad(self, total: Matrix) -> np.ndarray:
         return ((self.shared_b.T @ total) * self.shared_a).sum(axis=1)
 
-    def export(self, assignment: list[int]) -> SharedVeraSlot:
-        return SharedVeraSlot(
-            lambda_d=self.lambda_d,
-            lambda_b_clusters=self.lambda_b_clusters,
-            shared_b=self.shared_b,
-            shared_a=self.shared_a,
-            assignment=assignment,
-        )
+
+_STATES = {"lora": HydraState, "vera": VeraHydraState}
 
 
 @dataclass
@@ -307,14 +293,15 @@ def _new_state(targets, num_clusters: int, rng: Rng, stdev: float | None):
     """A state of the targets' kind as :func:`init_state` draws it, with
     N(0, stdev) parameters or, for ``stdev=None``, the mean init."""
     first = targets[0]
-    kind = VeraHydraState if isinstance(first, VeraAdapter) else HydraState
     signature = first.shape_signature()
     for t in targets[1:]:
         if type(t) is not type(first) or t.shape_signature() != signature:
             raise ValidationError(
                 f"targets disagree on kind or (d, r, k): {t.shape_signature()} vs {signature}"
             )
-    own = [kind.factors(t) for t in targets]
+    if not same_frozen(targets):
+        raise ValidationError("targets do not share identical frozen factors")
+    own = [t.sides() for t in targets]
     if stdev is None:
         shared = exact_mean([s for s, _ in own])
         clusters = [c.copy() for _, c in own[:num_clusters]]
@@ -326,7 +313,7 @@ def _new_state(targets, num_clusters: int, rng: Rng, stdev: float | None):
         if num_clusters < len(targets)
         else None
     )
-    state = kind.build(targets, shared, clusters, logits)
+    state = _STATES[first.kind].build(shared, clusters, logits, first.frozen)
     _zero_moments(state)
     return state
 
@@ -644,12 +631,10 @@ def globalize_assignment(bundle: MergedBundle) -> MergedBundle:
     Off by default; only meaningful when every slot carries the same
     number of clusters.  Ties resolve to the lowest cluster index.
     """
-    shared = [
-        e for e in bundle.entries.values() if isinstance(e, (SharedLoraSlot, SharedVeraSlot))
-    ]
+    shared = [e for e in bundle.entries.values() if isinstance(e, SharedSlot)]
     if not shared:
         return bundle
-    counts = {len(_entry_clusters(e)) for e in shared}
+    counts = {len(e.clusters) for e in shared}
     if len(counts) != 1:
         raise ValidationError("cannot globalize: slots have differing cluster counts")
     num_clusters = counts.pop()
@@ -662,12 +647,6 @@ def globalize_assignment(bundle: MergedBundle) -> MergedBundle:
     for e in shared:
         e.assignment = majority.copy()
     return bundle
-
-
-def _entry_clusters(entry) -> list:
-    if isinstance(entry, SharedLoraSlot):
-        return entry.b_clusters
-    return entry.lambda_b_clusters
 
 
 # Names from when each kind had its own functions.

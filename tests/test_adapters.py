@@ -7,11 +7,12 @@ from hydramerge.adapters import (
     MergedAdapterSlot,
     MergedBundle,
     SharedLoraSlot,
+    SharedVeraSlot,
     SlotKey,
     VeraAdapter,
     delta_weight,
 )
-from hydramerge.errors import ValidationError
+from hydramerge.errors import ShapeError, ValidationError
 from hydramerge.linalg import Rng, gaussian_sample
 
 
@@ -85,6 +86,26 @@ class TestAdapterInvariants:
                 shared_a=np.ones((2, 4)),
             )
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("lambda_b", [1.0, np.inf, 1.0]),
+            ("lambda_b", [np.nan] * 3),
+            ("lambda_d", [1.0, -np.inf]),
+            ("lambda_d", []),
+        ],
+    )
+    def test_vera_vectors_must_be_finite_and_non_empty(self, name, value):
+        parts = {
+            "lambda_b": np.ones(3),
+            "lambda_d": np.ones(2),
+            "shared_b": np.ones((3, 2)),
+            "shared_a": np.ones((2, 4)),
+        }
+        parts[name] = np.asarray(value, dtype=np.float64)
+        with pytest.raises(ShapeError, match=name):
+            VeraAdapter(**parts)
+
 
 class TestAdapterCollection:
     def test_build_and_lookup(self):
@@ -133,12 +154,44 @@ class TestAdapterCollection:
         coll = AdapterCollection.build(["t0", "t1", "t2"], table)
         assert coll.param_count() == len(slots) * 3 * r * (d + k)
 
+    def test_vera_param_counts_match_closed_forms(self):
+        # the frozen pair is stored once per slot in every layout
+        d, r, k, num_tasks, m = 7, 2, 5, 3, 2
+        shared_b, shared_a = np.ones((d, r)), np.ones((r, k))
+        slot = SlotKey(0, "q")
+        ids = [f"t{i}" for i in range(num_tasks)]
+        table = {
+            (task, slot): VeraAdapter(np.ones(d), np.ones(r), shared_b, shared_a) for task in ids
+        }
+        coll = AdapterCollection.build(ids, table)
+        assert coll.param_count() == num_tasks * (d + r) + d * r + r * k
+        assert MergedAdapterSlot(table[("t0", slot)]).param_count == d + r + d * r + r * k
+        entry = SharedVeraSlot(
+            lambda_d=np.ones(r),
+            lambda_b_clusters=[np.ones(d) for _ in range(m)],
+            shared_b=shared_b,
+            shared_a=shared_a,
+            assignment=[0, 1, 0],
+        )
+        assert entry.param_count == m * d + r + d * r + r * k
+
 
 class TestMergedBundle:
     def test_assignment_bounds_checked(self):
         with pytest.raises(ValidationError):
             SharedLoraSlot(
                 a_shared=np.ones((2, 3)), b_clusters=[np.ones((4, 2))], assignment=[0, 1]
+            )
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_vera_assignment_bounds_checked(self, index):
+        with pytest.raises(ValidationError, match=rf"index {index} out of range \[0, 2\)"):
+            SharedVeraSlot(
+                lambda_d=np.ones(2),
+                lambda_b_clusters=[np.ones(3), np.ones(3)],
+                shared_b=np.ones((3, 2)),
+                shared_a=np.ones((2, 4)),
+                assignment=[0, index],
             )
 
     def test_param_count_shared_layout(self):

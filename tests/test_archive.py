@@ -221,6 +221,31 @@ class TestErrorPaths:
             write_archive(coll, path)
         assert not path.exists()
 
+    def test_non_finite_vector_is_named_and_nothing_is_written(self, tmp_path):
+        coll = small_vera_collection()
+        coll.adapter("t1", SlotKey(0, "q")).lambda_b[2] = np.nan
+        path = tmp_path / "nan.lrta"
+        with pytest.raises(ValidationError, match=r"'task\.t1\.layer\.0\.q\.lambda_b'.*non-finite"):
+            write_archive(coll, path)
+        assert not path.exists()
+
+    def test_inf_cluster_vector_of_shared_vera_slot_is_named(self, tmp_path):
+        slot = SlotKey(0, "q")
+        entry = SharedVeraSlot(
+            lambda_d=np.ones(2),
+            lambda_b_clusters=[np.ones(4), np.array([1.0, np.inf, 1.0, 1.0])],
+            shared_b=np.ones((4, 2)),
+            shared_a=np.ones((2, 6)),
+            assignment=[0, 1],
+        )
+        bundle = MergedBundle(
+            method="hydraopt", kind="vera", tasks=["t0", "t1"], slots=[slot], entries={slot: entry}
+        )
+        path = tmp_path / "inf.lrta"
+        with pytest.raises(ValidationError, match=r"'merged\.layer\.0\.q\.lambda_b\.1'"):
+            write_archive(bundle, path)
+        assert not path.exists()
+
     def test_partial_collection_never_escapes(self, tmp_path):
         coll = small_collection()
         path = tmp_path / "coll.lrta"
@@ -352,6 +377,45 @@ class TestReaderChecks:
         path = tmp_path / "assign.lrta"
         write_raw_archive(path, tensors, meta)
         with pytest.raises(ArchiveFormatError, match=r"meta\.assignment"):
+            read_archive(path)
+
+    @pytest.mark.parametrize("kind", ["lora2", ["lora"], {"vera": 1}, None])
+    def test_unknown_kind_is_format_error(self, tmp_path, kind):
+        tensors, _ = archive_module._collection_tensors(small_collection(tasks=1))
+        path = tmp_path / "kind.lrta"
+        write_raw_archive(path, tensors, {"kind": kind, "tasks": ["t0"]})
+        with pytest.raises(ArchiveFormatError, match="unknown archive kind"):
+            read_archive(path)
+
+    @pytest.mark.parametrize("index", [7, -3])
+    def test_single_adapter_slot_assignment_must_be_zero(self, tmp_path, index):
+        tensors, meta = archive_module._bundle_tensors(_ta_bundle())
+        meta["assignment"]["t1"]["layer.0.q"] = index
+        path = tmp_path / "assign.lrta"
+        write_raw_archive(path, tensors, meta)
+        with pytest.raises(ArchiveFormatError, match=r"meta\.assignment"):
+            read_archive(path)
+
+    @pytest.mark.parametrize("task, label", [("zz", "layer.0.q"), ("t0", "layer.9.q")])
+    def test_assignment_of_undeclared_task_or_slot(self, tmp_path, task, label):
+        tensors, meta = archive_module._bundle_tensors(_ta_bundle())
+        meta["assignment"].setdefault(task, {})[label] = 0
+        path = tmp_path / "assign.lrta"
+        write_raw_archive(path, tensors, meta)
+        with pytest.raises(ArchiveFormatError, match=r"meta\.assignment"):
+            read_archive(path)
+
+    @pytest.mark.parametrize("value", ["hello", None])
+    @pytest.mark.parametrize("form", ["collection", "bundle"])
+    def test_unknown_meta_key_is_named(self, tmp_path, form, value):
+        if form == "bundle":
+            tensors, meta = archive_module._bundle_tensors(_ta_bundle())
+        else:
+            tensors, meta = archive_module._collection_tensors(small_collection(tasks=2))
+        meta["notes"] = value
+        path = tmp_path / "notes.lrta"
+        write_raw_archive(path, tensors, meta)
+        with pytest.raises(ArchiveFormatError, match=r"meta\.notes"):
             read_archive(path)
 
     def test_non_string_method_is_format_error(self, tmp_path):

@@ -177,6 +177,22 @@ class TestMerge:
         assert "slot layer.1.v: task beta: cosine distance is undefined" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--method", "hydraopt", "--m", "2", "--temp", "inf"], "temperature"),
+            (["--method", "hydraopt", "--m", "2", "--lr", "inf"], "learning_rate"),
+            (["--method", "ta", "--scale", "inf"], "scale"),
+            (["--method", "ta", "--scale", "nan"], "scale"),
+        ],
+    )
+    def test_non_finite_parameter_is_exit_three(self, small_archive, tmp_path, flags, field):
+        out = tmp_path / "merged.lrta"
+        result = run_cli("merge", "--in", str(small_archive), "--out", str(out), *flags)
+        assert result.returncode == 3
+        assert f"{field} must be finite" in result.stderr
+        assert not out.exists()
+
     def test_bundle_input_is_exit_three(self, small_archive, tmp_path):
         merged = tmp_path / "merged.lrta"
         run_cli("merge", "--in", str(small_archive), "--out", str(merged), "--method", "ta")
@@ -279,6 +295,16 @@ class TestVeraArchives:
         recon = run_cli("eval-recon", "--in", str(vera_archive), "--merged", str(merged))
         assert recon.returncode == 0
         assert json.loads(recon.stdout)["recon"]["grand_mean_mae"] >= 0.0
+
+    def test_infinite_scale_is_exit_three(self, vera_archive, tmp_path):
+        merged = tmp_path / "vera-ta.lrta"
+        result = run_cli(
+            "merge", "--in", str(vera_archive), "--out", str(merged),
+            "--method", "ta", "--scale", "inf",
+        )
+        assert result.returncode == 3
+        assert "scale must be finite" in result.stderr
+        assert not merged.exists()
 
     def test_hydraopt_merge(self, vera_archive, tmp_path):
         merged = tmp_path / "vera-hydra.lrta"

@@ -2,6 +2,7 @@
 optimized merging, archive round trips, and reconstruction reports."""
 
 import numpy as np
+import pytest
 
 from hydramerge.adapters import (
     AdapterCollection,
@@ -12,9 +13,16 @@ from hydramerge.adapters import (
 )
 from hydramerge.analysis import reconstruction_report
 from hydramerge.archive import read_archive, write_archive
-from hydramerge.baselines import BaselineConfig, MergeMethod, MergeTarget, merge_collection
+from hydramerge.baselines import (
+    BaselineConfig,
+    MergeMethod,
+    MergeTarget,
+    merge_collection,
+    merge_dare,
+    merge_dare_ties,
+)
 from hydramerge.hydra import HydraConfig, globalize_assignment, merge_collection_hydra, train
-from hydramerge.linalg import Rng, exact_mean, gaussian_sample
+from hydramerge.linalg import Rng, exact_mean, gaussian_sample, stable_hash64
 
 
 def vera_collection(tasks=4, d=6, r=2, k=5, seed=0, layers=2):
@@ -46,6 +54,31 @@ class TestVeraBaselines:
         expected_lb = exact_mean([a.lambda_b.reshape(-1, 1) for a in adapters]).ravel()
         assert np.array_equal(entry.adapter.lambda_b, expected_lb)
         assert np.array_equal(entry.adapter.shared_a, adapters[0].shared_a)
+
+    @pytest.mark.parametrize("method", [MergeMethod.DARE, MergeMethod.DARE_TIES])
+    @pytest.mark.parametrize("target", list(MergeTarget))
+    def test_slot_stream_merges_lambda_d_before_lambda_b(self, method, target):
+        coll = vera_collection(tasks=3, d=8, r=3, k=6, seed=1)
+        cfg = BaselineConfig(method=method, dare_drop_p=0.5, seed=5, merge_target=target)
+        bundle = merge_collection(coll, cfg)
+        for slot in coll.slots:
+            rng = Rng(cfg.seed ^ stable_hash64(slot.label()))
+            p, density = cfg.dare_drop_p, cfg.ties_density
+            if method is MergeMethod.DARE:
+                merge = lambda ts: merge_dare(ts, p, rng).ravel()
+            else:
+                merge = lambda ts: merge_dare_ties(ts, p, density, rng).ravel()
+            adapters = coll.adapters_at(slot)
+            expected_ld = merge([ad.lambda_d.reshape(-1, 1) for ad in adapters])
+            entry = bundle.entries[slot]
+            if target is MergeTarget.PER_MATRIX:
+                expected_lb = merge([ad.lambda_b.reshape(-1, 1) for ad in adapters])
+                assert np.array_equal(entry.adapter.lambda_d, expected_ld)
+                assert np.array_equal(entry.adapter.lambda_b, expected_lb)
+            else:
+                assert np.array_equal(entry.lambda_d, expected_ld)
+                for ad, kept in zip(adapters, entry.lambda_b_clusters):
+                    assert np.array_equal(kept, ad.lambda_b)
 
     def test_a_only_keeps_outer_vectors(self):
         coll = vera_collection()
