@@ -15,7 +15,12 @@ Each adapter class describes its kind, so no other layer branches on it:
 * ``frozen`` is ``()`` for LoRA and ``(shared_a, shared_b)`` for VeRA,
   the pair every task at a slot carries unchanged;
 * ``from_sides`` and ``shared_slot`` build an adapter, or a
-  :class:`SharedSlot`, back from those parts.
+  :class:`SharedSlot`, back from those parts;
+* ``predict(c, basis(shared, frozen))`` is the linear update map ``L(c)``
+  from a cluster side to the ``d x k`` update; ``pull_back(g, c, basis)``
+  gives its adjoint ``L^T(g)`` and ``c``'s term of the shared side's
+  gradient, which ``shared_grad(total, frozen)`` finishes from the summed
+  terms.  :func:`delta_weight` and :mod:`hydramerge.hydra` both use them.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from typing import ClassVar, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
-from .linalg import Matrix, as_matrix, matmul
+from .errors import ShapeError, ValidationError
+from .linalg import Matrix, as_matrix
 
 _SLOT_LABEL = re.compile(r"^layer\.(\d+)\.([A-Za-z0-9_]+)$")
 
@@ -114,6 +119,24 @@ class LowRankAdapter:
     def shared_slot(cls, shared, clusters, frozen, assignment) -> "SharedLoraSlot":
         return SharedLoraSlot(a_shared=shared, b_clusters=clusters, assignment=assignment)
 
+    @staticmethod
+    def basis(shared: Matrix, frozen: tuple) -> Matrix:
+        return shared
+
+    @staticmethod
+    def predict(cluster: Matrix, basis: Matrix) -> Matrix:
+        """``L(B) = B A``."""
+        return cluster @ basis
+
+    @staticmethod
+    def pull_back(g: Matrix, cluster: Matrix, basis: Matrix) -> tuple[Matrix, Matrix]:
+        """``L^T(G) = G A^T`` and ``B^T G``, whose sum is ``dA``."""
+        return g @ basis.T, cluster.T @ g
+
+    @staticmethod
+    def shared_grad(total: Matrix, frozen: tuple) -> Matrix:
+        return total
+
 
 @dataclass
 class VeraAdapter:
@@ -187,6 +210,28 @@ class VeraAdapter:
         clusters = [c.ravel() for c in clusters]
         return SharedVeraSlot(shared.ravel(), clusters, shared_b, shared_a, assignment)
 
+    @staticmethod
+    def basis(shared: np.ndarray, frozen: tuple[Matrix, Matrix]) -> Matrix:
+        """``core = shared_b diag(lambda_d) shared_a``."""
+        shared_a, shared_b = frozen
+        return (shared_b * np.reshape(shared, (1, -1))) @ shared_a
+
+    @staticmethod
+    def predict(cluster: np.ndarray, basis: Matrix) -> Matrix:
+        """``L(lambda_b) = diag(lambda_b) core``, for 1-D or column vectors."""
+        return np.reshape(cluster, (-1, 1)) * basis
+
+    @staticmethod
+    def pull_back(g: Matrix, cluster: np.ndarray, basis: Matrix) -> tuple[np.ndarray, Matrix]:
+        """``L^T(G) = rowsum(G * core)`` and ``diag(lambda_b) G``."""
+        return (g * basis).sum(axis=1), np.reshape(cluster, (-1, 1)) * g
+
+    @staticmethod
+    def shared_grad(total: Matrix, frozen: tuple[Matrix, Matrix]) -> np.ndarray:
+        """``rowsum((shared_b^T H) * shared_a)``, ``H = sum diag(lambda_b) G``."""
+        shared_a, shared_b = frozen
+        return ((shared_b.T @ total) * shared_a).sum(axis=1)
+
 
 Adapter = Union[LowRankAdapter, VeraAdapter]
 
@@ -197,24 +242,14 @@ def same_frozen(adapters: Sequence[Adapter]) -> bool:
     return all(all(map(np.array_equal, first, other.frozen)) for other in adapters[1:])
 
 
-def vera_update(lambda_b, lambda_d, shared_b, shared_a) -> Matrix:
-    """diag(lambda_b) @ shared_b @ diag(lambda_d) @ shared_a.
-
-    Evaluated as ``lambda_b * ((shared_b * lambda_d) @ shared_a)`` -- the
-    same association order the trainer uses, so equal inputs reproduce
-    equal updates bit for bit.
-    """
-    lb = np.asarray(lambda_b, dtype=np.float64).reshape(-1)
-    ld = np.asarray(lambda_d, dtype=np.float64).reshape(-1)
-    inner = matmul(as_matrix(shared_b) * ld[None, :], shared_a)
-    return lb[:, None] * inner
-
-
 def delta_weight(adapter: Adapter) -> Matrix:
-    """The dense weight update this adapter encodes."""
-    if isinstance(adapter, LowRankAdapter):
-        return matmul(adapter.b, adapter.a)
-    return vera_update(adapter.lambda_b, adapter.lambda_d, adapter.shared_b, adapter.shared_a)
+    """The dense weight update ``L(cluster)`` from ``sides()``; non-finite raises ShapeError."""
+    shared, cluster = adapter.sides()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = adapter.predict(cluster, adapter.basis(shared, adapter.frozen))
+    if not np.all(np.isfinite(out)):
+        raise ShapeError("matrix product overflowed to non-finite values")
+    return out
 
 
 @dataclass

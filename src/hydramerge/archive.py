@@ -86,7 +86,6 @@ _HEADER_BYTES = 8
 _TASK_TENSOR = re.compile(
     r"^task\.(?P<task>.+)\.(?P<slot>layer\.\d+\.[A-Za-z0-9_]+)\.(?P<field>A|B|lambda_b|lambda_d)$"
 )
-_SHARED_TENSOR = re.compile(r"^shared\.(?P<slot>layer\.\d+\.[A-Za-z0-9_]+)\.(?P<field>A|B)$")
 _MERGED_TENSOR = re.compile(
     r"^merged\.(?P<slot>layer\.\d+\.[A-Za-z0-9_]+)\."
     r"(?P<field>A|B|lambda_b|lambda_d)(?:\.(?P<cluster>\d+))?$"

@@ -277,7 +277,6 @@ def main(argv=None) -> int:
             return _cmd_eval_recon(args)
         return _cmd_grad_check(args)
     except (HydraMergeError, OSError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -11,25 +11,20 @@ the logits are dropped and task i is tied to cluster i: ``P_i = U_i``.
 Both adapter kinds share one optimizer.  A cluster parameter enters its
 product linearly, ``U_j = L(c_j)``, so predictions mix in cluster space:
 ``P_i = L(c_mix_i)`` with ``c_mix = w @ c``.  The parameters start from
-the targets' ``sides()`` and carry their ``frozen`` pair (see
-:mod:`hydramerge.adapters`).  A kind is a state class whose hooks give
-``L`` and its adjoint: ``basis()``, the factor ``L`` multiplies by, built
-once per step; ``predict``, which is ``L``; ``pull_back``, which gives
-``E_i = L^T(G_i)`` (``G_i`` the distance gradient at ``P_i``) and the
-task's term of the shared gradient; ``shared_grad``, the shared gradient
-from the summed terms.
+the targets' ``sides()`` and carry their ``frozen`` pair.  A kind is a
+state class holding its parameters; ``L`` and its adjoint are static
+methods of its adapter class ``ADAPTER`` (see :mod:`hydramerge.adapters`),
+which :func:`~hydramerge.adapters.delta_weight` uses too.  The dense
+kernel builds ``P_i = predict(c_mix_i, basis)`` per task; ``pull_back``
+turns the distance gradient ``G_i`` at ``P_i`` into ``E_i = L^T(G_i)``
+and the task's term of the shared gradient, which ``shared_grad``
+finishes.  LoRA learns a shared input-side factor ``A`` (r x k) and
+cluster factors ``B_j`` (d x r); VeRA keeps its frozen pair and learns a
+shared inner vector ``lambda_d`` (r) and cluster outer vectors
+``lambda_b_j`` (d).
 
-* LoRA learns a shared input-side factor ``A`` (r x k) and cluster
-  output-side factors ``B_j`` (d x r): ``L(c) = c A``, ``E_i = G_i A^T``
-  and ``dA = sum_i Bmix_i^T G_i`` with ``Bmix_i = c_mix_i``.
-* VeRA keeps its targets' frozen pair ``B_s`` (d x r), ``A_s`` (r x k)
-  and learns a shared inner scaling vector ``lambda_d`` (r) and cluster
-  outer scaling vectors ``lambda_b_j`` (d): ``L(c) = diag(c) core`` with
-  ``core = B_s diag(lambda_d) A_s``, ``E_i = rowsum(G_i * core)`` and
-  ``dlambda_d = rowsum((B_s^T H) * A_s)`` with ``H = sum_i
-  diag(c_mix_i) G_i``.
-
-For both kinds ``dc_j = sum_i w[i, j] E_i``, and the routing logits get
+Both kernels end in one chain rule in cluster space: ``dc_j = sum_i
+w[i, j] E_i``, and the routing logits get
 
     g[i, j] = <G_i, U_j> = <E_i, c_j>            (flattened inner products)
     dC[i,m] = (w[i, m] / temperature) * (g[i, m] - sum_j w[i, j] g[i, j])
@@ -50,14 +45,13 @@ trace of ``r x r`` Gram products:
 ``(alpha_i, beta_i)`` with ``G_i = alpha_i T_i + beta_i P_i``, so
 
     dA      = sum_i alpha_i (Bmix_i^T b_i) a_i + beta_i (Bmix_i^T Bmix_i) A
-    dB_j^T  = sum_i w[i, j] (alpha_i (A a_i^T) b_i^T + beta_i (A A^T) Bmix_i^T)
-    g[i, j] = alpha_i <B_j^T b_i, A a_i^T> + beta_i <B_j^T Bmix_i, A A^T>
+    E_i^T   = (G_i A^T)^T = alpha_i (A a_i^T) b_i^T + beta_i (A A^T) Bmix_i^T
 
-at ``O(K M r^2 (d + k))`` per step.  Target-side and prediction-side
-products run through the same operations, so ``b_i == Bmix_i`` and
-``a_i == A`` give bit-equal traces, a loss of exactly 0 and gradient terms
-that cancel exactly.  The dense kernel is the reference the factored
-one is tested against.
+for the shared chain rule, at ``O(K r^2 (d + k) + K M r d)`` per step.
+Target-side and prediction-side products run through the same operations,
+so ``b_i == Bmix_i`` and ``a_i == A`` give bit-equal traces, a loss of
+exactly 0 and gradient terms that cancel exactly.  The dense kernel is
+the reference the factored one is tested against.
 
 Training stops with :class:`~hydramerge.errors.NumericalError`, naming the
 slot and step, when a prediction, the loss or a gradient turns non-finite
@@ -184,6 +178,9 @@ class _RoutedState:
             out.append(("logits", self.logits))
         return out
 
+    def basis(self) -> Matrix:
+        return self.ADAPTER.basis(self.params[0], self.frozen)
+
     def export(self, assignment: list[int]) -> SharedSlot:
         shared, clusters = self.params
         return self.ADAPTER.shared_slot(shared, clusters, self.frozen, assignment)
@@ -206,20 +203,6 @@ class HydraState(_RoutedState):
     @classmethod
     def build(cls, shared, clusters, logits, frozen) -> "HydraState":
         return cls(a_shared=shared, b_clusters=clusters, logits=logits)
-
-    def basis(self) -> Matrix:
-        return self.a_shared
-
-    @staticmethod
-    def predict(c: Matrix, basis: Matrix) -> Matrix:
-        return c @ basis
-
-    @staticmethod
-    def pull_back(g: Matrix, c: Matrix, basis: Matrix) -> tuple[Matrix, Matrix]:
-        return g @ basis.T, c.T @ g
-
-    def shared_grad(self, total: Matrix) -> Matrix:
-        return total
 
 
 @dataclass
@@ -246,20 +229,6 @@ class VeraHydraState(_RoutedState):
         shared_a, shared_b = frozen
         clusters = [c.ravel() for c in clusters]
         return cls(shared.ravel(), clusters, shared_b, shared_a, logits=logits)
-
-    def basis(self) -> Matrix:
-        return (self.shared_b * self.lambda_d[None, :]) @ self.shared_a
-
-    @staticmethod
-    def predict(c: np.ndarray, basis: Matrix) -> Matrix:
-        return c[:, None] * basis
-
-    @staticmethod
-    def pull_back(g: Matrix, c: np.ndarray, basis: Matrix) -> tuple[np.ndarray, Matrix]:
-        return (g * basis).sum(axis=1), c[:, None] * g
-
-    def shared_grad(self, total: Matrix) -> np.ndarray:
-        return ((self.shared_b.T @ total) * self.shared_a).sum(axis=1)
 
 
 _STATES = {"lora": HydraState, "vera": VeraHydraState}
@@ -378,6 +347,7 @@ def _mix(weights: np.ndarray | None, clusters: np.ndarray) -> np.ndarray:
     return clusters if weights is None else np.tensordot(weights, clusters, axes=(1, 0))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the guards type non-finite results
 def _loss_and_grads_dense(state, mats: list[Matrix], cfg: HydraConfig):
     """Loss and gradients from one streamed d x k residual per task, with
     mixing and the chain rule in cluster space; no cluster product is
@@ -390,19 +360,26 @@ def _loss_and_grads_dense(state, mats: list[Matrix], cfg: HydraConfig):
     pulled = np.empty_like(mixed)  # E_i, the gradient with respect to c_mix_i
     per_task, shared = [], None
     for i, (target, c) in enumerate(zip(mats, mixed)):
-        pred = state.predict(c, basis)
+        pred = state.ADAPTER.predict(c, basis)
         if target.shape != pred.shape:
             raise ShapeError(f"target {i} has shape {target.shape}, its prediction {pred.shape}")
         value, g = distance_and_grad(target, pred, cfg.distance)
         if not np.isfinite(value):
             raise NumericalError(f"the prediction for task {i} overflowed to non-finite values")
         per_task.append(value)
-        pulled[i], term = state.pull_back(g, c, basis)
+        pulled[i], term = state.ADAPTER.pull_back(g, c, basis)
         shared = term if shared is None else np.add(shared, term, out=shared)
+    return _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg)
+
+
+def _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg: HydraConfig):
+    """``(loss, per_task, grads)`` from ``pulled[i] = E_i``, the gradient
+    with respect to ``c_mix_i``, and the summed ``shared`` gradient terms:
+    ``dc_j = sum_i w[i, j] E_i`` and the logits' ``g[i, j] = <E_i, c_j>``."""
     shared_name, cluster_name = state.NAMES
-    grads = {shared_name: state.shared_grad(shared)}
+    grads = {shared_name: state.ADAPTER.shared_grad(shared, state.frozen)}
     if weights is not None:
-        inner = pulled.reshape(len(mats), -1) @ clusters.reshape(len(clusters), -1).T
+        inner = pulled.reshape(len(pulled), -1) @ clusters.reshape(len(clusters), -1).T
         grads["logits"] = _logit_grad(weights, inner, cfg.temperature)
         pulled = np.tensordot(weights, pulled, axes=(0, 0))
     for j, grad in enumerate(pulled):
@@ -436,6 +413,7 @@ class _LowRankTargets:
     size: int  # d * k
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite tt is a typed error later
     def of(cls, targets: Sequence[LowRankAdapter]) -> "_LowRankTargets":
         b_t = np.ascontiguousarray(np.stack([as_matrix(t.b, "target B").T for t in targets]))
         a = np.stack([as_matrix(t.a, "target A") for t in targets])
@@ -443,6 +421,7 @@ class _LowRankTargets:
         return cls(b_t=b_t, a=a, tt=_trace(_cross(b_t, b_t), _cross(a, a)), size=d * k)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the guards type non-finite results
 def _loss_and_grads_factored(state: HydraState, tgt: _LowRankTargets, cfg: HydraConfig):
     """Loss and gradients of a smooth distance from r x r Gram products."""
     a_shared = state.a_shared
@@ -458,23 +437,11 @@ def _loss_and_grads_factored(state: HydraState, tgt: _LowRankTargets, cfg: Hydra
     )
     alpha3 = alpha[:, None, None]
     beta3 = beta[:, None, None]
-
-    grads: dict[str, np.ndarray] = {}
-    grads["a_shared"] = (
-        np.matmul(alpha3 * cross_b, tgt.a) + np.matmul(beta3 * gram_b, a_shared)
-    ).sum(axis=0)
-    # (G_i A^T)^T, one r x d block per task.
+    shared = (np.matmul(alpha3 * cross_b, tgt.a) + np.matmul(beta3 * gram_b, a_shared)).sum(axis=0)
+    # (G_i A^T)^T, one r x d block per task: E_i and B_j as transposed views.
     g_at_t = np.matmul(alpha3 * cross_a, tgt.b_t) + np.matmul(beta3 * gram_a, mix_t)
-    if weights is not None:
-        g_at_t = np.tensordot(weights, g_at_t, axes=(0, 0))
-        inner = alpha[:, None] * _trace(
-            _cross(clusters_t[None], tgt.b_t[:, None]), cross_a[:, None]
-        ) + beta[:, None] * _trace(_cross(clusters_t[None], mix_t[:, None]), gram_a)
-        grads["logits"] = _logit_grad(weights, inner, cfg.temperature)
-    for j, block in enumerate(g_at_t):
-        grads[f"b.{j}"] = np.ascontiguousarray(block.T)
-    per_task = values.tolist()
-    return float(sum(per_task)), per_task, HydraGrads(tensors=grads)
+    pulled, clusters = np.swapaxes(g_at_t, 1, 2), np.swapaxes(clusters_t, 1, 2)
+    return _chain_rule(state, weights, clusters, values.tolist(), pulled, shared, cfg)
 
 
 def _kernel(targets, cfg: HydraConfig):

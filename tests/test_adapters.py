@@ -67,6 +67,57 @@ class TestDeltaWeight:
         )
         assert delta_weight(adapter) == np.array([[210.0]])
 
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    def test_overflowing_update_raises(self, kind):
+        if kind == "lora":
+            adapter = LowRankAdapter(b=np.full((3, 2), 1e200), a=np.full((2, 4), 1e200))
+        else:
+            adapter = VeraAdapter(
+                lambda_b=np.full(3, 1e200),
+                lambda_d=np.full(2, 1e200),
+                shared_b=np.ones((3, 2)),
+                shared_a=np.ones((2, 4)),
+            )
+        with pytest.raises(ShapeError, match="matrix product overflowed"):
+            delta_weight(adapter)
+
+
+class TestUpdateMap:
+    """Each kind's ``pull_back`` and ``shared_grad`` are the adjoints of
+    ``predict`` in the cluster side and of ``basis`` in the shared side."""
+
+    @staticmethod
+    def adapter(kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "lora":
+            return LowRankAdapter(b=rng.standard_normal((5, 2)), a=rng.standard_normal((2, 4)))
+        return VeraAdapter(
+            lambda_b=rng.standard_normal(5),
+            lambda_d=rng.standard_normal(2),
+            shared_b=rng.standard_normal((5, 2)),
+            shared_a=rng.standard_normal((2, 4)),
+        )
+
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    def test_adjoints(self, kind):
+        adapter = self.adapter(kind, 0)
+        shared, cluster = adapter.sides()
+        frozen = adapter.frozen
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((5, 4))
+        d_shared = rng.standard_normal(shared.shape)
+        d_cluster = rng.standard_normal(cluster.shape)
+        basis = adapter.basis(shared, frozen)
+        pulled, term = adapter.pull_back(g, cluster, basis)
+        # <G, L(dc)> = <L^T(G), dc>
+        lhs = np.vdot(g, adapter.predict(d_cluster, basis))
+        assert lhs == pytest.approx(np.vdot(pulled, d_cluster), rel=1e-12)
+        # the update is linear in the shared side: <G, dL> = <dshared, shared_grad>
+        moved = adapter.predict(cluster, adapter.basis(shared + d_shared, frozen))
+        lhs = np.vdot(g, moved - adapter.predict(cluster, basis))
+        grad = adapter.shared_grad(term, frozen)
+        assert lhs == pytest.approx(np.vdot(np.ravel(grad), d_shared), rel=1e-9)
+
 
 class TestAdapterInvariants:
     def test_rank_mismatch_rejected(self):

@@ -144,6 +144,22 @@ class TestMerge:
         assert result.stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("distance", ["mae", "mse"])
+    def test_overflowing_step_prints_one_error_line(self, tmp_path, distance):
+        coll = tmp_path / "default.lrta"
+        assert run_cli("gen-synthetic", "--out", str(coll)).returncode == 0
+        out = tmp_path / "m.lrta"
+        result = run_cli(
+            "merge", "--in", str(coll), "--out", str(out), "--method", "hydraopt",
+            "--m", "2", "--epochs", "5", "--lr", "1e300", "--distance", distance,
+        )  # fmt: skip
+        assert result.returncode == 3
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error: slot layer.0.q: step 1: ")
+        assert result.stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["lora", "vera"])
     @pytest.mark.parametrize("m", ["2", "3"])
     def test_cos_on_zero_adapter_names_slot_and_task(self, tmp_path, kind, m):
