@@ -5,7 +5,9 @@ A collection is ``K`` tasks x a set of (layer, slot) positions, homogeneous
 in adapter kind, with identical shapes across tasks at each slot.  Merged
 bundles hold either one adapter per slot (baseline output) or a
 :class:`SharedSlot`: one shared side plus a list of cluster sides with a
-per-task cluster assignment.
+per-task cluster assignment.  The clustered slot classes are also the
+base of :mod:`hydramerge.hydra`'s training states, which add only the
+routing logits, Adam's moments and the step count.
 
 Each adapter class describes its kind, so no other layer branches on it:
 

@@ -50,6 +50,7 @@ or an assignment the writer would not emit is an error naming the key.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from pathlib import Path
@@ -364,30 +365,19 @@ def _read_bundle(tensors, meta) -> MergedBundle:
     if not slots:
         raise ValidationError("bundle contains no merged tensors")
 
-    by_slot: dict[SlotKey, dict] = {slot: {} for slot in slots}
-    for name in tensors:
-        m = _MERGED_TENSOR.match(name)
-        if not m:
-            continue
-        slot = SlotKey.from_label(m.group("slot"))
-        field, cluster = m.group("field"), m.group("cluster")
-        by_slot[slot][(field, cluster)] = tensors[name]
-
-    kind = "vera" if any(f.startswith("lambda") for info in by_slot.values() for (f, _) in info) else "lora"
+    fields = {m.group("field") for m in map(_MERGED_TENSOR.match, tensors) if m}
+    kind = "vera" if fields & {"lambda_b", "lambda_d"} else "lora"
     layout = _LAYOUTS[kind]
     entries: dict[SlotKey, object] = {}
     for slot in slots:
-        info = by_slot[slot]
         label = slot.label()
         frozen = _require_frozen(tensors, layout, label)
         shared = _require(tensors, f"merged.{label}.{layout.shared}")
-        clustered = sorted(
-            ((int(c), t) for (f, c), t in info.items() if f == layout.cluster and c is not None),
-            key=lambda pair: pair[0],
-        )
-        if clustered:
+        # B.0, B.1, ... up to the first gap; the stray check names the rest
+        names = (f"merged.{label}.{layout.cluster}.{j}" for j in itertools.count())
+        clusters = [tensors[name] for name in itertools.takewhile(tensors.__contains__, names)]
+        if clusters:
             assignment = _slot_assignment(assignment_meta, tasks, label)
-            clusters = [arr for _, arr in clustered]
             entries[slot] = layout.adapter.shared_slot(shared, clusters, frozen, assignment)
         else:
             cluster = _require(tensors, f"merged.{label}.{layout.cluster}")

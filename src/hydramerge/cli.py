@@ -109,11 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict, out_path: str | None = None) -> None:
+    """Write ``--out`` first, so a failed write prints no document."""
     text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _load_collection(path) -> AdapterCollection:

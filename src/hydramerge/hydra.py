@@ -11,10 +11,13 @@ the logits are dropped and task i is tied to cluster i: ``P_i = U_i``.
 Both adapter kinds share one optimizer.  A cluster parameter enters its
 product linearly, ``U_j = L(c_j)``, so predictions mix in cluster space:
 ``P_i = L(c_mix_i)`` with ``c_mix = w @ c``.  The parameters start from
-the targets' ``sides()`` and carry their ``frozen`` pair.  A kind is a
-state class holding its parameters; ``L`` and its adjoint are static
-methods of its adapter class ``ADAPTER`` (see :mod:`hydramerge.adapters`),
-which :func:`~hydramerge.adapters.delta_weight` uses too.  The dense
+the targets' ``sides()`` and carry their ``frozen`` pair.  A training
+state is the bundle slot it exports (:class:`HydraState` is a
+:class:`~hydramerge.adapters.SharedLoraSlot`, :class:`VeraHydraState` a
+:class:`~hydramerge.adapters.SharedVeraSlot`) plus routing logits, Adam
+moments and the step count.  ``L`` and its adjoint are static methods of
+the slot's ``adapter_type`` (see :mod:`hydramerge.adapters`), which
+:func:`~hydramerge.adapters.delta_weight` uses too.  The dense
 kernel builds ``P_i = predict(c_mix_i, basis)`` per task; ``pull_back``
 turns the distance gradient ``G_i`` at ``P_i`` into ``E_i = L^T(G_i)``
 and the task's term of the shared gradient, which ``shared_grad``
@@ -51,7 +54,9 @@ for the shared chain rule, at ``O(K r^2 (d + k) + K M r d)`` per step.
 Target-side and prediction-side products run through the same operations,
 so ``b_i == Bmix_i`` and ``a_i == A`` give bit-equal traces, a loss of
 exactly 0 and gradient terms that cancel exactly.  The dense kernel is
-the reference the factored one is tested against.
+the reference the factored one is tested against.  :func:`loss`,
+:func:`gradients` and :func:`train` run the same kernel for the same
+targets.
 
 Training stops with :class:`~hydramerge.errors.NumericalError`, naming the
 slot and step, when a prediction, the loss or a gradient turns non-finite
@@ -77,7 +82,9 @@ from .adapters import (
     AdapterCollection,
     LowRankAdapter,
     MergedBundle,
+    SharedLoraSlot,
     SharedSlot,
+    SharedVeraSlot,
     SlotKey,
     VeraAdapter,
     delta_weight,
@@ -155,83 +162,56 @@ class HydraConfig:
 
 @dataclass(kw_only=True)
 class _RoutedState:
-    """Routing logits (absent when M == K) and Adam's ``(m, v)`` moments
-    around a kind's ``params``, which ``NAMES`` names, of an ``ADAPTER``
-    kind with its ``frozen`` pair."""
+    """A slot being trained: the bundle slot's fields (its ``shared``,
+    ``clusters`` and ``frozen`` parts, which ``NAMES`` names) plus routing
+    logits (absent when M == K), Adam's ``(m, v)`` moments and the step
+    count.  The slot's ``assignment`` stays empty while training;
+    :meth:`export` builds the bundle slot with the argmax assignment."""
 
     NAMES: ClassVar[tuple[str, str]]
-    ADAPTER: ClassVar[type]
     logits: Matrix | None
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     step: int = 0
+    assignment: list[int] = field(default_factory=list)
+
+    @property
+    def params(self):
+        return self.shared, self.clusters
 
     @property
     def num_clusters(self) -> int:
-        return len(self.params[1])
+        return len(self.clusters)
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         shared_name, cluster_name = self.NAMES
-        shared, clusters = self.params
-        out = [(shared_name, shared)]
-        out += [(f"{cluster_name}.{j}", c) for j, c in enumerate(clusters)]
+        out = [(shared_name, self.shared)]
+        out += [(f"{cluster_name}.{j}", c) for j, c in enumerate(self.clusters)]
         if self.logits is not None:
             out.append(("logits", self.logits))
         return out
 
     def basis(self) -> Matrix:
-        return self.ADAPTER.basis(self.params[0], self.frozen)
+        return self.adapter_type.basis(self.shared, self.frozen)
 
     def export(self, assignment: list[int]) -> SharedSlot:
-        shared, clusters = self.params
-        return self.ADAPTER.shared_slot(shared, clusters, self.frozen, assignment)
+        return self.adapter_type.shared_slot(self.shared, self.clusters, self.frozen, assignment)
 
 
 @dataclass
-class HydraState(_RoutedState):
+class HydraState(_RoutedState, SharedLoraSlot):
     """LoRA: shared input-side factor ``A``, cluster factors ``B_j``."""
 
-    a_shared: Matrix
-    b_clusters: list[Matrix]
     NAMES: ClassVar[tuple[str, str]] = ("a_shared", "b")
-    ADAPTER: ClassVar[type] = LowRankAdapter
-    frozen: ClassVar[tuple] = ()
-
-    @property
-    def params(self):
-        return self.a_shared, self.b_clusters
-
-    @classmethod
-    def build(cls, shared, clusters, logits, frozen) -> "HydraState":
-        return cls(a_shared=shared, b_clusters=clusters, logits=logits)
 
 
 @dataclass
-class VeraHydraState(_RoutedState):
+class VeraHydraState(_RoutedState, SharedVeraSlot):
     """VeRA: inner vector ``lambda_d``, cluster outer vectors ``lambda_b_j``."""
 
-    lambda_d: np.ndarray
-    lambda_b_clusters: list[np.ndarray]
-    shared_b: Matrix
-    shared_a: Matrix
     NAMES: ClassVar[tuple[str, str]] = ("lambda_d", "lambda_b")
-    ADAPTER: ClassVar[type] = VeraAdapter
-
-    @property
-    def params(self):
-        return self.lambda_d, self.lambda_b_clusters
-
-    @property
-    def frozen(self) -> tuple[Matrix, Matrix]:
-        return self.shared_a, self.shared_b
-
-    @classmethod
-    def build(cls, shared, clusters, logits, frozen) -> "VeraHydraState":
-        shared_a, shared_b = frozen
-        clusters = [c.ravel() for c in clusters]
-        return cls(shared.ravel(), clusters, shared_b, shared_a, logits=logits)
 
 
-_STATES = {"lora": HydraState, "vera": VeraHydraState}
+_STATES = {cls.adapter_type: cls for cls in (HydraState, VeraHydraState)}
 
 
 @dataclass
@@ -282,7 +262,8 @@ def _new_state(targets, num_clusters: int, rng: Rng, stdev: float | None):
         if num_clusters < len(targets)
         else None
     )
-    state = _STATES[first.kind].build(shared, clusters, logits, first.frozen)
+    slot = type(first).shared_slot(shared, clusters, first.frozen, [])
+    state = _STATES[type(first)](**vars(slot), logits=logits)
     _zero_moments(state)
     return state
 
@@ -318,8 +299,7 @@ def _routing(state, cfg: HydraConfig, num_tasks: int) -> np.ndarray | None:
 
 def loss(state, targets, cfg: HydraConfig) -> tuple[float, list[float]]:
     """Objective and per-task distances, routed if the state has logits."""
-    value, per_task, _ = _loss_and_grads_dense(state, _target_matrices(targets), cfg)
-    return value, per_task
+    return _kernel(targets, cfg)(state)[:2]
 
 
 def loss_eq1(state, targets, cfg: HydraConfig) -> tuple[float, list[float]]:
@@ -355,19 +335,19 @@ def _loss_and_grads_dense(state, mats: list[Matrix], cfg: HydraConfig):
     :class:`ShapeError`, a non-finite prediction :class:`NumericalError`."""
     weights = _routing(state, cfg, len(mats))
     basis = state.basis()
-    clusters = np.stack(state.params[1])
+    clusters = np.stack(state.clusters)
     mixed = _mix(weights, clusters)
     pulled = np.empty_like(mixed)  # E_i, the gradient with respect to c_mix_i
     per_task, shared = [], None
     for i, (target, c) in enumerate(zip(mats, mixed)):
-        pred = state.ADAPTER.predict(c, basis)
+        pred = state.adapter_type.predict(c, basis)
         if target.shape != pred.shape:
             raise ShapeError(f"target {i} has shape {target.shape}, its prediction {pred.shape}")
         value, g = distance_and_grad(target, pred, cfg.distance)
         if not np.isfinite(value):
             raise NumericalError(f"the prediction for task {i} overflowed to non-finite values")
         per_task.append(value)
-        pulled[i], term = state.ADAPTER.pull_back(g, c, basis)
+        pulled[i], term = state.adapter_type.pull_back(g, c, basis)
         shared = term if shared is None else np.add(shared, term, out=shared)
     return _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg)
 
@@ -377,7 +357,7 @@ def _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg: HydraCo
     with respect to ``c_mix_i``, and the summed ``shared`` gradient terms:
     ``dc_j = sum_i w[i, j] E_i`` and the logits' ``g[i, j] = <E_i, c_j>``."""
     shared_name, cluster_name = state.NAMES
-    grads = {shared_name: state.ADAPTER.shared_grad(shared, state.frozen)}
+    grads = {shared_name: state.adapter_type.shared_grad(shared, state.frozen)}
     if weights is not None:
         inner = pulled.reshape(len(pulled), -1) @ clusters.reshape(len(clusters), -1).T
         grads["logits"] = _logit_grad(weights, inner, cfg.temperature)

@@ -134,18 +134,7 @@ def distance(x, y, kind: DistanceKind) -> float:
     a = as_matrix(x, "x")
     b = as_matrix(y, "y")
     _require_same_shape(a, b, "distance")
-    kind = DistanceKind(kind)
-    if kind is DistanceKind.MAE:
-        return float(np.mean(np.abs(a - b)))
-    if kind is DistanceKind.MSE:
-        return float(np.mean((a - b) ** 2))
-    if kind is DistanceKind.FRO:
-        return float(np.sqrt(np.sum((a - b) ** 2)))
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine distance is undefined for a zero matrix")
-    return 1.0 - float(np.vdot(a, b)) / (na * nb)
+    return distance_and_grad(a, b, kind)[0]
 
 
 def mae_and_fro(x, y) -> tuple[float, float]:
@@ -174,11 +163,12 @@ def distance_and_grad(x: Matrix, y: Matrix, kind: DistanceKind) -> tuple[float, 
     kind = DistanceKind(kind)
     if kind is DistanceKind.COS:
         nx = float(np.linalg.norm(x))
-        ny = float(np.linalg.norm(y))
+        ny = np.linalg.norm(y)  # a numpy scalar: ny**3 overflows to inf, not OverflowError
         if nx == 0.0 or ny == 0.0:
             raise DegenerateInputError("cosine distance is undefined for a zero matrix")
         dot = float(np.vdot(x, y))
-        return 1.0 - dot / (nx * ny), -x / (nx * ny) + dot * y / (nx * ny**3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(1.0 - dot / (nx * ny)), -x / (nx * ny) + dot * y / (nx * ny**3)
     diff = x - y
     if kind is DistanceKind.MAE:
         return float(np.mean(np.abs(diff))), -np.sign(diff) / diff.size
@@ -454,4 +444,5 @@ def gaussian_sample(rng: Rng, rows: int, cols: int, mean: float, stdev: float) -
     if stdev < 0:
         raise ParameterError(f"stdev must be >= 0, got {stdev}")
     z = rng.normals(rows * cols)
-    return (mean + stdev * z).reshape(rows, cols)
+    with np.errstate(over="ignore"):  # callers type a non-finite draw
+        return (mean + stdev * z).reshape(rows, cols)

@@ -9,6 +9,7 @@ regime the merging procedures are designed around.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .adapters import AdapterCollection, LowRankAdapter, SlotKey
@@ -41,8 +42,9 @@ class SynthSpec:
             raise ParameterError(
                 f"rank {self.rank} exceeds min(d, k) = {min(self.d, self.k)}"
             )
-        if self.a_noise < 0 or self.b_scale < 0:
-            raise ParameterError("noise scales must be non-negative")
+        for name in ("a_noise", "b_scale"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     def slot_keys(self) -> list[SlotKey]:
         return sorted(

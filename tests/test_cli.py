@@ -367,3 +367,54 @@ class TestUsageErrors:
     def test_missing_subcommand(self):
         result = run_cli()
         assert result.returncode == 2
+
+
+class TestFailedOutWrite:
+    @pytest.mark.parametrize(
+        "command", ["report-storage", "eval-recon", "analyze-similarity", "grad-check"]
+    )
+    def test_unwritable_out_prints_no_document(self, small_archive, tmp_path, command):
+        merged = tmp_path / "merged.lrta"
+        run_cli("merge", "--in", str(small_archive), "--out", str(merged), "--method", "ta")
+        inputs = {
+            "report-storage": ["--in", str(small_archive), "--merged", str(merged)],
+            "eval-recon": ["--in", str(small_archive), "--merged", str(merged)],
+            "analyze-similarity": ["--in", str(small_archive)],
+            "grad-check": ["--instances", "1"],
+        }[command]
+        out = tmp_path / "missing-dir" / "x.json"
+        result = run_cli(command, *inputs, "--out", str(out))
+        assert result.returncode == 3
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+        assert not out.exists()
+
+
+class TestSyntheticScales:
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("a-noise", "nan", "a_noise"),
+            ("a-noise", "inf", "a_noise"),
+            ("a-noise", "-1", "a_noise"),
+            ("b-scale", "nan", "b_scale"),
+            ("b-scale", "inf", "b_scale"),
+        ],
+    )
+    def test_bad_scale_names_the_field(self, tmp_path, flag, value, field):
+        out = tmp_path / "c.lrta"
+        result = run_cli(*gen_args(out, **{flag: value}))
+        assert result.returncode == 3
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {field} must be finite"), lines
+        assert not out.exists()
+
+    def test_overflowing_draw_is_one_typed_error(self, tmp_path):
+        out = tmp_path / "c.lrta"
+        result = run_cli(*gen_args(out, **{"a-noise": "1e308"}))
+        assert result.returncode == 3
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "Warning" not in result.stderr
+        assert not out.exists()

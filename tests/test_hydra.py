@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from hydramerge.adapters import LowRankAdapter, SharedLoraSlot, VeraAdapter
+from hydramerge.adapters import LowRankAdapter, SharedLoraSlot, SharedVeraSlot, VeraAdapter
 from hydramerge import hydra
 from hydramerge.adapters import AdapterCollection, SlotKey
 from hydramerge.errors import (
@@ -785,3 +785,46 @@ class TestResidualOnceKernel:
         dense = d * k * 8
         assert max(peaks) < 8 * dense, [p / dense for p in peaks]
         assert abs(peaks[1] - peaks[0]) < dense, [p / dense for p in peaks]
+
+
+SLOT_CLASSES = {"lora": SharedLoraSlot, "vera": SharedVeraSlot}
+
+
+class TestStateIsSlot:
+    """A training state is the bundle slot it exports, and ``loss`` runs
+    the kernel that ``train`` runs."""
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    def test_loss_of_untrained_state_is_final_loss(self, adapter, kind, num_clusters):
+        targets = kind_targets(adapter, 4, d=12, r=3, k=9, seed=5)
+        cfg = HydraConfig(num_clusters=num_clusters, distance=kind, epochs=0)
+        state, trace = train(targets, cfg, Rng(3))
+        assert loss(state, targets, cfg)[0] == trace.final_loss
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("num_clusters", [2, 3])
+    def test_init_state_is_a_slot_of_its_kind(self, adapter, num_clusters):
+        targets = kind_targets(adapter, 3, d=6, r=2, k=5, seed=1)
+        state = init_state(targets, HydraConfig(num_clusters=num_clusters), Rng(0))
+        assert isinstance(state, SLOT_CLASSES[adapter])
+        assert state.assignment == []
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    def test_export_slot_is_the_plain_slot(self, adapter):
+        from hydramerge.hydra import export_slot
+
+        targets = kind_targets(adapter, 4, d=6, r=2, k=5, seed=2)
+        cfg = HydraConfig(num_clusters=2, epochs=3)
+        state, _ = train(targets, cfg, Rng(0))
+        assignment = assign_tasks(state, cfg)
+        entry = export_slot(state, assignment)
+        assert type(entry) is SLOT_CLASSES[adapter]
+        assert entry.assignment == assignment
+        assert np.array_equal(entry.shared, state.shared)
+        assert len(entry.clusters) == len(state.clusters) == 2
+        for got, want in zip(entry.clusters, state.clusters):
+            assert np.array_equal(got, want)
+        for got, want in zip(entry.frozen, state.frozen):
+            assert np.array_equal(got, want)

@@ -527,3 +527,18 @@ class TestExactMean:
         for step in (-2, -1, 0, 1, 2):
             accepted = linalg._is_rounded_mean(total, _from_bits(want + step), k)
             assert np.all(accepted == (step == 0))
+
+
+class TestCosineAtLargeNorms:
+    def test_cube_of_a_large_norm_raises_no_overflow_error(self):
+        """``|y|^3`` in the cosine gradient overflows past |y| ~ 1e103; the
+        distance stays scale-invariant and the gradient finite, with no
+        warning."""
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        unit = np.array([[1.0, 2.0], [3.0, 5.0]])
+        with np.errstate(all="raise"):
+            value, grad = distance_and_grad(x, 1e120 * unit, DistanceKind.COS)
+        assert value == distance(x, 1e120 * unit, DistanceKind.COS)
+        assert value == pytest.approx(distance(x, unit, DistanceKind.COS), rel=1e-12)
+        assert np.all(np.isfinite(grad))
+        assert np.array_equal(distance_grad(x, 1e120 * unit, DistanceKind.COS), grad)
