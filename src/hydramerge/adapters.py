@@ -23,13 +23,22 @@ Each adapter class describes its kind, so no other layer branches on it:
   gives its adjoint ``L^T(g)`` and ``c``'s term of the shared side's
   gradient, which ``shared_grad(total, frozen)`` finishes from the summed
   terms.  :func:`delta_weight` and :mod:`hydramerge.hydra` both use them.
+
+Each pairing rule has one owner here.  :func:`check_slot` says when
+adapters can share a slot (one kind, one ``(d, r, k)``, one frozen pair);
+collections and :mod:`hydramerge.hydra`'s targets are checked with it.
+:meth:`MergedBundle.of` builds a bundle over a collection's kind, tasks and
+slots for a merge to fill, and :meth:`MergedBundle.check_pairs` says
+whether a bundle belongs to a collection: its tasks in order, its slots
+and, per slot, :func:`check_slot` between the two.  The reports refuse a
+bundle that fails it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping, Sequence, Union
+from typing import ClassVar, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -238,10 +247,28 @@ class VeraAdapter:
 Adapter = Union[LowRankAdapter, VeraAdapter]
 
 
-def same_frozen(adapters: Sequence[Adapter]) -> bool:
-    """Whether every adapter carries the first one's frozen pair."""
-    first = adapters[0].frozen
-    return all(all(map(np.array_equal, first, other.frozen)) for other in adapters[1:])
+def check_slot(adapters: Mapping[str, Adapter], where: str) -> None:
+    """Raise :class:`ValidationError` unless every adapter has the first
+    one's kind, ``(d, r, k)`` and frozen pair, as adapters sharing a slot
+    must.  ``adapters`` maps a label for each (``task 't1'``, ``the
+    bundle``) to the adapter; the error names ``where`` and the first
+    offender."""
+    (first_name, first), *rest = adapters.items()
+    for name, adapter in rest:
+        if (adapter.kind, adapter.shape_signature()) != (first.kind, first.shape_signature()):
+            raise ValidationError(
+                f"{where}: {name} is {adapter.kind} with (d, r, k) = {adapter.shape_signature()}, "
+                f"{first_name} is {first.kind} with {first.shape_signature()}"
+            )
+        if not all(map(np.array_equal, first.frozen, adapter.frozen)):
+            raise ValidationError(f"{where}: {name} and {first_name} carry different frozen pairs")
+
+
+def _check_task_ids(ids, field: str) -> None:
+    """At least one id, each a distinct non-empty string: the archive's
+    tensor names and ``meta.tasks`` carry nothing else."""
+    if not ids or not all(isinstance(t, str) and t for t in ids) or len(set(ids)) != len(ids):
+        raise ValidationError(f"{field} must be distinct non-empty strings, got {ids!r}")
 
 
 def delta_weight(adapter: Adapter) -> Matrix:
@@ -272,41 +299,26 @@ class AdapterCollection:
         task_ids: Iterable[str],
         table: Mapping[tuple[str, SlotKey], Adapter],
     ) -> "AdapterCollection":
-        tasks = list(task_ids)
-        if not tasks:
-            raise ValidationError("a collection needs at least one task")
-        if len(set(tasks)) != len(tasks):
-            raise ValidationError("duplicate task ids")
         slots = sorted({slot for (_, slot) in table})
-        if not slots:
-            raise ValidationError("a collection needs at least one slot")
-        coll = cls(task_ids=tasks, slots=slots, table=dict(table))
+        coll = cls(task_ids=list(task_ids), slots=slots, table=dict(table))
         coll.validate()
         return coll
 
     def validate(self) -> None:
+        _check_task_ids(self.task_ids, "task_ids")
+        if not self.slots:
+            raise ValidationError("a collection needs at least one slot")
         kinds = {type(adapter) for adapter in self.table.values()}
         if len(kinds) > 1:
             raise ValidationError("collection mixes adapter kinds")
         for slot in self.slots:
-            signature = None
             for task in self.task_ids:
-                adapter = self.table.get((task, slot))
-                if adapter is None:
+                if (task, slot) not in self.table:
                     raise ValidationError(
                         f"missing adapter for task {task!r} at slot {slot.label()}"
                     )
-                if signature is None:
-                    signature = adapter.shape_signature()
-                elif adapter.shape_signature() != signature:
-                    raise ValidationError(
-                        f"inconsistent shapes at slot {slot.label()}: task {task!r} "
-                        f"has (d, r, k) = {adapter.shape_signature()}, expected {signature}"
-                    )
-            if not same_frozen(self.adapters_at(slot)):
-                raise ValidationError(
-                    f"frozen shared factors differ across tasks at slot {slot.label()}"
-                )
+            names = (f"task {task!r}" for task in self.task_ids)
+            check_slot(dict(zip(names, self.adapters_at(slot))), f"slot {slot.label()}")
 
     @property
     def kind(self) -> str:
@@ -337,6 +349,13 @@ class MergedAdapterSlot:
     adapter: Adapter
 
     @property
+    def kind(self) -> str:
+        return self.adapter.kind
+
+    def member(self, j: int) -> Adapter:
+        return self.adapter
+
+    @property
     def param_count(self) -> int:
         # the frozen pair, if any, is stored alongside the merged adapter
         return self.adapter.param_count + sum(f.size for f in self.adapter.frozen)
@@ -354,9 +373,15 @@ class SharedSlot:
 
     def __post_init__(self):
         m = len(self.clusters)
+        if m == 0:
+            raise ValidationError("clusters is empty; a shared slot needs at least one cluster")
         for idx in self.assignment:
             if not (0 <= idx < m):
                 raise ValidationError(f"assignment index {idx} out of range [0, {m})")
+
+    @property
+    def kind(self) -> str:
+        return self.adapter_type.kind
 
     def member(self, j: int) -> Adapter:
         return self.adapter_type.from_sides(self.shared, self.clusters[j], self.frozen)
@@ -426,20 +451,43 @@ class MergedBundle:
     slots: list[SlotKey] = field(default_factory=list)
     entries: dict[SlotKey, MergedSlot] = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, collection: AdapterCollection, method: str) -> "MergedBundle":
+        """An empty bundle over ``collection``'s kind, tasks and slots, for
+        a merge to fill."""
+        return cls(method, collection.kind, list(collection.task_ids), list(collection.slots))
+
     def validate(self) -> None:
         if self.kind not in ("lora", "vera"):
             raise ValidationError(f"unknown bundle kind {self.kind!r}")
-        if not self.tasks:
-            raise ValidationError("a bundle needs at least one task")
+        if not isinstance(self.method, str):
+            raise ValidationError(f"method must be a string, got {self.method!r}")
+        _check_task_ids(self.tasks, "tasks")
+        if not self.slots:
+            raise ValidationError("slots is empty; a bundle needs at least one slot")
         if set(self.slots) != set(self.entries):
             raise ValidationError("bundle slots and entries disagree")
         for slot, entry in self.entries.items():
+            if entry.kind != self.kind:
+                raise ValidationError(f"kind {self.kind!r} does not match slot {slot.label()}")
             if isinstance(entry, SharedSlot):
                 if len(entry.assignment) != len(self.tasks):
                     raise ValidationError(
                         f"slot {slot.label()} assigns {len(entry.assignment)} tasks, "
                         f"expected {len(self.tasks)}"
                     )
+
+    def check_pairs(self, collection: AdapterCollection) -> None:
+        """Raise :class:`ValidationError` unless this bundle was merged over
+        ``collection``: the same tasks in order, the same slots and, at each
+        slot, :func:`check_slot` between the two."""
+        if set(collection.slots) != set(self.slots):
+            raise ValidationError("collection and bundle cover different slots")
+        if list(collection.task_ids) != list(self.tasks):
+            raise ValidationError("collection and bundle cover different tasks")
+        for slot in collection.slots:
+            ours, theirs = collection.adapter(self.tasks[0], slot), self.entries[slot].member(0)
+            check_slot({"the collection": ours, "the bundle": theirs}, f"slot {slot.label()}")
 
     @property
     def param_count(self) -> int:

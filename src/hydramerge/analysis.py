@@ -21,20 +21,15 @@ class SimilarityReport:
     b_matrices: dict[SlotKey, np.ndarray] = field(default_factory=dict)
 
     def grand_mean(self, which: str) -> float:
-        mats = self._pick(which)
+        if which not in ("A", "B"):
+            raise ParameterError(f"factor must be 'A' or 'B', got {which!r}")
+        mats = self.a_matrices if which == "A" else self.b_matrices
         return float(np.mean([_offdiag_mean(m) for m in mats.values()]))
 
-    def _pick(self, which: str) -> dict[SlotKey, np.ndarray]:
-        if which == "A":
-            return self.a_matrices
-        if which == "B":
-            return self.b_matrices
-        raise ParameterError(f"factor must be 'A' or 'B', got {which!r}")
-
     def to_dict(self) -> dict:
-        def section(mats: dict[SlotKey, np.ndarray]) -> dict:
+        def section(which: str, mats: dict[SlotKey, np.ndarray]) -> dict:
             return {
-                "grand_mean": float(np.mean([_offdiag_mean(m) for m in mats.values()])),
+                "grand_mean": self.grand_mean(which),
                 "per_slot": {
                     slot.label(): {
                         "matrix": mats[slot].tolist(),
@@ -46,7 +41,7 @@ class SimilarityReport:
 
         return {
             "tasks": list(self.tasks),
-            "similarity": {"A": section(self.a_matrices), "B": section(self.b_matrices)},
+            "similarity": {"A": section("A", self.a_matrices), "B": section("B", self.b_matrices)},
         }
 
 
@@ -142,11 +137,10 @@ class ReconReport:
 
 def reconstruction_report(original: AdapterCollection, merged: MergedBundle) -> ReconReport:
     """Compare every task's original update against the bundle's prediction
-    for that task, per slot, in mean-absolute and Frobenius terms."""
-    if set(original.slots) != set(merged.slots):
-        raise ValidationError("collection and bundle cover different slots")
-    if list(original.task_ids) != list(merged.tasks):
-        raise ValidationError("collection and bundle cover different tasks")
+    for that task, per slot, in mean-absolute and Frobenius terms.  A bundle
+    not merged over ``original`` raises :class:`ValidationError` (see
+    :meth:`~hydramerge.adapters.MergedBundle.check_pairs`)."""
+    merged.check_pairs(original)
     report = ReconReport(tasks=list(original.task_ids), slots=list(original.slots))
     for slot in original.slots:
         entry = merged.entries[slot]

@@ -84,8 +84,9 @@ _LAYOUTS = {
 }
 
 _HEADER_BYTES = 8
-_TASK_TENSOR = re.compile(
-    r"^task\.(?P<task>.+)\.(?P<slot>layer\.\d+\.[A-Za-z0-9_]+)\.(?P<field>A|B|lambda_b|lambda_d)$"
+_TASK_TENSOR = re.compile(  # DOTALL: a task id may hold any character
+    r"^task\.(?P<task>.+)\.(?P<slot>layer\.\d+\.[A-Za-z0-9_]+)\.(?P<field>A|B|lambda_b|lambda_d)$",
+    re.DOTALL,
 )
 _MERGED_TENSOR = re.compile(
     r"^merged\.(?P<slot>layer\.\d+\.[A-Za-z0-9_]+)\."
@@ -170,13 +171,12 @@ def _bundle_tensors(bundle: MergedBundle) -> tuple[dict, dict]:
     for slot in bundle.slots:
         label = slot.label()
         entry = bundle.entries[slot]
+        layout = _LAYOUTS[entry.kind]
         if isinstance(entry, SharedSlot):
-            layout = _LAYOUTS[entry.adapter_type.kind]
             shared, frozen = entry.shared, entry.frozen
             for j, cluster in enumerate(entry.clusters):
                 tensors[f"merged.{label}.{layout.cluster}.{j}"] = cluster
         else:
-            layout = _LAYOUTS[entry.adapter.kind]
             (shared, cluster), frozen = entry.adapter.sides(), entry.adapter.frozen
             tensors[f"merged.{label}.{layout.cluster}"] = cluster
         tensors[f"merged.{label}.{layout.shared}"] = shared
@@ -334,8 +334,6 @@ def _require_frozen(tensors, layout: _Layout, label: str) -> tuple:
 def _read_collection(tensors, meta, layout: _Layout) -> AdapterCollection:
     tasks = list(meta["tasks"])
     slots = _slots_from_names(tensors, _TASK_TENSOR, tasks)
-    if not slots:
-        raise ValidationError("archive contains no adapter tensors")
     table: dict[tuple[str, SlotKey], Adapter] = {}
     for slot in slots:
         label = slot.label()
@@ -349,8 +347,6 @@ def _read_collection(tensors, meta, layout: _Layout) -> AdapterCollection:
 
 def _read_bundle(tensors, meta) -> MergedBundle:
     tasks = list(meta["tasks"])
-    if not tasks:
-        raise ValidationError("bundle declares no tasks")
     method = meta.get("method", "")
     if not isinstance(method, str):
         raise ArchiveFormatError(f"meta.method must be a string, got {method!r}")
@@ -362,9 +358,6 @@ def _read_bundle(tensors, meta) -> MergedBundle:
     ):
         raise ArchiveFormatError("meta.assignment must map tasks to {slot: int} objects")
     slots = _slots_from_names(tensors, _MERGED_TENSOR)
-    if not slots:
-        raise ValidationError("bundle contains no merged tensors")
-
     fields = {m.group("field") for m in map(_MERGED_TENSOR.match, tensors) if m}
     kind = "vera" if fields & {"lambda_b", "lambda_d"} else "lora"
     layout = _LAYOUTS[kind]

@@ -156,12 +156,7 @@ def merge_collection(collection: AdapterCollection, cfg: BaselineConfig) -> Merg
     cluster sides, drawing from that slot's stream throughout.
     """
     cfg.validate()
-    bundle = MergedBundle(
-        method=cfg.method.value,
-        kind=collection.kind,
-        tasks=list(collection.task_ids),
-        slots=list(collection.slots),
-    )
+    bundle = MergedBundle.of(collection, cfg.method.value)
     identity = list(range(collection.num_tasks))
     for slot in collection.slots:
         rng = Rng(cfg.seed ^ stable_hash64(slot.label()))

@@ -6,6 +6,11 @@ stdout, and sends diagnostics to stderr (level set by the
 randomness flows from ``--seed``, so repeating a command with identical
 flags reproduces its outputs byte for byte.
 
+``report-storage`` and ``eval-recon`` refuse a bundle that was not merged
+from the collection given with ``--in``: other tasks or slots, or a slot
+whose adapter kind, ``(d, r, k)`` or VeRA frozen pair differs (see
+:meth:`~hydramerge.adapters.MergedBundle.check_pairs`).
+
 Exit codes: 0 success, 1 failed gradient check, 2 usage error,
 3 validation or file-format error.
 """
@@ -41,6 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-synthetic", help="write a synthetic adapter collection")
+    gen.set_defaults(run=_cmd_gen_synthetic)
     gen.add_argument("--out", required=True, help="output archive path")
     gen.add_argument("--tasks", type=int, default=5)
     gen.add_argument("--layers", type=int, default=2)
@@ -53,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
 
     merge = sub.add_parser("merge", help="merge a collection into a bundle archive")
+    merge.set_defaults(run=lambda args: _cmd_merge(args, parser))
     merge.add_argument("--in", dest="archive_in", required=True)
     merge.add_argument("--out", dest="archive_out", required=True)
     merge.add_argument(
@@ -87,20 +94,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     storage = sub.add_parser("report-storage", help="storage accounting for a merge")
+    storage.set_defaults(run=_cmd_report_storage)
     storage.add_argument("--in", dest="archive_in", required=True)
     storage.add_argument("--merged", required=True)
     storage.add_argument("--out", default=None, help="also write the JSON here")
 
     similarity = sub.add_parser("analyze-similarity", help="pairwise factor similarity")
+    similarity.set_defaults(run=_cmd_analyze_similarity)
     similarity.add_argument("--in", dest="archive_in", required=True)
     similarity.add_argument("--out", default=None)
 
     recon = sub.add_parser("eval-recon", help="reconstruction error of a bundle")
+    recon.set_defaults(run=_cmd_eval_recon)
     recon.add_argument("--in", dest="archive_in", required=True)
     recon.add_argument("--merged", required=True)
     recon.add_argument("--out", default=None)
 
     grad = sub.add_parser("grad-check", help="finite-difference gradient check")
+    grad.set_defaults(run=_cmd_grad_check)
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("--instances", type=int, default=20)
     grad.add_argument("--tolerance", type=float, default=1e-5)
@@ -117,18 +128,26 @@ def _emit(doc: dict, out_path: str | None = None) -> None:
     print(text)
 
 
-def _load_collection(path) -> AdapterCollection:
+_ARCHIVED = {AdapterCollection: "collection", MergedBundle: "merged bundle"}
+
+
+def _load(path, expected: type):
+    """Read an archive that must hold an ``expected`` object."""
     loaded = read_archive(path)
-    if not isinstance(loaded, AdapterCollection):
-        raise HydraMergeError(f"{path} holds a merged bundle, expected a collection")
+    if not isinstance(loaded, expected):
+        raise HydraMergeError(
+            f"{path} holds a {_ARCHIVED[type(loaded)]}, expected a {_ARCHIVED[expected]}"
+        )
     return loaded
 
 
-def _load_bundle(path) -> MergedBundle:
-    loaded = read_archive(path)
-    if not isinstance(loaded, MergedBundle):
-        raise HydraMergeError(f"{path} holds a collection, expected a merged bundle")
-    return loaded
+def _storage(collection: AdapterCollection, bundle: MergedBundle) -> dict:
+    original, merged = collection.param_count(), bundle.param_count
+    return {
+        "original_params": original,
+        "merged_params": merged,
+        "ratio_percent": storage_ratio_percent(original, merged),
+    }
 
 
 def _cmd_gen_synthetic(args) -> int:
@@ -164,7 +183,7 @@ def _cmd_merge(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--a-only does not apply to hydraopt")
     if args.method != "hydraopt" and args.m is not None:
         parser.error("--m only applies to hydraopt")
-    collection = _load_collection(args.archive_in)
+    collection = _load(args.archive_in, AdapterCollection)
     doc: dict = {
         "command": "merge",
         "method": args.method,
@@ -205,36 +224,22 @@ def _cmd_merge(args, parser: argparse.ArgumentParser) -> int:
         bundle = merge_collection(collection, cfg)
     write_archive(bundle, args.archive_out)
     log.info("wrote %s", args.archive_out)
-    original = collection.param_count()
-    merged = bundle.param_count
-    doc["original_params"] = original
-    doc["merged_params"] = merged
-    doc["storage_ratio_percent"] = storage_ratio_percent(original, merged)
+    doc.update(_storage(collection, bundle))
+    doc["storage_ratio_percent"] = doc.pop("ratio_percent")
     _emit(doc)
     return 0
 
 
 def _cmd_report_storage(args) -> int:
-    collection = _load_collection(args.archive_in)
-    bundle = _load_bundle(args.merged)
-    original = collection.param_count()
-    merged = bundle.param_count
-    _emit(
-        {
-            "command": "report-storage",
-            "storage": {
-                "original_params": original,
-                "merged_params": merged,
-                "ratio_percent": storage_ratio_percent(original, merged),
-            },
-        },
-        args.out,
-    )
+    collection = _load(args.archive_in, AdapterCollection)
+    bundle = _load(args.merged, MergedBundle)
+    bundle.check_pairs(collection)
+    _emit({"command": "report-storage", "storage": _storage(collection, bundle)}, args.out)
     return 0
 
 
 def _cmd_analyze_similarity(args) -> int:
-    collection = _load_collection(args.archive_in)
+    collection = _load(args.archive_in, AdapterCollection)
     doc = {"command": "analyze-similarity"}
     doc.update(pairwise_similarity(collection).to_dict())
     _emit(doc, args.out)
@@ -242,8 +247,8 @@ def _cmd_analyze_similarity(args) -> int:
 
 
 def _cmd_eval_recon(args) -> int:
-    collection = _load_collection(args.archive_in)
-    bundle = _load_bundle(args.merged)
+    collection = _load(args.archive_in, AdapterCollection)
+    bundle = _load(args.merged, MergedBundle)
     doc = {"command": "eval-recon", "method": bundle.method}
     doc.update(reconstruction_report(collection, bundle).to_dict())
     _emit(doc, args.out)
@@ -266,17 +271,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen-synthetic":
-            return _cmd_gen_synthetic(args)
-        if args.command == "merge":
-            return _cmd_merge(args, parser)
-        if args.command == "report-storage":
-            return _cmd_report_storage(args)
-        if args.command == "analyze-similarity":
-            return _cmd_analyze_similarity(args)
-        if args.command == "eval-recon":
-            return _cmd_eval_recon(args)
-        return _cmd_grad_check(args)
+        return args.run(args)
     except (HydraMergeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -87,8 +87,8 @@ from .adapters import (
     SharedVeraSlot,
     SlotKey,
     VeraAdapter,
+    check_slot,
     delta_weight,
-    same_frozen,
 )
 from .errors import (
     DegenerateInputError,
@@ -241,15 +241,8 @@ def _target_matrices(targets) -> list[Matrix]:
 def _new_state(targets, num_clusters: int, rng: Rng, stdev: float | None):
     """A state of the targets' kind as :func:`init_state` draws it, with
     N(0, stdev) parameters or, for ``stdev=None``, the mean init."""
+    check_slot({f"target {i}": t for i, t in enumerate(targets)}, "the targets")
     first = targets[0]
-    signature = first.shape_signature()
-    for t in targets[1:]:
-        if type(t) is not type(first) or t.shape_signature() != signature:
-            raise ValidationError(
-                f"targets disagree on kind or (d, r, k): {t.shape_signature()} vs {signature}"
-            )
-    if not same_frozen(targets):
-        raise ValidationError("targets do not share identical frozen factors")
     own = [t.sides() for t in targets]
     if stdev is None:
         shared = exact_mean([s for s, _ in own])
@@ -552,12 +545,7 @@ def merge_collection_hydra(
     no slot's result depends on another's.
     """
     cfg.validate(collection.num_tasks)
-    bundle = MergedBundle(
-        method="hydraopt",
-        kind=collection.kind,
-        tasks=list(collection.task_ids),
-        slots=list(collection.slots),
-    )
+    bundle = MergedBundle.of(collection, "hydraopt")
     per_slot = {}
     for slot in collection.slots:
         bundle.entries[slot], trace = _train_slot(collection, slot, cfg)

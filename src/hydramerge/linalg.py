@@ -98,6 +98,13 @@ def _require_same_shape(x: Matrix, y: Matrix, op: str) -> None:
         raise ShapeError(f"{op} requires equal shapes, got {x.shape} and {y.shape}")
 
 
+def _distance_operands(x, y, op: str) -> tuple[Matrix, Matrix]:
+    """``x`` and ``y`` as finite, equally shaped float64 matrices."""
+    a, b = as_matrix(x, "x"), as_matrix(y, "y")
+    _require_same_shape(a, b, op)
+    return a, b
+
+
 def matmul(x, y) -> Matrix:
     """Matrix product with shape checking.
 
@@ -131,28 +138,20 @@ def softmax_rows(c, temperature: float) -> Matrix:
 
 def distance(x, y, kind: DistanceKind) -> float:
     """Scalar distance between two equally shaped matrices."""
-    a = as_matrix(x, "x")
-    b = as_matrix(y, "y")
-    _require_same_shape(a, b, "distance")
-    return distance_and_grad(a, b, kind)[0]
+    return distance_and_grad(*_distance_operands(x, y, "distance"), kind)[0]
 
 
 def mae_and_fro(x, y) -> tuple[float, float]:
     """``distance(x, y, MAE)`` and ``distance(x, y, FRO)``, bit for bit,
     from one residual."""
-    a = as_matrix(x, "x")
-    b = as_matrix(y, "y")
-    _require_same_shape(a, b, "distance")
+    a, b = _distance_operands(x, y, "distance")
     diff = a - b
     return float(np.mean(np.abs(diff))), float(np.sqrt(np.sum(diff**2)))
 
 
 def distance_grad(x, y, kind: DistanceKind) -> Matrix:
     """Gradient of :func:`distance` with respect to its second argument."""
-    a = as_matrix(x, "x")
-    b = as_matrix(y, "y")
-    _require_same_shape(a, b, "distance_grad")
-    return distance_and_grad(a, b, kind)[1]
+    return distance_and_grad(*_distance_operands(x, y, "distance_grad"), kind)[1]
 
 
 def distance_and_grad(x: Matrix, y: Matrix, kind: DistanceKind) -> tuple[float, Matrix]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .adapters import AdapterCollection, LowRankAdapter, SlotKey
 from .errors import ParameterError
 from .linalg import Rng, gaussian_sample, stable_hash64
@@ -57,7 +59,8 @@ def generate(spec: SynthSpec) -> AdapterCollection:
 
     Per slot: draw the shared input factor, then per task (in order) the
     input-factor perturbation and the output factor, all from that slot's
-    own stream.
+    own stream.  A draw that overflows raises :class:`ParameterError`
+    naming ``a_noise`` or ``b_scale``.
     """
     spec.validate()
     task_ids = [f"t{i}" for i in range(spec.tasks)]
@@ -68,5 +71,9 @@ def generate(spec: SynthSpec) -> AdapterCollection:
         for task in task_ids:
             noise = gaussian_sample(rng, spec.rank, spec.k, 0.0, spec.a_noise)
             b = gaussian_sample(rng, spec.d, spec.rank, 0.0, spec.b_scale)
+            for name, draw in (("a_noise", noise), ("b_scale", b)):
+                if not np.all(np.isfinite(draw)):
+                    value = getattr(spec, name)
+                    raise ParameterError(f"{name} = {value:g} is too large: the draw overflows")
             table[(task, slot)] = LowRankAdapter(b=b, a=a_common + noise)
     return AdapterCollection.build(task_ids, table)

@@ -234,6 +234,11 @@ class TestMergedBundle:
                 a_shared=np.ones((2, 3)), b_clusters=[np.ones((4, 2))], assignment=[0, 1]
             )
 
+    def test_shared_slot_needs_a_cluster(self):
+        # the archive would hold no cluster tensor to read such a slot back from
+        with pytest.raises(ValidationError, match="clusters is empty"):
+            SharedLoraSlot(a_shared=np.ones((2, 3)), b_clusters=[], assignment=[])
+
     @pytest.mark.parametrize("index", [2, -1])
     def test_vera_assignment_bounds_checked(self, index):
         with pytest.raises(ValidationError, match=rf"index {index} out of range \[0, 2\)"):

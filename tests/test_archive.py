@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +259,43 @@ class TestErrorPaths:
             pass
         else:  # pragma: no cover
             pytest.fail("truncated archive parsed")
+
+
+def _collection_of(task_ids):
+    slot = SlotKey(0, "q")
+    adapter = LowRankAdapter(b=np.ones((4, 2)), a=np.ones((2, 6)))
+    table = {(task, slot): adapter for task in task_ids}
+    return AdapterCollection(task_ids=task_ids, slots=[slot], table=table)
+
+
+class TestWriterRejectsWhatItsReaderWould:
+    """The writer refuses, before it opens the file, what ``read_archive``
+    would reject or read back as something else."""
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: _collection_of([""]), "task_ids"),
+            (lambda: _collection_of([1, 2]), "task_ids"),
+            (lambda: _collection_of(["t0", "t0"]), "task_ids"),
+            (lambda: replace(_ta_bundle(), tasks=["t0", "t0"]), "tasks"),
+            (lambda: replace(_ta_bundle(), method=5), "method"),
+            (lambda: replace(_ta_bundle(), slots=[], entries={}), "slots"),
+            (lambda: replace(_ta_bundle(), kind="vera"), "kind"),
+        ],
+        ids=["empty-id", "int-ids", "duplicate-ids", "bundle-duplicate-tasks", "int-method",
+             "no-slots", "vera-kind-lora-entries"],
+    )
+    def test_writer_raises_naming_the_field_and_writes_nothing(self, tmp_path, make, field):
+        path = tmp_path / "bad.lrta"
+        with pytest.raises(ValidationError, match=field):
+            write_archive(make(), path)
+        assert not path.exists()
+
+    def test_task_id_with_a_line_break_round_trips(self, tmp_path):
+        path = tmp_path / "newline.lrta"
+        write_archive(_collection_of(["a\nb"]), path)
+        assert read_archive(path).task_ids == ["a\nb"]
 
 
 def _raw_with_manifest(path, manifest, payload: bytes) -> None:

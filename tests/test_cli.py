@@ -337,6 +337,73 @@ class TestVeraArchives:
         assert storage.returncode == 0
 
 
+@pytest.fixture(scope="module")
+def foreign_pairs(tmp_path_factory):
+    """``case -> (collection, bundle)`` archives where the bundle was merged
+    from another collection, differing from it only in ``case``."""
+    from hydramerge.adapters import AdapterCollection, SlotKey, VeraAdapter
+    from hydramerge.archive import write_archive
+    from hydramerge.baselines import BaselineConfig, MergeMethod, merge_collection
+    from hydramerge.linalg import Rng, gaussian_sample
+    from hydramerge.synthetic import SynthSpec, generate
+
+    def lora(**overrides):
+        spec = dict(tasks=3, layers=1, slot_names=("q", "v"), d=8, k=8, rank=2)
+        spec.update(overrides)
+        return generate(SynthSpec(**spec))
+
+    def vera(seed):
+        rng, ids, table = Rng(seed), ["t0", "t1", "t2"], {}
+        for slot in (SlotKey(0, "q"), SlotKey(0, "v")):
+            shared_b = gaussian_sample(rng, 8, 2, 0.0, 1.0)
+            shared_a = gaussian_sample(rng, 2, 8, 0.0, 1.0)
+            for task in ids:
+                lambda_b = gaussian_sample(rng, 8, 1, 0.0, 1.0).ravel()
+                table[(task, slot)] = VeraAdapter(lambda_b, [1.0, 1.0], shared_b, shared_a)
+        return AdapterCollection.build(ids, table)
+
+    root = tmp_path_factory.mktemp("foreign")
+
+    def save(name, obj):
+        path = root / f"{name}.lrta"
+        write_archive(obj, path)
+        return path
+
+    def ta(name, collection):
+        return save(name, merge_collection(collection, BaselineConfig(method=MergeMethod.TA)))
+
+    base, lora_ta, vera_ta = save("base", lora()), ta("lora-ta", lora()), ta("vera-ta", vera(0))
+    return {
+        "tasks": (save("two-tasks", lora(tasks=2)), lora_ta),
+        "slots": (save("one-slot", lora(slot_names=("q",))), lora_ta),
+        "shape": (base, ta("d6-ta", lora(d=6))),
+        "kind": (base, vera_ta),
+        "frozen": (save("vera-1", vera(1)), vera_ta),
+    }
+
+
+class TestBundleOfAnotherCollection:
+    @pytest.mark.parametrize("command", ["report-storage", "eval-recon"])
+    @pytest.mark.parametrize(
+        "case, named",
+        [
+            ("tasks", "cover different tasks"),
+            ("slots", "cover different slots"),
+            ("shape", "slot layer.0.q: the bundle is lora with (d, r, k) = (6, 2, 8)"),
+            ("kind", "slot layer.0.q: the bundle is vera"),
+            ("frozen", "slot layer.0.q: the bundle and the collection carry different frozen"),
+        ],
+    )
+    def test_is_one_error_line_and_exit_three(self, foreign_pairs, command, case, named):
+        collection, bundle = foreign_pairs[case]
+        result = run_cli(command, "--in", str(collection), "--merged", str(bundle))
+        assert result.returncode == 3, result.stdout
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+        assert named in lines[0]
+
+
 class TestGradCheck:
     def test_passes_and_reports(self):
         result = run_cli("grad-check", "--seed", "1", "--instances", "2")
@@ -417,4 +484,12 @@ class TestSyntheticScales:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "Warning" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, field", [("a-noise", "a_noise"), ("b-scale", "b_scale")])
+    def test_overflowing_draw_names_the_field(self, tmp_path, flag, field):
+        out = tmp_path / "c.lrta"
+        result = run_cli(*gen_args(out, **{flag: "1e308"}))
+        assert result.returncode == 3
+        assert result.stderr.startswith(f"error: {field} = 1e+308 is too large"), result.stderr
         assert not out.exists()
