@@ -24,6 +24,10 @@ Each adapter class describes its kind, so no other layer branches on it:
   gradient, which ``shared_grad(total, frozen)`` finishes from the summed
   terms.  :func:`delta_weight` and :mod:`hydramerge.hydra` both use them.
 
+The base class :class:`Adapter` derives the rest once for both kinds:
+``param_count`` is the size of the two sides, and ``shape_signature`` is
+``(d, r, k)``.
+
 Each pairing rule has one owner here.  :func:`check_slot` says when
 adapters can share a slot (one kind, one ``(d, r, k)``, one frozen pair);
 collections and :mod:`hydramerge.hydra`'s targets are checked with it.
@@ -75,8 +79,21 @@ class SlotKey:
         return cls(layer=int(m.group(1)), slot=m.group(2))
 
 
+class Adapter:
+    """What every adapter kind derives from its ``sides()`` and its
+    ``d``, ``rank`` and ``k``."""
+
+    @property
+    def param_count(self) -> int:
+        # per-task payload only; the frozen pair's holder counts it once per slot
+        return sum(side.size for side in self.sides())
+
+    def shape_signature(self) -> tuple:
+        return (self.d, self.rank, self.k)
+
+
 @dataclass
-class LowRankAdapter:
+class LowRankAdapter(Adapter):
     """One task's factor pair for one slot; the weight update is ``b @ a``.
 
     ``b`` is the output-side factor (d x r), ``a`` the input-side factor
@@ -112,13 +129,6 @@ class LowRankAdapter:
     def rank(self) -> int:
         return self.b.shape[1]
 
-    @property
-    def param_count(self) -> int:
-        return self.b.size + self.a.size
-
-    def shape_signature(self) -> tuple:
-        return (self.d, self.rank, self.k)
-
     def sides(self) -> tuple[Matrix, Matrix]:
         return self.a, self.b
 
@@ -150,7 +160,7 @@ class LowRankAdapter:
 
 
 @dataclass
-class VeraAdapter:
+class VeraAdapter(Adapter):
     """Scaled-vector adapter: frozen shared factors plus per-task scaling
     vectors.  The weight update is ``diag(lambda_b) @ shared_b @
     diag(lambda_d) @ shared_a``.
@@ -195,14 +205,6 @@ class VeraAdapter:
     def rank(self) -> int:
         return self.shared_b.shape[1]
 
-    @property
-    def param_count(self) -> int:
-        # per-task payload only; the frozen pair is accounted once per slot
-        return self.lambda_b.size + self.lambda_d.size
-
-    def shape_signature(self) -> tuple:
-        return (self.d, self.rank, self.k)
-
     def sides(self) -> tuple[Matrix, Matrix]:
         return self.lambda_d.reshape(-1, 1), self.lambda_b.reshape(-1, 1)
 
@@ -242,9 +244,6 @@ class VeraAdapter:
         """``rowsum((shared_b^T H) * shared_a)``, ``H = sum diag(lambda_b) G``."""
         shared_a, shared_b = frozen
         return ((shared_b.T @ total) * shared_a).sum(axis=1)
-
-
-Adapter = Union[LowRankAdapter, VeraAdapter]
 
 
 def check_slot(adapters: Mapping[str, Adapter], where: str) -> None:
@@ -308,6 +307,13 @@ class AdapterCollection:
         _check_task_ids(self.task_ids, "task_ids")
         if not self.slots:
             raise ValidationError("a collection needs at least one slot")
+        tasks, slots = set(self.task_ids), set(self.slots)
+        for task, slot in self.table:
+            if task not in tasks or slot not in slots:
+                raise ValidationError(
+                    f"adapter for task {task!r} at slot {slot.label()} lies outside "
+                    f"task_ids x slots"
+                )
         kinds = {type(adapter) for adapter in self.table.values()}
         if len(kinds) > 1:
             raise ValidationError("collection mixes adapter kinds")
@@ -476,11 +482,20 @@ class MergedBundle:
                         f"slot {slot.label()} assigns {len(entry.assignment)} tasks, "
                         f"expected {len(self.tasks)}"
                     )
+                first = np.shape(entry.clusters[0])
+                for j, cluster in enumerate(entry.clusters):
+                    if np.shape(cluster) != first:
+                        raise ValidationError(
+                            f"slot {slot.label()}: cluster {j} has shape {np.shape(cluster)}, "
+                            f"cluster 0 has {first}"
+                        )
 
     def check_pairs(self, collection: AdapterCollection) -> None:
         """Raise :class:`ValidationError` unless this bundle was merged over
         ``collection``: the same tasks in order, the same slots and, at each
-        slot, :func:`check_slot` between the two."""
+        slot, :func:`check_slot` between the two.  The bundle must also be
+        valid (see :meth:`validate`)."""
+        self.validate()
         if set(collection.slots) != set(self.slots):
             raise ValidationError("collection and bundle cover different slots")
         if list(collection.task_ids) != list(self.tasks):

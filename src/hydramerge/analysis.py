@@ -1,5 +1,9 @@
 """Quantitative reports: pairwise adapter similarity, storage accounting,
-and reconstruction error of merged bundles against their originals."""
+and reconstruction error of merged bundles against their originals.
+
+Similarity covers both adapter kinds through ``sides()``: "A" is the
+shared side (LoRA ``A``, VeRA ``lambda_d``) and "B" the cluster side (LoRA
+``B``, VeRA ``lambda_b``)."""
 
 from __future__ import annotations
 
@@ -8,13 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import AdapterCollection, MergedBundle, SharedSlot, SlotKey, delta_weight
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError
 from .linalg import DistanceKind, distance, mae_and_fro
 
 
 @dataclass
 class SimilarityReport:
-    """Per-slot K x K mean-absolute-difference matrices for each factor."""
+    """Per-slot K x K mean-absolute-difference matrices for each side."""
 
     tasks: list[str]
     a_matrices: dict[SlotKey, np.ndarray] = field(default_factory=dict)
@@ -54,25 +58,20 @@ def _offdiag_mean(matrix: np.ndarray) -> float:
 
 
 def pairwise_similarity(collection: AdapterCollection) -> SimilarityReport:
-    """Pairwise mean absolute differences between every two tasks' factors,
-    one K x K symmetric zero-diagonal matrix per slot and factor."""
-    if collection.kind != "lora":
-        raise ValidationError("similarity analysis expects a low-rank collection")
+    """Pairwise mean absolute differences between every two tasks' sides,
+    one K x K symmetric zero-diagonal matrix per slot and side ("A", the
+    shared side, and "B", the cluster side)."""
     tasks = collection.task_ids
     k = len(tasks)
     report = SimilarityReport(tasks=list(tasks))
     for slot in collection.slots:
-        adapters = collection.adapters_at(slot)
+        sides = [adapter.sides() for adapter in collection.adapters_at(slot)]
         a_mat = np.zeros((k, k))
         b_mat = np.zeros((k, k))
         for i in range(k):
             for j in range(i + 1, k):
-                a_mat[i, j] = a_mat[j, i] = distance(
-                    adapters[i].a, adapters[j].a, DistanceKind.MAE
-                )
-                b_mat[i, j] = b_mat[j, i] = distance(
-                    adapters[i].b, adapters[j].b, DistanceKind.MAE
-                )
+                for mat, x, y in zip((a_mat, b_mat), sides[i], sides[j]):
+                    mat[i, j] = mat[j, i] = distance(x, y, DistanceKind.MAE)
         report.a_matrices[slot] = a_mat
         report.b_matrices[slot] = b_mat
     return report

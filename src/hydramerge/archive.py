@@ -40,12 +40,15 @@ before it opens the file.
 
 The reader accepts exactly what the writer can emit: the version, shapes,
 offsets and sizes are JSON integers (not booleans or floats), the
-payloads tile the payload section with no overlap, gap or trailing
-bytes, ``meta.tasks`` is a list of distinct strings, every tensor
+payloads lie back to back in name order, as the writer lays them out,
+and fill the payload section with no overlap, gap or trailing bytes,
+``meta.tasks`` is a list of distinct strings, every tensor
 belongs to the collection or bundle read, so a stray name (for instance
 ``task.<id>.*`` of an undeclared task) is an error that names it, and
 ``meta`` equals the writer's meta for the object read, so an unknown key
 or an assignment the writer would not emit is an error naming the key.
+The reader itself takes from ``meta.assignment`` only the shared slots'
+clusters; the ``meta`` comparison judges the rest.
 """
 
 from __future__ import annotations
@@ -216,8 +219,8 @@ def _parse_file(path) -> tuple[dict[str, np.ndarray], dict]:
     if not isinstance(entries, dict):
         raise ArchiveFormatError("manifest 'tensors' must map names to entries")
     tensors: dict[str, np.ndarray] = {}
-    spans: list[tuple[int, int, str]] = []
-    for name, entry in entries.items():
+    end, previous = 0, None  # the writer lays payloads back to back in name order
+    for name, entry in sorted(entries.items()):
         if not isinstance(entry, dict):
             raise ArchiveFormatError(f"malformed manifest entry for {name!r}")
         shape = entry.get("shape")
@@ -241,13 +244,25 @@ def _parse_file(path) -> tuple[dict[str, np.ndarray], dict]:
                 f"tensor {name!r} at payload offset {offset} (+{nbytes} bytes) "
                 f"overruns payload of {len(payload)} bytes"
             )
+        if offset < end:
+            raise ArchiveFormatError(
+                f"tensors {previous!r} and {name!r} overlap in the payload "
+                f"(bytes {offset}..{end})"
+            )
+        if offset > end:
+            raise ArchiveFormatError(
+                f"payload bytes {end}..{offset} before tensor {name!r} belong to no tensor"
+            )
         data = np.frombuffer(payload, dtype="<f4", count=rows * cols, offset=offset)
         arr = data.astype(np.float64).reshape(rows, cols)
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"tensor {name!r} contains non-finite entries")
         tensors[name] = arr
-        spans.append((offset, offset + nbytes, name))
-    _check_tiling(sorted(spans), len(payload))
+        end, previous = offset + nbytes, name
+    if end != len(payload):
+        raise ArchiveFormatError(
+            f"payload bytes {end}..{len(payload)} after the last tensor belong to no tensor"
+        )
     meta = manifest.get("meta")
     if not isinstance(meta, dict) or "kind" not in meta or "tasks" not in meta:
         raise ArchiveFormatError("manifest meta must declare 'kind' and 'tasks'")
@@ -263,27 +278,6 @@ def _parse_file(path) -> tuple[dict[str, np.ndarray], dict]:
 
 def _is_int(value) -> bool:
     return type(value) is int  # excludes bool, an int subclass
-
-
-def _check_tiling(spans: list[tuple[int, int, str]], size: int) -> None:
-    """Sorted payload spans must cover ``[0, size)`` exactly once: the
-    writer packs tensors back to back with no padding."""
-    end, previous = 0, None
-    for start, stop, name in spans:
-        if start < end:
-            raise ArchiveFormatError(
-                f"tensors {previous!r} and {name!r} overlap in the payload "
-                f"(bytes {start}..{end})"
-            )
-        if start > end:
-            raise ArchiveFormatError(
-                f"payload bytes {end}..{start} before tensor {name!r} belong to no tensor"
-            )
-        end, previous = stop, name
-    if end != size:
-        raise ArchiveFormatError(
-            f"payload bytes {end}..{size} after the last tensor belong to no tensor"
-        )
 
 
 def read_archive(path):
@@ -350,13 +344,6 @@ def _read_bundle(tensors, meta) -> MergedBundle:
     method = meta.get("method", "")
     if not isinstance(method, str):
         raise ArchiveFormatError(f"meta.method must be a string, got {method!r}")
-    assignment_meta = meta.get("assignment", {})
-    if not isinstance(assignment_meta, dict) or not all(
-        isinstance(per_task, dict)
-        and all(type(idx) is int for idx in per_task.values())
-        for per_task in assignment_meta.values()
-    ):
-        raise ArchiveFormatError("meta.assignment must map tasks to {slot: int} objects")
     slots = _slots_from_names(tensors, _MERGED_TENSOR)
     fields = {m.group("field") for m in map(_MERGED_TENSOR.match, tensors) if m}
     kind = "vera" if fields & {"lambda_b", "lambda_d"} else "lora"
@@ -370,7 +357,7 @@ def _read_bundle(tensors, meta) -> MergedBundle:
         names = (f"merged.{label}.{layout.cluster}.{j}" for j in itertools.count())
         clusters = [tensors[name] for name in itertools.takewhile(tensors.__contains__, names)]
         if clusters:
-            assignment = _slot_assignment(assignment_meta, tasks, label)
+            assignment = _slot_assignment(meta.get("assignment"), tasks, label)
             entries[slot] = layout.adapter.shared_slot(shared, clusters, frozen, assignment)
         else:
             cluster = _require(tensors, f"merged.{label}.{layout.cluster}")
@@ -380,11 +367,17 @@ def _read_bundle(tensors, meta) -> MergedBundle:
     return bundle
 
 
-def _slot_assignment(assignment_meta: dict, tasks: list[str], label: str) -> list[int]:
+def _slot_assignment(assignment_meta, tasks: list[str], label: str) -> list[int]:
+    """Each task's cluster at the shared slot ``label``.  Only these entries
+    are read here; the meta round trip in :func:`read_archive` judges the
+    rest of ``meta.assignment``."""
     out = []
     for task in tasks:
-        per_task = assignment_meta.get(task, {})
-        if label not in per_task:
-            raise ValidationError(f"missing assignment for task {task!r} at slot {label}")
-        out.append(per_task[label])
+        per_task = assignment_meta.get(task) if isinstance(assignment_meta, dict) else None
+        index = per_task.get(label) if isinstance(per_task, dict) else None
+        if type(index) is not int:
+            raise ArchiveFormatError(
+                f"meta.assignment gives task {task!r} no integer cluster at slot {label}"
+            )
+        out.append(index)
     return out

@@ -166,7 +166,7 @@ class _RoutedState:
     ``clusters`` and ``frozen`` parts, which ``NAMES`` names) plus routing
     logits (absent when M == K), Adam's ``(m, v)`` moments and the step
     count.  The slot's ``assignment`` stays empty while training;
-    :meth:`export` builds the bundle slot with the argmax assignment."""
+    :func:`export_slot` builds the bundle slot with the argmax assignment."""
 
     NAMES: ClassVar[tuple[str, str]]
     logits: Matrix | None
@@ -192,9 +192,6 @@ class _RoutedState:
 
     def basis(self) -> Matrix:
         return self.adapter_type.basis(self.shared, self.frozen)
-
-    def export(self, assignment: list[int]) -> SharedSlot:
-        return self.adapter_type.shared_slot(self.shared, self.clusters, self.frozen, assignment)
 
 
 @dataclass
@@ -520,7 +517,7 @@ def assign_tasks(state, cfg: HydraConfig) -> list[int]:
 def export_slot(state, assignment: list[int]):
     """Package a trained state as one bundle slot; the routing logits are
     not part of it."""
-    return state.export(assignment)
+    return state.adapter_type.shared_slot(state.shared, state.clusters, state.frozen, assignment)
 
 
 def _train_slot(collection: AdapterCollection, slot: SlotKey, cfg: HydraConfig):

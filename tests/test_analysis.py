@@ -9,6 +9,7 @@ from hydramerge.adapters import (
     MergedBundle,
     SharedLoraSlot,
     SlotKey,
+    VeraAdapter,
 )
 from hydramerge.analysis import pairwise_similarity, reconstruction_report, storage_ratio
 from hydramerge.baselines import BaselineConfig, MergeMethod, merge_collection
@@ -74,6 +75,28 @@ class TestPairwiseSimilarity:
         slot = coll.slots[0]
         expected = report.a_matrices[slot][np.ix_(perm, perm)]
         assert np.allclose(permuted_report.a_matrices[slot], expected, atol=0)
+
+
+    def test_vera_compares_the_scaling_vectors(self):
+        # "A" is the shared side (lambda_d), "B" the cluster side (lambda_b)
+        rng = Rng(8)
+        slot = SlotKey(0, "q")
+        shared_b, shared_a = np.ones((5, 3)), np.ones((3, 4))
+        vectors = {
+            t: (gaussian_sample(rng, 3, 1, 0.0, 1.0), gaussian_sample(rng, 5, 1, 0.0, 1.0))
+            for t in ("t0", "t1", "t2")
+        }
+        table = {
+            (t, slot): VeraAdapter(lambda_b=lb.ravel(), lambda_d=ld.ravel(),
+                                   shared_b=shared_b, shared_a=shared_a)
+            for t, (ld, lb) in vectors.items()
+        }  # fmt: skip
+        report = pairwise_similarity(AdapterCollection.build(list(vectors), table))
+        for i, ti in enumerate(vectors):
+            for j, tj in enumerate(vectors):
+                (ld_i, lb_i), (ld_j, lb_j) = vectors[ti], vectors[tj]
+                assert report.a_matrices[slot][i, j] == pytest.approx(np.mean(np.abs(ld_i - ld_j)))
+                assert report.b_matrices[slot][i, j] == pytest.approx(np.mean(np.abs(lb_i - lb_j)))
 
 
 class TestStorageRatio:
@@ -149,6 +172,20 @@ class TestReconstruction:
                 fro[(task, slot)] = distance(target, prediction, DistanceKind.FRO)
         assert report.mae == mae
         assert report.fro == fro
+
+    def test_clusters_of_two_shapes_name_the_slot(self):
+        coll = collection_of_identical(tasks=2)
+        slot = coll.slots[0]
+        entry = SharedLoraSlot(
+            a_shared=coll.adapter("t0", slot).a,
+            b_clusters=[np.ones((4, 2)), np.ones((5, 2))],
+            assignment=[0, 1],
+        )
+        bundle = MergedBundle(
+            method="hydraopt", kind="lora", tasks=["t0", "t1"], slots=[slot], entries={slot: entry}
+        )
+        with pytest.raises(ValidationError, match=r"slot layer\.0\.q: cluster 1"):
+            reconstruction_report(coll, bundle)
 
     def test_slot_mismatch_rejected(self):
         coll = collection_of_identical()

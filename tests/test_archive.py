@@ -261,10 +261,11 @@ class TestErrorPaths:
             pytest.fail("truncated archive parsed")
 
 
-def _collection_of(task_ids):
+def _collection_of(task_ids, stray=()):
+    """One slot of ``task_ids``; ``stray`` keys add table entries outside it."""
     slot = SlotKey(0, "q")
     adapter = LowRankAdapter(b=np.ones((4, 2)), a=np.ones((2, 6)))
-    table = {(task, slot): adapter for task in task_ids}
+    table = {key: adapter for key in [(task, slot) for task in task_ids] + list(stray)}
     return AdapterCollection(task_ids=task_ids, slots=[slot], table=table)
 
 
@@ -282,10 +283,17 @@ class TestWriterRejectsWhatItsReaderWould:
             (lambda: replace(_ta_bundle(), method=5), "method"),
             (lambda: replace(_ta_bundle(), slots=[], entries={}), "slots"),
             (lambda: replace(_ta_bundle(), kind="vera"), "kind"),
+            (lambda: _collection_of(["t0"], [("t9", SlotKey(0, "q"))]),
+             r"task 't9' at slot layer\.0\.q"),
+            (lambda: _collection_of(["t0"], [("t0", SlotKey(1, "q"))]),
+             r"task 't0' at slot layer\.1\.q"),
+            (lambda: _shared_bundle("lora", cluster_rows=(4, 5)), r"slot layer\.0\.q: cluster 1"),
+            (lambda: _shared_bundle("vera", cluster_rows=(4, 5)), r"slot layer\.0\.q: cluster 1"),
         ],
         ids=["empty-id", "int-ids", "duplicate-ids", "bundle-duplicate-tasks", "int-method",
-             "no-slots", "vera-kind-lora-entries"],
-    )
+             "no-slots", "vera-kind-lora-entries", "stray-task-entry", "stray-slot-entry",
+             "lora-clusters-of-two-shapes", "vera-clusters-of-two-shapes"],
+    )  # fmt: skip
     def test_writer_raises_naming_the_field_and_writes_nothing(self, tmp_path, make, field):
         path = tmp_path / "bad.lrta"
         with pytest.raises(ValidationError, match=field):
@@ -308,6 +316,28 @@ def _ta_bundle(tasks=("t0", "t1")):
     entry = MergedAdapterSlot(LowRankAdapter(b=np.ones((4, 2)), a=np.ones((2, 6))))
     return MergedBundle(
         method="ta", kind="lora", tasks=list(tasks), slots=[slot], entries={slot: entry}
+    )
+
+
+def _shared_bundle(kind, cluster_rows=(4, 4)):
+    """A two-task hydraopt bundle over one slot, one cluster per task."""
+    slot = SlotKey(0, "q")
+    if kind == "lora":
+        entry = SharedLoraSlot(
+            a_shared=np.ones((2, 6)),
+            b_clusters=[np.ones((rows, 2)) for rows in cluster_rows],
+            assignment=[0, 1],
+        )
+    else:
+        entry = SharedVeraSlot(
+            lambda_d=np.ones(2),
+            lambda_b_clusters=[np.ones(rows) for rows in cluster_rows],
+            shared_b=np.ones((4, 2)),
+            shared_a=np.ones((2, 6)),
+            assignment=[0, 1],
+        )
+    return MergedBundle(
+        method="hydraopt", kind=kind, tasks=["t0", "t1"], slots=[slot], entries={slot: entry}
     )
 
 
@@ -415,6 +445,32 @@ class TestReaderChecks:
         path = tmp_path / "assign.lrta"
         write_raw_archive(path, tensors, meta)
         with pytest.raises(ArchiveFormatError, match=r"meta\.assignment"):
+            read_archive(path)
+
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    def test_clusters_of_two_shapes_are_refused(self, tmp_path, kind):
+        tensors, meta = archive_module._bundle_tensors(_shared_bundle(kind, cluster_rows=(4, 5)))
+        path = tmp_path / "clusters.lrta"
+        write_raw_archive(path, tensors, meta)
+        with pytest.raises(ValidationError, match=r"slot layer\.0\.q: cluster 1"):
+            read_archive(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda a: a["t1"].pop("layer.0.q"),
+            lambda a: a.pop("t1"),
+            lambda a: a["t1"].update({"layer.0.q": "1"}),
+            lambda a: a["t1"].update({"layer.0.q": True}),
+        ],
+        ids=["no-slot-entry", "no-task-entry", "string", "bool"],
+    )
+    def test_shared_slot_assignment_must_be_an_integer(self, tmp_path, edit):
+        tensors, meta = archive_module._bundle_tensors(_shared_bundle("lora"))
+        edit(meta["assignment"])
+        path = tmp_path / "assign.lrta"
+        write_raw_archive(path, tensors, meta)
+        with pytest.raises(ArchiveFormatError, match=r"meta\.assignment.*'t1'.*layer\.0\.q"):
             read_archive(path)
 
     @pytest.mark.parametrize("kind", ["lora2", ["lora"], {"vera": 1}, None])
@@ -573,6 +629,16 @@ class TestManifestFields:
         path = tmp_path / "gap.lrta"
         _raw_with_manifest(path, manifest, b"\x00" * size)
         with pytest.raises(ArchiveFormatError, match=match):
+            read_archive(path)
+
+    def test_payloads_out_of_name_order_are_refused(self, tmp_path):
+        # they tile the payload, but the writer lays them out in name order
+        manifest = _one_adapter_manifest()
+        manifest["tensors"][_B]["offset"] = 0
+        manifest["tensors"][_A]["offset"] = 64
+        path = tmp_path / "permuted.lrta"
+        _raw_with_manifest(path, manifest, b"\x00" * 112)
+        with pytest.raises(ArchiveFormatError, match=rf"bytes 0\.\.64 before tensor '{_A}'"):
             read_archive(path)
 
 

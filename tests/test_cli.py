@@ -322,6 +322,22 @@ class TestVeraArchives:
         assert "scale must be finite" in result.stderr
         assert not merged.exists()
 
+    def test_similarity_compares_the_scaling_vectors(self, vera_archive):
+        import numpy as np
+
+        from hydramerge.adapters import SlotKey
+        from hydramerge.archive import read_archive
+
+        result = run_cli("analyze-similarity", "--in", str(vera_archive))
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)["similarity"]
+        adapters = read_archive(vera_archive).adapters_at(SlotKey(0, "q"))
+        for side, field in (("A", "lambda_d"), ("B", "lambda_b")):
+            vectors = [getattr(adapter, field) for adapter in adapters]
+            expected = [[np.mean(np.abs(x - y)) for y in vectors] for x in vectors]
+            matrix = doc[side]["per_slot"]["layer.0.q"]["matrix"]
+            np.testing.assert_allclose(matrix, expected, rtol=1e-12, atol=0)
+
     def test_hydraopt_merge(self, vera_archive, tmp_path):
         merged = tmp_path / "vera-hydra.lrta"
         result = run_cli(
