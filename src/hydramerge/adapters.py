@@ -18,6 +18,9 @@ Each adapter class describes its kind, so no other layer branches on it:
   the pair every task at a slot carries unchanged;
 * ``from_sides`` and ``shared_slot`` build an adapter, or a
   :class:`SharedSlot`, back from those parts;
+* ``check_shapes`` says, from shapes alone, whether those parts fit
+  together; each adapter calls it, and so does
+  :meth:`MergedBundle.validate` for every shared slot;
 * ``predict(c, basis(shared, frozen))`` is the linear update map ``L(c)``
   from a cluster side to the ``d x k`` update; ``pull_back(g, c, basis)``
   gives its adjoint ``L^T(g)`` and ``c``'s term of the shared side's
@@ -108,14 +111,7 @@ class LowRankAdapter(Adapter):
     def __post_init__(self):
         self.b = as_matrix(self.b, "b")
         self.a = as_matrix(self.a, "a")
-        if self.b.shape[1] != self.a.shape[0]:
-            raise ValidationError(
-                f"rank mismatch: b is {self.b.shape}, a is {self.a.shape}"
-            )
-        if self.rank > min(self.d, self.k):
-            raise ValidationError(
-                f"rank {self.rank} exceeds min(d, k) = {min(self.d, self.k)}"
-            )
+        self.check_shapes(self.a, self.b, self.frozen)
 
     @property
     def d(self) -> int:
@@ -131,6 +127,18 @@ class LowRankAdapter(Adapter):
 
     def sides(self) -> tuple[Matrix, Matrix]:
         return self.a, self.b
+
+    @staticmethod
+    def check_shapes(shared, cluster, frozen, where: str = "") -> None:
+        """Raise :class:`ValidationError`, prefixed by ``where``, unless
+        ``from_sides(shared, cluster, frozen)`` fits together, from shapes
+        alone."""
+        b, a = np.shape(cluster), np.shape(shared)
+        if len(b) != 2 or len(a) != 2 or b[1] != a[0]:
+            raise ValidationError(f"{where}rank mismatch: b is {b}, a is {a}")
+        (d, rank), k = b, a[1]
+        if rank > min(d, k):
+            raise ValidationError(f"{where}rank {rank} exceeds min(d, k) = {min(d, k)}")
 
     @classmethod
     def from_sides(cls, shared, cluster, frozen) -> "LowRankAdapter":
@@ -178,20 +186,7 @@ class VeraAdapter(Adapter):
         self.lambda_d = as_matrix(np.reshape(self.lambda_d, (-1, 1)), "lambda_d").ravel()
         self.shared_b = as_matrix(self.shared_b, "shared_b")
         self.shared_a = as_matrix(self.shared_a, "shared_a")
-        if self.shared_b.shape[1] != self.shared_a.shape[0]:
-            raise ValidationError(
-                f"rank mismatch: shared_b is {self.shared_b.shape}, "
-                f"shared_a is {self.shared_a.shape}"
-            )
-        if self.lambda_d.size != self.shared_b.shape[1]:
-            raise ValidationError(
-                f"lambda_d has length {self.lambda_d.size}, expected rank "
-                f"{self.shared_b.shape[1]}"
-            )
-        if self.lambda_b.size != self.shared_b.shape[0]:
-            raise ValidationError(
-                f"lambda_b has length {self.lambda_b.size}, expected {self.shared_b.shape[0]} rows"
-            )
+        self.check_shapes(self.lambda_d, self.lambda_b, self.frozen)
 
     @property
     def d(self) -> int:
@@ -211,6 +206,26 @@ class VeraAdapter(Adapter):
     @property
     def frozen(self) -> tuple[Matrix, Matrix]:
         return self.shared_a, self.shared_b
+
+    @staticmethod
+    def check_shapes(shared, cluster, frozen, where: str = "") -> None:
+        """Raise :class:`ValidationError`, prefixed by ``where``, unless
+        ``from_sides(shared, cluster, frozen)`` fits together, from shapes
+        alone."""
+        shared_a, shared_b = map(np.shape, frozen)
+        if len(shared_b) != 2 or len(shared_a) != 2 or shared_b[1] != shared_a[0]:
+            raise ValidationError(
+                f"{where}rank mismatch: shared_b is {shared_b}, shared_a is {shared_a}"
+            )
+        d, rank = shared_b
+        if np.size(shared) != rank:
+            raise ValidationError(
+                f"{where}lambda_d has length {np.size(shared)}, expected rank {rank}"
+            )
+        if np.size(cluster) != d:
+            raise ValidationError(
+                f"{where}lambda_b has length {np.size(cluster)}, expected {d} rows"
+            )
 
     @classmethod
     def from_sides(cls, shared, cluster, frozen) -> "VeraAdapter":
@@ -489,6 +504,10 @@ class MergedBundle:
                             f"slot {slot.label()}: cluster {j} has shape {np.shape(cluster)}, "
                             f"cluster 0 has {first}"
                         )
+                # every cluster has cluster 0's shape, so its fit is theirs
+                entry.adapter_type.check_shapes(
+                    entry.shared, entry.clusters[0], entry.frozen, f"slot {slot.label()}: "
+                )
 
     def check_pairs(self, collection: AdapterCollection) -> None:
         """Raise :class:`ValidationError` unless this bundle was merged over

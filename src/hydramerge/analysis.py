@@ -13,7 +13,7 @@ import numpy as np
 
 from .adapters import AdapterCollection, MergedBundle, SharedSlot, SlotKey, delta_weight
 from .errors import ParameterError
-from .linalg import DistanceKind, distance, mae_and_fro
+from .linalg import DistanceKind, distance, residual_mae_and_fro
 
 
 @dataclass
@@ -138,21 +138,31 @@ def reconstruction_report(original: AdapterCollection, merged: MergedBundle) -> 
     """Compare every task's original update against the bundle's prediction
     for that task, per slot, in mean-absolute and Frobenius terms.  A bundle
     not merged over ``original`` raises :class:`ValidationError` (see
-    :meth:`~hydramerge.adapters.MergedBundle.check_pairs`)."""
+    :meth:`~hydramerge.adapters.MergedBundle.check_pairs`).
+
+    The report streams: per slot it builds one merged product at a time
+    (one per used cluster of a shared slot, one for a single merged
+    adapter), scores that product's tasks, each on one residual built in
+    place, and drops it.  So it holds one product and one residual, whatever
+    the cluster and task counts.  Results enter the report slot by slot, in
+    task order."""
     merged.check_pairs(original)
-    report = ReconReport(tasks=list(original.task_ids), slots=list(original.slots))
+    tasks = list(original.task_ids)
+    report = ReconReport(tasks=tasks, slots=list(original.slots))
     for slot in original.slots:
         entry = merged.entries[slot]
-        shared = isinstance(entry, SharedSlot)
-        # Each distinct merged product is built once: one per cluster for a
-        # shared slot, one for a single merged adapter.
-        products: dict[int, np.ndarray] = {}
-        for index, task in enumerate(original.task_ids):
-            cluster = entry.assignment[index] if shared else 0
-            if cluster not in products:
-                products[cluster] = entry.prediction(index)
-            target = delta_weight(original.adapter(task, slot))
-            mae, fro = mae_and_fro(target, products[cluster])
+        assignment = entry.assignment if isinstance(entry, SharedSlot) else [0] * len(tasks)
+        scores: list[tuple[float, float]] = [(0.0, 0.0)] * len(tasks)
+        for cluster in sorted(set(assignment)):
+            product = delta_weight(entry.member(cluster))
+            for index in (i for i, j in enumerate(assignment) if j == cluster):
+                # a fresh, checked array, so the residual is built in it
+                residual = delta_weight(original.adapter(tasks[index], slot))
+                residual -= product
+                scores[index] = residual_mae_and_fro(residual)
+                del residual
+            del product
+        for task, (mae, fro) in zip(tasks, scores):
             report.mae[(task, slot)] = mae
             report.fro[(task, slot)] = fro
     return report

@@ -24,14 +24,15 @@ import os
 import sys
 
 from .adapters import AdapterCollection, MergedBundle, storage_ratio_percent
-from .analysis import pairwise_similarity, reconstruction_report
 from .archive import read_archive, write_archive
 from .baselines import BaselineConfig, MergeMethod, MergeTarget, merge_collection
 from .errors import HydraMergeError
-from .gradcheck import run_suite
-from .hydra import HydraConfig, InitScheme, globalize_assignment, merge_collection_hydra
 from .linalg import DistanceKind
-from .synthetic import SynthSpec, generate
+
+# The parser takes --method's choices from MergeMethod and every command
+# but grad-check reads or writes an archive, so the modules above load for
+# each command.  Each handler imports the rest itself, so that a command
+# loads only what it runs.
 
 log = logging.getLogger("hydramerge")
 
@@ -151,6 +152,8 @@ def _storage(collection: AdapterCollection, bundle: MergedBundle) -> dict:
 
 
 def _cmd_gen_synthetic(args) -> int:
+    from .synthetic import SynthSpec, generate
+
     spec = SynthSpec(
         tasks=args.tasks,
         layers=args.layers,
@@ -196,6 +199,8 @@ def _cmd_merge(args, parser: argparse.ArgumentParser) -> int:
         "assignment": None,
     }
     if args.method == "hydraopt":
+        from .hydra import HydraConfig, InitScheme, globalize_assignment, merge_collection_hydra
+
         cfg = HydraConfig(
             num_clusters=args.m if args.m is not None else collection.num_tasks,
             temperature=args.temp,
@@ -239,6 +244,8 @@ def _cmd_report_storage(args) -> int:
 
 
 def _cmd_analyze_similarity(args) -> int:
+    from .analysis import pairwise_similarity
+
     collection = _load(args.archive_in, AdapterCollection)
     doc = {"command": "analyze-similarity"}
     doc.update(pairwise_similarity(collection).to_dict())
@@ -247,6 +254,8 @@ def _cmd_analyze_similarity(args) -> int:
 
 
 def _cmd_eval_recon(args) -> int:
+    from .analysis import reconstruction_report
+
     collection = _load(args.archive_in, AdapterCollection)
     bundle = _load(args.merged, MergedBundle)
     doc = {"command": "eval-recon", "method": bundle.method}
@@ -256,6 +265,8 @@ def _cmd_eval_recon(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    from .gradcheck import run_suite
+
     report = run_suite(seed=args.seed, instances=args.instances, tolerance=args.tolerance)
     _emit({"command": "grad-check", "grad_check": report.to_dict()}, args.out)
     return 0 if report.passed else 1

@@ -145,8 +145,15 @@ def mae_and_fro(x, y) -> tuple[float, float]:
     """``distance(x, y, MAE)`` and ``distance(x, y, FRO)``, bit for bit,
     from one residual."""
     a, b = _distance_operands(x, y, "distance")
-    diff = a - b
-    return float(np.mean(np.abs(diff))), float(np.sqrt(np.sum(diff**2)))
+    return residual_mae_and_fro(a - b)
+
+
+def residual_mae_and_fro(residual: Matrix) -> tuple[float, float]:
+    """``(mean |R|, ||R||_F)`` of a float64 residual ``R``, unchecked: the
+    MAE and FRO values of :func:`distance`.  ``R`` is overwritten with
+    ``|R|``."""
+    fro = float(np.sqrt(np.sum(residual**2)))
+    return float(np.mean(np.abs(residual, out=residual))), fro
 
 
 def distance_grad(x, y, kind: DistanceKind) -> Matrix:

@@ -121,6 +121,22 @@ class TestStorageRatio:
             storage_ratio(0, 1, 1, 1, 1)
 
 
+def clustered_bundle(coll, assignment):
+    """A shared LoRA bundle over ``coll``: slot by slot, task 0's A and one
+    B per cluster, cluster j's from the first task assigned to it."""
+    entries = {}
+    for slot in coll.slots:
+        adapters = coll.adapters_at(slot)
+        b_clusters = [adapters[assignment.index(j)].b.copy() for j in range(max(assignment) + 1)]
+        entries[slot] = SharedLoraSlot(
+            a_shared=adapters[0].a.copy(), b_clusters=b_clusters, assignment=list(assignment)
+        )
+    return MergedBundle(
+        method="hydraopt", kind="lora", tasks=list(coll.task_ids), slots=list(coll.slots),
+        entries=entries,
+    )
+
+
 class TestReconstruction:
     def test_exact_single_task_bundle_is_zero(self):
         coll = collection_of_identical(tasks=1)
@@ -155,13 +171,16 @@ class TestReconstruction:
         report = reconstruction_report(coll, bundle)
         assert report.grand_mean("mae") == 0.0
 
-    @pytest.mark.parametrize("method", ["hydraopt", "ta"])
+    @pytest.mark.parametrize("method", ["hydraopt", "ta", "interleaved"])
     def test_matches_per_task_reference_loop(self, method):
         coll = generate(SynthSpec(tasks=4, layers=1, d=8, k=6, rank=2, seed=3))
         if method == "hydraopt":
             bundle, _ = merge_collection_hydra(coll, HydraConfig(num_clusters=2, epochs=5))
-        else:
+        elif method == "ta":
             bundle = merge_collection(coll, BaselineConfig(method=MergeMethod.TA))
+        else:
+            # clusters scored out of task order must still report in task order
+            bundle = clustered_bundle(coll, [0, 1, 0, 2])
         report = reconstruction_report(coll, bundle)
         mae, fro = {}, {}
         for slot in coll.slots:
@@ -172,6 +191,28 @@ class TestReconstruction:
                 fro[(task, slot)] = distance(target, prediction, DistanceKind.FRO)
         assert report.mae == mae
         assert report.fro == fro
+        assert report.grand_mean("mae") == float(np.mean(list(mae.values())))
+        assert report.grand_mean("fro") == float(np.mean(list(fro.values())))
+
+    def test_peak_memory_does_not_grow_with_clusters(self):
+        """One merged product and one residual (plus one temporary of its
+        size) at a time, whatever the cluster count."""
+        import tracemalloc
+
+        d = k = 64
+        coll = generate(SynthSpec(tasks=6, layers=1, slot_names=("q",), d=d, k=k, rank=4, seed=1))
+        peaks = []
+        for m in (1, 3, 6):
+            bundle = clustered_bundle(coll, [i % m for i in range(coll.num_tasks)])
+            tracemalloc.start()
+            try:
+                reconstruction_report(coll, bundle)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        dense = d * k * 8
+        assert max(peaks) < 4 * dense, [p / dense for p in peaks]
+        assert max(peaks) - min(peaks) < dense / 2, [p / dense for p in peaks]
 
     def test_clusters_of_two_shapes_name_the_slot(self):
         coll = collection_of_identical(tasks=2)

@@ -341,6 +341,59 @@ def _shared_bundle(kind, cluster_rows=(4, 4)):
     )
 
 
+# A shared slot whose parts do not fit together: (kind, replaced parts, error)
+_MISFITS = {
+    "lora-rank": (
+        "lora", {"b_clusters": [np.ones((4, 3))] * 2}, r"rank mismatch: b is \(4, 3\), a is \(2, 6\)"
+    ),
+    "vera-lambda-d": ("vera", {"lambda_d": np.ones(3)}, r"lambda_d has length 3, expected rank 2"),
+    "vera-lambda-b": (
+        "vera", {"lambda_b_clusters": [np.ones(5)] * 2}, r"lambda_b has length 5, expected 4 rows"
+    ),
+    "vera-frozen-pair": (
+        "vera", {"shared_a": np.ones((3, 6))},
+        r"rank mismatch: shared_b is \(4, 2\), shared_a is \(3, 6\)",
+    ),
+}  # fmt: skip
+
+
+def _misfit_bundle(case):
+    kind, parts, _ = _MISFITS[case]
+    bundle = _shared_bundle(kind)
+    slot = bundle.slots[0]
+    bundle.entries[slot] = replace(bundle.entries[slot], **parts)
+    return bundle
+
+
+class TestSharedSlotShapes:
+    """The writer and the reader refuse a shared slot whose shared side,
+    cluster sides and frozen pair do not fit together, naming the slot."""
+
+    @pytest.mark.parametrize("case", sorted(_MISFITS))
+    def test_writer_names_the_slot_and_writes_nothing(self, tmp_path, case):
+        path = tmp_path / "misfit.lrta"
+        with pytest.raises(ValidationError, match=r"slot layer\.0\.q: " + _MISFITS[case][2]):
+            write_archive(_misfit_bundle(case), path)
+        assert not path.exists()
+
+    def test_a_part_that_is_not_a_matrix_is_a_typed_error(self, tmp_path):
+        bundle = _shared_bundle("lora")
+        slot = bundle.slots[0]
+        bundle.entries[slot] = replace(bundle.entries[slot], a_shared=np.ones(6))
+        path = tmp_path / "flat.lrta"
+        error = r"slot layer\.0\.q: rank mismatch: b is \(4, 2\), a is \(6,\)"
+        with pytest.raises(ValidationError, match=error):
+            write_archive(bundle, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("case", sorted(_MISFITS))
+    def test_reader_names_the_slot(self, tmp_path, case):
+        path = tmp_path / "misfit.lrta"
+        write_raw_archive(path, *archive_module._bundle_tensors(_misfit_bundle(case)))
+        with pytest.raises(ValidationError, match=r"slot layer\.0\.q: " + _MISFITS[case][2]):
+            read_archive(path)
+
+
 class TestReaderChecks:
     @pytest.mark.parametrize("tasks", ["ab", ["t0", "t0"], ["t0", 1], {"t0": 1}, None])
     def test_meta_tasks_must_be_distinct_strings(self, tmp_path, tasks):

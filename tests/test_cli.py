@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "hydramerge"]
@@ -418,6 +419,29 @@ class TestBundleOfAnotherCollection:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
         assert named in lines[0]
+
+
+class TestMisfitSharedSlot:
+    @pytest.mark.parametrize("command", ["eval-recon", "report-storage"])
+    def test_is_one_error_line_naming_the_slot(self, tmp_path, command):
+        from hydramerge import archive
+        from hydramerge.adapters import MergedBundle, SharedLoraSlot, SlotKey
+
+        coll = tmp_path / "coll.lrta"
+        assert run_cli(*gen_args(coll, tasks=2, slots="q", d=4, k=6)).returncode == 0
+        slot = SlotKey(0, "q")
+        # A is 2 x 6 but B is 4 x 3: the reader, not the report, must refuse it
+        entry = SharedLoraSlot(
+            a_shared=np.ones((2, 6)), b_clusters=[np.ones((4, 3))], assignment=[0, 0]
+        )
+        bundle = MergedBundle("hydraopt", "lora", ["t0", "t1"], [slot], {slot: entry})
+        merged = tmp_path / "misfit.lrta"
+        archive.write_raw_archive(merged, *archive._bundle_tensors(bundle))
+        result = run_cli(command, "--in", str(coll), "--merged", str(merged))
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert "slot layer.0.q: rank mismatch: b is (4, 3), a is (2, 6)" in result.stderr
 
 
 class TestGradCheck:

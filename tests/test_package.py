@@ -1,0 +1,133 @@
+"""The package's public surface, and what each command loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hydramerge
+
+# Every name the package exports, by the module that defines it.
+EXPORTS = {
+    "adapters": [
+        "AdapterCollection", "LowRankAdapter", "MergedAdapterSlot", "MergedBundle",
+        "SharedLoraSlot", "SharedVeraSlot", "SlotKey", "VeraAdapter", "delta_weight",
+    ],
+    "analysis": [
+        "ReconReport", "SimilarityReport", "pairwise_similarity", "reconstruction_report",
+        "storage_ratio",
+    ],
+    "archive": ["read_archive", "write_archive"],
+    "baselines": [
+        "BaselineConfig", "MergeMethod", "MergeTarget", "dare_transform", "merge_collection",
+        "merge_dare", "merge_dare_ties", "merge_ta", "ties_merge", "ties_trim",
+    ],
+    "errors": [
+        "ArchiveFormatError", "DegenerateInputError", "HydraMergeError", "NumericalError",
+        "ParameterError", "ShapeError", "ValidationError",
+    ],
+    "gradcheck": ["run_suite"],
+    "hydra": [
+        "HydraConfig", "HydraState", "InitScheme", "TrainTrace", "VeraHydraState", "adamw_step",
+        "assign_tasks", "export_slot", "gradients", "init_state", "init_vera_state", "loss_eq1",
+        "loss_eq2", "merge_collection_hydra", "train", "train_vera",
+    ],
+    "linalg": [
+        "DistanceKind", "Rng", "distance", "distance_grad", "finite_diff", "gaussian_sample",
+        "matmul", "softmax_rows",
+    ],
+    "synthetic": ["SynthSpec", "generate"],
+}  # fmt: skip
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize("module, name", NAMES)
+    def test_name_is_its_module_object(self, module, name):
+        defining = importlib.import_module(f"hydramerge.{module}")
+        assert getattr(hydramerge, name) is getattr(defining, name)
+
+    def test_every_name_and_submodule_is_listed_and_star_imported(self):
+        expected = {name for _, name in NAMES} | set(EXPORTS)
+        assert expected <= set(dir(hydramerge))
+        namespace: dict = {}
+        exec("from hydramerge import *", namespace)
+        assert expected <= set(namespace)
+        for module in EXPORTS:
+            assert namespace[module] is sys.modules[f"hydramerge.{module}"]
+        assert hydramerge.__version__ == "0.1.0"
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hydramerge.no_such_name
+        assert not hasattr(hydramerge, "cli_main")
+
+
+def loaded(*code_and_args) -> list[str]:
+    """``hydramerge`` modules a fresh interpreter holds after running
+    ``python -c CODE ARGS...``; the code prints ``sys.modules`` to stderr."""
+    env = dict(os.environ)
+    env.pop("HYDRA_MERGE_LOG", None)
+    result = subprocess.run(
+        [sys.executable, "-c", *code_and_args], capture_output=True, text=True, env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stderr.splitlines()[-1])
+
+
+SHOW_MODULES = (
+    "print(__import__('json').dumps(sorted("
+    "m for m in sys.modules if m == 'numpy' or m.startswith('hydramerge'))), file=sys.stderr)"
+)
+RUN_COMMAND = "import sys; from hydramerge.cli import main; main(sys.argv[1:]); " + SHOW_MODULES
+
+
+@pytest.fixture(scope="module")
+def archives(tmp_path_factory):
+    from hydramerge.archive import write_archive
+    from hydramerge.baselines import BaselineConfig, MergeMethod, merge_collection
+    from hydramerge.synthetic import SynthSpec, generate
+
+    work = tmp_path_factory.mktemp("loads")
+    coll = generate(SynthSpec(tasks=3, layers=1, d=8, k=8, rank=2))
+    write_archive(coll, work / "coll.lrta")
+    write_archive(merge_collection(coll, BaselineConfig(MergeMethod.TA)), work / "ta.lrta")
+    return work
+
+
+class TestWhatEachCommandLoads:
+    def test_import_loads_no_submodule_and_no_numpy(self):
+        assert loaded("import sys, hydramerge; " + SHOW_MODULES) == ["hydramerge"]
+
+    @pytest.mark.parametrize(
+        "command",
+        ["report-storage", "eval-recon", "analyze-similarity", "gen-synthetic", "merge-ta"],
+    )
+    def test_reports_and_baselines_load_no_optimizer(self, archives, command):
+        coll, ta = str(archives / "coll.lrta"), str(archives / "ta.lrta")
+        argv = {
+            "report-storage": ["report-storage", "--in", coll, "--merged", ta],
+            "eval-recon": ["eval-recon", "--in", coll, "--merged", ta],
+            "analyze-similarity": ["analyze-similarity", "--in", coll],
+            "gen-synthetic": ["gen-synthetic", "--out", str(archives / f"{command}.lrta")],
+            "merge-ta": ["merge", "--in", coll, "--out", str(archives / f"{command}.lrta"),
+                         "--method", "ta"],
+        }[command]  # fmt: skip
+        modules = loaded(RUN_COMMAND, *argv)
+        assert "hydramerge.cli" in modules
+        assert "hydramerge.hydra" not in modules
+        assert "hydramerge.gradcheck" not in modules
+
+    def test_hydraopt_loads_no_checker_generator_or_report(self, archives):
+        out = str(archives / "hydraopt.lrta")
+        modules = loaded(
+            RUN_COMMAND, "merge", "--in", str(archives / "coll.lrta"), "--out", out,
+            "--method", "hydraopt", "--m", "2", "--epochs", "2",
+        )  # fmt: skip
+        assert "hydramerge.hydra" in modules
+        for module in ("gradcheck", "synthetic", "analysis"):
+            assert f"hydramerge.{module}" not in modules
