@@ -26,6 +26,10 @@ Each adapter class describes its kind, so no other layer branches on it:
   gives its adjoint ``L^T(g)`` and ``c``'s term of the shared side's
   gradient, which ``shared_grad(total, frozen)`` finishes from the summed
   terms.  :func:`delta_weight` and :mod:`hydramerge.hydra` both use them.
+  VeRA's update also factors through its frozen ``shared_a``:
+  ``left_factor`` gives the ``d x r`` factor ``W`` of ``L(c) = W
+  shared_a``, and ``pull_back_left`` both halves of ``pull_back`` and
+  ``shared_grad`` from ``G shared_a^T`` alone.
 
 The base class :class:`Adapter` derives the rest once for both kinds:
 ``param_count`` is the size of the two sides, and ``shape_signature`` is
@@ -259,6 +263,24 @@ class VeraAdapter(Adapter):
         """``rowsum((shared_b^T H) * shared_a)``, ``H = sum diag(lambda_b) G``."""
         shared_a, shared_b = frozen
         return ((shared_b.T @ total) * shared_a).sum(axis=1)
+
+    @staticmethod
+    def left_factor(shared: np.ndarray, cluster: np.ndarray, shared_b: Matrix) -> Matrix:
+        """``W = diag(lambda_b) shared_b diag(lambda_d)`` (d x r), so that
+        ``L(lambda_b) = W shared_a``.  Both halves of a residual ``W_t - W_p``
+        take the same operations, so equal vectors give exactly 0."""
+        return np.reshape(cluster, (-1, 1)) * (shared_b * np.reshape(shared, (1, -1)))
+
+    @staticmethod
+    def pull_back_left(
+        m: Matrix, cluster: np.ndarray, shared: np.ndarray, shared_b: Matrix
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``pull_back`` and ``shared_grad`` of one task from ``m = G
+        shared_a^T`` (d x r) alone: ``L^T(G) = rowsum(m * shared_b *
+        lambda_d)`` and the finished shared term ``colsum(m * lambda_b *
+        shared_b)``."""
+        scaled = m * shared_b
+        return scaled @ np.ravel(shared), np.ravel(cluster) @ scaled
 
 
 def check_slot(adapters: Mapping[str, Adapter], where: str) -> None:

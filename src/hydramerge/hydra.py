@@ -26,14 +26,26 @@ cluster factors ``B_j`` (d x r); VeRA keeps its frozen pair and learns a
 shared inner vector ``lambda_d`` (r) and cluster outer vectors
 ``lambda_b_j`` (d).
 
-Both kernels end in one chain rule in cluster space: ``dc_j = sum_i
+Every kernel ends in one chain rule in cluster space: ``dc_j = sum_i
 w[i, j] E_i``, and the routing logits get
 
     g[i, j] = <G_i, U_j> = <E_i, c_j>            (flattened inner products)
     dC[i,m] = (w[i, m] / temperature) * (g[i, m] - sum_j w[i, j] g[i, j])
 
-The dense kernel streams one ``d x k`` residual per task.  It serves MAE,
-which has no factored form, VeRA targets and dense target matrices.
+The dense kernel streams one ``d x k`` residual per task.  It serves dense
+target matrices, MAE on LoRA targets and the smooth distances on VeRA
+targets.
+
+For MAE on VeRA targets, which all carry the slot's frozen pair ``(B, A)``,
+each residual has rank r: ``R_i = T_i - P_i = W_i A`` with the ``d x r``
+factor ``W_i = (lambda_b_i lambda_d_i^T - lambda_bmix_i lambda_d^T) * B``
+(``VeraAdapter.left_factor``).  That kernel builds ``R_i`` one block of
+rows at a time, about ``_BLOCK_ENTRIES`` entries, into one reused buffer and
+its sign into a second; it keeps the sum of ``|R_i|`` and ``M_i = G_i A^T =
+-sign(R_i) A^T / (d k)``, from which ``VeraAdapter.pull_back_left`` gives
+``E_i`` and the task's finished ``lambda_d`` term at ``O(d r)``.  No other
+``d x k`` array is formed, not even a target.  Equal vectors give ``W_i =
+0`` exactly, so an exact fit has a loss of exactly 0 and zero gradients.
 
 For the smooth distances (mse, fro, cos) on LoRA targets ``T_i = b_i
 a_i`` the dense ``d x k`` matrices are never formed.  With ``Bmix_i =
@@ -54,7 +66,7 @@ for the shared chain rule, at ``O(K r^2 (d + k) + K M r d)`` per step.
 Target-side and prediction-side products run through the same operations,
 so ``b_i == Bmix_i`` and ``a_i == A`` give bit-equal traces, a loss of
 exactly 0 and gradient terms that cancel exactly.  The dense kernel is
-the reference the factored one is tested against.  :func:`loss`,
+the reference both factored kernels are tested against.  :func:`loss`,
 :func:`gradients` and :func:`train` run the same kernel for the same
 targets.
 
@@ -144,6 +156,16 @@ class HydraConfig:
     seed: int = 0
     init_scheme: InitScheme = InitScheme.RANDOM
     adam_eps: ClassVar[float] = ADAM_EPS
+
+    def __post_init__(self):
+        # the kernels compare members by identity, so a value is stored as its member
+        for name, enum in (("distance", DistanceKind), ("init_scheme", InitScheme)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, enum(value))
+            except ValueError:
+                choices = ", ".join(member.value for member in enum)
+                raise ParameterError(f"{name} must be one of {choices}, got {value!r}") from None
 
     def validate(self, num_tasks: int) -> None:
         if self.num_clusters < 1:
@@ -339,15 +361,16 @@ def _loss_and_grads_dense(state, mats: list[Matrix], cfg: HydraConfig):
         per_task.append(value)
         pulled[i], term = state.adapter_type.pull_back(g, c, basis)
         shared = term if shared is None else np.add(shared, term, out=shared)
+    shared = state.adapter_type.shared_grad(shared, state.frozen)
     return _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg)
 
 
 def _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg: HydraConfig):
     """``(loss, per_task, grads)`` from ``pulled[i] = E_i``, the gradient
-    with respect to ``c_mix_i``, and the summed ``shared`` gradient terms:
+    with respect to ``c_mix_i``, and the ``shared`` parameter's gradient:
     ``dc_j = sum_i w[i, j] E_i`` and the logits' ``g[i, j] = <E_i, c_j>``."""
     shared_name, cluster_name = state.NAMES
-    grads = {shared_name: state.adapter_type.shared_grad(shared, state.frozen)}
+    grads = {shared_name: shared}
     if weights is not None:
         inner = pulled.reshape(len(pulled), -1) @ clusters.reshape(len(clusters), -1).T
         grads["logits"] = _logit_grad(weights, inner, cfg.temperature)
@@ -414,11 +437,77 @@ def _loss_and_grads_factored(state: HydraState, tgt: _LowRankTargets, cfg: Hydra
     return _chain_rule(state, weights, clusters, values.tolist(), pulled, shared, cfg)
 
 
+# Entries of one row block of a VeRA residual: 128 rows at k = 1024.
+_BLOCK_ENTRIES = 2**17
+
+
+@dataclass(frozen=True)
+class _VeraTargets:
+    """VeRA targets as their vectors over their one frozen pair."""
+
+    lambda_b: np.ndarray  # (K, d)
+    lambda_d: np.ndarray  # (K, r)
+    frozen: tuple[Matrix, Matrix]
+
+    @classmethod
+    def of(cls, targets: Sequence[VeraAdapter]) -> "_VeraTargets":
+        check_slot({f"target {i}": t for i, t in enumerate(targets)}, "the targets")
+        lambda_b = np.stack([t.lambda_b for t in targets])
+        lambda_d = np.stack([t.lambda_d for t in targets])
+        return cls(lambda_b, lambda_d, targets[0].frozen)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the guards type non-finite results
+def _loss_and_grads_vera_mae(state: VeraHydraState, tgt: _VeraTargets, cfg: HydraConfig):
+    """MAE loss and gradients from each task's rank-r residual ``R_i = W_i
+    shared_a``, ``W_i = left_factor(target) - left_factor(c_mix_i)``, built
+    one row block at a time: no d x k array but the two block buffers.
+
+    With ``G_i = -sign(R_i) / (d k)`` only ``M_i = G_i shared_a^T`` (d x r)
+    reaches the chain rule, through ``VeraAdapter.pull_back_left``.  A state
+    whose frozen pair is not the targets' raises :class:`ValidationError`."""
+    if len(state.frozen) != 2 or not all(map(np.array_equal, state.frozen, tgt.frozen)):
+        raise ValidationError("the state and its targets carry different frozen pairs")
+    shared_a, shared_b = state.frozen
+    weights = _routing(state, cfg, len(tgt.lambda_b))
+    clusters = np.stack(state.clusters)
+    mixed = _mix(weights, clusters)
+    d, k = len(shared_b), shared_a.shape[1]
+    size, rows = d * k, max(1, min(d, _BLOCK_ENTRIES // k))
+    blocks, signs = np.empty((rows, k)), np.empty((rows, k))
+    pulled, shared = np.empty_like(mixed), np.zeros_like(state.shared)
+    per_task = []
+    for i, (lb, ld, c) in enumerate(zip(tgt.lambda_b, tgt.lambda_d, mixed)):
+        left = VeraAdapter.left_factor(ld, lb, shared_b)
+        left -= VeraAdapter.left_factor(state.shared, c, shared_b)
+        m, total = np.empty_like(left), 0.0
+        for start in range(0, d, rows):
+            stop = min(start + rows, d)
+            block, sign = blocks[: stop - start], signs[: stop - start]
+            np.matmul(left[start:stop], shared_a, out=block)
+            np.sign(block, out=sign)
+            total += float(np.vdot(sign, block))  # sum |R| over the block
+            np.matmul(sign, shared_a.T, out=m[start:stop])
+        value = total / size
+        if not np.isfinite(value):
+            raise NumericalError(f"the prediction for task {i} overflowed to non-finite values")
+        per_task.append(value)
+        m *= -1.0 / size
+        pulled[i], term = VeraAdapter.pull_back_left(m, c, state.shared, shared_b)
+        shared += term
+    return _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg)
+
+
 def _kernel(targets, cfg: HydraConfig):
     """``state -> (loss, per_task, grads)`` for fixed targets: factored for a
-    smooth distance on LoRA targets, dense otherwise.  Under ``cos`` a zero
-    target raises :class:`DegenerateInputError` carrying the task index."""
-    if cfg.distance in SMOOTH_DISTANCES and all(isinstance(t, LowRankAdapter) for t in targets):
+    smooth distance on LoRA targets and for MAE on VeRA targets, dense
+    otherwise.  Under ``cos`` a zero target raises
+    :class:`DegenerateInputError` carrying the task index."""
+    kinds = {type(t) for t in targets}
+    if kinds == {VeraAdapter} and cfg.distance is DistanceKind.MAE:
+        vera = _VeraTargets.of(targets)
+        return lambda state: _loss_and_grads_vera_mae(state, vera, cfg)
+    if kinds == {LowRankAdapter} and cfg.distance in SMOOTH_DISTANCES:
         factored = _LowRankTargets.of(targets)
         norms = factored.tt
         kernel = lambda state: _loss_and_grads_factored(state, factored, cfg)

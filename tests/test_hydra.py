@@ -828,3 +828,182 @@ class TestStateIsSlot:
             assert np.array_equal(got, want)
         for got, want in zip(entry.frozen, state.frozen):
             assert np.array_equal(got, want)
+
+
+class TestConfigEnums:
+    """``HydraConfig`` stores its enum fields as members, whatever their
+    spelling, because the kernels and the init test them by identity."""
+
+    def test_init_scheme_string_runs_that_init(self):
+        targets = make_targets(num_tasks=3)
+        cfg = HydraConfig(num_clusters=2, init_scheme="random")
+        assert cfg.init_scheme is InitScheme.RANDOM
+        got = init_state(targets, cfg, Rng(0))
+        want = init_state(targets, HydraConfig(num_clusters=2), Rng(0))
+        assert np.array_equal(got.a_shared, want.a_shared)
+        for g, w in zip(got.b_clusters, want.b_clusters):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize(
+        "field, value", [("distance", "l1"), ("distance", None), ("init_scheme", "xavier")]
+    )
+    def test_unknown_value_names_the_field(self, field, value):
+        with pytest.raises(ParameterError, match=rf"^{field} must be one of .*, got {value!r}"):
+            HydraConfig(num_clusters=2, **{field: value})
+
+    def test_cos_string_zero_target_names_the_task(self):
+        targets = make_targets(num_tasks=2)
+        zero_target = [targets[0], LowRankAdapter(b=np.zeros_like(targets[1].b), a=targets[1].a)]
+        state = random_state(Rng(0), 2, 2, d=6, r=2, k=5)
+        cfg = HydraConfig(num_clusters=2, distance="cos")
+        assert cfg.distance is DistanceKind.COS
+        with pytest.raises(DegenerateInputError) as info:
+            gradients(state, zero_target, cfg)
+        assert info.value.task == 1
+
+    def test_mae_string_runs_the_vera_kernel(self, monkeypatch):
+        calls = []
+        original = hydra._loss_and_grads_vera_mae
+        monkeypatch.setattr(
+            hydra, "_loss_and_grads_vera_mae", lambda *a: calls.append(1) or original(*a)
+        )
+        targets = TestVera().make_vera_targets(num_tasks=3)
+        train(targets, HydraConfig(num_clusters=2, epochs=2, distance="mae"), Rng(0))
+        assert len(calls) == 3
+
+
+class TestVeraMaeKernel:
+    """VeRA ``mae`` runs on the rank-r residual factors, one row block at a
+    time; the dense kernel is its oracle."""
+
+    # (d, k, block budget): a ragged last block (3 + 3 + 1 rows), d below
+    # one block, and one row per block
+    SHAPES = [(7, 6, 18), (7, 6, None), (5, 6, 1)]
+
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    @pytest.mark.parametrize("d, k, budget", SHAPES)
+    def test_matches_dense_kernel(self, monkeypatch, num_clusters, d, k, budget):
+        if budget is not None:
+            monkeypatch.setattr(hydra, "_BLOCK_ENTRIES", budget)
+        rng = Rng(31)
+        cfg = HydraConfig(num_clusters=num_clusters, temperature=0.7)
+        for seed in range(5):
+            targets = TestVera().make_vera_targets(num_tasks=4, d=d, r=3, k=k, seed=seed)
+            state = hydra._new_state(targets, num_clusters, rng, stdev=1.0)
+            value, per_task, grads = hydra._kernel(targets, cfg)(state)
+            ref_value, ref_per_task, ref_grads = dense_kernel(targets, cfg)(state)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+            assert per_task == pytest.approx(ref_per_task, rel=1e-12, abs=0.0)
+            assert sorted(grads.tensors) == sorted(ref_grads.tensors)
+            for name, ref in ref_grads.tensors.items():
+                got = grads.tensors[name]
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    def test_short_training_matches_dense(self, monkeypatch, num_clusters):
+        monkeypatch.setattr(hydra, "_BLOCK_ENTRIES", 25)  # 2 rows of k = 10 per block
+        targets = TestVera().make_vera_targets(num_tasks=4, d=12, r=3, k=10, seed=5)
+        cfg = HydraConfig(num_clusters=num_clusters, epochs=40, temperature=0.5)
+        state, trace = train(targets, cfg, Rng(3))
+        ref_state = init_state(targets, cfg, Rng(3))
+        ref_trace = hydra._fit(ref_state, dense_kernel(targets, cfg), cfg)
+        assert assign_tasks(state, cfg) == assign_tasks(ref_state, cfg)
+        assert trace.final_loss == pytest.approx(ref_trace.final_loss, rel=1e-9, abs=0.0)
+        assert trace.final_loss < trace.initial_loss
+
+    def test_identity_routed_exact_fit_never_moves(self):
+        # the VeRA mae counterpart of acceptance criterion 3
+        targets = TestVera().make_vera_targets(num_tasks=3, d=7, r=3, k=6, tie_lambda_d=True)
+        cfg = HydraConfig(num_clusters=3, epochs=20, init_scheme=InitScheme.MEAN_A_COPY_B)
+        start = init_state(targets, cfg, Rng(0))
+        value, per_task, grads = hydra._kernel(targets, cfg)(start)
+        assert value == 0.0 and per_task == [0.0] * 3
+        for tensor in grads.tensors.values():
+            assert np.array_equal(tensor, np.zeros_like(tensor))
+        trained, trace = train(targets, cfg, Rng(0))
+        assert trace.losses == [0.0] * 20 and trace.final_loss == 0.0
+        assert np.array_equal(trained.lambda_d, start.lambda_d)
+        for got, want in zip(trained.lambda_b_clusters, start.lambda_b_clusters):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("num_clusters, task", [(2, 0), (3, 1)])
+    def test_inf_cluster_entry_names_step_and_task(self, num_clusters, task):
+        targets = TestVera().make_vera_targets(num_tasks=3, seed=1)
+        cfg = HydraConfig(num_clusters=num_clusters, epochs=3)
+        state = init_state(targets, cfg, Rng(0))
+        state.lambda_b_clusters[1][0] = np.inf
+        with pytest.raises(NumericalError, match=rf"^step 0: .*task {task} overflowed"):
+            hydra._fit(state, hydra._kernel(targets, cfg), cfg)
+
+    def test_mismatched_frozen_pairs_raise(self):
+        targets = TestVera().make_vera_targets(num_tasks=2)
+        cfg = HydraConfig(num_clusters=2)
+        state = init_state(targets, cfg, Rng(0))
+        first = targets[0]
+        rogue = VeraAdapter(
+            lambda_b=first.lambda_b, lambda_d=first.lambda_d,
+            shared_b=first.shared_b + 1.0, shared_a=first.shared_a,
+        )
+        with pytest.raises(ValidationError, match="different frozen pairs"):
+            gradients(state, [first, rogue], cfg)
+        state.shared_a = state.shared_a + 1.0
+        with pytest.raises(ValidationError, match="different frozen pairs"):
+            loss(state, targets, cfg)
+        lora_state = init_state(make_targets(num_tasks=2), cfg, Rng(0))
+        with pytest.raises(ValidationError, match="different frozen pairs"):
+            loss(lora_state, targets, cfg)
+
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    def test_loss_of_trained_state_is_final_loss(self, num_clusters):
+        targets = TestVera().make_vera_targets(num_tasks=4, d=12, r=3, k=9, seed=5)
+        cfg = HydraConfig(num_clusters=num_clusters, epochs=5)
+        state, trace = train(targets, cfg, Rng(3))
+        assert loss(state, targets, cfg)[0] == trace.final_loss
+
+    @pytest.mark.parametrize("num_tasks", [8, 16])
+    def test_peak_memory_is_two_row_blocks(self, monkeypatch, num_tasks):
+        """One call forms no d x k array but its two row-block buffers.  At
+        d = k = 256 the default budget makes one block the whole matrix, so
+        the budget is cut to an eighth of it: a call that densified any
+        target or residual would peak above one d x k matrix."""
+        import tracemalloc
+
+        d = k = 256
+        monkeypatch.setattr(hydra, "_BLOCK_ENTRIES", d * k // 8)
+        cfg = HydraConfig(num_clusters=3)
+        targets = TestVera().make_vera_targets(num_tasks=num_tasks, d=d, r=8, k=k, seed=num_tasks)
+        state = init_state(targets, cfg, Rng(0))
+        tracemalloc.start()
+        try:
+            gradients(state, targets, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * k * 8, peak / (d * k * 8)
+
+    def test_dispatch(self, monkeypatch):
+        calls = {"vera": 0, "dense": 0}
+
+        def counting(name, key):
+            original = getattr(hydra, name)
+
+            def wrapped(*args):
+                calls[key] += 1
+                return original(*args)
+
+            monkeypatch.setattr(hydra, name, wrapped)
+
+        counting("_loss_and_grads_vera_mae", "vera")
+        counting("_loss_and_grads_dense", "dense")
+        vera = TestVera().make_vera_targets(num_tasks=3)
+        lora = make_targets(num_tasks=3)
+        train(vera, HydraConfig(num_clusters=2, epochs=2), Rng(0))
+        assert calls == {"vera": 3, "dense": 0}
+        train(lora, HydraConfig(num_clusters=2, epochs=2), Rng(0))
+        for kind in SMOOTH:
+            train(vera, HydraConfig(num_clusters=2, epochs=2, distance=kind), Rng(0))
+        assert calls == {"vera": 3, "dense": 4 * 3}
+        # the gradient oracle checks the kernel training runs
+        run_suite(seed=0, instances=1)
+        assert calls["vera"] > 3
