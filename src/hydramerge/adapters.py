@@ -30,6 +30,12 @@ Each adapter class describes its kind, so no other layer branches on it:
   ``left_factor`` gives the ``d x r`` factor ``W`` of ``L(c) = W
   shared_a``, and ``pull_back_left`` both halves of ``pull_back`` and
   ``shared_grad`` from ``G shared_a^T`` alone.
+* ``factors(shared, cluster, frozen)`` is the update as its rank-r
+  factors ``(left, right)``, ``d x r`` and ``r x k``, with ``left @
+  right == L(cluster)`` up to rounding: ``(b, a)`` for LoRA and
+  ``(left_factor(...), shared_a)`` for VeRA.  The reconstruction report
+  builds updates from them one row block at a time; :func:`delta_weight`
+  stays the dense reference.
 
 The base class :class:`Adapter` derives the rest once for both kinds:
 ``param_count`` is the size of the two sides, and ``shape_signature`` is
@@ -170,6 +176,11 @@ class LowRankAdapter(Adapter):
     def shared_grad(total: Matrix, frozen: tuple) -> Matrix:
         return total
 
+    @staticmethod
+    def factors(shared: Matrix, cluster: Matrix, frozen: tuple) -> tuple[Matrix, Matrix]:
+        """``(B, A)``, so that ``L(B) = B A``."""
+        return cluster, shared
+
 
 @dataclass
 class VeraAdapter(Adapter):
@@ -272,6 +283,15 @@ class VeraAdapter(Adapter):
         return np.reshape(cluster, (-1, 1)) * (shared_b * np.reshape(shared, (1, -1)))
 
     @staticmethod
+    def factors(
+        shared: np.ndarray, cluster: np.ndarray, frozen: tuple[Matrix, Matrix]
+    ) -> tuple[Matrix, Matrix]:
+        """``(W, shared_a)`` with ``W = left_factor(...)``, so that
+        ``L(lambda_b) = W shared_a``."""
+        shared_a, shared_b = frozen
+        return VeraAdapter.left_factor(shared, cluster, shared_b), shared_a
+
+    @staticmethod
     def pull_back_left(
         m: Matrix, cluster: np.ndarray, shared: np.ndarray, shared_b: Matrix
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -287,17 +307,22 @@ def check_slot(adapters: Mapping[str, Adapter], where: str) -> None:
     """Raise :class:`ValidationError` unless every adapter has the first
     one's kind, ``(d, r, k)`` and frozen pair, as adapters sharing a slot
     must.  ``adapters`` maps a label for each (``task 't1'``, ``the
-    bundle``) to the adapter; the error names ``where`` and the first
-    offender."""
+    bundle``) to the adapter; the error names ``where``, the first
+    offender and each of the three it differs in (a LoRA adapter carries
+    no frozen pair, so it differs from a VeRA one in all three)."""
     (first_name, first), *rest = adapters.items()
     for name, adapter in rest:
+        found = []
         if (adapter.kind, adapter.shape_signature()) != (first.kind, first.shape_signature()):
-            raise ValidationError(
-                f"{where}: {name} is {adapter.kind} with (d, r, k) = {adapter.shape_signature()}, "
+            found.append(
+                f"{name} is {adapter.kind} with (d, r, k) = {adapter.shape_signature()}, "
                 f"{first_name} is {first.kind} with {first.shape_signature()}"
             )
-        if not all(map(np.array_equal, first.frozen, adapter.frozen)):
-            raise ValidationError(f"{where}: {name} and {first_name} carry different frozen pairs")
+        pairs = (first.frozen, adapter.frozen)
+        if len(pairs[0]) != len(pairs[1]) or not all(map(np.array_equal, *pairs)):
+            found.append(f"{name} and {first_name} carry different frozen pairs")
+        if found:
+            raise ValidationError(f"{where}: " + "; ".join(found))
 
 
 def _check_task_ids(ids, field: str) -> None:

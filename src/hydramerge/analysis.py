@@ -1,19 +1,42 @@
 """Quantitative reports: pairwise adapter similarity, storage accounting,
 and reconstruction error of merged bundles against their originals.
 
+The reconstruction report never forms a whole ``d x k`` update: it builds
+each task's update and each prediction from their rank-r ``factors``, one
+row block at a time (:func:`~hydramerge.linalg.row_blocks`), and keeps
+only the sums of ``|R|`` and ``R^2`` per task.
+
 Similarity covers both adapter kinds through ``sides()``: "A" is the
 shared side (LoRA ``A``, VeRA ``lambda_d``) and "B" the cluster side (LoRA
 ``B``, VeRA ``lambda_b``)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterCollection, MergedBundle, SharedSlot, SlotKey, delta_weight
-from .errors import ParameterError
-from .linalg import DistanceKind, distance, residual_mae_and_fro
+from .adapters import (
+    Adapter,
+    AdapterCollection,
+    MergedBundle,
+    MergedSlot,
+    SharedSlot,
+    SlotKey,
+)
+from .errors import NumericalError, ParameterError
+from .linalg import (
+    ROW_BLOCK_ENTRIES,
+    DistanceKind,
+    distance,
+    mae_and_fro_of_sums,
+    residual_sums,
+    row_blocks,
+)
+
+# Entries of one row block of an update or residual.
+_BLOCK_ENTRIES = ROW_BLOCK_ENTRIES
 
 
 @dataclass
@@ -138,31 +161,61 @@ def reconstruction_report(original: AdapterCollection, merged: MergedBundle) -> 
     """Compare every task's original update against the bundle's prediction
     for that task, per slot, in mean-absolute and Frobenius terms.  A bundle
     not merged over ``original`` raises :class:`ValidationError` (see
-    :meth:`~hydramerge.adapters.MergedBundle.check_pairs`).
+    :meth:`~hydramerge.adapters.MergedBundle.check_pairs`), and a residual
+    whose MAE or FRO is not finite raises :class:`NumericalError` naming the
+    slot and the task.
 
-    The report streams: per slot it builds one merged product at a time
-    (one per used cluster of a shared slot, one for a single merged
-    adapter), scores that product's tasks, each on one residual built in
-    place, and drops it.  So it holds one product and one residual, whatever
-    the cluster and task counts.  Results enter the report slot by slot, in
-    task order."""
+    No ``d x k`` update is formed: see :func:`_scores`.  Results enter the
+    report slot by slot, in task order."""
     merged.check_pairs(original)
     tasks = list(original.task_ids)
     report = ReconReport(tasks=tasks, slots=list(original.slots))
     for slot in original.slots:
-        entry = merged.entries[slot]
-        assignment = entry.assignment if isinstance(entry, SharedSlot) else [0] * len(tasks)
-        scores: list[tuple[float, float]] = [(0.0, 0.0)] * len(tasks)
-        for cluster in sorted(set(assignment)):
-            product = delta_weight(entry.member(cluster))
-            for index in (i for i, j in enumerate(assignment) if j == cluster):
-                # a fresh, checked array, so the residual is built in it
-                residual = delta_weight(original.adapter(tasks[index], slot))
-                residual -= product
-                scores[index] = residual_mae_and_fro(residual)
-                del residual
-            del product
+        scores = _scores(original.adapters_at(slot), merged.entries[slot])
         for task, (mae, fro) in zip(tasks, scores):
+            if not (math.isfinite(mae) and math.isfinite(fro)):
+                raise NumericalError(
+                    f"slot {slot.label()}: task {task!r}: the residual overflowed to "
+                    "non-finite values"
+                )
             report.mae[(task, slot)] = mae
             report.fro[(task, slot)] = fro
     return report
+
+
+def _factors(adapter: Adapter) -> tuple[np.ndarray, np.ndarray]:
+    return adapter.factors(*adapter.sides(), adapter.frozen)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the caller types a non-finite score
+def _scores(targets: list[Adapter], entry: MergedSlot) -> list[tuple[float, float]]:
+    """``(mae, fro)`` of each target's residual against its prediction by
+    the merged slot ``entry``, each from :func:`mae_and_fro_of_sums`.
+
+    Every update is built from its rank-r ``factors`` (see
+    :mod:`hydramerge.adapters`) one row block of about ``_BLOCK_ENTRIES``
+    entries at a time (:func:`~hydramerge.linalg.row_blocks`), into two
+    buffers that the whole slot reuses.  Per used cluster (a single merged
+    adapter is one cluster of every task) each block of the prediction is
+    built once; each task of the cluster then builds its block of the
+    residual in the second buffer and adds the block's
+    :func:`~hydramerge.linalg.residual_sums` to its own, in block order."""
+    assignment = entry.assignment if isinstance(entry, SharedSlot) else [0] * len(targets)
+    d, _, k = targets[0].shape_signature()
+    rows, blocks = row_blocks(d, k, _BLOCK_ENTRIES)
+    prediction, residual = np.empty((rows, k)), np.empty((rows, k))
+    sums = [[0.0, 0.0] for _ in targets]
+    for cluster in sorted(set(assignment)):
+        left, right = _factors(entry.member(cluster))
+        members = [(i, *_factors(targets[i])) for i, j in enumerate(assignment) if j == cluster]
+        for block in blocks:
+            n = block.stop - block.start
+            pred, res = prediction[:n], residual[:n]
+            np.matmul(left[block], right, out=pred)
+            for i, t_left, t_right in members:
+                np.matmul(t_left[block], t_right, out=res)
+                res -= pred
+                abs_sum, sq_sum = residual_sums(res)
+                sums[i][0] += abs_sum
+                sums[i][1] += sq_sum
+    return [mae_and_fro_of_sums(abs_sum, sq_sum, d * k) for abs_sum, sq_sum in sums]

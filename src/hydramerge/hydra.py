@@ -41,7 +41,9 @@ each residual has rank r: ``R_i = T_i - P_i = W_i A`` with the ``d x r``
 factor ``W_i = (lambda_b_i lambda_d_i^T - lambda_bmix_i lambda_d^T) * B``
 (``VeraAdapter.left_factor``).  That kernel builds ``R_i`` one block of
 rows at a time, about ``_BLOCK_ENTRIES`` entries, into one reused buffer and
-its sign into a second; it keeps the sum of ``|R_i|`` and ``M_i = G_i A^T =
+its sign into a second.  The blocks are those of
+:func:`~hydramerge.linalg.row_blocks`, which the reconstruction report
+walks too.  The kernel keeps the sum of ``|R_i|`` and ``M_i = G_i A^T =
 -sign(R_i) A^T / (d k)``, from which ``VeraAdapter.pull_back_left`` gives
 ``E_i`` and the task's finished ``lambda_d`` term at ``O(d r)``.  No other
 ``d x k`` array is formed, not even a target.  Equal vectors give ``W_i =
@@ -68,7 +70,9 @@ so ``b_i == Bmix_i`` and ``a_i == A`` give bit-equal traces, a loss of
 exactly 0 and gradient terms that cancel exactly.  The dense kernel is
 the reference both factored kernels are tested against.  :func:`loss`,
 :func:`gradients` and :func:`train` run the same kernel for the same
-targets.
+targets.  With adapter targets every kernel first checks, with
+:func:`~hydramerge.adapters.check_slot`, that the state could share their
+slot: one kind, ``(d, r, k)`` and frozen pair.
 
 Training stops with :class:`~hydramerge.errors.NumericalError`, naming the
 slot and step, when a prediction, the loss or a gradient turns non-finite
@@ -91,6 +95,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .adapters import (
+    Adapter,
     AdapterCollection,
     LowRankAdapter,
     MergedBundle,
@@ -111,6 +116,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    ROW_BLOCK_ENTRIES,
     SMOOTH_DISTANCES,
     DistanceKind,
     Matrix,
@@ -119,6 +125,7 @@ from .linalg import (
     distance_and_grad,
     exact_mean,
     gaussian_sample,
+    row_blocks,
     smooth_terms,
     softmax_rows,
     stable_hash64,
@@ -437,8 +444,8 @@ def _loss_and_grads_factored(state: HydraState, tgt: _LowRankTargets, cfg: Hydra
     return _chain_rule(state, weights, clusters, values.tolist(), pulled, shared, cfg)
 
 
-# Entries of one row block of a VeRA residual: 128 rows at k = 1024.
-_BLOCK_ENTRIES = 2**17
+# Entries of one row block of a VeRA residual.
+_BLOCK_ENTRIES = ROW_BLOCK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -464,16 +471,13 @@ def _loss_and_grads_vera_mae(state: VeraHydraState, tgt: _VeraTargets, cfg: Hydr
     one row block at a time: no d x k array but the two block buffers.
 
     With ``G_i = -sign(R_i) / (d k)`` only ``M_i = G_i shared_a^T`` (d x r)
-    reaches the chain rule, through ``VeraAdapter.pull_back_left``.  A state
-    whose frozen pair is not the targets' raises :class:`ValidationError`."""
-    if len(state.frozen) != 2 or not all(map(np.array_equal, state.frozen, tgt.frozen)):
-        raise ValidationError("the state and its targets carry different frozen pairs")
+    reaches the chain rule, through ``VeraAdapter.pull_back_left``."""
     shared_a, shared_b = state.frozen
     weights = _routing(state, cfg, len(tgt.lambda_b))
     clusters = np.stack(state.clusters)
     mixed = _mix(weights, clusters)
     d, k = len(shared_b), shared_a.shape[1]
-    size, rows = d * k, max(1, min(d, _BLOCK_ENTRIES // k))
+    size, (rows, row_slices) = d * k, row_blocks(d, k, _BLOCK_ENTRIES)
     blocks, signs = np.empty((rows, k)), np.empty((rows, k))
     pulled, shared = np.empty_like(mixed), np.zeros_like(state.shared)
     per_task = []
@@ -481,13 +485,13 @@ def _loss_and_grads_vera_mae(state: VeraHydraState, tgt: _VeraTargets, cfg: Hydr
         left = VeraAdapter.left_factor(ld, lb, shared_b)
         left -= VeraAdapter.left_factor(state.shared, c, shared_b)
         m, total = np.empty_like(left), 0.0
-        for start in range(0, d, rows):
-            stop = min(start + rows, d)
-            block, sign = blocks[: stop - start], signs[: stop - start]
-            np.matmul(left[start:stop], shared_a, out=block)
+        for span in row_slices:
+            n = span.stop - span.start
+            block, sign = blocks[:n], signs[:n]
+            np.matmul(left[span], shared_a, out=block)
             np.sign(block, out=sign)
             total += float(np.vdot(sign, block))  # sum |R| over the block
-            np.matmul(sign, shared_a.T, out=m[start:stop])
+            np.matmul(sign, shared_a.T, out=m[span])
         value = total / size
         if not np.isfinite(value):
             raise NumericalError(f"the prediction for task {i} overflowed to non-finite values")
@@ -502,7 +506,25 @@ def _kernel(targets, cfg: HydraConfig):
     """``state -> (loss, per_task, grads)`` for fixed targets: factored for a
     smooth distance on LoRA targets and for MAE on VeRA targets, dense
     otherwise.  Under ``cos`` a zero target raises
-    :class:`DegenerateInputError` carrying the task index."""
+    :class:`DegenerateInputError` carrying the task index.  For adapter
+    targets, a state that could not share a slot with them (another kind,
+    ``(d, r, k)`` or frozen pair; see :func:`check_slot`) raises
+    :class:`ValidationError`."""
+    kernel = _unchecked_kernel(targets, cfg)
+    adapters = [(f"target {i}", t) for i, t in enumerate(targets) if isinstance(t, Adapter)]
+    if not adapters:  # dense target matrices carry no kind
+        return kernel
+    first = dict(adapters[:1])
+
+    def checked(state):
+        check_slot({**first, "the state": state.member(0)}, "the state and its targets")
+        return kernel(state)
+
+    return checked
+
+
+def _unchecked_kernel(targets, cfg: HydraConfig):
+    """The kernel :func:`_kernel` chooses, before its state check."""
     kinds = {type(t) for t in targets}
     if kinds == {VeraAdapter} and cfg.distance is DistanceKind.MAE:
         vera = _VeraTargets.of(targets)

@@ -145,15 +145,37 @@ def mae_and_fro(x, y) -> tuple[float, float]:
     """``distance(x, y, MAE)`` and ``distance(x, y, FRO)``, bit for bit,
     from one residual."""
     a, b = _distance_operands(x, y, "distance")
-    return residual_mae_and_fro(a - b)
+    return mae_and_fro_of_sums(*residual_sums(a - b), a.size)
 
 
-def residual_mae_and_fro(residual: Matrix) -> tuple[float, float]:
-    """``(mean |R|, ||R||_F)`` of a float64 residual ``R``, unchecked: the
-    MAE and FRO values of :func:`distance`.  ``R`` is overwritten with
-    ``|R|``."""
-    fro = float(np.sqrt(np.sum(residual**2)))
-    return float(np.mean(np.abs(residual, out=residual))), fro
+def residual_sums(residual: Matrix) -> tuple[float, float]:
+    """``(sum |R|, sum R^2)`` of a float64 residual ``R``, unchecked and
+    with no temporary: ``R`` is overwritten.  Sums of the row blocks of a
+    residual, added in order, give :func:`mae_and_fro_of_sums` the whole
+    residual's."""
+    abs_sum = float(np.sum(np.abs(residual, out=residual)))
+    return abs_sum, float(np.sum(np.square(residual, out=residual)))
+
+
+def mae_and_fro_of_sums(abs_sum: float, sq_sum: float, size: int) -> tuple[float, float]:
+    """``(mean |R|, ||R||_F)`` of a ``size``-entry residual from its
+    :func:`residual_sums`: the MAE and FRO values of :func:`distance`, bit
+    for bit when the sums are of the whole residual at once."""
+    return abs_sum / size, math.sqrt(sq_sum)
+
+
+# Entries of one row block when a d x k product is built a block of rows at
+# a time: 128 rows at k = 1024.
+ROW_BLOCK_ENTRIES = 2**17
+
+
+def row_blocks(d: int, k: int, budget: int) -> tuple[int, list[slice]]:
+    """The rows of a ``d x k`` matrix in blocks of about ``budget`` entries:
+    ``rows = max(1, min(d, budget // k))`` rows each, the last block ragged.
+    Returns ``rows``, which sizes a reused block buffer, and the blocks'
+    row slices in order."""
+    rows = max(1, min(d, budget // k))
+    return rows, [slice(start, min(start + rows, d)) for start in range(0, d, rows)]
 
 
 def distance_grad(x, y, kind: DistanceKind) -> Matrix:

@@ -10,6 +10,7 @@ from hydramerge.adapters import (
     SharedVeraSlot,
     SlotKey,
     VeraAdapter,
+    check_slot,
     delta_weight,
 )
 from hydramerge.errors import ShapeError, ValidationError
@@ -117,6 +118,43 @@ class TestUpdateMap:
         lhs = np.vdot(g, moved - adapter.predict(cluster, basis))
         grad = adapter.shared_grad(term, frozen)
         assert lhs == pytest.approx(np.vdot(np.ravel(grad), d_shared), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    def test_factors_multiply_to_the_update(self, kind):
+        adapter = self.adapter(kind, 2)
+        left, right = adapter.factors(*adapter.sides(), adapter.frozen)
+        assert left.shape == (adapter.d, adapter.rank)
+        assert right.shape == (adapter.rank, adapter.k)
+        dense = delta_weight(adapter)
+        assert np.max(np.abs(left @ right - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    def test_lora_factors_are_its_own(self):
+        adapter = self.adapter("lora", 3)
+        left, right = adapter.factors(*adapter.sides(), adapter.frozen)
+        assert left is adapter.b and right is adapter.a
+        assert np.array_equal(left @ right, delta_weight(adapter))
+
+
+class TestCheckSlot:
+    def test_names_every_difference(self):
+        vera = TestUpdateMap.adapter("vera", 0)
+        with pytest.raises(ValidationError) as info:
+            check_slot({"one": lora(5, 2, 4), "two": vera}, "here")
+        assert str(info.value) == (
+            "here: two is vera with (d, r, k) = (5, 2, 4), one is lora with (5, 2, 4); "
+            "two and one carry different frozen pairs"
+        )
+
+    def test_a_frozen_pair_alone(self):
+        one = TestUpdateMap.adapter("vera", 0)
+        two = VeraAdapter(one.lambda_b, one.lambda_d, one.shared_b, one.shared_a + 1.0)
+        with pytest.raises(ValidationError) as info:
+            check_slot({"one": one, "two": two}, "here")
+        assert str(info.value) == "here: two and one carry different frozen pairs"
+
+    def test_same_slot_passes(self):
+        one = TestUpdateMap.adapter("vera", 0)
+        check_slot({"one": one, "two": TestUpdateMap.adapter("vera", 0)}, "here")
 
 
 class TestAdapterInvariants:

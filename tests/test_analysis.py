@@ -13,7 +13,8 @@ from hydramerge.adapters import (
 )
 from hydramerge.analysis import pairwise_similarity, reconstruction_report, storage_ratio
 from hydramerge.baselines import BaselineConfig, MergeMethod, merge_collection
-from hydramerge.errors import ParameterError, ValidationError
+from hydramerge import analysis
+from hydramerge.errors import NumericalError, ParameterError, ValidationError
 from hydramerge.hydra import HydraConfig, merge_collection_hydra
 from hydramerge.linalg import DistanceKind, Rng, distance, gaussian_sample
 from hydramerge.synthetic import SynthSpec, generate
@@ -249,6 +250,112 @@ class TestReconstruction:
         doc = reconstruction_report(coll, bundle).to_dict()
         assert "grand_mean_mae" in doc["recon"]
         assert set(doc["recon"]["per_task"]) == set(coll.task_ids)
+
+
+def vera_collection(tasks=4, d=7, k=6, rank=3, seed=0, tie_lambda_d=False):
+    """Two slots, each with its own frozen pair and per-task vectors."""
+    rng, ids, table = Rng(seed), [f"t{i}" for i in range(tasks)], {}
+    for slot in (SlotKey(0, "q"), SlotKey(0, "v")):
+        shared_b = gaussian_sample(rng, d, rank, 0.0, 1.0)
+        shared_a = gaussian_sample(rng, rank, k, 0.0, 1.0)
+        lambda_d = gaussian_sample(rng, rank, 1, 0.0, 1.0).ravel()
+        for task in ids:
+            if not tie_lambda_d:
+                lambda_d = gaussian_sample(rng, rank, 1, 0.0, 1.0).ravel()
+            lambda_b = gaussian_sample(rng, d, 1, 0.0, 1.0).ravel()
+            table[(task, slot)] = VeraAdapter(lambda_b, lambda_d, shared_b, shared_a)
+    return AdapterCollection.build(ids, table)
+
+
+def lora_collection(tasks=4, d=7, k=6, rank=3, seed=0):
+    return generate(SynthSpec(tasks=tasks, layers=1, d=d, k=k, rank=rank, seed=seed))
+
+
+def shared_bundle(coll, assignment, shared_from=-1):
+    """A shared bundle of ``coll``'s kind: per slot, the shared side of task
+    ``shared_from`` and one cluster side per cluster, cluster j's from the
+    first task assigned to it."""
+    bundle = MergedBundle.of(coll, "hydraopt")
+    for slot in coll.slots:
+        adapters = coll.adapters_at(slot)
+        clusters = [adapters[assignment.index(j)].sides()[1] for j in range(max(assignment) + 1)]
+        shared, frozen = adapters[shared_from].sides()[0], adapters[0].frozen
+        bundle.entries[slot] = type(adapters[0]).shared_slot(shared, clusters, frozen, assignment)
+    return bundle
+
+
+class TestBlockedReport:
+    """The report builds every update from its rank-r factors one row block
+    at a time; ``distance(delta_weight(t), prediction)`` is its oracle."""
+
+    # (d, k, block budget): a ragged last block (3 + 3 + 1 rows), d below
+    # one block, and one row per block
+    SHAPES = [(7, 6, 18), (7, 6, None), (5, 6, 1)]
+
+    @pytest.mark.parametrize("layout", ["per-matrix", "shared", "interleaved"])
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    @pytest.mark.parametrize("d, k, budget", SHAPES)
+    def test_matches_dense_reference(self, monkeypatch, kind, layout, d, k, budget):
+        if budget is not None:
+            monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", budget)
+        make = lora_collection if kind == "lora" else vera_collection
+        for seed in range(3):
+            coll = make(tasks=4, d=d, k=k, rank=3, seed=seed)
+            if layout == "per-matrix":
+                bundle = merge_collection(coll, BaselineConfig(method=MergeMethod.TIES))
+            else:
+                assignment = [0, 1, 2, 3] if layout == "shared" else [0, 1, 0, 2]
+                bundle = shared_bundle(coll, assignment)
+            report = reconstruction_report(coll, bundle)
+            for slot in coll.slots:
+                for task in coll.task_ids:
+                    target = delta_weight(coll.adapter(task, slot))
+                    prediction = bundle.prediction(task, slot)
+                    for table, which in ((report.mae, "mae"), (report.fro, "fro")):
+                        want = distance(target, prediction, DistanceKind(which))
+                        assert table[(task, slot)] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("budget", [18, None, 1])
+    def test_vera_exact_fit_is_zero(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", budget)
+        coll = vera_collection(tasks=3, tie_lambda_d=True, seed=2)
+        report = reconstruction_report(coll, shared_bundle(coll, [0, 1, 2]))
+        assert set(report.mae.values()) == {0.0} and set(report.fro.values()) == {0.0}
+
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    def test_peak_memory_is_below_one_update(self, monkeypatch, kind):
+        """At d = k = 256 the default budget makes one block the whole
+        matrix, so the budget is cut to an eighth of it: a report that formed
+        any whole update or residual would peak above one d x k matrix."""
+        import tracemalloc
+
+        d = k = 256
+        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", d * k // 8)
+        make = lora_collection if kind == "lora" else vera_collection
+        coll = make(tasks=8, d=d, k=k, rank=8, seed=1)
+        bundle = shared_bundle(coll, [i % 3 for i in range(8)])
+        tracemalloc.start()
+        try:
+            reconstruction_report(coll, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * k * 8, peak / (d * k * 8)
+
+    @pytest.mark.parametrize("scale_b, scale_d", [(1e160, 1.0), (1e300, 1e10)])
+    def test_non_finite_residual_names_slot_and_task(self, scale_b, scale_d):
+        # 1e160: the update is finite, the sum of its squared entries is not;
+        # 1e300 and 1e10: the update itself overflows
+        coll = vera_collection(tasks=3, seed=3)
+        bundle = merge_collection(coll, BaselineConfig(method=MergeMethod.TA))
+        slot = coll.slots[1]
+        a = coll.adapter("t1", slot)
+        coll.table[("t1", slot)] = VeraAdapter(
+            a.lambda_b * scale_b, a.lambda_d * scale_d, a.shared_b, a.shared_a
+        )
+        with pytest.raises(NumericalError, match=r"^slot layer\.0\.v: task 't1': "):
+            reconstruction_report(coll, bundle)
 
 
 class TestSynthetic:

@@ -323,6 +323,30 @@ class TestVeraArchives:
         assert "scale must be finite" in result.stderr
         assert not merged.exists()
 
+    def test_overflowing_residual_is_one_error_line(self, tmp_path):
+        """Entries of 1e38, exact in float32: every update is finite, but the
+        sum of its squared residual entries is not."""
+        from hydramerge.adapters import AdapterCollection, SlotKey, VeraAdapter
+        from hydramerge.archive import write_archive
+
+        d = k = 128
+        big = float(np.float32(1e38))
+        shared_b, shared_a = np.full((d, 2), big), np.full((2, k), big)
+        table = {
+            (task, SlotKey(0, "q")): VeraAdapter(np.full(d, big), [big, big], shared_b, shared_a)
+            for task in ("t0", "t1")
+        }
+        coll, merged = tmp_path / "big.lrta", tmp_path / "big-ties.lrta"
+        write_archive(AdapterCollection.build(["t0", "t1"], table), coll)
+        result = run_cli("merge", "--in", str(coll), "--out", str(merged), "--method", "ties")
+        assert result.returncode == 0, result.stderr
+        recon = run_cli("eval-recon", "--in", str(coll), "--merged", str(merged))
+        assert recon.returncode == 3, recon.stdout
+        assert recon.stdout == ""
+        lines = recon.stderr.splitlines()
+        assert lines == ["error: slot layer.0.q: task 't0': the residual overflowed to "
+                         "non-finite values"], recon.stderr  # fmt: skip
+
     def test_similarity_compares_the_scaling_vectors(self, vera_archive):
         import numpy as np
 
@@ -352,6 +376,33 @@ class TestVeraArchives:
             "report-storage", "--in", str(vera_archive), "--merged", str(merged)
         )
         assert storage.returncode == 0
+
+
+def peak_rss_mb(*args) -> float:
+    """Peak RSS of one CLI run, as ``wait4`` reports it when it ends."""
+    proc = subprocess.Popen(CLI + list(args), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, proc.stderr.read()
+    proc.stderr.close()
+    return usage.ru_maxrss / 1024.0
+
+
+class TestReconMemory:
+    def test_eval_recon_peaks_near_report_storage(self, tmp_path):
+        """Both commands read the same two archives; eval-recon adds two
+        row-block buffers of 2^17 entries (1 MiB each), not one whole d x k
+        matrix (8 MiB at d = k = 1024)."""
+        coll, merged = tmp_path / "coll.lrta", tmp_path / "ta.lrta"
+        shape = dict(tasks=4, slots="q", d=1024, k=1024, rank=16)
+        assert run_cli(*gen_args(coll, **shape)).returncode == 0
+        result = run_cli("merge", "--in", str(coll), "--out", str(merged), "--method", "ta")
+        assert result.returncode == 0, result.stderr
+        peaks = {
+            command: peak_rss_mb(command, "--in", str(coll), "--merged", str(merged))
+            for command in ("report-storage", "eval-recon")
+        }
+        assert peaks["eval-recon"] - peaks["report-storage"] < 8.0, peaks
 
 
 @pytest.fixture(scope="module")

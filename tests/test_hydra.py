@@ -1007,3 +1007,31 @@ class TestVeraMaeKernel:
         # the gradient oracle checks the kernel training runs
         run_suite(seed=0, instances=1)
         assert calls["vera"] > 3
+
+
+class TestStateOfAnotherKind:
+    """Every kernel checks the state against the first adapter target with
+    ``check_slot`` before it runs."""
+
+    @pytest.mark.parametrize("distance", ["mae", "mse", "fro", "cos"])
+    @pytest.mark.parametrize("state_kind", ["lora", "vera"])
+    def test_is_a_validation_error(self, state_kind, distance):
+        # both target lists have (d, r, k) = (6, 2, 5): only the kind differs
+        lora, vera = make_targets(num_tasks=2), TestVera().make_vera_targets(num_tasks=2)
+        own, other = (lora, vera) if state_kind == "lora" else (vera, lora)
+        cfg = HydraConfig(num_clusters=2, distance=distance)
+        state = init_state(own, cfg, Rng(0))
+        named = rf"^the state and its targets: the state is {state_kind}"
+        for evaluate in (loss, gradients):
+            with pytest.raises(ValidationError, match=named):
+                evaluate(state, other, cfg)
+
+    def test_another_shape_names_both(self):
+        cfg = HydraConfig(num_clusters=2, distance="mse")
+        state = init_state(make_targets(num_tasks=2, d=7), cfg, Rng(0))
+        named = (
+            r"the state is lora with \(d, r, k\) = \(7, 2, 5\), "
+            r"target 0 is lora with \(6, 2, 5\)$"
+        )
+        with pytest.raises(ValidationError, match=named):
+            loss(state, make_targets(num_tasks=2), cfg)

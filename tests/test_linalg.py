@@ -20,7 +20,10 @@ from hydramerge.linalg import (
     finite_diff,
     gaussian_sample,
     mae_and_fro,
+    mae_and_fro_of_sums,
     matmul,
+    residual_sums,
+    row_blocks,
     smooth_terms,
     softmax_rows,
     stable_hash64,
@@ -284,6 +287,38 @@ class TestMaeAndFro:
                 distance(x, y, DistanceKind.MAE),
                 distance(x, y, DistanceKind.FRO),
             )
+
+
+class TestResidualSums:
+    def test_block_sums_in_order_match_the_whole(self):
+        rng = Rng(4)
+        x, y = gaussian_sample(rng, 7, 6, 0.0, 1.0), gaussian_sample(rng, 7, 6, 0.0, 1.0)
+        _, blocks = row_blocks(7, 6, 18)
+        residual = x - y
+        sums = [residual_sums(residual[block].copy()) for block in blocks]
+        got = mae_and_fro_of_sums(sum(s for s, _ in sums), sum(q for _, q in sums), x.size)
+        assert got == pytest.approx(mae_and_fro(x, y), rel=1e-14, abs=0.0)
+
+    def test_overflow_gives_inf_not_an_error(self):
+        with np.errstate(over="ignore"):
+            sums = residual_sums(np.full((2, 2), 1e300))
+        assert sums[0] == 4e300 and sums[1] == math.inf
+        assert mae_and_fro_of_sums(*sums, 4) == (1e300, math.inf)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "d, k, budget, rows",
+        [(7, 6, 18, 3), (7, 6, 2**17, 7), (5, 6, 1, 1), (1024, 1024, 2**17, 128), (3, 10, 29, 2)],
+    )
+    def test_blocks_tile_the_rows(self, d, k, budget, rows):
+        got_rows, blocks = row_blocks(d, k, budget)
+        assert got_rows == rows
+        assert [b.start for b in blocks] == list(range(0, d, rows))
+        assert [b.stop for b in blocks] == [min(s + rows, d) for s in range(0, d, rows)]
+
+    def test_default_budget(self):
+        assert linalg.ROW_BLOCK_ENTRIES == 2**17
 
 
 class TestGaussianSample:
