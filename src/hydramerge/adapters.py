@@ -25,17 +25,22 @@ Each adapter class describes its kind, so no other layer branches on it:
   from a cluster side to the ``d x k`` update; ``pull_back(g, c, basis)``
   gives its adjoint ``L^T(g)`` and ``c``'s term of the shared side's
   gradient, which ``shared_grad(total, frozen)`` finishes from the summed
-  terms.  :func:`delta_weight` and :mod:`hydramerge.hydra` both use them.
-  VeRA's update also factors through its frozen ``shared_a``:
-  ``left_factor`` gives the ``d x r`` factor ``W`` of ``L(c) = W
-  shared_a``, and ``pull_back_left`` both halves of ``pull_back`` and
-  ``shared_grad`` from ``G shared_a^T`` alone.
+  terms.  :func:`delta_weight` and :mod:`hydramerge.hydra`'s dense kernel
+  use them.
 * ``factors(shared, cluster, frozen)`` is the update as its rank-r
   factors ``(left, right)``, ``d x r`` and ``r x k``, with ``left @
-  right == L(cluster)`` up to rounding: ``(b, a)`` for LoRA and
-  ``(left_factor(...), shared_a)`` for VeRA.  The reconstruction report
-  builds updates from them one row block at a time; :func:`delta_weight`
-  stays the dense reference.
+  right == L(cluster)`` up to rounding: ``(b, a)`` for LoRA and ``(W,
+  shared_a)`` for VeRA, ``W = diag(lambda_b) shared_b diag(lambda_d)``.
+  :func:`delta_factors` gives an adapter's own.  ``right_frozen`` says
+  whether the right factor is part of ``frozen`` (VeRA) or of the trained
+  shared side (LoRA).  ``pull_back_factors(m, n, cluster, shared,
+  frozen)`` gives ``L^T(G)`` and the finished shared term from ``m = G
+  right^T`` (d x r) and ``n = left^T G`` (r x k), for one task or a stack
+  of them.  With a frozen right factor the shared side sits in the left
+  one, so it reads ``cluster`` and not ``n`` (which may be ``None``);
+  otherwise ``n`` and not ``cluster``.  The reconstruction
+  report and :mod:`hydramerge.hydra`'s factored kernels build on these;
+  :func:`delta_weight` stays the dense reference.
 
 The base class :class:`Adapter` derives the rest once for both kinds:
 ``param_count`` is the size of the two sides, and ``shape_signature`` is
@@ -117,6 +122,7 @@ class LowRankAdapter(Adapter):
     a: Matrix
     kind: ClassVar[str] = "lora"
     frozen: ClassVar[tuple] = ()
+    right_frozen: ClassVar[bool] = False
 
     def __post_init__(self):
         self.b = as_matrix(self.b, "b")
@@ -181,6 +187,11 @@ class LowRankAdapter(Adapter):
         """``(B, A)``, so that ``L(B) = B A``."""
         return cluster, shared
 
+    @staticmethod
+    def pull_back_factors(m, n, cluster, shared, frozen: tuple):
+        """``L^T(G) = G A^T = m`` and the shared term ``dA = B^T G = n``."""
+        return m, n
+
 
 @dataclass
 class VeraAdapter(Adapter):
@@ -194,6 +205,7 @@ class VeraAdapter(Adapter):
     shared_b: Matrix
     shared_a: Matrix
     kind: ClassVar[str] = "vera"
+    right_frozen: ClassVar[bool] = True
 
     def __post_init__(self):
         # as_matrix rejects an empty or non-finite vector
@@ -276,31 +288,21 @@ class VeraAdapter(Adapter):
         return ((shared_b.T @ total) * shared_a).sum(axis=1)
 
     @staticmethod
-    def left_factor(shared: np.ndarray, cluster: np.ndarray, shared_b: Matrix) -> Matrix:
-        """``W = diag(lambda_b) shared_b diag(lambda_d)`` (d x r), so that
-        ``L(lambda_b) = W shared_a``.  Both halves of a residual ``W_t - W_p``
-        take the same operations, so equal vectors give exactly 0."""
-        return np.reshape(cluster, (-1, 1)) * (shared_b * np.reshape(shared, (1, -1)))
-
-    @staticmethod
-    def factors(
-        shared: np.ndarray, cluster: np.ndarray, frozen: tuple[Matrix, Matrix]
-    ) -> tuple[Matrix, Matrix]:
-        """``(W, shared_a)`` with ``W = left_factor(...)``, so that
-        ``L(lambda_b) = W shared_a``."""
+    def factors(shared: np.ndarray, cluster: np.ndarray, frozen: tuple) -> tuple[Matrix, Matrix]:
+        """``(W, shared_a)`` with ``W = diag(lambda_b) shared_b
+        diag(lambda_d)`` (d x r), so that ``L(lambda_b) = W shared_a``.  Both
+        halves of a residual ``W_t - W_p`` take the same operations, so equal
+        vectors give exactly 0."""
         shared_a, shared_b = frozen
-        return VeraAdapter.left_factor(shared, cluster, shared_b), shared_a
+        return np.reshape(cluster, (-1, 1)) * (shared_b * np.reshape(shared, (1, -1))), shared_a
 
     @staticmethod
-    def pull_back_left(
-        m: Matrix, cluster: np.ndarray, shared: np.ndarray, shared_b: Matrix
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``pull_back`` and ``shared_grad`` of one task from ``m = G
-        shared_a^T`` (d x r) alone: ``L^T(G) = rowsum(m * shared_b *
-        lambda_d)`` and the finished shared term ``colsum(m * lambda_b *
-        shared_b)``."""
-        scaled = m * shared_b
-        return scaled @ np.ravel(shared), np.ravel(cluster) @ scaled
+    def pull_back_factors(m, n, cluster, shared, frozen: tuple[Matrix, Matrix]):
+        """``L^T(G) = rowsum(m * shared_b * lambda_d)`` and the finished
+        shared term ``colsum(m * lambda_b * shared_b)``, from ``m = G
+        shared_a^T`` alone; ``cluster`` is 1-D, or one row per stacked ``m``."""
+        scaled = m * frozen[1]
+        return scaled @ np.ravel(shared), (cluster[..., None, :] @ scaled)[..., 0, :]
 
 
 def check_slot(adapters: Mapping[str, Adapter], where: str) -> None:
@@ -330,6 +332,11 @@ def _check_task_ids(ids, field: str) -> None:
     tensor names and ``meta.tasks`` carry nothing else."""
     if not ids or not all(isinstance(t, str) and t for t in ids) or len(set(ids)) != len(ids):
         raise ValidationError(f"{field} must be distinct non-empty strings, got {ids!r}")
+
+
+def delta_factors(adapter: Adapter) -> tuple[Matrix, Matrix]:
+    """The update's rank-r factors ``(left, right)`` from ``sides()``."""
+    return adapter.factors(*adapter.sides(), adapter.frozen)
 
 
 def delta_weight(adapter: Adapter) -> Matrix:

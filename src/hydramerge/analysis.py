@@ -24,6 +24,7 @@ from .adapters import (
     MergedSlot,
     SharedSlot,
     SlotKey,
+    delta_factors,
 )
 from .errors import NumericalError, ParameterError
 from .linalg import (
@@ -183,10 +184,6 @@ def reconstruction_report(original: AdapterCollection, merged: MergedBundle) -> 
     return report
 
 
-def _factors(adapter: Adapter) -> tuple[np.ndarray, np.ndarray]:
-    return adapter.factors(*adapter.sides(), adapter.frozen)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the caller types a non-finite score
 def _scores(targets: list[Adapter], entry: MergedSlot) -> list[tuple[float, float]]:
     """``(mae, fro)`` of each target's residual against its prediction by
@@ -206,13 +203,13 @@ def _scores(targets: list[Adapter], entry: MergedSlot) -> list[tuple[float, floa
     prediction, residual = np.empty((rows, k)), np.empty((rows, k))
     sums = [[0.0, 0.0] for _ in targets]
     for cluster in sorted(set(assignment)):
-        left, right = _factors(entry.member(cluster))
-        members = [(i, *_factors(targets[i])) for i, j in enumerate(assignment) if j == cluster]
+        left, right = delta_factors(entry.member(cluster))
+        tasks = [(i, *delta_factors(t)) for i, t in enumerate(targets) if assignment[i] == cluster]
         for block in blocks:
             n = block.stop - block.start
             pred, res = prediction[:n], residual[:n]
             np.matmul(left[block], right, out=pred)
-            for i, t_left, t_right in members:
+            for i, t_left, t_right in tasks:
                 np.matmul(t_left[block], t_right, out=res)
                 res -= pred
                 abs_sum, sq_sum = residual_sums(res)

@@ -2,7 +2,12 @@
 
 
 class HydraMergeError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  ``task`` is the
+    index of the task whose input is to blame, when one task is."""
+
+    def __init__(self, message: str = "", task: int | None = None):
+        super().__init__(message)
+        self.task = task
 
 
 class ShapeError(HydraMergeError, ValueError):
@@ -15,12 +20,7 @@ class ParameterError(HydraMergeError, ValueError):
 
 class DegenerateInputError(HydraMergeError, ValueError):
     """Input is degenerate for the requested operation (e.g. a zero matrix
-    passed to the cosine distance).  ``task`` is the index of the task
-    whose input is degenerate, when one task is to blame."""
-
-    def __init__(self, message: str, task: int | None = None):
-        super().__init__(message)
-        self.task = task
+    passed to the cosine distance)."""
 
 
 class ArchiveFormatError(HydraMergeError, ValueError):
@@ -32,5 +32,6 @@ class ValidationError(HydraMergeError, ValueError):
 
 
 class NumericalError(HydraMergeError, ArithmeticError):
-    """A computation left the finite range: an overflowed Gram trace, or a
-    training run whose loss or gradient became non-finite or ran away."""
+    """A computation left the finite range: an overflowed Gram trace (of a
+    target, when ``task`` is set), or a training run whose loss or gradient
+    became non-finite or ran away."""

@@ -4,9 +4,11 @@ Random instances are drawn away from the non-smooth points of the
 distances (all residual entries must exceed a magnitude floor), the
 analytic gradients are compared against central differences tensor by
 tensor, and the worst relative error is reported.  Each instance checks
-the kernel that training runs for it: the factored one for a smooth
-distance on low-rank targets, the dense one otherwise.  Relative error
-for a tensor pair (analytic a, numeric f) is
+two kernels: the one training runs for it (the Gram kernel for a smooth
+distance, the blocked kernel for MAE, on either adapter kind) and the
+dense kernel on the same targets as dense matrices, which is the
+reference the factored kernels are tested against.  Relative error for a
+tensor pair (analytic a, numeric f) is
 
     max|a - f| / max(max|a|, max|f|, 1e-12)
 """
@@ -155,9 +157,8 @@ def run_suite(
                 targets, state, cfg = _random_instance(
                     rng, draw_targets, d, k, r, num_tasks, num_clusters, kind
                 )
-                _check_state(
-                    state, cfg, _kernel(targets, cfg), report,
-                    f"{name}[{index}] M={num_clusters} {kind.value}", step,
-                )
+                label = f"{name}[{index}] M={num_clusters} {kind.value}"
+                for inputs, tag in ((targets, ""), (_target_matrices(targets), " dense")):
+                    _check_state(state, cfg, _kernel(inputs, cfg), report, label + tag, step)
         report.instances += 1
     return report

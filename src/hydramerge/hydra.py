@@ -15,16 +15,12 @@ the targets' ``sides()`` and carry their ``frozen`` pair.  A training
 state is the bundle slot it exports (:class:`HydraState` is a
 :class:`~hydramerge.adapters.SharedLoraSlot`, :class:`VeraHydraState` a
 :class:`~hydramerge.adapters.SharedVeraSlot`) plus routing logits, Adam
-moments and the step count.  ``L`` and its adjoint are static methods of
-the slot's ``adapter_type`` (see :mod:`hydramerge.adapters`), which
-:func:`~hydramerge.adapters.delta_weight` uses too.  The dense
-kernel builds ``P_i = predict(c_mix_i, basis)`` per task; ``pull_back``
-turns the distance gradient ``G_i`` at ``P_i`` into ``E_i = L^T(G_i)``
-and the task's term of the shared gradient, which ``shared_grad``
-finishes.  LoRA learns a shared input-side factor ``A`` (r x k) and
-cluster factors ``B_j`` (d x r); VeRA keeps its frozen pair and learns a
-shared inner vector ``lambda_d`` (r) and cluster outer vectors
-``lambda_b_j`` (d).
+moments and the step count.  ``L``, its adjoint and its rank-r factors
+are static methods of the slot's ``adapter_type`` (see
+:mod:`hydramerge.adapters`).  LoRA learns a shared input-side factor
+``A`` (r x k) and cluster factors ``B_j`` (d x r); VeRA keeps its frozen
+pair and learns a shared inner vector ``lambda_d`` (r) and cluster outer
+vectors ``lambda_b_j`` (d).
 
 Every kernel ends in one chain rule in cluster space: ``dc_j = sum_i
 w[i, j] E_i``, and the routing logits get
@@ -32,47 +28,58 @@ w[i, j] E_i``, and the routing logits get
     g[i, j] = <G_i, U_j> = <E_i, c_j>            (flattened inner products)
     dC[i,m] = (w[i, m] / temperature) * (g[i, m] - sum_j w[i, j] g[i, j])
 
-The dense kernel streams one ``d x k`` residual per task.  It serves dense
-target matrices, MAE on LoRA targets and the smooth distances on VeRA
-targets.
+The kernel is chosen by the distance alone.  Every update a kernel fits
+is a rank-r product of the kind's ``factors``: ``T_i = L_t,i R_t,i`` for
+target i and ``P_i = L_p,i R_p`` for its prediction, with ``L_p,i`` the
+left factor of ``c_mix_i``.  For LoRA these are ``(b_i, a_i)`` and
+``(Bmix_i, A)``; for VeRA ``(W_i, shared_a)`` and ``(W(c_mix_i),
+shared_a)``, so VeRA's right factor is frozen and equal on both sides.
+A kernel reaches the chain rule through ``M_i = G_i R_p^T`` (d x r) and,
+for a trained right factor, ``N_i = L_p,i^T G_i`` (r x k), which the
+kind's ``pull_back_factors`` turns into ``E_i`` and the task's finished
+shared term.  With adapter targets every kernel first checks, with
+:func:`~hydramerge.adapters.check_slot`, that the state could share their
+slot: one kind, ``(d, r, k)`` and frozen pair.
 
-For MAE on VeRA targets, which all carry the slot's frozen pair ``(B, A)``,
-each residual has rank r: ``R_i = T_i - P_i = W_i A`` with the ``d x r``
-factor ``W_i = (lambda_b_i lambda_d_i^T - lambda_bmix_i lambda_d^T) * B``
-(``VeraAdapter.left_factor``).  That kernel builds ``R_i`` one block of
-rows at a time, about ``_BLOCK_ENTRIES`` entries, into one reused buffer and
-its sign into a second.  The blocks are those of
+Under MAE the blocked kernel builds each residual ``R_i`` one block of
+rows at a time, about ``_BLOCK_ENTRIES`` entries, into one reused buffer
+and its sign into a second; the blocks are those of
 :func:`~hydramerge.linalg.row_blocks`, which the reconstruction report
-walks too.  The kernel keeps the sum of ``|R_i|`` and ``M_i = G_i A^T =
--sign(R_i) A^T / (d k)``, from which ``VeraAdapter.pull_back_left`` gives
-``E_i`` and the task's finished ``lambda_d`` term at ``O(d r)``.  No other
-``d x k`` array is formed, not even a target.  Equal vectors give ``W_i =
-0`` exactly, so an exact fit has a loss of exactly 0 and zero gradients.
+walks too.  A frozen right factor makes a block one product, ``(L_t,i -
+L_p,i)[rows] R_p``; a trained one makes it ``L_t,i[rows] R_t,i`` minus
+``L_p,i[rows] R_p``, two products of one C-ordered layout.  The kernel
+keeps the sum of ``|R_i|``, ``M_i`` and ``N_i`` with ``G_i = -sign(R_i) /
+(d k)``, and pulls each task back before the next.  No other ``d x k``
+array is formed, not even a target.
 
-For the smooth distances (mse, fro, cos) on LoRA targets ``T_i = b_i
-a_i`` the dense ``d x k`` matrices are never formed.  With ``Bmix_i =
-sum_j w[i, j] B_j`` (``B_i`` under identity routing) every quantity is a
-trace of ``r x r`` Gram products:
+Under a smooth distance (mse, fro, cos) the Gram kernel never forms a
+``d x k`` array either: every quantity is a trace of ``r x r`` Gram
+products, batched over tasks,
 
-    tt_i = <T_i, T_i> = <b_i^T b_i,       a_i a_i^T>     (fixed per run)
-    tp_i = <T_i, P_i> = <Bmix_i^T b_i,    A a_i^T>
-    pp_i = <P_i, P_i> = <Bmix_i^T Bmix_i, A A^T>
+    tt_i = <T_i, T_i> = <L_t,i^T L_t,i, R_t,i R_t,i^T>     (fixed per run)
+    tp_i = <T_i, P_i> = <L_p,i^T L_t,i, R_p R_t,i^T>
+    pp_i = <P_i, P_i> = <L_p,i^T L_p,i, R_p R_p^T>
 
 :func:`~hydramerge.linalg.smooth_terms` maps them to the loss and to
 ``(alpha_i, beta_i)`` with ``G_i = alpha_i T_i + beta_i P_i``, so
 
-    dA      = sum_i alpha_i (Bmix_i^T b_i) a_i + beta_i (Bmix_i^T Bmix_i) A
-    E_i^T   = (G_i A^T)^T = alpha_i (A a_i^T) b_i^T + beta_i (A A^T) Bmix_i^T
+    M_i = alpha_i L_t,i (R_t,i R_p^T) + beta_i L_p,i (R_p R_p^T)
+    N_i = alpha_i (L_p,i^T L_t,i) R_t,i + beta_i (L_p,i^T L_p,i) R_p
 
-for the shared chain rule, at ``O(K r^2 (d + k) + K M r d)`` per step.
-Target-side and prediction-side products run through the same operations,
-so ``b_i == Bmix_i`` and ``a_i == A`` give bit-equal traces, a loss of
-exactly 0 and gradient terms that cancel exactly.  The dense kernel is
-the reference both factored kernels are tested against.  :func:`loss`,
-:func:`gradients` and :func:`train` run the same kernel for the same
-targets.  With adapter targets every kernel first checks, with
-:func:`~hydramerge.adapters.check_slot`, that the state could share their
-slot: one kind, ``(d, r, k)`` and frozen pair.
+at ``O(K r^2 (d + k) + K M r d)`` per step.  Target-side and
+prediction-side products run through the same operations, so in either
+kernel equal factors give a loss of exactly 0 and gradient terms that
+cancel exactly.  A target whose ``tt_i`` overflows raises
+:class:`~hydramerge.errors.NumericalError` naming the task before the
+first step.
+
+The dense kernel builds ``P_i = predict(c_mix_i, basis)`` and streams one
+``d x k`` residual per task; ``pull_back`` turns the distance gradient
+``G_i`` at ``P_i`` into ``E_i = L^T(G_i)`` and the task's term of the
+shared gradient, which ``shared_grad`` finishes.  It serves dense target
+matrices and is the reference both factored kernels are tested against.
+:func:`loss`, :func:`gradients` and :func:`train` run the same kernel for
+the same targets.
 
 Training stops with :class:`~hydramerge.errors.NumericalError`, naming the
 slot and step, when a prediction, the loss or a gradient turns non-finite
@@ -97,7 +104,6 @@ import numpy as np
 from .adapters import (
     Adapter,
     AdapterCollection,
-    LowRankAdapter,
     MergedBundle,
     SharedLoraSlot,
     SharedSlot,
@@ -105,6 +111,7 @@ from .adapters import (
     SlotKey,
     VeraAdapter,
     check_slot,
+    delta_factors,
     delta_weight,
 )
 from .errors import (
@@ -260,8 +267,7 @@ def _zero_moments(state) -> None:
 
 
 def _target_matrices(targets) -> list[Matrix]:
-    adapters = (LowRankAdapter, VeraAdapter)
-    return [delta_weight(t) if isinstance(t, adapters) else as_matrix(t, "target") for t in targets]
+    return [delta_weight(t) if isinstance(t, Adapter) else as_matrix(t, "target") for t in targets]
 
 
 def _new_state(targets, num_clusters: int, rng: Rng, stdev: float | None):
@@ -404,144 +410,154 @@ def _trace(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _LowRankTargets:
-    """Target factors in the layout of the factored kernel."""
+class _FactorTargets:
+    """Adapter targets, each the product ``T_i = L_t,i R_t,i`` of its
+    :func:`delta_factors`.  The blocked kernel builds the factors task by
+    task from ``adapters``; only the Gram kernel's targets carry them
+    stacked, with ``tt[i] = <T_i, T_i>``."""
 
-    b_t: np.ndarray  # (K, r, d): b_i^T
-    a: np.ndarray  # (K, r, k)
-    tt: np.ndarray  # (K,): <T_i, T_i>
-    size: int  # d * k
+    adapters: Sequence[Adapter]
+    left_t: np.ndarray | None = None  # (K, r, d): L_t,i^T, C-ordered
+    right: np.ndarray | None = None  # (K, r, k), or the one frozen r x k
+    tt: np.ndarray | None = None  # (K,)
 
     @classmethod
-    @np.errstate(over="ignore", invalid="ignore")  # a non-finite tt is a typed error later
-    def of(cls, targets: Sequence[LowRankAdapter]) -> "_LowRankTargets":
-        b_t = np.ascontiguousarray(np.stack([as_matrix(t.b, "target B").T for t in targets]))
-        a = np.stack([as_matrix(t.a, "target A") for t in targets])
-        d, _, k = targets[0].shape_signature()
-        return cls(b_t=b_t, a=a, tt=_trace(_cross(b_t, b_t), _cross(a, a)), size=d * k)
+    @np.errstate(over="ignore", invalid="ignore")  # _check_targets types a non-finite tt
+    def of(cls, targets: Sequence[Adapter], cfg: HydraConfig) -> "_FactorTargets":
+        check_slot({f"target {i}": t for i, t in enumerate(targets)}, "the targets")
+        if cfg.distance not in SMOOTH_DISTANCES:
+            return cls(targets)
+        lefts, rights = zip(*map(delta_factors, targets))
+        left_t = np.stack([left.T for left in lefts])
+        right = rights[0] if targets[0].right_frozen else np.stack(rights)
+        tt = _trace(_cross(left_t, left_t), _cross(right, right))
+        _check_targets(tt, cfg.distance)
+        return cls(targets, left_t, right, tt)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed norm is typed here
+def _check_targets(squared_norms, distance: DistanceKind) -> None:
+    """Raise, naming the task, for a target whose squared norm ``<T_i, T_i>``
+    is not finite or, under ``cos``, is zero."""
+    for i, tt in enumerate(squared_norms):
+        if not np.isfinite(tt):
+            msg = f"the Gram trace <T, T> of target {i} overflowed to a non-finite value"
+            raise NumericalError(msg, task=i)
+        if tt == 0.0 and distance is DistanceKind.COS:
+            msg = f"cosine distance is undefined for a zero matrix (target {i} is zero)"
+            raise DegenerateInputError(msg, task=i)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the guards type non-finite results
-def _loss_and_grads_factored(state: HydraState, tgt: _LowRankTargets, cfg: HydraConfig):
-    """Loss and gradients of a smooth distance from r x r Gram products."""
-    a_shared = state.a_shared
-    clusters_t = np.ascontiguousarray(np.swapaxes(np.stack(state.b_clusters), 1, 2))  # B_j^T
+def _loss_and_grads_factored(state, tgt: _FactorTargets, cfg: HydraConfig):
+    """The Gram kernel: loss and gradients of a smooth distance, for either
+    kind, from r x r Gram products of the targets' and the predictions'
+    rank-r factors."""
+    kind = state.adapter_type
     weights = _routing(state, cfg, len(tgt.tt))
-    mix_t = _mix(weights, clusters_t)  # Bmix_i^T
-    cross_b = _cross(mix_t, tgt.b_t)  # Bmix_i^T b_i
-    gram_b = _cross(mix_t, mix_t)  # Bmix_i^T Bmix_i
-    cross_a = _cross(a_shared, tgt.a)  # A a_i^T
-    gram_a = _cross(a_shared, a_shared)  # A A^T
-    values, alpha, beta = smooth_terms(
-        tgt.tt, _trace(cross_b, cross_a), _trace(gram_b, gram_a), tgt.size, cfg.distance
-    )
-    alpha3 = alpha[:, None, None]
-    beta3 = beta[:, None, None]
-    shared = (np.matmul(alpha3 * cross_b, tgt.a) + np.matmul(beta3 * gram_b, a_shared)).sum(axis=0)
-    # (G_i A^T)^T, one r x d block per task: E_i and B_j as transposed views.
-    g_at_t = np.matmul(alpha3 * cross_a, tgt.b_t) + np.matmul(beta3 * gram_a, mix_t)
-    pulled, clusters = np.swapaxes(g_at_t, 1, 2), np.swapaxes(clusters_t, 1, 2)
-    return _chain_rule(state, weights, clusters, values.tolist(), pulled, shared, cfg)
+    clusters = np.stack(state.clusters)
+    factors = [kind.factors(state.shared, c, state.frozen) for c in state.clusters]
+    # L_p,i^T, mixed from the clusters' own (a left factor is linear in its cluster), and R_p
+    left_t, right = _mix(weights, np.stack([left.T for left, _ in factors])), factors[0][1]
+    cross_l = _cross(left_t, tgt.left_t)  # L_p,i^T L_t,i
+    gram_l = _cross(left_t, left_t)  # L_p,i^T L_p,i
+    cross_r = _cross(right, tgt.right)  # R_p R_t,i^T
+    gram_r = _cross(right, right)  # R_p R_p^T
+    size = left_t.shape[2] * right.shape[1]  # d k
+    tp, pp = _trace(cross_l, cross_r), _trace(gram_l, gram_r)
+    values, alpha, beta = smooth_terms(tgt.tt, tp, pp, size, cfg.distance)
+    alpha3, beta3 = alpha[:, None, None], beta[:, None, None]
+    # M_i^T = (G_i R_p^T)^T, one r x d block per task, and N_i = L_p,i^T G_i.  Each is
+    # summed in place, and L_p,i^T is freed before N_i, to bound the stacks alive at once.
+    m_t = np.matmul(alpha3 * cross_r, tgt.left_t)
+    m_t += np.matmul(beta3 * gram_r, left_t)
+    del left_t
+    n = None if kind.right_frozen else np.matmul(alpha3 * cross_l, tgt.right)
+    if n is not None:
+        n += np.matmul(beta3 * gram_l, right)
+    # only a frozen right factor's pull-back reads c_mix_i: the shared side is then in L_p,i
+    mixed = _mix(weights, clusters) if kind.right_frozen else None
+    m = np.swapaxes(m_t, 1, 2)
+    pulled, terms = kind.pull_back_factors(m, n, mixed, state.shared, state.frozen)
+    return _chain_rule(state, weights, clusters, values.tolist(), pulled, terms.sum(axis=0), cfg)
 
 
-# Entries of one row block of a VeRA residual.
+# Entries of one row block of a residual.
 _BLOCK_ENTRIES = ROW_BLOCK_ENTRIES
 
 
-@dataclass(frozen=True)
-class _VeraTargets:
-    """VeRA targets as their vectors over their one frozen pair."""
-
-    lambda_b: np.ndarray  # (K, d)
-    lambda_d: np.ndarray  # (K, r)
-    frozen: tuple[Matrix, Matrix]
-
-    @classmethod
-    def of(cls, targets: Sequence[VeraAdapter]) -> "_VeraTargets":
-        check_slot({f"target {i}": t for i, t in enumerate(targets)}, "the targets")
-        lambda_b = np.stack([t.lambda_b for t in targets])
-        lambda_d = np.stack([t.lambda_d for t in targets])
-        return cls(lambda_b, lambda_d, targets[0].frozen)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the guards type non-finite results
-def _loss_and_grads_vera_mae(state: VeraHydraState, tgt: _VeraTargets, cfg: HydraConfig):
-    """MAE loss and gradients from each task's rank-r residual ``R_i = W_i
-    shared_a``, ``W_i = left_factor(target) - left_factor(c_mix_i)``, built
-    one row block at a time: no d x k array but the two block buffers.
+def _loss_and_grads_vera_mae(state, tgt: _FactorTargets, cfg: HydraConfig):
+    """The blocked kernel: MAE loss and gradients, for either kind, from
+    each task's residual ``R_i = L_t,i R_t,i - L_p,i R_p``, built from the
+    rank-r factors one row block at a time: no d x k array but the two
+    block buffers.
 
-    With ``G_i = -sign(R_i) / (d k)`` only ``M_i = G_i shared_a^T`` (d x r)
-    reaches the chain rule, through ``VeraAdapter.pull_back_left``."""
-    shared_a, shared_b = state.frozen
-    weights = _routing(state, cfg, len(tgt.lambda_b))
+    With ``G_i = -sign(R_i) / (d k)`` only ``M_i = G_i R_p^T`` (d x r) and,
+    for a trained right factor, ``N_i = L_p,i^T G_i`` (r x k) reach the
+    chain rule, through ``pull_back_factors``."""
+    kind = state.adapter_type
+    weights = _routing(state, cfg, len(tgt.adapters))
     clusters = np.stack(state.clusters)
     mixed = _mix(weights, clusters)
-    d, k = len(shared_b), shared_a.shape[1]
+    d, _, k = tgt.adapters[0].shape_signature()
     size, (rows, row_slices) = d * k, row_blocks(d, k, _BLOCK_ENTRIES)
     blocks, signs = np.empty((rows, k)), np.empty((rows, k))
     pulled, shared = np.empty_like(mixed), np.zeros_like(state.shared)
     per_task = []
-    for i, (lb, ld, c) in enumerate(zip(tgt.lambda_b, tgt.lambda_d, mixed)):
-        left = VeraAdapter.left_factor(ld, lb, shared_b)
-        left -= VeraAdapter.left_factor(state.shared, c, shared_b)
-        m, total = np.empty_like(left), 0.0
+    for i, (target, c) in enumerate(zip(tgt.adapters, mixed)):
+        left, right = delta_factors(target)
+        left_p, right_p = kind.factors(state.shared, c, state.frozen)
+        if kind.right_frozen:  # R_t = R_p: the residual is one product
+            left, right, left_p = left - left_p, right_p, None
+        else:  # two products of one layout, so an exact fit cancels exactly
+            left, right, left_p, right_p = map(np.ascontiguousarray, (left, right, left_p, right_p))
+        m, total = np.empty((d, len(right_p))), 0.0
+        n = None if kind.right_frozen else np.zeros_like(right_p)
         for span in row_slices:
-            n = span.stop - span.start
-            block, sign = blocks[:n], signs[:n]
-            np.matmul(left[span], shared_a, out=block)
+            block, sign = blocks[: span.stop - span.start], signs[: span.stop - span.start]
+            np.matmul(left[span], right, out=block)
+            if n is not None:
+                block -= np.matmul(left_p[span], right_p, out=sign)
             np.sign(block, out=sign)
             total += float(np.vdot(sign, block))  # sum |R| over the block
-            np.matmul(sign, shared_a.T, out=m[span])
+            np.matmul(sign, right_p.T, out=m[span])
+            if n is not None:
+                n += left_p[span].T @ sign
         value = total / size
         if not np.isfinite(value):
             raise NumericalError(f"the prediction for task {i} overflowed to non-finite values")
         per_task.append(value)
         m *= -1.0 / size
-        pulled[i], term = VeraAdapter.pull_back_left(m, c, state.shared, shared_b)
+        if n is not None:
+            n *= -1.0 / size
+        pulled[i], term = kind.pull_back_factors(m, n, c, state.shared, state.frozen)
         shared += term
     return _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg)
 
 
 def _kernel(targets, cfg: HydraConfig):
-    """``state -> (loss, per_task, grads)`` for fixed targets: factored for a
-    smooth distance on LoRA targets and for MAE on VeRA targets, dense
-    otherwise.  Under ``cos`` a zero target raises
-    :class:`DegenerateInputError` carrying the task index.  For adapter
-    targets, a state that could not share a slot with them (another kind,
-    ``(d, r, k)`` or frozen pair; see :func:`check_slot`) raises
-    :class:`ValidationError`."""
-    kernel = _unchecked_kernel(targets, cfg)
-    adapters = [(f"target {i}", t) for i, t in enumerate(targets) if isinstance(t, Adapter)]
-    if not adapters:  # dense target matrices carry no kind
-        return kernel
-    first = dict(adapters[:1])
-
-    def checked(state):
-        check_slot({**first, "the state": state.member(0)}, "the state and its targets")
-        return kernel(state)
-
-    return checked
-
-
-def _unchecked_kernel(targets, cfg: HydraConfig):
-    """The kernel :func:`_kernel` chooses, before its state check."""
-    kinds = {type(t) for t in targets}
-    if kinds == {VeraAdapter} and cfg.distance is DistanceKind.MAE:
-        vera = _VeraTargets.of(targets)
-        return lambda state: _loss_and_grads_vera_mae(state, vera, cfg)
-    if kinds == {LowRankAdapter} and cfg.distance in SMOOTH_DISTANCES:
-        factored = _LowRankTargets.of(targets)
-        norms = factored.tt
-        kernel = lambda state: _loss_and_grads_factored(state, factored, cfg)
-    else:
+    """``state -> (loss, per_task, grads)`` for fixed targets, chosen by the
+    distance alone.  Adapter targets of either kind take the Gram kernel
+    under a smooth distance and the blocked kernel under MAE; each call
+    first checks, with :func:`check_slot`, that the state could share a
+    slot with them (one kind, ``(d, r, k)`` and frozen pair), else raises
+    :class:`ValidationError`.  Dense target matrices take the dense kernel.
+    A target whose ``<T, T>`` overflows raises :class:`NumericalError`, and
+    under ``cos`` a zero target :class:`DegenerateInputError`, each carrying
+    the task index."""
+    if not targets or not all(isinstance(t, Adapter) for t in targets):
         mats = _target_matrices(targets)
-        norms = map(np.linalg.norm, mats)  # lazy: only cos reads them
-        kernel = lambda state: _loss_and_grads_dense(state, mats, cfg)
-    if cfg.distance is DistanceKind.COS:
-        for i, norm in enumerate(norms):
-            if norm == 0.0:
-                msg = f"cosine distance is undefined for a zero matrix (target {i} is zero)"
-                raise DegenerateInputError(msg, task=i)
+        if cfg.distance is DistanceKind.COS:
+            _check_targets((np.vdot(m, m) for m in mats), cfg.distance)
+        return lambda state: _loss_and_grads_dense(state, mats, cfg)
+    factored, first = _FactorTargets.of(targets, cfg), {"target 0": targets[0]}
+    run = _loss_and_grads_factored if cfg.distance in SMOOTH_DISTANCES else _loss_and_grads_vera_mae
+
+    def kernel(state):
+        check_slot({**first, "the state": state.member(0)}, "the state and its targets")
+        return run(state, factored, cfg)
+
     return kernel
 
 
@@ -638,8 +654,7 @@ def _train_slot(collection: AdapterCollection, slot: SlotKey, cfg: HydraConfig):
     try:
         state, trace = train(collection.adapters_at(slot), cfg, rng)
     except HydraMergeError as exc:
-        task = getattr(exc, "task", None)
-        where = "" if task is None else f"task {collection.task_ids[task]}: "
+        where = "" if exc.task is None else f"task {collection.task_ids[exc.task]}: "
         raise type(exc)(f"slot {slot.label()}: {where}{exc}") from exc
     return export_slot(state, assign_tasks(state, cfg)), trace
 

@@ -347,6 +347,35 @@ class TestVeraArchives:
         assert lines == ["error: slot layer.0.q: task 't0': the residual overflowed to "
                          "non-finite values"], recon.stderr  # fmt: skip
 
+    @pytest.mark.parametrize("distance", ["cos", "mse", "fro"])
+    def test_overflowing_target_norm_is_one_error_line(self, tmp_path, distance):
+        """The 1e38 archive above under hydraopt: every update is finite, its
+        squared norm is not.  With numpy warnings as errors the merge still
+        ends in one typed error that names the slot and the task."""
+        from hydramerge.adapters import AdapterCollection, SlotKey, VeraAdapter
+        from hydramerge.archive import write_archive
+
+        d = k = 128
+        big = float(np.float32(1e38))
+        shared_b, shared_a = np.full((d, 2), big), np.full((2, k), big)
+        table = {
+            (task, SlotKey(0, "q")): VeraAdapter(np.full(d, big), [big, big], shared_b, shared_a)
+            for task in ("t0", "t1")
+        }
+        coll, merged = tmp_path / "big.lrta", tmp_path / "big-hydra.lrta"
+        write_archive(AdapterCollection.build(["t0", "t1"], table), coll)
+        result = run_cli(
+            "merge", "--in", str(coll), "--out", str(merged), "--method", "hydraopt",
+            "--distance", distance, env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"},
+        )  # fmt: skip
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: slot layer.0.q: task t0: the Gram trace <T, T> of target 0 overflowed "
+            "to a non-finite value"
+        ], result.stderr
+        assert not merged.exists()
+
     def test_similarity_compares_the_scaling_vectors(self, vera_archive):
         import numpy as np
 

@@ -1003,7 +1003,7 @@ class TestVeraMaeKernel:
         train(lora, HydraConfig(num_clusters=2, epochs=2), Rng(0))
         for kind in SMOOTH:
             train(vera, HydraConfig(num_clusters=2, epochs=2, distance=kind), Rng(0))
-        assert calls == {"vera": 3, "dense": 4 * 3}
+        assert calls == {"vera": 6, "dense": 0}
         # the gradient oracle checks the kernel training runs
         run_suite(seed=0, instances=1)
         assert calls["vera"] > 3
@@ -1035,3 +1035,146 @@ class TestStateOfAnotherKind:
         )
         with pytest.raises(ValidationError, match=named):
             loss(state, make_targets(num_tasks=2), cfg)
+
+
+# the paths that left the dense kernel: LoRA mae and VeRA's smooth distances
+MOVED = [("lora", "mae"), ("vera", "mse"), ("vera", "fro"), ("vera", "cos")]
+
+
+class TestOneKernelPerDistance:
+    """Adapter targets of either kind take the Gram kernel under a smooth
+    distance and the blocked kernel under MAE; the dense kernel is the
+    oracle of both."""
+
+    @pytest.mark.parametrize("adapter, distance", MOVED)
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    @pytest.mark.parametrize("d, k, budget", TestVeraMaeKernel.SHAPES)
+    def test_matches_dense_kernel(self, monkeypatch, adapter, distance, num_clusters, d, k, budget):
+        if budget is not None:
+            monkeypatch.setattr(hydra, "_BLOCK_ENTRIES", budget)
+        rng = Rng(37)
+        cfg = HydraConfig(num_clusters=num_clusters, distance=distance, temperature=0.7)
+        for seed in range(5):
+            targets = kind_targets(adapter, 4, d=d, r=3, k=k, seed=seed)
+            state = hydra._new_state(targets, num_clusters, rng, stdev=1.0)
+            value, per_task, grads = hydra._kernel(targets, cfg)(state)
+            ref_value, ref_per_task, ref_grads = dense_kernel(targets, cfg)(state)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+            assert per_task == pytest.approx(ref_per_task, rel=1e-12, abs=0.0)
+            assert sorted(grads.tensors) == sorted(ref_grads.tensors)
+            for name, ref in ref_grads.tensors.items():
+                got = grads.tensors[name]
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("distance", list(DistanceKind))
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    def test_exact_fit_is_exact_zero(self, monkeypatch, adapter, distance, num_clusters):
+        """Each task's target is the member its one-hot (or identity)
+        routing picks, so every residual is exactly 0."""
+        monkeypatch.setattr(hydra, "_BLOCK_ENTRIES", 18)  # 3 rows of k = 6 per block
+        targets = kind_targets(adapter, 4, d=7, r=3, k=6, seed=8)
+        state = hydra._new_state(targets, num_clusters, Rng(1), stdev=1.0)
+        assignment = [0, 1, 1, 0] if num_clusters == 2 else [0, 1, 2, 3]
+        if state.logits is not None:
+            # softmax of a +-50 gap at T = 0.1 is exactly one-hot in float64
+            state.logits = np.full((4, num_clusters), -50.0)
+            state.logits[range(4), assignment] = 50.0
+        exact = [state.member(j) for j in assignment]
+        cfg = HydraConfig(num_clusters=num_clusters, distance=distance)
+        value, per_task, grads = hydra._kernel(exact, cfg)(state)
+        assert value == 0.0 and per_task == [0.0] * 4
+        for name, tensor in grads.tensors.items():
+            assert np.array_equal(tensor, np.zeros_like(tensor)), name
+
+    @pytest.mark.parametrize("adapter, distance", MOVED)
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    def test_short_training_matches_dense(self, monkeypatch, adapter, distance, num_clusters):
+        monkeypatch.setattr(hydra, "_BLOCK_ENTRIES", 25)  # 2 rows of k = 10 per block
+        targets = kind_targets(adapter, 4, d=12, r=3, k=10, seed=5)
+        cfg = HydraConfig(
+            num_clusters=num_clusters, distance=distance, epochs=40, temperature=0.5
+        )
+        state, trace = train(targets, cfg, Rng(3))
+        ref_state = init_state(targets, cfg, Rng(3))
+        ref_trace = hydra._fit(ref_state, dense_kernel(targets, cfg), cfg)
+        assert assign_tasks(state, cfg) == assign_tasks(ref_state, cfg)
+        assert trace.final_loss == pytest.approx(ref_trace.final_loss, rel=1e-9, abs=0.0)
+        assert trace.final_loss < trace.initial_loss
+
+    @pytest.mark.parametrize("adapter, distance", MOVED)
+    def test_peak_memory_is_below_one_update(self, monkeypatch, adapter, distance):
+        """One call forms no d x k array.  The budget is cut to an eighth of
+        d x k, so that a call that densified any target or residual would
+        peak above one d x k matrix.  What a call keeps per task is rank-r
+        (LoRA holds each task's mixed factor and pull-back, d x r each), so
+        r = 2 keeps K = 8 of them well below one d x k matrix."""
+        import tracemalloc
+
+        d = k = 256
+        monkeypatch.setattr(hydra, "_BLOCK_ENTRIES", d * k // 8)
+        cfg = HydraConfig(num_clusters=3, distance=distance)
+        targets = kind_targets(adapter, 8, d=d, r=2, k=k, seed=8)
+        state = init_state(targets, cfg, Rng(0))
+        tracemalloc.start()
+        try:
+            gradients(state, targets, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * k * 8, peak / (d * k * 8)
+
+    def test_grad_check_reaches_every_kernel(self, monkeypatch):
+        calls = {name: 0 for name in (
+            "_loss_and_grads_factored", "_loss_and_grads_vera_mae", "_loss_and_grads_dense"
+        )}  # fmt: skip
+        for name in calls:
+            original = getattr(hydra, name)
+
+            def wrapped(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(hydra, name, wrapped)
+        assert run_suite(seed=0, instances=1).passed
+        assert all(calls.values()), calls
+
+
+class TestOverflowingTarget:
+    """A target whose ``<T, T>`` overflows is a typed error before step 0,
+    naming its task; the training loop then names the slot too."""
+
+    def huge_vera(self):
+        # entries of 1e38: the updates are finite, their squared norms are not
+        d = k = 128
+        big = float(np.float32(1e38))
+        shared_b, shared_a = np.full((d, 2), big), np.full((2, k), big)
+        return [VeraAdapter(np.full(d, big), [big, big], shared_b, shared_a) for _ in range(2)]
+
+    @pytest.mark.parametrize("distance", ["mse", "fro", "cos"])
+    def test_adapter_targets(self, distance):
+        targets = self.huge_vera()
+        cfg = HydraConfig(num_clusters=2, distance=distance)
+        state = init_state(targets, cfg, Rng(0))
+        with pytest.raises(NumericalError, match=r"^the Gram trace <T, T> of target 0") as info:
+            gradients(state, targets, cfg)
+        assert info.value.task == 0
+
+    def test_dense_targets_under_cos(self):
+        targets = self.huge_vera()
+        cfg = HydraConfig(num_clusters=2, distance="cos")
+        state = init_state(targets, cfg, Rng(0))
+        mats = hydra._target_matrices(targets)
+        with pytest.raises(NumericalError, match=r"^the Gram trace <T, T> of target 0") as info:
+            gradients(state, mats, cfg)
+        assert info.value.task == 0
+
+    def test_merge_names_slot_and_task(self):
+        slot = SlotKey(0, "q")
+        collection = AdapterCollection.build(
+            ["t0", "t1"], {(t, slot): a for t, a in zip(["t0", "t1"], self.huge_vera())}
+        )
+        cfg = HydraConfig(num_clusters=1, distance="mse")
+        with pytest.raises(NumericalError, match=r"^slot layer\.0\.q: task t0: the Gram trace"):
+            merge_collection_hydra(collection, cfg)
