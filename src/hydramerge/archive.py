@@ -214,7 +214,7 @@ def _parse_file(path) -> tuple[dict[str, np.ndarray], dict]:
         raise ArchiveFormatError(
             f"unsupported archive version {version!r} at byte {_HEADER_BYTES}"
         )
-    payload = raw[_HEADER_BYTES + manifest_len :]
+    payload = memoryview(raw)[_HEADER_BYTES + manifest_len :]  # a view, not a copy
     entries = manifest.get("tensors", {})
     if not isinstance(entries, dict):
         raise ArchiveFormatError("manifest 'tensors' must map names to entries")

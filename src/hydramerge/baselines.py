@@ -24,8 +24,16 @@ from typing import Sequence
 import numpy as np
 
 from .adapters import AdapterCollection, MergedAdapterSlot, MergedBundle
-from .errors import ParameterError, ShapeError
-from .linalg import Matrix, Rng, as_matrix, exact_mean, stable_hash64
+from .errors import HydraMergeError, NumericalError, ParameterError, ShapeError
+from .linalg import (
+    ROW_BLOCK_ENTRIES,
+    Matrix,
+    Rng,
+    as_matrix,
+    exact_mean,
+    row_blocks,
+    stable_hash64,
+)
 
 
 class MergeMethod(str, Enum):
@@ -62,12 +70,18 @@ def merge_ta(tensors: Sequence[Matrix], scale: float = 1.0) -> Matrix:
     """Uniform average (coefficient 1/K each), optionally rescaled.
 
     The mean is exactly rounded, so K copies of X merge to X exactly and
-    the result is bit-identical under task permutation.
+    the result is bit-identical under task permutation.  A scale that
+    takes the mean past the float range raises :class:`NumericalError`.
     """
     mats = [as_matrix(t) for t in tensors]
     out = exact_mean(mats)
     if scale != 1.0:
-        out = out * scale
+        with np.errstate(over="ignore"):
+            out = out * scale
+        if not np.all(np.isfinite(out)):
+            raise NumericalError(
+                f"scale {scale:g} overflows the merged tensor to non-finite values"
+            )
     return out
 
 
@@ -91,24 +105,59 @@ def ties_trim(t, density: float) -> Matrix:
     return out.reshape(mat.shape)
 
 
+# Each column block of the TIES reduction holds about this many (K, c)
+# stacks at once: the sign, the aligned mask and the aligned values.
+_TIES_STACKS = 3
+_BLOCK_ENTRIES = ROW_BLOCK_ENTRIES
+
+
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """The sum of a stack's rows, added in order."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
+def _ties(tensors: Sequence[Matrix], density: float, transform=as_matrix) -> Matrix:
+    """TIES over ``transform(t)`` of each tensor.  Each is transformed and
+    trimmed in task order into one ``(K, n)`` stack; the election and the
+    average then run one column block at a time.  Both sums add the K rows
+    in task order, as numpy's axis-0 sum of a C-ordered stack of two or
+    more columns does."""
+    if not tensors:
+        raise ParameterError("merge of an empty sequence")
+    trimmed, shape = None, None
+    for i, t in enumerate(tensors):
+        mat = transform(t)
+        if trimmed is None:
+            trimmed, shape = np.empty((len(tensors), mat.size)), mat.shape
+        elif mat.shape != shape:
+            raise ShapeError(f"shape mismatch: {mat.shape} vs {shape}")
+        trimmed[i] = ties_trim(mat, density).ravel()
+    out = np.zeros(trimmed.shape[1])
+    _, blocks = row_blocks(trimmed.shape[1], _TIES_STACKS * len(trimmed), _BLOCK_ENTRIES)
+    for block in blocks:
+        rows = trimmed[:, block]
+        elected = np.sign(_sum_rows(rows))
+        aligned = (np.sign(rows) == elected) & (elected != 0)
+        counts = aligned.sum(axis=0)
+        total = _sum_rows(rows * aligned)
+        np.divide(total, counts, out=out[block], where=counts > 0)
+    return out.reshape(shape)
+
+
 def ties_merge(tensors: Sequence[Matrix], density: float) -> Matrix:
     """Trim each tensor, elect the entrywise sign of the trimmed sum, then
     average only the sign-aligned trimmed values (unary task coefficients).
 
     Entries with no elected sign (exact cancellation or all trimmed away)
-    merge to zero.
+    merge to zero.  The trimmed tensors fill one ``(K, n)`` stack; the
+    reduction across tasks then runs one column block of ``c = 2^17 //
+    (3 K)`` entries at a time, so beyond the stack it holds a few ``(K,
+    c)`` arrays, about ``ROW_BLOCK_ENTRIES`` doubles (1 MiB).
     """
-    mats = [as_matrix(t) for t in tensors]
-    first = mats[0]
-    for m in mats[1:]:
-        if m.shape != first.shape:
-            raise ShapeError(f"shape mismatch: {m.shape} vs {first.shape}")
-    trimmed = np.stack([ties_trim(m, density) for m in mats])
-    elected = np.sign(trimmed.sum(axis=0))
-    aligned = (np.sign(trimmed) == elected) & (elected != 0)
-    counts = aligned.sum(axis=0)
-    total = (trimmed * aligned).sum(axis=0)
-    return np.divide(total, counts, out=np.zeros_like(first), where=counts > 0)
+    return _ties(tensors, density)
 
 
 def dare_transform(t, p: float, rng: Rng) -> Matrix:
@@ -134,9 +183,10 @@ def merge_dare(tensors: Sequence[Matrix], p: float, rng: Rng, scale: float = 1.0
 
 
 def merge_dare_ties(tensors: Sequence[Matrix], p: float, density: float, rng: Rng) -> Matrix:
-    """Drop-and-rescale each tensor, then trim/elect/average."""
-    transformed = [dare_transform(t, p, rng) for t in tensors]
-    return ties_merge(transformed, density)
+    """Drop-and-rescale each tensor, then trim/elect/average.  Each task is
+    transformed and trimmed before the next is drawn, so only one
+    transformed tensor is alive at a time."""
+    return _ties(tensors, density, lambda t: dare_transform(t, p, rng))
 
 
 def _merge_tensors(tensors: list[Matrix], cfg: BaselineConfig, rng: Rng) -> Matrix:
@@ -149,11 +199,20 @@ def _merge_tensors(tensors: list[Matrix], cfg: BaselineConfig, rng: Rng) -> Matr
     return merge_dare_ties(tensors, cfg.dare_drop_p, cfg.ties_density, rng)
 
 
+def _merge_side(tensors, cfg: BaselineConfig, rng: Rng, where: str) -> Matrix:
+    """``_merge_tensors``; an error keeps its type and gains ``where``."""
+    try:
+        return _merge_tensors(list(tensors), cfg, rng)
+    except HydraMergeError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def merge_collection(collection: AdapterCollection, cfg: BaselineConfig) -> MergedBundle:
     """Merge every slot of a collection with one baseline method.
 
     Per slot the shared sides are merged first, then (per-matrix mode) the
-    cluster sides, drawing from that slot's stream throughout.
+    cluster sides, drawing from that slot's stream throughout.  An error
+    keeps its type and gains the slot label and the side.
     """
     cfg.validate()
     bundle = MergedBundle.of(collection, cfg.method.value)
@@ -163,9 +222,10 @@ def merge_collection(collection: AdapterCollection, cfg: BaselineConfig) -> Merg
         adapters = collection.adapters_at(slot)
         adapter_type, frozen = type(adapters[0]), adapters[0].frozen
         shared, clusters = zip(*(ad.sides() for ad in adapters))
-        merged_shared = _merge_tensors(list(shared), cfg, rng)
+        merged_shared = _merge_side(shared, cfg, rng, f"slot {slot.label()}: shared side")
         if cfg.merge_target is MergeTarget.PER_MATRIX:
-            merged_cluster = _merge_tensors(list(clusters), cfg, rng)
+            where = f"slot {slot.label()}: cluster side"
+            merged_cluster = _merge_side(clusters, cfg, rng, where)
             adapter = adapter_type.from_sides(merged_shared, merged_cluster, frozen)
             bundle.entries[slot] = MergedAdapterSlot(adapter)
         else:

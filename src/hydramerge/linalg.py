@@ -23,13 +23,14 @@ scalars that depend on ``x`` and ``y`` only through the traces
 traces to the value and ``(alpha, beta)`` without touching a matrix.
 
 :func:`exact_mean` is the correctly rounded elementwise mean behind the
-TA and DARE baselines and hydraopt's mean init.  It sums all entries at
-once, exactly, as a Shewchuk (1997) floating-point expansion built from
-vectorized TwoSum, divides, and certifies each rounded quotient with an
-exact residual test: ``|S - q K|`` against half the gap from ``q`` to its
-neighbour, times ``K``.  Only entries the test cannot certify (inputs
-beyond 2^960, means below 2^-960, non-finite values, or a candidate off
-by more than half a gap) are recomputed as a per-entry ``Fraction`` sum.
+TA and DARE baselines and hydraopt's mean init.  One column block of
+entries at a time (:func:`row_blocks`), it sums the K tasks exactly, as a
+Shewchuk (1997) floating-point expansion built from vectorized TwoSum,
+divides, and certifies each rounded quotient with an exact residual
+test: ``|S - q K|`` against half the gap from ``q`` to its neighbour,
+times ``K``.  Only entries the test cannot certify (inputs beyond 2^960,
+means below 2^-960, non-finite values, or a candidate off by more than
+half a gap) are recomputed as a per-entry ``Fraction`` sum.
 
 Randomness is a counter-based stream so that identical seeds reproduce
 identical values on every platform and numpy version.  The algorithm is
@@ -48,10 +49,8 @@ pinned here and covered by regression tests:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -360,12 +359,28 @@ def _certified_mean(flats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, certified & (k < _MEAN_MAX_K)
 
 
+# _certified_mean holds about this many (K, n) stacks at once: the input,
+# the K-component sum, the residual expansions and their temporaries.
+_MEAN_STACKS = 7
+
+
+def _rational_mean(values: list[float]) -> float:
+    """``fl(sum(values) / len(values))`` from the exact ``Fraction`` sum."""
+    from fractions import Fraction  # loaded only when an entry is uncertified
+
+    return float(sum(Fraction(v) for v in values) / len(values))
+
+
 def exact_mean(tensors: Sequence[np.ndarray]) -> np.ndarray:
     """Elementwise mean, correctly rounded (round half to even).
 
     The result is ``fl(sum(x_i) / K)`` of the exact rational sum, so it is
     bit-identical under input permutation and the mean of K identical
-    arrays is exactly that array.  All entries are handled at once:
+    arrays is exactly that array.  Each entry is handled on its own, so the
+    flattened entries go one column block at a time: a ``(K, c)`` stack of
+    ``c = ROW_BLOCK_ENTRIES // (7 K)`` columns (:func:`row_blocks`), which
+    keeps the working set of the steps below near ``ROW_BLOCK_ENTRIES``
+    doubles (1 MiB) at any size.  Per block:
 
     1. The K inputs are summed exactly into a nonoverlapping expansion of
        K arrays (Shewchuk's GROW-EXPANSION over vectorized TwoSum).
@@ -394,16 +409,22 @@ def exact_mean(tensors: Sequence[np.ndarray]) -> np.ndarray:
         _require_same_shape(first, t, "mean")
     if len(stack) == 1 or all(np.array_equal(t, first) for t in stack[1:]):
         return first.copy()
-    k = len(stack)
-    flats = np.stack([t.ravel() for t in stack])
-    out, certified = _certified_mean(flats)
-    for i in np.flatnonzero(~certified):
-        out[i] = float(sum(Fraction(v) for v in flats[:, i].tolist()) / k)
+    flats = [t.ravel() for t in stack]
+    out = np.empty(first.size)
+    _, blocks = row_blocks(first.size, _MEAN_STACKS * len(flats), ROW_BLOCK_ENTRIES)
+    for block in blocks:
+        columns = np.stack([f[block] for f in flats])
+        q, certified = _certified_mean(columns)
+        for i in np.flatnonzero(~certified):
+            q[i] = _rational_mean(columns[:, i].tolist())
+        out[block] = q
     return out.reshape(first.shape)
 
 
 def stable_hash64(label: str) -> int:
     """Platform-stable 64-bit hash used to derive per-slot seeds."""
+    import hashlib  # loaded by the commands that draw, not by the reports
+
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 

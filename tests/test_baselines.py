@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,8 @@ from hydramerge.baselines import (
     ties_merge,
     ties_trim,
 )
-from hydramerge.errors import ParameterError, ShapeError
+from hydramerge import baselines
+from hydramerge.errors import NumericalError, ParameterError, ShapeError
 from hydramerge.linalg import Rng, gaussian_sample
 
 
@@ -62,6 +65,12 @@ class TestMergeTa:
     def test_scale_knob(self):
         out = merge_ta([row([2.0, 4.0])], scale=0.5)
         assert np.array_equal(out, row([1.0, 2.0]))
+
+    def test_overflowing_scale_is_a_numerical_error_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="scale 1e\\+308 overflows"):
+                merge_ta([row([2.0, 4.0]), row([4.0, 6.0])], scale=1e308)
 
 
 class TestTiesTrim:
@@ -125,6 +134,74 @@ class TestTiesMerge:
                 assert out[idx] == 0.0
             else:
                 assert vals.min() - 1e-12 <= out[idx] <= vals.max() + 1e-12
+
+
+def unblocked_ties(trimmed: np.ndarray) -> np.ndarray:
+    """The TIES reduction over a whole ``(K, ...)`` stack at once."""
+    elected = np.sign(trimmed.sum(axis=0))
+    aligned = (np.sign(trimmed) == elected) & (elected != 0)
+    counts = aligned.sum(axis=0)
+    total = (trimmed * aligned).sum(axis=0)
+    return np.divide(total, counts, out=np.zeros_like(trimmed[0]), where=counts > 0)
+
+
+def spread_mats(seed: int, tasks: int, shape=(3, 7)):
+    """Normals scaled over 2^-30..2^30, so the order of a sum shows in its
+    rounding, and with signs that conflict across tasks."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(shape) * 2.0 ** rng.integers(-30, 31, shape) for _ in range(tasks)]
+
+
+class TestTiesBlocks:
+    """The TIES reduction runs one column block at a time; with
+    ``_BLOCK_ENTRIES`` patched small, a few entries span many blocks, down
+    to one column each, where numpy's own axis-0 sum would change order."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), tasks=st.sampled_from([1, 2, 3, 8, 9, 17]),
+        columns=st.integers(1, 8), density=st.sampled_from([0.3, 0.7, 1.0]),
+    )  # fmt: skip
+    @settings(max_examples=80, deadline=None)
+    def test_ties_merge_is_the_unblocked_formula_bit_for_bit(self, seed, tasks, columns, density):
+        mats = spread_mats(seed, tasks)
+        want = unblocked_ties(np.stack([ties_trim(m, density) for m in mats]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baselines, "_BLOCK_ENTRIES", 3 * tasks * columns)
+            got = ties_merge(mats, density)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), tasks=st.sampled_from([2, 3, 9]),
+        columns=st.integers(1, 8), p=st.sampled_from([0.0, 0.5, 0.9]),
+    )  # fmt: skip
+    @settings(max_examples=60, deadline=None)
+    def test_merge_dare_ties_is_the_unblocked_formula_bit_for_bit(self, seed, tasks, columns, p):
+        mats = spread_mats(seed, tasks)
+        rng = Rng(seed)
+        transformed = [dare_transform(m, p, rng) for m in mats]
+        want = unblocked_ties(np.stack([ties_trim(m, 0.5) for m in transformed]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baselines, "_BLOCK_ENTRIES", 3 * tasks * columns)
+            got = merge_dare_ties(mats, p, 0.5, Rng(seed))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_blocks_are_the_row_blocks_of_the_stack(self, monkeypatch):
+        # 3 stacks of K = 4 rows at 2 columns per block: 21 entries in 11 blocks
+        monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", 3 * 4 * 2)
+        widths = []
+        sum_rows = baselines._sum_rows
+
+        def counting(rows):
+            widths.append(rows.shape[1])
+            return sum_rows(rows)
+
+        monkeypatch.setattr(baselines, "_sum_rows", counting)
+        ties_merge(spread_mats(0, 4), 1.0)
+        assert widths[::2] == [2] * 10 + [1]
+
+    def test_empty_sequence(self):
+        with pytest.raises(ParameterError):
+            ties_merge([], 0.5)
 
 
 class TestDare:
@@ -221,6 +298,23 @@ class TestMergeCollection:
             assert np.array_equal(
                 one.entries[slot].adapter.a, two.entries[slot].adapter.a
             )
+
+    @pytest.mark.parametrize("method", [MergeMethod.TA, MergeMethod.DARE])
+    @pytest.mark.parametrize("side", ["shared", "cluster"])
+    def test_overflowing_scale_names_the_slot_and_side(self, method, side):
+        # entries of 4 on one side, 1e-3 on the other: only the 4s overflow
+        big, small = np.full((2, 8), 4.0), np.full((2, 8), 1e-3)
+        a, b = (big, small.T) if side == "shared" else (small, big.T)
+        slot = SlotKey(0, "q")
+        coll = AdapterCollection.build(
+            ["t0", "t1"], {(t, slot): LowRankAdapter(b=b, a=a) for t in ("t0", "t1")}
+        )
+        cfg = BaselineConfig(method=method, dare_drop_p=0.5, scale=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as info:
+                merge_collection(coll, cfg)
+        assert str(info.value).startswith(f"slot layer.0.q: {side} side: scale 1e+308 overflows")
 
     def test_task_order_is_respected_for_streams(self):
         coll = lora_collection(tasks=3, seed=1)

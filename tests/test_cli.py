@@ -132,6 +132,25 @@ class TestMerge:
         )
         assert result.returncode == 3
 
+    @pytest.mark.parametrize("method", ["ta", "dare"])
+    def test_overflowing_scale_is_one_error_line(self, tmp_path, method):
+        """A mean times ``--scale`` past the float range: with numpy
+        warnings as errors, one typed error naming the slot and the side."""
+        coll = tmp_path / "default.lrta"
+        assert run_cli("gen-synthetic", "--out", str(coll)).returncode == 0
+        out = tmp_path / "m.lrta"
+        result = run_cli(
+            "merge", "--in", str(coll), "--out", str(out), "--method", method,
+            "--scale", "1e308", env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"},
+        )  # fmt: skip
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: slot layer.0.q: shared side: scale 1e+308 overflows the merged tensor "
+            "to non-finite values"
+        ], result.stderr
+        assert not out.exists()
+
     def test_diverging_hydraopt_is_exit_three(self, tmp_path):
         coll = tmp_path / "default.lrta"
         assert run_cli("gen-synthetic", "--out", str(coll)).returncode == 0
@@ -407,14 +426,26 @@ class TestVeraArchives:
         assert storage.returncode == 0
 
 
-def peak_rss_mb(*args) -> float:
+# A process started from another reports, through wait4, the larger of its
+# own peak and that of the process it was started from.  The measured
+# command is started from a small launcher, not from the test process.
+_LAUNCHER = (
+    "import os, subprocess, sys; "
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+    "_, status, usage = os.wait4(proc.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+def peak_rss_mb(*args, cli=CLI) -> float:
     """Peak RSS of one CLI run, as ``wait4`` reports it when it ends."""
-    proc = subprocess.Popen(CLI + list(args), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, proc.stderr.read()
-    proc.stderr.close()
-    return usage.ru_maxrss / 1024.0
+    result = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, *cli, *args], capture_output=True, text=True,
+        timeout=300,
+    )  # fmt: skip
+    code, max_rss_kb = map(int, result.stdout.split())
+    assert code == 0, result.stderr
+    return max_rss_kb / 1024.0
 
 
 class TestReconMemory:
@@ -432,6 +463,39 @@ class TestReconMemory:
             for command in ("report-storage", "eval-recon")
         }
         assert peaks["eval-recon"] - peaks["report-storage"] < 8.0, peaks
+
+
+# The CLI with hashlib loaded up front, as a merge loads it for its slot seeds.
+CLI_WITH_HASHLIB = [
+    sys.executable, "-c", "import hashlib, sys; from hydramerge.cli import main; sys.exit(main())",
+]  # fmt: skip
+
+
+class TestBaselineMergeMemory:
+    @pytest.fixture(scope="class")
+    def collection(self, tmp_path_factory):
+        """K = 8 tasks at d = k = 1024, r = 16, and the peak of
+        report-storage on it, with the modules a merge loads."""
+        work = tmp_path_factory.mktemp("merge-memory")
+        coll, merged = work / "coll.lrta", work / "ta.lrta"
+        shape = dict(tasks=8, slots="q", d=1024, k=1024, rank=16)
+        assert run_cli(*gen_args(coll, **shape)).returncode == 0
+        result = run_cli("merge", "--in", str(coll), "--out", str(merged), "--method", "ta")
+        assert result.returncode == 0, result.stderr
+        reference = peak_rss_mb("report-storage", "--in", str(coll), "--merged", str(merged),
+                                cli=CLI_WITH_HASHLIB)  # fmt: skip
+        return coll, reference
+
+    @pytest.mark.parametrize("method", ["ta", "ties", "dare", "dare-ties"])
+    def test_merge_peaks_near_report_storage(self, collection, tmp_path, method):
+        """Both read the same archive; the merge adds the reduction across
+        tasks one column block at a time (about 1 MiB), the (K, n) stack
+        of trimmed tensors for TIES (1 MiB here), and the merged bundle, not
+        K-fold stacks of the whole expansion (6.9 MiB for one side)."""
+        coll, reference = collection
+        out = tmp_path / f"{method}.lrta"
+        peak = peak_rss_mb("merge", "--in", str(coll), "--out", str(out), "--method", method)
+        assert peak - reference < 3.0, (peak, reference)
 
 
 @pytest.fixture(scope="module")

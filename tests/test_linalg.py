@@ -503,14 +503,17 @@ class TestExactMean:
         _assert_bitwise_mean(rows)
         assert np.all(np.isfinite(exact_mean(rows)))
 
-    def _count_fraction_calls(self, monkeypatch):
+    def _count_fallback_calls(self, monkeypatch):
+        """The entries recomputed as a ``Fraction`` sum, one list of K
+        values per entry."""
         calls = []
+        fallback = linalg._rational_mean
 
-        def counting(value):
-            calls.append(value)
-            return Fraction(value)
+        def counting(values):
+            calls.append(values)
+            return fallback(values)
 
-        monkeypatch.setattr(linalg, "Fraction", counting)
+        monkeypatch.setattr(linalg, "_rational_mean", counting)
         return calls
 
     def test_uncertified_entries_take_the_fallback(self, monkeypatch):
@@ -520,9 +523,9 @@ class TestExactMean:
         rows[2][3] = 2.0**970  # no overflow, but beyond the certified range
         rows[1][4] = 2.0**-1074  # a subnormal mean
         rows[2][4] = rows[0][4] = rows[1][4]
-        calls = self._count_fraction_calls(monkeypatch)
+        calls = self._count_fallback_calls(monkeypatch)
         got = exact_mean(rows)
-        assert len(calls) == 3 * len(rows)
+        assert [len(values) for values in calls] == [len(rows)] * 3
         monkeypatch.undo()
         assert np.array_equal(got.view(np.int64), _fraction_mean(rows).view(np.int64))
 
@@ -531,7 +534,7 @@ class TestExactMean:
         rows = [
             rng.standard_normal((16, 256)).astype(np.float32).astype(np.float64) for _ in range(8)
         ]
-        calls = self._count_fraction_calls(monkeypatch)
+        calls = self._count_fallback_calls(monkeypatch)
         got = exact_mean(rows)
         assert calls == []
         monkeypatch.undo()
@@ -562,6 +565,95 @@ class TestExactMean:
         for step in (-2, -1, 0, 1, 2):
             accepted = linalg._is_rounded_mean(total, _from_bits(want + step), k)
             assert np.all(accepted == (step == 0))
+
+
+class TestExactMeanBlocks:
+    """``exact_mean`` works one column block of entries at a time; with
+    ``ROW_BLOCK_ENTRIES`` patched small, a few entries span many blocks."""
+
+    @staticmethod
+    def _columns_per_block(monkeypatch, k, columns):
+        # exact_mean sizes a block at 7 stacks of K rows
+        monkeypatch.setattr(linalg, "ROW_BLOCK_ENTRIES", 7 * k * columns)
+
+    def test_uncertified_entries_in_later_and_ragged_blocks(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        rows = [rng.standard_normal((3, 6)) for _ in range(3)]
+        rows[1][1, 3] = 2.0**970  # block 2 of 4 columns: beyond the certified range
+        rows[0][2, 1] = rows[2][2, 1] = 1.7e308  # block 3: the sum overflows
+        for r, sign in zip(rows, (1.0, -1.0, 1.0)):  # the ragged block 4: a mean below 2^-960
+            r[2, 5] = sign * 2.0**-1000
+        unblocked = exact_mean(rows)
+        self._columns_per_block(monkeypatch, 3, 4)
+        widths, fallback = [], []
+        certified_mean, rational_mean = linalg._certified_mean, linalg._rational_mean
+
+        def certified(columns):
+            widths.append(columns.shape[1])
+            return certified_mean(columns)
+
+        def rational(values):
+            fallback.append(values)
+            return rational_mean(values)
+
+        monkeypatch.setattr(linalg, "_certified_mean", certified)
+        monkeypatch.setattr(linalg, "_rational_mean", rational)
+        got = exact_mean(rows)
+        assert widths == [4, 4, 4, 4, 2]
+        flats = [r.ravel() for r in rows]
+        assert fallback == [[f[i] for f in flats] for i in (9, 13, 17)]
+        monkeypatch.undo()
+        assert np.array_equal(got.view(np.int64), _fraction_mean(rows).view(np.int64))
+        assert np.array_equal(got.view(np.int64), unblocked.view(np.int64))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), k=st.integers(2, 9), columns=st.integers(1, 8),
+        spread=st.integers(0, 1100),
+    )  # fmt: skip
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_oracle_across_blocks(self, seed, k, columns, spread):
+        rng = np.random.default_rng(seed)
+        low = max(-spread, -1070)
+        rows = [
+            rng.standard_normal((3, 7)) * 2.0 ** rng.integers(low, min(spread, 1000) + 1, (3, 7))
+            for _ in range(k)
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            self._columns_per_block(patch, k, columns)
+            got = exact_mean(rows)
+        assert np.array_equal(got.view(np.int64), _fraction_mean(rows).view(np.int64))
+
+    @given(seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 7))
+    @settings(max_examples=30, deadline=None)
+    def test_permutation_invariance_across_blocks(self, seed, columns):
+        rng = np.random.default_rng(seed)
+        mats = [rng.standard_normal((2, 15)) * 2.0 ** rng.integers(-60, 60) for _ in range(6)]
+        with pytest.MonkeyPatch.context() as patch:
+            self._columns_per_block(patch, len(mats), columns)
+            want = exact_mean(mats).view(np.int64)
+            for _ in range(4):
+                shuffled = [mats[i] for i in rng.permutation(len(mats))]
+                assert np.array_equal(exact_mean(shuffled).view(np.int64), want)
+
+    @pytest.mark.parametrize("entries, bound_mb", [(16384, 1.5), (65536, 2.0)])
+    def test_traced_peak_is_one_block_not_a_stack(self, entries, bound_mb):
+        """K = 8 tensors of d x r = 1024 x 16 (and 4096 x 16) entries: about
+        1 MiB of blocks plus the output, where one (K, n) stack alone is 1
+        MiB (4 MiB) and the whole-stack expansion held 6.9 times that."""
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        rows = [
+            rng.standard_normal((entries // 16, 16)).astype(np.float32).astype(np.float64)
+            for _ in range(8)
+        ]
+        tracemalloc.start()
+        try:
+            exact_mean(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6, peak
 
 
 class TestCosineAtLargeNorms:

@@ -81,7 +81,8 @@ def loaded(*code_and_args) -> list[str]:
 
 SHOW_MODULES = (
     "print(__import__('json').dumps(sorted("
-    "m for m in sys.modules if m == 'numpy' or m.startswith('hydramerge'))), file=sys.stderr)"
+    "m for m in sys.modules if m in ('numpy', '_hashlib', 'decimal') or m.startswith('hydramerge')"
+    ")), file=sys.stderr)"
 )
 RUN_COMMAND = "import sys; from hydramerge.cli import main; main(sys.argv[1:]); " + SHOW_MODULES
 
@@ -99,6 +100,18 @@ def archives(tmp_path_factory):
     return work
 
 
+def command_argv(archives, command: str) -> list[str]:
+    coll, ta = str(archives / "coll.lrta"), str(archives / "ta.lrta")
+    return {
+        "report-storage": ["report-storage", "--in", coll, "--merged", ta],
+        "eval-recon": ["eval-recon", "--in", coll, "--merged", ta],
+        "analyze-similarity": ["analyze-similarity", "--in", coll],
+        "gen-synthetic": ["gen-synthetic", "--out", str(archives / f"{command}.lrta")],
+        "merge-ta": ["merge", "--in", coll, "--out", str(archives / f"{command}.lrta"),
+                     "--method", "ta"],
+    }[command]  # fmt: skip
+
+
 class TestWhatEachCommandLoads:
     def test_import_loads_no_submodule_and_no_numpy(self):
         assert loaded("import sys, hydramerge; " + SHOW_MODULES) == ["hydramerge"]
@@ -108,19 +121,23 @@ class TestWhatEachCommandLoads:
         ["report-storage", "eval-recon", "analyze-similarity", "gen-synthetic", "merge-ta"],
     )
     def test_reports_and_baselines_load_no_optimizer(self, archives, command):
-        coll, ta = str(archives / "coll.lrta"), str(archives / "ta.lrta")
-        argv = {
-            "report-storage": ["report-storage", "--in", coll, "--merged", ta],
-            "eval-recon": ["eval-recon", "--in", coll, "--merged", ta],
-            "analyze-similarity": ["analyze-similarity", "--in", coll],
-            "gen-synthetic": ["gen-synthetic", "--out", str(archives / f"{command}.lrta")],
-            "merge-ta": ["merge", "--in", coll, "--out", str(archives / f"{command}.lrta"),
-                         "--method", "ta"],
-        }[command]  # fmt: skip
-        modules = loaded(RUN_COMMAND, *argv)
+        modules = loaded(RUN_COMMAND, *command_argv(archives, command))
         assert "hydramerge.cli" in modules
         assert "hydramerge.hydra" not in modules
         assert "hydramerge.gradcheck" not in modules
+
+    @pytest.mark.parametrize("command", ["report-storage", "eval-recon", "analyze-similarity"])
+    def test_reports_load_no_hash_or_fraction(self, archives, command):
+        """OpenSSL's ``_hashlib`` serves only the slot seeds of a merge, and
+        ``decimal`` (through ``fractions``) only uncertified means."""
+        modules = loaded(RUN_COMMAND, *command_argv(archives, command))
+        assert "hydramerge.cli" in modules
+        assert "_hashlib" not in modules
+        assert "decimal" not in modules
+
+    def test_the_probe_sees_hash_and_fraction_modules(self):
+        modules = loaded("import sys, hashlib, fractions; " + SHOW_MODULES)
+        assert "_hashlib" in modules and "decimal" in modules
 
     def test_hydraopt_loads_no_checker_generator_or_report(self, archives):
         out = str(archives / "hydraopt.lrta")
