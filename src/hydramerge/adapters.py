@@ -27,10 +27,12 @@ Each adapter class describes its kind, so no other layer branches on it:
   gradient, which ``shared_grad(total, frozen)`` finishes from the summed
   terms.  :func:`delta_weight` and :mod:`hydramerge.hydra`'s dense kernel
   use them.
-* ``factors(shared, cluster, frozen)`` is the update as its rank-r
+* ``factors(shared, cluster, frozen, rows)`` is the update as its rank-r
   factors ``(left, right)``, ``d x r`` and ``r x k``, with ``left @
   right == L(cluster)`` up to rounding: ``(b, a)`` for LoRA and ``(W,
   shared_a)`` for VeRA, ``W = diag(lambda_b) shared_b diag(lambda_d)``.
+  A row slice ``rows`` gives only those rows of ``left``, built from
+  the same rows of the inputs, so no whole ``d x r`` array is formed.
   :func:`delta_factors` gives an adapter's own.  ``right_frozen`` says
   whether the right factor is part of ``frozen`` (VeRA) or of the trained
   shared side (LoRA).  ``pull_back_factors(m, n, cluster, shared,
@@ -183,9 +185,11 @@ class LowRankAdapter(Adapter):
         return total
 
     @staticmethod
-    def factors(shared: Matrix, cluster: Matrix, frozen: tuple) -> tuple[Matrix, Matrix]:
-        """``(B, A)``, so that ``L(B) = B A``."""
-        return cluster, shared
+    def factors(
+        shared: Matrix, cluster: Matrix, frozen: tuple, rows: slice | None = None
+    ) -> tuple[Matrix, Matrix]:
+        """``(B, A)``, so that ``L(B) = B A``; ``B[rows]`` for a row slice."""
+        return (cluster if rows is None else cluster[rows]), shared
 
     @staticmethod
     def pull_back_factors(m, n, cluster, shared, frozen: tuple):
@@ -288,13 +292,20 @@ class VeraAdapter(Adapter):
         return ((shared_b.T @ total) * shared_a).sum(axis=1)
 
     @staticmethod
-    def factors(shared: np.ndarray, cluster: np.ndarray, frozen: tuple) -> tuple[Matrix, Matrix]:
+    def factors(
+        shared: np.ndarray, cluster: np.ndarray, frozen: tuple, rows: slice | None = None
+    ) -> tuple[Matrix, Matrix]:
         """``(W, shared_a)`` with ``W = diag(lambda_b) shared_b
-        diag(lambda_d)`` (d x r), so that ``L(lambda_b) = W shared_a``.  Both
-        halves of a residual ``W_t - W_p`` take the same operations, so equal
-        vectors give exactly 0."""
+        diag(lambda_d)`` (d x r), so that ``L(lambda_b) = W shared_a``; for a
+        row slice, ``W[rows]`` from those rows of ``lambda_b`` and
+        ``shared_b``, entry for entry the same.  Both halves of a residual
+        ``W_t - W_p`` take the same operations, so equal vectors give
+        exactly 0."""
         shared_a, shared_b = frozen
-        return np.reshape(cluster, (-1, 1)) * (shared_b * np.reshape(shared, (1, -1))), shared_a
+        lambda_b = np.reshape(cluster, (-1, 1))
+        if rows is not None:
+            lambda_b, shared_b = lambda_b[rows], shared_b[rows]
+        return lambda_b * (shared_b * np.reshape(shared, (1, -1))), shared_a
 
     @staticmethod
     def pull_back_factors(m, n, cluster, shared, frozen: tuple[Matrix, Matrix]):
@@ -334,9 +345,10 @@ def _check_task_ids(ids, field: str) -> None:
         raise ValidationError(f"{field} must be distinct non-empty strings, got {ids!r}")
 
 
-def delta_factors(adapter: Adapter) -> tuple[Matrix, Matrix]:
-    """The update's rank-r factors ``(left, right)`` from ``sides()``."""
-    return adapter.factors(*adapter.sides(), adapter.frozen)
+def delta_factors(adapter: Adapter, rows: slice | None = None) -> tuple[Matrix, Matrix]:
+    """The update's rank-r factors ``(left, right)`` from ``sides()``; for a
+    row slice ``rows``, only those rows of ``left``."""
+    return adapter.factors(*adapter.sides(), adapter.frozen, rows)
 
 
 def delta_weight(adapter: Adapter) -> Matrix:

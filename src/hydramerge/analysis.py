@@ -195,8 +195,9 @@ def _scores(targets: list[Adapter], entry: MergedSlot) -> list[tuple[float, floa
     buffers that the whole slot reuses.  Per used cluster (a single merged
     adapter is one cluster of every task) each block of the prediction is
     built once; each task of the cluster then builds its block of the
-    residual in the second buffer and adds the block's
-    :func:`~hydramerge.linalg.residual_sums` to its own, in block order."""
+    residual in the second buffer, from only those rows of its left factor,
+    and adds the block's :func:`~hydramerge.linalg.residual_sums` to its
+    own, in block order."""
     assignment = entry.assignment if isinstance(entry, SharedSlot) else [0] * len(targets)
     d, _, k = targets[0].shape_signature()
     rows, blocks = row_blocks(d, k, _BLOCK_ENTRIES)
@@ -204,13 +205,13 @@ def _scores(targets: list[Adapter], entry: MergedSlot) -> list[tuple[float, floa
     sums = [[0.0, 0.0] for _ in targets]
     for cluster in sorted(set(assignment)):
         left, right = delta_factors(entry.member(cluster))
-        tasks = [(i, *delta_factors(t)) for i, t in enumerate(targets) if assignment[i] == cluster]
+        tasks = [(i, t) for i, t in enumerate(targets) if assignment[i] == cluster]
         for block in blocks:
             n = block.stop - block.start
             pred, res = prediction[:n], residual[:n]
             np.matmul(left[block], right, out=pred)
-            for i, t_left, t_right in tasks:
-                np.matmul(t_left[block], t_right, out=res)
+            for i, target in tasks:
+                np.matmul(*delta_factors(target, block), out=res)
                 res -= pred
                 abs_sum, sq_sum = residual_sums(res)
                 sums[i][0] += abs_sum

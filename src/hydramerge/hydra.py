@@ -54,7 +54,7 @@ array is formed, not even a target.
 
 Under a smooth distance (mse, fro, cos) the Gram kernel never forms a
 ``d x k`` array either: every quantity is a trace of ``r x r`` Gram
-products, batched over tasks,
+products, taken one task at a time,
 
     tt_i = <T_i, T_i> = <L_t,i^T L_t,i, R_t,i R_t,i^T>     (fixed per run)
     tp_i = <T_i, P_i> = <L_p,i^T L_t,i, R_p R_t,i^T>
@@ -66,7 +66,11 @@ products, batched over tasks,
     M_i = alpha_i L_t,i (R_t,i R_p^T) + beta_i L_p,i (R_p R_p^T)
     N_i = alpha_i (L_p,i^T L_t,i) R_t,i + beta_i (L_p,i^T L_p,i) R_p
 
-at ``O(K r^2 (d + k) + K M r d)`` per step.  Target-side and
+at ``O(K r^2 (d + k) + K M r d)`` per step.  Like the blocked kernel it
+builds each target's factors from its adapter in turn and keeps only
+``tt`` between steps; a step holds the K mixed ``L_p,i`` and ``E_i``
+(``d x r`` each for LoRA) plus one task's factors and products, never a
+K-stack of the targets' factors.  Target-side and
 prediction-side products run through the same operations, so in either
 kernel equal factors give a loss of exactly 0 and gradient terms that
 cancel exactly.  A target whose ``tt_i`` overflows raises
@@ -409,30 +413,15 @@ def _trace(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(x * y, axis=(-2, -1))
 
 
-@dataclass(frozen=True)
-class _FactorTargets:
-    """Adapter targets, each the product ``T_i = L_t,i R_t,i`` of its
-    :func:`delta_factors`.  The blocked kernel builds the factors task by
-    task from ``adapters``; only the Gram kernel's targets carry them
-    stacked, with ``tt[i] = <T_i, T_i>``."""
-
-    adapters: Sequence[Adapter]
-    left_t: np.ndarray | None = None  # (K, r, d): L_t,i^T, C-ordered
-    right: np.ndarray | None = None  # (K, r, k), or the one frozen r x k
-    tt: np.ndarray | None = None  # (K,)
-
-    @classmethod
-    @np.errstate(over="ignore", invalid="ignore")  # _check_targets types a non-finite tt
-    def of(cls, targets: Sequence[Adapter], cfg: HydraConfig) -> "_FactorTargets":
-        check_slot({f"target {i}": t for i, t in enumerate(targets)}, "the targets")
-        if cfg.distance not in SMOOTH_DISTANCES:
-            return cls(targets)
-        lefts, rights = zip(*map(delta_factors, targets))
-        left_t = np.stack([left.T for left in lefts])
-        right = rights[0] if targets[0].right_frozen else np.stack(rights)
-        tt = _trace(_cross(left_t, left_t), _cross(right, right))
-        _check_targets(tt, cfg.distance)
-        return cls(targets, left_t, right, tt)
+@np.errstate(over="ignore", invalid="ignore")  # _check_targets types a non-finite tt
+def _squared_norms(targets: Sequence[Adapter]) -> np.ndarray:
+    """``tt[i] = <T_i, T_i>`` of adapter targets, each from its own
+    :func:`delta_factors`, one task at a time."""
+    tt = np.empty(len(targets))
+    for i, target in enumerate(targets):
+        left, right = delta_factors(target)
+        tt[i] = _trace(_cross(left.T, left.T), _cross(right, right))
+    return tt
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed norm is typed here
@@ -449,37 +438,44 @@ def _check_targets(squared_norms, distance: DistanceKind) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the guards type non-finite results
-def _loss_and_grads_factored(state, tgt: _FactorTargets, cfg: HydraConfig):
+def _loss_and_grads_factored(state, targets: Sequence[Adapter], tt, cfg: HydraConfig):
     """The Gram kernel: loss and gradients of a smooth distance, for either
     kind, from r x r Gram products of the targets' and the predictions'
-    rank-r factors."""
+    rank-r factors, one task at a time; ``tt`` is :func:`_squared_norms`."""
     kind = state.adapter_type
-    weights = _routing(state, cfg, len(tgt.tt))
+    weights = _routing(state, cfg, len(tt))
     clusters = np.stack(state.clusters)
+    # R_p and the stacked L_p,i^T (C-ordered), mixed from the clusters' own (a left factor
+    # is linear in its cluster); each input is freed once used, to bound what is alive
     factors = [kind.factors(state.shared, c, state.frozen) for c in state.clusters]
-    # L_p,i^T, mixed from the clusters' own (a left factor is linear in its cluster), and R_p
-    left_t, right = _mix(weights, np.stack([left.T for left, _ in factors])), factors[0][1]
-    cross_l = _cross(left_t, tgt.left_t)  # L_p,i^T L_t,i
-    gram_l = _cross(left_t, left_t)  # L_p,i^T L_p,i
-    cross_r = _cross(right, tgt.right)  # R_p R_t,i^T
-    gram_r = _cross(right, right)  # R_p R_p^T
-    size = left_t.shape[2] * right.shape[1]  # d k
-    tp, pp = _trace(cross_l, cross_r), _trace(gram_l, gram_r)
-    values, alpha, beta = smooth_terms(tgt.tt, tp, pp, size, cfg.distance)
-    alpha3, beta3 = alpha[:, None, None], beta[:, None, None]
-    # M_i^T = (G_i R_p^T)^T, one r x d block per task, and N_i = L_p,i^T G_i.  Each is
-    # summed in place, and L_p,i^T is freed before N_i, to bound the stacks alive at once.
-    m_t = np.matmul(alpha3 * cross_r, tgt.left_t)
-    m_t += np.matmul(beta3 * gram_r, left_t)
-    del left_t
-    n = None if kind.right_frozen else np.matmul(alpha3 * cross_l, tgt.right)
-    if n is not None:
-        n += np.matmul(beta3 * gram_l, right)
+    right_p, lefts = factors[0][1], np.stack([left.T for left, _ in factors])
+    del factors
+    left_p = _mix(weights, lefts)
+    del lefts
+    gram_r = _cross(right_p, right_p)  # R_p R_p^T
+    size = left_p.shape[2] * right_p.shape[1]  # d k
     # only a frozen right factor's pull-back reads c_mix_i: the shared side is then in L_p,i
-    mixed = _mix(weights, clusters) if kind.right_frozen else None
-    m = np.swapaxes(m_t, 1, 2)
-    pulled, terms = kind.pull_back_factors(m, n, mixed, state.shared, state.frozen)
-    return _chain_rule(state, weights, clusters, values.tolist(), pulled, terms.sum(axis=0), cfg)
+    mixed = _mix(weights, clusters) if kind.right_frozen else [None] * len(tt)
+    pulled, shared = np.empty((len(tt), *clusters.shape[1:])), np.zeros_like(state.shared)
+    per_task = []
+    for i, (target, c) in enumerate(zip(targets, mixed)):
+        left, right = delta_factors(target)
+        cross_l = _cross(left_p[i], left.T)  # L_p,i^T L_t,i
+        gram_l = _cross(left_p[i], left_p[i])  # L_p,i^T L_p,i
+        # R_p R_t,i^T; a frozen right factor is one for the slot (check_slot), so R_t,i = R_p
+        cross_r = gram_r if kind.right_frozen else _cross(right_p, right)
+        tp, pp = _trace(cross_l, cross_r), _trace(gram_l, gram_r)
+        value, alpha, beta = smooth_terms(tt[i], tp, pp, size, cfg.distance)
+        per_task.append(float(value))
+        # M_i^T = (G_i R_p^T)^T (r x d) and N_i = L_p,i^T G_i, each operand C-ordered
+        m_t = np.matmul(alpha * cross_r, np.ascontiguousarray(left.T))
+        m_t += np.matmul(beta * gram_r, left_p[i])
+        n = None if kind.right_frozen else np.matmul(alpha * cross_l, np.ascontiguousarray(right))
+        if n is not None:
+            n += np.matmul(beta * gram_l, right_p)
+        pulled[i], term = kind.pull_back_factors(m_t.T, n, c, state.shared, state.frozen)
+        shared += term
+    return _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg)
 
 
 # Entries of one row block of a residual.
@@ -487,7 +483,7 @@ _BLOCK_ENTRIES = ROW_BLOCK_ENTRIES
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the guards type non-finite results
-def _loss_and_grads_vera_mae(state, tgt: _FactorTargets, cfg: HydraConfig):
+def _loss_and_grads_vera_mae(state, targets: Sequence[Adapter], cfg: HydraConfig):
     """The blocked kernel: MAE loss and gradients, for either kind, from
     each task's residual ``R_i = L_t,i R_t,i - L_p,i R_p``, built from the
     rank-r factors one row block at a time: no d x k array but the two
@@ -497,15 +493,15 @@ def _loss_and_grads_vera_mae(state, tgt: _FactorTargets, cfg: HydraConfig):
     for a trained right factor, ``N_i = L_p,i^T G_i`` (r x k) reach the
     chain rule, through ``pull_back_factors``."""
     kind = state.adapter_type
-    weights = _routing(state, cfg, len(tgt.adapters))
+    weights = _routing(state, cfg, len(targets))
     clusters = np.stack(state.clusters)
     mixed = _mix(weights, clusters)
-    d, _, k = tgt.adapters[0].shape_signature()
+    d, _, k = targets[0].shape_signature()
     size, (rows, row_slices) = d * k, row_blocks(d, k, _BLOCK_ENTRIES)
     blocks, signs = np.empty((rows, k)), np.empty((rows, k))
     pulled, shared = np.empty_like(mixed), np.zeros_like(state.shared)
     per_task = []
-    for i, (target, c) in enumerate(zip(tgt.adapters, mixed)):
+    for i, (target, c) in enumerate(zip(targets, mixed)):
         left, right = delta_factors(target)
         left_p, right_p = kind.factors(state.shared, c, state.frozen)
         if kind.right_frozen:  # R_t = R_p: the residual is one product
@@ -551,12 +547,17 @@ def _kernel(targets, cfg: HydraConfig):
         if cfg.distance is DistanceKind.COS:
             _check_targets((np.vdot(m, m) for m in mats), cfg.distance)
         return lambda state: _loss_and_grads_dense(state, mats, cfg)
-    factored, first = _FactorTargets.of(targets, cfg), {"target 0": targets[0]}
-    run = _loss_and_grads_factored if cfg.distance in SMOOTH_DISTANCES else _loss_and_grads_vera_mae
+    check_slot({f"target {i}": t for i, t in enumerate(targets)}, "the targets")
+    if cfg.distance in SMOOTH_DISTANCES:
+        tt = _squared_norms(targets)
+        _check_targets(tt, cfg.distance)
+    first = {"target 0": targets[0]}
 
     def kernel(state):
         check_slot({**first, "the state": state.member(0)}, "the state and its targets")
-        return run(state, factored, cfg)
+        if cfg.distance in SMOOTH_DISTANCES:
+            return _loss_and_grads_factored(state, targets, tt, cfg)
+        return _loss_and_grads_vera_mae(state, targets, cfg)
 
     return kernel
 

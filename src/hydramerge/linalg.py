@@ -422,10 +422,14 @@ def exact_mean(tensors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def stable_hash64(label: str) -> int:
-    """Platform-stable 64-bit hash used to derive per-slot seeds."""
-    import hashlib  # loaded by the commands that draw, not by the reports
+    """Platform-stable 64-bit hash used to derive per-slot seeds: the
+    8-byte BLAKE2b digest of the UTF-8 label, read little-endian."""
+    try:  # hashlib.blake2b is this one, but importing hashlib loads OpenSSL too
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
 
-    digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(label.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 

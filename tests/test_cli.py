@@ -437,10 +437,10 @@ _LAUNCHER = (
 )
 
 
-def peak_rss_mb(*args, cli=CLI) -> float:
+def peak_rss_mb(*args) -> float:
     """Peak RSS of one CLI run, as ``wait4`` reports it when it ends."""
     result = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, *cli, *args], capture_output=True, text=True,
+        [sys.executable, "-c", _LAUNCHER, *CLI, *args], capture_output=True, text=True,
         timeout=300,
     )  # fmt: skip
     code, max_rss_kb = map(int, result.stdout.split())
@@ -465,25 +465,60 @@ class TestReconMemory:
         assert peaks["eval-recon"] - peaks["report-storage"] < 8.0, peaks
 
 
-# The CLI with hashlib loaded up front, as a merge loads it for its slot seeds.
-CLI_WITH_HASHLIB = [
-    sys.executable, "-c", "import hashlib, sys; from hydramerge.cli import main; sys.exit(main())",
-]  # fmt: skip
+class TestHydraoptMemory:
+    @staticmethod
+    def write_vera(path, tasks, d, k, rank):
+        from hydramerge.adapters import AdapterCollection, SlotKey, VeraAdapter
+        from hydramerge.archive import write_archive
+        from hydramerge.linalg import Rng, gaussian_sample
+
+        rng, slot, ids = Rng(11), SlotKey(0, "q"), [f"t{i}" for i in range(tasks)]
+        shared_b = gaussian_sample(rng, d, rank, 0.0, 1.0)
+        shared_a = gaussian_sample(rng, rank, k, 0.0, 1.0)
+        table = {
+            (task, slot): VeraAdapter(
+                lambda_b=gaussian_sample(rng, d, 1, 0.0, 0.02).ravel(),
+                lambda_d=gaussian_sample(rng, rank, 1, 0.0, 1.0).ravel(),
+                shared_b=shared_b,
+                shared_a=shared_a,
+            )
+            for task in ids
+        }
+        write_archive(AdapterCollection.build(ids, table), path)
+
+    @pytest.mark.parametrize("kind, rank, bound", [("lora", 16, 9.0), ("vera", 64, 11.0)])
+    def test_mse_merge_peaks_near_report_storage(self, tmp_path, kind, rank, bound):
+        """One slot of K = 8 tasks at d = k = 1024, M = 3, 4 epochs under
+        mse.  Both commands read the same archive; the merge adds the
+        training state, the K mixed left factors and their pull-backs
+        (K d r doubles each: 1 MiB at r = 16, 4 MiB for VeRA's left factors
+        at r = 64), and one task's Gram products at a time, not K-stacked
+        copies of every target's factors (2 MiB, 4 MiB for VeRA) and their
+        transposes on every step."""
+        coll, merged = tmp_path / "coll.lrta", tmp_path / "hydraopt.lrta"
+        shape = dict(tasks=8, slots="q", d=1024, k=1024, rank=rank)
+        if kind == "lora":
+            assert run_cli(*gen_args(coll, **shape)).returncode == 0
+        else:
+            self.write_vera(coll, shape["tasks"], shape["d"], shape["k"], rank)
+        flags = ["--method", "hydraopt", "--m", "3", "--distance", "mse", "--epochs", "4"]
+        peak = peak_rss_mb("merge", "--in", str(coll), "--out", str(merged), *flags)
+        reference = peak_rss_mb("report-storage", "--in", str(coll), "--merged", str(merged))
+        assert peak - reference < bound, (peak, reference)
 
 
 class TestBaselineMergeMemory:
     @pytest.fixture(scope="class")
     def collection(self, tmp_path_factory):
         """K = 8 tasks at d = k = 1024, r = 16, and the peak of
-        report-storage on it, with the modules a merge loads."""
+        report-storage on it."""
         work = tmp_path_factory.mktemp("merge-memory")
         coll, merged = work / "coll.lrta", work / "ta.lrta"
         shape = dict(tasks=8, slots="q", d=1024, k=1024, rank=16)
         assert run_cli(*gen_args(coll, **shape)).returncode == 0
         result = run_cli("merge", "--in", str(coll), "--out", str(merged), "--method", "ta")
         assert result.returncode == 0, result.stderr
-        reference = peak_rss_mb("report-storage", "--in", str(coll), "--merged", str(merged),
-                                cli=CLI_WITH_HASHLIB)  # fmt: skip
+        reference = peak_rss_mb("report-storage", "--in", str(coll), "--merged", str(merged))
         return coll, reference
 
     @pytest.mark.parametrize("method", ["ta", "ties", "dare", "dare-ties"])

@@ -1125,6 +1125,47 @@ class TestOneKernelPerDistance:
             tracemalloc.stop()
         assert peak < d * k * 8, peak / (d * k * 8)
 
+    @pytest.mark.parametrize("adapter, rank", [("lora", 16), ("vera", 32)])
+    def test_gram_kernel_peak_grows_by_under_three_task_stacks(self, adapter, rank):
+        """Peak of building the Gram kernel plus one call, at d = k = 512
+        and M = 3.  Per task a call keeps the mixed left factor ``L_p,i``
+        and, for LoRA, its pull-back, d x r each; each target's factors are
+        built in turn, not stacked.  From K = 4 to K = 16 the peak may grow
+        by three such K-stacks, 12 x 3 d r doubles."""
+        import tracemalloc
+
+        d = k = 512
+        cfg = HydraConfig(num_clusters=3, distance=DistanceKind.MSE)
+        peaks = []
+        for num_tasks in (4, 16):
+            targets = kind_targets(adapter, num_tasks, d=d, r=rank, k=k, seed=num_tasks)
+            state = init_state(targets, cfg, Rng(0))
+            tracemalloc.start()
+            try:
+                hydra._kernel(targets, cfg)(state)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        stacks = (peaks[1] - peaks[0]) / (12 * d * rank * 8)
+        assert stacks <= 3.0, stacks
+
+    @pytest.mark.parametrize("adapter, rank", [("lora", 16), ("vera", 64)])
+    def test_gram_kernel_holds_no_target_factors(self, adapter, rank):
+        """Between steps the Gram kernel holds ``<T_i, T_i>`` per task and
+        nothing of the size of one target's d x r factor."""
+        import tracemalloc
+
+        d = k = 1024
+        targets = kind_targets(adapter, 8, d=d, r=rank, k=k, seed=3)
+        tracemalloc.start()
+        try:
+            kernel = hydra._kernel(targets, HydraConfig(num_clusters=3, distance="mse"))
+            held = tracemalloc.get_traced_memory()[0]  # while ``kernel`` is alive
+        finally:
+            tracemalloc.stop()
+        assert held < d * rank * 8, held
+        del kernel
+
     def test_grad_check_reaches_every_kernel(self, monkeypatch):
         calls = {name: 0 for name in (
             "_loss_and_grads_factored", "_loss_and_grads_vera_mae", "_loss_and_grads_dense"

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -403,6 +405,27 @@ class TestRng:
     def test_stable_hash_is_fixed(self):
         assert stable_hash64("layer.0.q") == stable_hash64("layer.0.q")
         assert stable_hash64("a") != stable_hash64("b")
+
+    # slot labels, the generator's labels and one label outside ASCII
+    HASHED_LABELS = [
+        "layer.0.q", "layer.11.v_proj", "synthetic.layer.0.q", "synthetic.layer.3.o",
+        "couche.0.clé",
+    ]  # fmt: skip
+
+    @staticmethod
+    def blake2b_reference(label: str) -> int:
+        return int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(), "little")
+
+    @pytest.mark.parametrize("label", HASHED_LABELS)
+    def test_stable_hash_is_the_blake2b_digest(self, label):
+        assert stable_hash64(label) == self.blake2b_reference(label)
+
+    @pytest.mark.parametrize("label", HASHED_LABELS)
+    def test_stable_hash_without_the_blake2_module(self, monkeypatch, label):
+        monkeypatch.setitem(sys.modules, "_blake2", None)  # its import now raises
+        with pytest.raises(ImportError):
+            import _blake2  # noqa: F401
+        assert stable_hash64(label) == self.blake2b_reference(label)
 
 
 class TestExactMean:

@@ -109,6 +109,8 @@ def command_argv(archives, command: str) -> list[str]:
         "gen-synthetic": ["gen-synthetic", "--out", str(archives / f"{command}.lrta")],
         "merge-ta": ["merge", "--in", coll, "--out", str(archives / f"{command}.lrta"),
                      "--method", "ta"],
+        "merge-hydraopt": ["merge", "--in", coll, "--out", str(archives / f"{command}.lrta"),
+                           "--method", "hydraopt", "--m", "2", "--epochs", "2"],
     }[command]  # fmt: skip
 
 
@@ -128,23 +130,27 @@ class TestWhatEachCommandLoads:
 
     @pytest.mark.parametrize("command", ["report-storage", "eval-recon", "analyze-similarity"])
     def test_reports_load_no_hash_or_fraction(self, archives, command):
-        """OpenSSL's ``_hashlib`` serves only the slot seeds of a merge, and
-        ``decimal`` (through ``fractions``) only uncertified means."""
+        """No command loads OpenSSL's ``_hashlib`` (see below), and
+        ``decimal`` (through ``fractions``) serves only uncertified means."""
         modules = loaded(RUN_COMMAND, *command_argv(archives, command))
         assert "hydramerge.cli" in modules
         assert "_hashlib" not in modules
         assert "decimal" not in modules
+
+    @pytest.mark.parametrize("command", ["merge-ta", "merge-hydraopt", "gen-synthetic"])
+    def test_commands_that_draw_load_no_openssl(self, archives, command):
+        """Slot seeds take BLAKE2b from CPython's ``_blake2``: importing
+        ``hashlib`` would load OpenSSL's ``_hashlib`` too, 3.6 MB of RSS."""
+        modules = loaded(RUN_COMMAND, *command_argv(archives, command))
+        assert "hydramerge.cli" in modules
+        assert "_hashlib" not in modules
 
     def test_the_probe_sees_hash_and_fraction_modules(self):
         modules = loaded("import sys, hashlib, fractions; " + SHOW_MODULES)
         assert "_hashlib" in modules and "decimal" in modules
 
     def test_hydraopt_loads_no_checker_generator_or_report(self, archives):
-        out = str(archives / "hydraopt.lrta")
-        modules = loaded(
-            RUN_COMMAND, "merge", "--in", str(archives / "coll.lrta"), "--out", out,
-            "--method", "hydraopt", "--m", "2", "--epochs", "2",
-        )  # fmt: skip
+        modules = loaded(RUN_COMMAND, *command_argv(archives, "merge-hydraopt"))
         assert "hydramerge.hydra" in modules
         for module in ("gradcheck", "synthetic", "analysis"):
             assert f"hydramerge.{module}" not in modules
