@@ -22,8 +22,14 @@ are static methods of the slot's ``adapter_type`` (see
 pair and learns a shared inner vector ``lambda_d`` (r) and cluster outer
 vectors ``lambda_b_j`` (d).
 
-Every kernel ends in one chain rule in cluster space: ``dc_j = sum_i
-w[i, j] E_i``, and the routing logits get
+Every kernel is a generator run by one evaluation step, :func:`_step`.
+It yields, task by task, ``(distance_i, E_i, term_i)``: the distance,
+``E_i`` the gradient with respect to ``c_mix_i``, and the task's term of
+the shared gradient.  The step does the rest once for all kernels: it
+routes, holds numpy's error state, raises :class:`NumericalError` naming
+the first task whose distance is not finite, sums the shared terms and
+applies the one chain rule in cluster space: ``dc_j = sum_i w[i, j]
+E_i``, and the routing logits get
 
     g[i, j] = <G_i, U_j> = <E_i, c_j>            (flattened inner products)
     dC[i,m] = (w[i, m] / temperature) * (g[i, m] - sum_j w[i, j] g[i, j])
@@ -37,7 +43,7 @@ shared_a)``, so VeRA's right factor is frozen and equal on both sides.
 A kernel reaches the chain rule through ``M_i = G_i R_p^T`` (d x r) and,
 for a trained right factor, ``N_i = L_p,i^T G_i`` (r x k), which the
 kind's ``pull_back_factors`` turns into ``E_i`` and the task's finished
-shared term.  With adapter targets every kernel first checks, with
+shared term.  With adapter targets every evaluation first checks, with
 :func:`~hydramerge.adapters.check_slot`, that the state could share their
 slot: one kind, ``(d, r, k)`` and frozen pair.
 
@@ -80,8 +86,9 @@ first step.
 The dense kernel builds ``P_i = predict(c_mix_i, basis)`` and streams one
 ``d x k`` residual per task; ``pull_back`` turns the distance gradient
 ``G_i`` at ``P_i`` into ``E_i = L^T(G_i)`` and the task's term of the
-shared gradient, which ``shared_grad`` finishes.  It serves dense target
-matrices and is the reference both factored kernels are tested against.
+shared gradient; the step finishes their sum once with ``shared_grad``.
+It serves dense target matrices and is the reference both factored
+kernels are tested against.
 :func:`loss`, :func:`gradients` and :func:`train` run the same kernel for
 the same targets.
 
@@ -98,6 +105,7 @@ data: the target adapters themselves are the regression labels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -356,38 +364,38 @@ def _mix(weights: np.ndarray | None, clusters: np.ndarray) -> np.ndarray:
     return clusters if weights is None else np.tensordot(weights, clusters, axes=(1, 0))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the guards type non-finite results
-def _loss_and_grads_dense(state, mats: list[Matrix], cfg: HydraConfig):
-    """Loss and gradients from one streamed d x k residual per task, with
-    mixing and the chain rule in cluster space; no cluster product is
-    formed.  A target shaped unlike its prediction raises
-    :class:`ShapeError`, a non-finite prediction :class:`NumericalError`."""
-    weights = _routing(state, cfg, len(mats))
-    basis = state.basis()
+@np.errstate(over="ignore", invalid="ignore")  # the check below types non-finite results
+def _step(kernel, finish, state, targets, *args):
+    """One evaluation step, ``(loss, per_task, grads)``: it owns what every
+    kernel shares.
+
+    It routes, stacks the clusters ``c`` and iterates ``kernel(state,
+    weights, c, targets, *args)``, whose last argument is the config.  The
+    kernel yields ``(distance_i, E_i, term_i)`` for each task in order:
+    ``E_i`` is the gradient with respect to ``c_mix_i`` and ``term_i``, a
+    fresh array, the task's term of the shared gradient.  A non-finite
+    distance, or a :class:`NumericalError` while task i is evaluated,
+    raises :class:`NumericalError` naming task i.  ``finish(state, total)``
+    turns the summed terms into the shared parameter's gradient; the chain
+    rule gives the rest: ``dc_j = sum_i w[i, j] E_i`` and the logits'
+    ``g[i, j] = <E_i, c_j>``."""
+    cfg = args[-1]
+    weights = _routing(state, cfg, len(targets))
     clusters = np.stack(state.clusters)
-    mixed = _mix(weights, clusters)
-    pulled = np.empty_like(mixed)  # E_i, the gradient with respect to c_mix_i
+    terms = kernel(state, weights, clusters, targets, *args)
+    pulled = np.empty((len(targets), *clusters.shape[1:]))  # E_i
     per_task, shared = [], None
-    for i, (target, c) in enumerate(zip(mats, mixed)):
-        pred = state.adapter_type.predict(c, basis)
-        if target.shape != pred.shape:
-            raise ShapeError(f"target {i} has shape {target.shape}, its prediction {pred.shape}")
-        value, g = distance_and_grad(target, pred, cfg.distance)
+    for i in range(len(targets)):
+        try:
+            value, pulled[i], term = next(terms)
+        except NumericalError:  # smooth_terms refuses a non-finite trace
+            value = math.nan
         if not np.isfinite(value):
             raise NumericalError(f"the prediction for task {i} overflowed to non-finite values")
         per_task.append(value)
-        pulled[i], term = state.adapter_type.pull_back(g, c, basis)
         shared = term if shared is None else np.add(shared, term, out=shared)
-    shared = state.adapter_type.shared_grad(shared, state.frozen)
-    return _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg)
-
-
-def _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg: HydraConfig):
-    """``(loss, per_task, grads)`` from ``pulled[i] = E_i``, the gradient
-    with respect to ``c_mix_i``, and the ``shared`` parameter's gradient:
-    ``dc_j = sum_i w[i, j] E_i`` and the logits' ``g[i, j] = <E_i, c_j>``."""
     shared_name, cluster_name = state.NAMES
-    grads = {shared_name: shared}
+    grads = {shared_name: finish(state, shared)}
     if weights is not None:
         inner = pulled.reshape(len(pulled), -1) @ clusters.reshape(len(clusters), -1).T
         grads["logits"] = _logit_grad(weights, inner, cfg.temperature)
@@ -395,6 +403,26 @@ def _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg: HydraCo
     for j, grad in enumerate(pulled):
         grads[f"{cluster_name}.{j}"] = grad
     return float(sum(per_task)), per_task, HydraGrads(grads)
+
+
+def _stepped(finish=lambda state, total: total):
+    """Make a generator of per-task terms into ``(state, targets, *args,
+    cfg) -> (loss, per_task, grads)``, run by :func:`_step`."""
+    return lambda kernel: functools.wraps(kernel)(functools.partial(_step, kernel, finish))
+
+
+@_stepped(finish=lambda state, total: state.adapter_type.shared_grad(total, state.frozen))
+def _loss_and_grads_dense(state, weights, clusters, mats: list[Matrix], cfg: HydraConfig):
+    """The dense kernel: one streamed d x k residual per task, with mixing
+    and the pull-back in cluster space; no cluster product is formed.  A
+    target shaped unlike its prediction raises :class:`ShapeError`."""
+    basis = state.basis()
+    for i, (target, c) in enumerate(zip(mats, _mix(weights, clusters))):
+        pred = state.adapter_type.predict(c, basis)
+        if target.shape != pred.shape:
+            raise ShapeError(f"target {i} has shape {target.shape}, its prediction {pred.shape}")
+        value, g = distance_and_grad(target, pred, cfg.distance)
+        yield (value, *state.adapter_type.pull_back(g, c, basis))
 
 
 def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -437,14 +465,12 @@ def _check_targets(squared_norms, distance: DistanceKind) -> None:
             raise DegenerateInputError(msg, task=i)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the guards type non-finite results
-def _loss_and_grads_factored(state, targets: Sequence[Adapter], tt, cfg: HydraConfig):
+@_stepped()
+def _loss_and_grads_factored(state, weights, clusters, targets: Sequence[Adapter], tt, cfg):
     """The Gram kernel: loss and gradients of a smooth distance, for either
     kind, from r x r Gram products of the targets' and the predictions'
     rank-r factors, one task at a time; ``tt`` is :func:`_squared_norms`."""
     kind = state.adapter_type
-    weights = _routing(state, cfg, len(tt))
-    clusters = np.stack(state.clusters)
     # R_p and the stacked L_p,i^T (C-ordered), mixed from the clusters' own (a left factor
     # is linear in its cluster); each input is freed once used, to bound what is alive
     factors = [kind.factors(state.shared, c, state.frozen) for c in state.clusters]
@@ -456,8 +482,6 @@ def _loss_and_grads_factored(state, targets: Sequence[Adapter], tt, cfg: HydraCo
     size = left_p.shape[2] * right_p.shape[1]  # d k
     # only a frozen right factor's pull-back reads c_mix_i: the shared side is then in L_p,i
     mixed = _mix(weights, clusters) if kind.right_frozen else [None] * len(tt)
-    pulled, shared = np.empty((len(tt), *clusters.shape[1:])), np.zeros_like(state.shared)
-    per_task = []
     for i, (target, c) in enumerate(zip(targets, mixed)):
         left, right = delta_factors(target)
         cross_l = _cross(left_p[i], left.T)  # L_p,i^T L_t,i
@@ -466,24 +490,21 @@ def _loss_and_grads_factored(state, targets: Sequence[Adapter], tt, cfg: HydraCo
         cross_r = gram_r if kind.right_frozen else _cross(right_p, right)
         tp, pp = _trace(cross_l, cross_r), _trace(gram_l, gram_r)
         value, alpha, beta = smooth_terms(tt[i], tp, pp, size, cfg.distance)
-        per_task.append(float(value))
         # M_i^T = (G_i R_p^T)^T (r x d) and N_i = L_p,i^T G_i, each operand C-ordered
         m_t = np.matmul(alpha * cross_r, np.ascontiguousarray(left.T))
         m_t += np.matmul(beta * gram_r, left_p[i])
         n = None if kind.right_frozen else np.matmul(alpha * cross_l, np.ascontiguousarray(right))
         if n is not None:
             n += np.matmul(beta * gram_l, right_p)
-        pulled[i], term = kind.pull_back_factors(m_t.T, n, c, state.shared, state.frozen)
-        shared += term
-    return _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg)
+        yield (float(value), *kind.pull_back_factors(m_t.T, n, c, state.shared, state.frozen))
 
 
 # Entries of one row block of a residual.
 _BLOCK_ENTRIES = ROW_BLOCK_ENTRIES
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the guards type non-finite results
-def _loss_and_grads_vera_mae(state, targets: Sequence[Adapter], cfg: HydraConfig):
+@_stepped()
+def _loss_and_grads_vera_mae(state, weights, clusters, targets: Sequence[Adapter], cfg):
     """The blocked kernel: MAE loss and gradients, for either kind, from
     each task's residual ``R_i = L_t,i R_t,i - L_p,i R_p``, built from the
     rank-r factors one row block at a time: no d x k array but the two
@@ -493,15 +514,10 @@ def _loss_and_grads_vera_mae(state, targets: Sequence[Adapter], cfg: HydraConfig
     for a trained right factor, ``N_i = L_p,i^T G_i`` (r x k) reach the
     chain rule, through ``pull_back_factors``."""
     kind = state.adapter_type
-    weights = _routing(state, cfg, len(targets))
-    clusters = np.stack(state.clusters)
-    mixed = _mix(weights, clusters)
     d, _, k = targets[0].shape_signature()
     size, (rows, row_slices) = d * k, row_blocks(d, k, _BLOCK_ENTRIES)
     blocks, signs = np.empty((rows, k)), np.empty((rows, k))
-    pulled, shared = np.empty_like(mixed), np.zeros_like(state.shared)
-    per_task = []
-    for i, (target, c) in enumerate(zip(targets, mixed)):
+    for target, c in zip(targets, _mix(weights, clusters)):
         left, right = delta_factors(target)
         left_p, right_p = kind.factors(state.shared, c, state.frozen)
         if kind.right_frozen:  # R_t = R_p: the residual is one product
@@ -520,16 +536,10 @@ def _loss_and_grads_vera_mae(state, targets: Sequence[Adapter], cfg: HydraConfig
             np.matmul(sign, right_p.T, out=m[span])
             if n is not None:
                 n += left_p[span].T @ sign
-        value = total / size
-        if not np.isfinite(value):
-            raise NumericalError(f"the prediction for task {i} overflowed to non-finite values")
-        per_task.append(value)
         m *= -1.0 / size
         if n is not None:
             n *= -1.0 / size
-        pulled[i], term = kind.pull_back_factors(m, n, c, state.shared, state.frozen)
-        shared += term
-    return _chain_rule(state, weights, clusters, per_task, pulled, shared, cfg)
+        yield (total / size, *kind.pull_back_factors(m, n, c, state.shared, state.frozen))
 
 
 def _kernel(targets, cfg: HydraConfig):

@@ -927,14 +927,25 @@ class TestVeraMaeKernel:
         for got, want in zip(trained.lambda_b_clusters, start.lambda_b_clusters):
             assert np.array_equal(got, want)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("distance", list(DistanceKind))
+    @pytest.mark.parametrize("path", ["adapters", "dense"])
     @pytest.mark.parametrize("num_clusters, task", [(2, 0), (3, 1)])
-    def test_inf_cluster_entry_names_step_and_task(self, num_clusters, task):
-        targets = TestVera().make_vera_targets(num_tasks=3, seed=1)
-        cfg = HydraConfig(num_clusters=num_clusters, epochs=3)
+    def test_inf_cluster_entry_names_step_and_task(
+        self, adapter, distance, path, num_clusters, task
+    ):
+        """Every kernel (Gram, blocked and, on dense targets, dense) names the
+        first task whose prediction overflows, and no numpy warning escapes."""
+        targets = kind_targets(adapter, 3, d=6, r=2, k=5, seed=1)
+        cfg = HydraConfig(num_clusters=num_clusters, distance=distance, epochs=3)
         state = init_state(targets, cfg, Rng(0))
-        state.lambda_b_clusters[1][0] = np.inf
-        with pytest.raises(NumericalError, match=rf"^step 0: .*task {task} overflowed"):
+        state.params[1][1][0] = np.inf
+        if path == "dense":
+            targets = hydra._target_matrices(targets)
+        with pytest.raises(NumericalError, match=rf"^step 0: .*task {task} overflowed") as info:
             hydra._fit(state, hydra._kernel(targets, cfg), cfg)
+        assert info.value.task is None
 
     def test_mismatched_frozen_pairs_raise(self):
         targets = TestVera().make_vera_targets(num_tasks=2)
