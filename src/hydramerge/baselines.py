@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .adapters import AdapterCollection, MergedAdapterSlot, MergedBundle
-from .errors import HydraMergeError, NumericalError, ParameterError, ShapeError
+from .errors import HydraMergeError, NumericalError, ParameterError, ShapeError, coerce_enums
 from .linalg import (
     ROW_BLOCK_ENTRIES,
     Matrix,
@@ -56,6 +56,9 @@ class BaselineConfig:
     seed: int = 0
     merge_target: MergeTarget = MergeTarget.PER_MATRIX
     scale: float = 1.0
+
+    def __post_init__(self):
+        coerce_enums(self, method=MergeMethod, merge_target=MergeTarget)
 
     def validate(self) -> None:
         if not (0.0 < self.ties_density <= 1.0):

@@ -6,6 +6,15 @@ stdout, and sends diagnostics to stderr (level set by the
 randomness flows from ``--seed``, so repeating a command with identical
 flags reproduces its outputs byte for byte.
 
+Every default belongs to its config type: :class:`~hydramerge.synthetic.SynthSpec`,
+:class:`~hydramerge.baselines.BaselineConfig`, :class:`~hydramerge.hydra.HydraConfig`
+or the keywords of :func:`~hydramerge.gradcheck.run_suite`.  Each option of
+``gen-synthetic``, ``merge`` and ``grad-check`` is stored under the name of
+the field it sets, only when given, and the handler passes the options given
+to the config type by name; an absent ``--m`` means one cluster per task.  A
+``merge`` option that the chosen method does not read (see ``_READ_BY``) is a
+usage error naming the methods that read it.
+
 ``report-storage`` and ``eval-recon`` refuse a bundle that was not merged
 from the collection given with ``--in``: other tasks or slots, or a slot
 whose adapter kind, ``(d, r, k)`` or VeRA frozen pair differs (see
@@ -22,6 +31,7 @@ import json
 import logging
 import os
 import sys
+from inspect import signature
 
 from .adapters import AdapterCollection, MergedBundle, storage_ratio_percent
 from .archive import read_archive, write_archive
@@ -37,6 +47,20 @@ from .linalg import DistanceKind
 log = logging.getLogger("hydramerge")
 
 _BASELINES = [m.value for m in MergeMethod]
+# The methods that read each merge option, by the field it sets; every method
+# reads --in, --out, --method, --seed and --jobs.  Any other option given to a
+# method is a usage error.
+_READ_BY = {
+    "ties_density": ["ties", "dare-ties"],
+    "dare_drop_p": ["dare", "dare-ties"],
+    "scale": ["ta", "dare"],
+    "merge_target": _BASELINES,
+    **dict.fromkeys(
+        ["num_clusters", "temperature", "epochs", "learning_rate", "distance", "init_scheme",
+         "globalize_assignment"],
+        ["hydraopt"],
+    ),
+}  # fmt: skip
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,54 +69,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="Merge low-rank adapter collections and report on the results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options of these three commands are stored only when given (see _given)
+    quiet = {"argument_default": argparse.SUPPRESS}
 
-    gen = sub.add_parser("gen-synthetic", help="write a synthetic adapter collection")
+    gen = sub.add_parser("gen-synthetic", help="write a synthetic adapter collection", **quiet)
     gen.set_defaults(run=_cmd_gen_synthetic)
     gen.add_argument("--out", required=True, help="output archive path")
-    gen.add_argument("--tasks", type=int, default=5)
-    gen.add_argument("--layers", type=int, default=2)
-    gen.add_argument("--slots", default="q,v", help="comma-separated slot names")
-    gen.add_argument("--d", type=int, default=16)
-    gen.add_argument("--k", type=int, default=16)
-    gen.add_argument("--rank", type=int, default=4)
-    gen.add_argument("--a-noise", type=float, default=0.05)
-    gen.add_argument("--b-scale", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--tasks", type=int)
+    gen.add_argument("--layers", type=int)
+    gen.add_argument("--slots", dest="slot_names", help="comma-separated slot names",
+                     type=lambda text: tuple(name for name in text.split(",") if name))  # fmt: skip
+    gen.add_argument("--d", type=int)
+    gen.add_argument("--k", type=int)
+    gen.add_argument("--rank", type=int)
+    gen.add_argument("--a-noise", dest="a_noise", type=float)
+    gen.add_argument("--b-scale", dest="b_scale", type=float)
+    gen.add_argument("--seed", type=int)
 
-    merge = sub.add_parser("merge", help="merge a collection into a bundle archive")
-    merge.set_defaults(run=lambda args: _cmd_merge(args, parser))
+    merge = sub.add_parser("merge", help="merge a collection into a bundle archive", **quiet)
+    merge.set_defaults(run=lambda args: _cmd_merge(args, merge))
     merge.add_argument("--in", dest="archive_in", required=True)
     merge.add_argument("--out", dest="archive_out", required=True)
+    merge.add_argument("--method", required=True, choices=_BASELINES + ["hydraopt"])
+    merge.add_argument("--ties-density", dest="ties_density", type=float)
+    merge.add_argument("--dare-p", dest="dare_drop_p", type=float)
+    merge.add_argument("--scale", type=float)
     merge.add_argument(
-        "--method", required=True, choices=_BASELINES + ["hydraopt"]
-    )
-    merge.add_argument("--ties-density", type=float, default=0.2)
-    merge.add_argument("--dare-p", type=float, default=0.9)
-    merge.add_argument("--scale", type=float, default=1.0)
-    merge.add_argument(
-        "--a-only", action="store_true", help="merge only input-side factors (baselines)"
-    )
-    merge.add_argument("--m", type=int, default=None, help="cluster count (hydraopt)")
-    merge.add_argument("--temp", type=float, default=0.1)
-    merge.add_argument("--epochs", type=int, default=1000)
-    merge.add_argument("--lr", type=float, default=1e-2)
+        "--a-only", dest="merge_target", action="store_const", const=MergeTarget.A_ONLY,
+        help="merge only input-side factors",
+    )  # fmt: skip
+    merge.add_argument("--m", dest="num_clusters", type=int, help="cluster count (default K)")
+    merge.add_argument("--temp", dest="temperature", type=float)
+    merge.add_argument("--epochs", type=int)
+    merge.add_argument("--lr", dest="learning_rate", type=float)
     merge.add_argument(
         "--distance",
         choices=[k.value for k in DistanceKind],
-        default="mae",
-        help="hydraopt objective; cos is undefined for a zero update, so a task whose "
-        "adapter is zero (LoRA B = 0, VeRA lambda_b = 0) exits 3, naming the slot and task",
+        help="objective; cos is undefined for a zero update, so a task whose adapter "
+        "is zero (LoRA B = 0, VeRA lambda_b = 0) exits 3, naming the slot and task",
     )
-    merge.add_argument("--init", choices=["mean", "random"], default="random")
-    merge.add_argument("--seed", type=int, default=0)
-    merge.add_argument(
-        "--jobs", type=int, default=1, help="ignored; slots train one after another"
-    )
+    # the values of hydra.InitScheme, which the parser does not import
+    merge.add_argument("--init", dest="init_scheme", choices=["mean", "random"])
+    merge.add_argument("--seed", type=int)
+    merge.add_argument("--jobs", type=int, help="ignored; slots train one after another")
     merge.add_argument(
         "--globalize-assignment",
         action="store_true",
         help="replace per-slot assignments by each task's majority cluster",
     )
+    for action in merge._actions:
+        if action.dest in _READ_BY:
+            read_by = "read by " + ", ".join(_READ_BY[action.dest])
+            action.help = f"{action.help}; {read_by}" if action.help else read_by
 
     storage = sub.add_parser("report-storage", help="storage accounting for a merge")
     storage.set_defaults(run=_cmd_report_storage)
@@ -111,13 +139,19 @@ def build_parser() -> argparse.ArgumentParser:
     recon.add_argument("--merged", required=True)
     recon.add_argument("--out", default=None)
 
-    grad = sub.add_parser("grad-check", help="finite-difference gradient check")
+    grad = sub.add_parser("grad-check", help="finite-difference gradient check", **quiet)
     grad.set_defaults(run=_cmd_grad_check)
-    grad.add_argument("--seed", type=int, default=0)
-    grad.add_argument("--instances", type=int, default=20)
-    grad.add_argument("--tolerance", type=float, default=1e-5)
+    grad.add_argument("--seed", type=int)
+    grad.add_argument("--instances", type=int)
+    grad.add_argument("--tolerance", type=float)
     grad.add_argument("--out", default=None)
     return parser
+
+
+def _given(args: argparse.Namespace, target) -> dict:
+    """The options given on the command line that name a parameter of
+    ``target``, a config type or a function, by that name."""
+    return {name: getattr(args, name) for name in signature(target).parameters if name in args}
 
 
 def _emit(doc: dict, out_path: str | None = None) -> None:
@@ -154,17 +188,7 @@ def _storage(collection: AdapterCollection, bundle: MergedBundle) -> dict:
 def _cmd_gen_synthetic(args) -> int:
     from .synthetic import SynthSpec, generate
 
-    spec = SynthSpec(
-        tasks=args.tasks,
-        layers=args.layers,
-        slot_names=tuple(s for s in args.slots.split(",") if s),
-        d=args.d,
-        k=args.k,
-        rank=args.rank,
-        a_noise=args.a_noise,
-        b_scale=args.b_scale,
-        seed=args.seed,
-    )
+    spec = SynthSpec(**_given(args, SynthSpec))
     collection = generate(spec)
     write_archive(collection, args.out)
     log.info("wrote %s", args.out)
@@ -175,60 +199,47 @@ def _cmd_gen_synthetic(args) -> int:
             "tasks": collection.task_ids,
             "slots": [s.label() for s in collection.slots],
             "params": collection.param_count(),
-            "seed": args.seed,
+            "seed": spec.seed,
         }
     )
     return 0
 
 
-def _cmd_merge(args, parser: argparse.ArgumentParser) -> int:
-    if args.method == "hydraopt" and args.a_only:
-        parser.error("--a-only does not apply to hydraopt")
-    if args.method != "hydraopt" and args.m is not None:
-        parser.error("--m only applies to hydraopt")
+def _cmd_merge(args, merge: argparse.ArgumentParser) -> int:
+    for action in merge._actions:
+        methods = _READ_BY.get(action.dest)
+        if methods and action.dest in args and args.method not in methods:
+            flag = action.option_strings[0]
+            merge.error(f"{flag} is read only by {', '.join(methods)}, not {args.method}")
     collection = _load(args.archive_in, AdapterCollection)
     doc: dict = {
         "command": "merge",
         "method": args.method,
         "archive_in": args.archive_in,
         "archive_out": args.archive_out,
-        "seed": args.seed,
         "initial_loss": None,
         "final_loss": None,
         "per_slot_loss": None,
         "assignment": None,
     }
     if args.method == "hydraopt":
-        from .hydra import HydraConfig, InitScheme, globalize_assignment, merge_collection_hydra
+        from .hydra import HydraConfig, globalize_assignment, merge_collection_hydra
 
-        cfg = HydraConfig(
-            num_clusters=args.m if args.m is not None else collection.num_tasks,
-            temperature=args.temp,
-            epochs=args.epochs,
-            learning_rate=args.lr,
-            distance=DistanceKind(args.distance),
-            seed=args.seed,
-            init_scheme=InitScheme.MEAN_A_COPY_B if args.init == "mean" else InitScheme.RANDOM,
-        )
+        # an absent --m means one cluster per task
+        cfg = HydraConfig(**{"num_clusters": collection.num_tasks, **_given(args, HydraConfig)})
         bundle, report = merge_collection_hydra(collection, cfg)
-        if args.globalize_assignment:
+        if "globalize_assignment" in args:
             globalize_assignment(bundle)
         doc["initial_loss"] = report["initial_loss"]
         doc["final_loss"] = report["final_loss"]
         doc["per_slot_loss"] = report["per_slot"]
         doc["assignment"] = bundle.assignment_map()
     else:
-        cfg = BaselineConfig(
-            method=MergeMethod(args.method),
-            ties_density=args.ties_density,
-            dare_drop_p=args.dare_p,
-            seed=args.seed,
-            merge_target=MergeTarget.A_ONLY if args.a_only else MergeTarget.PER_MATRIX,
-            scale=args.scale,
-        )
+        cfg = BaselineConfig(**_given(args, BaselineConfig))
         bundle = merge_collection(collection, cfg)
     write_archive(bundle, args.archive_out)
     log.info("wrote %s", args.archive_out)
+    doc["seed"] = cfg.seed
     doc.update(_storage(collection, bundle))
     doc["storage_ratio_percent"] = doc.pop("ratio_percent")
     _emit(doc)
@@ -267,7 +278,7 @@ def _cmd_eval_recon(args) -> int:
 def _cmd_grad_check(args) -> int:
     from .gradcheck import run_suite
 
-    report = run_suite(seed=args.seed, instances=args.instances, tolerance=args.tolerance)
+    report = run_suite(**_given(args, run_suite))
     _emit({"command": "grad-check", "grad_check": report.to_dict()}, args.out)
     return 0 if report.passed else 1
 

@@ -35,3 +35,17 @@ class NumericalError(HydraMergeError, ArithmeticError):
     """A computation left the finite range: an overflowed Gram trace (of a
     target, when ``task`` is set), or a training run whose loss or gradient
     became non-finite or ran away."""
+
+
+def coerce_enums(config, **enums) -> None:
+    """Store each named field of a frozen dataclass as the member of its enum
+    whose value it holds, so that code may compare members by identity.  A
+    value no member has raises :class:`ParameterError` naming the field and
+    its choices."""
+    for name, enum in enums.items():
+        value = getattr(config, name)
+        try:
+            object.__setattr__(config, name, enum(value))
+        except ValueError:
+            choices = ", ".join(member.value for member in enum)
+            raise ParameterError(f"{name} must be one of {choices}, got {value!r}") from None

@@ -133,6 +133,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     ValidationError,
+    coerce_enums,
 )
 from .linalg import (
     ROW_BLOCK_ENTRIES,
@@ -184,14 +185,7 @@ class HydraConfig:
     adam_eps: ClassVar[float] = ADAM_EPS
 
     def __post_init__(self):
-        # the kernels compare members by identity, so a value is stored as its member
-        for name, enum in (("distance", DistanceKind), ("init_scheme", InitScheme)):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, enum(value))
-            except ValueError:
-                choices = ", ".join(member.value for member in enum)
-                raise ParameterError(f"{name} must be one of {choices}, got {value!r}") from None
+        coerce_enums(self, distance=DistanceKind, init_scheme=InitScheme)
 
     def validate(self, num_tasks: int) -> None:
         if self.num_clusters < 1:

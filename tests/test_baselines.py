@@ -324,3 +324,41 @@ class TestMergeCollection:
         rng = Rng(cfg.seed ^ __import__("hydramerge.linalg", fromlist=["stable_hash64"]).stable_hash64(slot.label()))
         expected_a = merge_dare([coll.adapter(t, slot).a for t in coll.task_ids], 0.9, rng)
         assert np.array_equal(bundle.entries[slot].adapter.a, expected_a)
+
+
+class TestConfigEnums:
+    """Both enum fields take a member or its value, and store the member:
+    the merge compares members by identity."""
+
+    @pytest.mark.parametrize("member", list(MergeMethod))
+    def test_strings_merge_like_the_members(self, tmp_path, member):
+        from hydramerge.archive import write_archive
+
+        coll = lora_collection(tasks=3)
+        bundles = []
+        for method, target in [(member, MergeTarget.PER_MATRIX), (member.value, "per-matrix")]:
+            cfg = BaselineConfig(method=method, merge_target=target, seed=2)
+            assert cfg.method is member
+            assert cfg.merge_target is MergeTarget.PER_MATRIX
+            bundle = merge_collection(coll, cfg)
+            assert all(isinstance(e, MergedAdapterSlot) for e in bundle.entries.values())
+            path = tmp_path / f"{len(bundles)}.lrta"
+            write_archive(bundle, path)
+            bundles.append(path.read_bytes())
+        assert bundles[0] == bundles[1]
+
+    def test_a_only_string_keeps_every_output_factor(self):
+        cfg = BaselineConfig(method="ta", merge_target="a-only")
+        assert cfg.merge_target is MergeTarget.A_ONLY
+        bundle = merge_collection(lora_collection(tasks=3), cfg)
+        assert all(isinstance(e, SharedLoraSlot) for e in bundle.entries.values())
+
+    @pytest.mark.parametrize(
+        "field, enum", [("method", MergeMethod), ("merge_target", MergeTarget)]
+    )
+    def test_unknown_value_names_the_field_and_choices(self, field, enum):
+        choices = ", ".join(member.value for member in enum)
+        kwargs = {"method": MergeMethod.TA, field: "bogus"}
+        message = rf"^{field} must be one of {choices}, got 'bogus'$"
+        with pytest.raises(ParameterError, match=message):
+            BaselineConfig(**kwargs)

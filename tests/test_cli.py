@@ -1,10 +1,20 @@
+import argparse
+import functools
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from hydramerge import cli, gradcheck, hydra, synthetic
+from hydramerge.archive import write_archive
+from hydramerge.baselines import BaselineConfig, MergeMethod, MergeTarget
+from hydramerge.hydra import HydraConfig, InitScheme
+from hydramerge.linalg import DistanceKind
+from hydramerge.synthetic import SynthSpec, generate
 
 CLI = [sys.executable, "-m", "hydramerge"]
 
@@ -712,3 +722,160 @@ class TestSyntheticScales:
         assert result.returncode == 3
         assert result.stderr.startswith(f"error: {field} = 1e+308 is too large"), result.stderr
         assert not out.exists()
+
+
+def option(command: str, flag: str) -> argparse.Action:
+    """The parser's action for ``flag`` of ``command``."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return next(a for a in commands.choices[command]._actions if flag in a.option_strings)
+
+
+class Captured(Exception):
+    """Raised by the stubs below in place of the library call."""
+
+
+@pytest.fixture(scope="module")
+def collection_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("defaults") / "coll.lrta"
+    write_archive(generate(SynthSpec(tasks=3, layers=1, d=8, k=8, rank=2)), path)
+    return str(path)
+
+
+@pytest.fixture()
+def called(monkeypatch, collection_path, tmp_path):
+    """Runs ``cli.main`` in-process and returns the positional and keyword
+    arguments it passed to the library; ``merge ... METHOD`` fills in the
+    archive paths."""
+    calls = []
+    for module, name in [(hydra, "merge_collection_hydra"), (cli, "merge_collection"),
+                         (synthetic, "generate"), (gradcheck, "run_suite")]:  # fmt: skip
+
+        @functools.wraps(getattr(module, name))  # keeps the signature the CLI reads
+        def capture(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise Captured
+
+        monkeypatch.setattr(module, name, capture)
+
+    def run(command, *flags):
+        out = str(tmp_path / "out.lrta")
+        argv = {"gen-synthetic": ["gen-synthetic", "--out", out], "grad-check": ["grad-check"]}.get(
+            command, ["merge", "--in", collection_path, "--out", out, "--method", command]
+        )
+        calls.clear()
+        with pytest.raises(Captured):
+            cli.main([*argv, *flags])
+        (call,) = calls
+        return call
+
+    return run
+
+
+BASELINES = [m.value for m in MergeMethod]
+SYNTH_FLAGS = [
+    (["--tasks", "3"], "tasks", 3),
+    (["--layers", "3"], "layers", 3),
+    (["--slots", "q,,v"], "slot_names", ("q", "v")),
+    (["--d", "9"], "d", 9),
+    (["--k", "7"], "k", 7),
+    (["--rank", "3"], "rank", 3),
+    (["--a-noise", "0.5"], "a_noise", 0.5),
+    (["--b-scale", "2"], "b_scale", 2.0),
+    (["--seed", "7"], "seed", 7),
+]
+HYDRA_FLAGS = [
+    (["--m", "2"], "num_clusters", 2),
+    (["--temp", "0.5"], "temperature", 0.5),
+    (["--epochs", "3"], "epochs", 3),
+    (["--lr", "0.5"], "learning_rate", 0.5),
+    (["--distance", "mse"], "distance", DistanceKind.MSE),
+    (["--init", "mean"], "init_scheme", InitScheme.MEAN_A_COPY_B),
+    (["--seed", "7"], "seed", 7),
+]
+BASELINE_FLAGS = [
+    (["--ties-density", "0.5"], "ties_density", 0.5, ["ties", "dare-ties"]),
+    (["--dare-p", "0.5"], "dare_drop_p", 0.5, ["dare", "dare-ties"]),
+    (["--scale", "2"], "scale", 2.0, ["ta", "dare"]),
+    (["--a-only"], "merge_target", MergeTarget.A_ONLY, BASELINES),
+    (["--seed", "7"], "seed", 7, BASELINES),
+]
+GRAD_FLAGS = [
+    (["--seed", "3"], "seed", 3),
+    (["--instances", "2"], "instances", 2),
+    (["--tolerance", "0.001"], "tolerance", 1e-3),
+]
+
+
+class TestEachDefaultIsTheLibraryDefault:
+    """The CLI restates no default: a command without options passes the
+    library its own defaults, and each option sets one field by name."""
+
+    def test_no_option_gives_the_config_defaults(self, called):
+        assert called("gen-synthetic") == ((SynthSpec(),), {})
+        (_, cfg), kwargs = called("hydraopt")
+        assert cfg == HydraConfig(num_clusters=3) and kwargs == {}
+        for method in BASELINES:
+            (_, cfg), kwargs = called(method)
+            assert cfg == BaselineConfig(MergeMethod(method)) and kwargs == {}
+        assert called("grad-check") == ((), {})
+
+    @pytest.mark.parametrize("flags, field, value", SYNTH_FLAGS)
+    def test_gen_synthetic_option_sets_its_field(self, called, flags, field, value):
+        (spec,), _ = called("gen-synthetic", *flags)
+        assert spec == replace(SynthSpec(), **{field: value})
+
+    @pytest.mark.parametrize("flags, field, value", HYDRA_FLAGS)
+    def test_hydraopt_option_sets_its_field(self, called, flags, field, value):
+        (_, cfg), _ = called("hydraopt", *flags)
+        assert cfg == replace(HydraConfig(num_clusters=3), **{field: value})
+
+    @pytest.mark.parametrize(
+        "method, flags, field, value",
+        [(m, *case[:3]) for case in BASELINE_FLAGS for m in case[3]],
+    )
+    def test_baseline_option_sets_its_field(self, called, method, flags, field, value):
+        (_, cfg), _ = called(method, *flags)
+        assert cfg == replace(BaselineConfig(MergeMethod(method)), **{field: value})
+
+    @pytest.mark.parametrize("flags, field, value", GRAD_FLAGS)
+    def test_grad_check_option_sets_its_keyword(self, called, flags, field, value):
+        assert called("grad-check", *flags) == ((), {field: value})
+
+    @pytest.mark.parametrize("method", BASELINES + ["hydraopt"])
+    def test_jobs_is_accepted_and_changes_nothing(self, called, method):
+        (_, cfg), _ = called(method, "--jobs", "2")
+        assert cfg == called(method)[0][1]
+
+    @pytest.mark.parametrize(
+        "flag, enum",
+        [("--method", [*MergeMethod, "hydraopt"]), ("--distance", DistanceKind),
+         ("--init", InitScheme)],
+    )  # fmt: skip
+    def test_choices_are_the_enum_values(self, flag, enum):
+        assert option("merge", flag).choices == [getattr(m, "value", m) for m in enum]
+
+
+HYDRA_ONLY = [["--m", "2"], ["--temp", "0.5"], ["--epochs", "3"], ["--lr", "0.5"],
+              ["--distance", "mse"], ["--init", "mean"], ["--globalize-assignment"]]  # fmt: skip
+NOT_READ = (
+    [(m, flags, ["hydraopt"]) for m in BASELINES for flags in HYDRA_ONLY]
+    + [("hydraopt", case[0], case[3]) for case in BASELINE_FLAGS[:4]]
+    + [(m, case[0], case[3]) for case in BASELINE_FLAGS[:3] for m in BASELINES if m not in case[3]]
+)
+
+
+class TestOptionTheMethodDoesNotRead:
+    @pytest.mark.parametrize("method, flags, readers", NOT_READ)
+    def test_is_a_usage_error_naming_the_methods_that_read_it(
+        self, capsys, tmp_path, method, flags, readers
+    ):
+        argv = ["merge", "--in", str(tmp_path / "absent.lrta"), "--out", str(tmp_path / "x.lrta"),
+                "--method", method, *flags]  # fmt: skip
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert f"{flags[0]} is read only by {', '.join(readers)}" in error
+        assert option("merge", flags[0]).help.endswith(f"read by {', '.join(readers)}")
+        assert not (tmp_path / "x.lrta").exists()
