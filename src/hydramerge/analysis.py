@@ -127,13 +127,17 @@ class ReconReport:
     mae: dict[tuple[str, SlotKey], float] = field(default_factory=dict)
     fro: dict[tuple[str, SlotKey], float] = field(default_factory=dict)
 
+    def _table(self, which: str) -> dict[tuple[str, SlotKey], float]:
+        if which not in ("mae", "fro"):
+            raise ParameterError(f"measure must be 'mae' or 'fro', got {which!r}")
+        return self.mae if which == "mae" else self.fro
+
     def task_mean(self, task: str, which: str = "mae") -> float:
-        table = self.mae if which == "mae" else self.fro
+        table = self._table(which)
         return float(np.mean([table[(task, slot)] for slot in self.slots]))
 
     def grand_mean(self, which: str = "mae") -> float:
-        table = self.mae if which == "mae" else self.fro
-        return float(np.mean(list(table.values())))
+        return float(np.mean(list(self._table(which).values())))
 
     def to_dict(self) -> dict:
         return {

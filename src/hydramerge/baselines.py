@@ -50,6 +50,9 @@ class MergeTarget(str, Enum):
 
 @dataclass(frozen=True)
 class BaselineConfig:
+    """One baseline merge; an unknown enum value or a field out of range
+    raises :class:`ParameterError` when the config is built."""
+
     method: MergeMethod
     ties_density: float = 0.2
     dare_drop_p: float = 0.9
@@ -59,8 +62,6 @@ class BaselineConfig:
 
     def __post_init__(self):
         coerce_enums(self, method=MergeMethod, merge_target=MergeTarget)
-
-    def validate(self) -> None:
         if not (0.0 < self.ties_density <= 1.0):
             raise ParameterError(f"ties_density must be in (0, 1], got {self.ties_density}")
         if not (0.0 <= self.dare_drop_p < 1.0):
@@ -217,7 +218,6 @@ def merge_collection(collection: AdapterCollection, cfg: BaselineConfig) -> Merg
     cluster sides, drawing from that slot's stream throughout.  An error
     keeps its type and gains the slot label and the side.
     """
-    cfg.validate()
     bundle = MergedBundle.of(collection, cfg.method.value)
     identity = list(range(collection.num_tasks))
     for slot in collection.slots:

@@ -11,9 +11,11 @@ Every default belongs to its config type: :class:`~hydramerge.synthetic.SynthSpe
 or the keywords of :func:`~hydramerge.gradcheck.run_suite`.  Each option of
 ``gen-synthetic``, ``merge`` and ``grad-check`` is stored under the name of
 the field it sets, only when given, and the handler passes the options given
-to the config type by name; an absent ``--m`` means one cluster per task.  A
-``merge`` option that the chosen method does not read (see ``_READ_BY``) is a
-usage error naming the methods that read it.
+to the config type by name; an absent ``--m`` means one cluster per task.
+Each config checks its own fields when it is built, so a value out of range
+exits 3 naming the field.  A ``merge`` option that the chosen method does
+not read (see ``_READ_BY``) is a usage error naming the methods that read
+it.
 
 ``report-storage`` and ``eval-recon`` refuse a bundle that was not merged
 from the collection given with ``--in``: other tasks or slots, or a slot

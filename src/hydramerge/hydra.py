@@ -43,9 +43,13 @@ shared_a)``, so VeRA's right factor is frozen and equal on both sides.
 A kernel reaches the chain rule through ``M_i = G_i R_p^T`` (d x r) and,
 for a trained right factor, ``N_i = L_p,i^T G_i`` (r x k), which the
 kind's ``pull_back_factors`` turns into ``E_i`` and the task's finished
-shared term.  With adapter targets every evaluation first checks, with
-:func:`~hydramerge.adapters.check_slot`, that the state could share their
-slot: one kind, ``(d, r, k)`` and frozen pair.
+shared term.  Each input is checked once, where it enters, with
+:func:`~hydramerge.adapters.check_slot`: :func:`init_state` checks that
+adapter targets could share one slot (one kind, ``(d, r, k)`` and frozen
+pair), and each call of :func:`loss` or :func:`gradients` checks its
+targets and then the state against target 0.  :func:`train` builds its
+state from the targets it checked, so its steps check nothing; the
+kernels rely on the one frozen pair this guarantees.
 
 Under MAE the blocked kernel builds each residual ``R_i`` one block of
 rows at a time, about ``_BLOCK_ENTRIES`` entries, into one reused buffer
@@ -93,8 +97,9 @@ kernels are tested against.
 the same targets.
 
 Training stops with :class:`~hydramerge.errors.NumericalError`, naming the
-slot and step, when a prediction, the loss or a gradient turns non-finite
-or the loss exceeds ``DIVERGENCE_FACTOR`` times a positive initial loss.
+slot, the step and, where one is to blame, the task, when a row of
+routing logits, a prediction, the loss or a gradient turns non-finite or
+the loss exceeds ``DIVERGENCE_FACTOR`` times a positive initial loss.
 
 Updates use Adam with bias correction and no weight decay.  After
 training each task is assigned ``argmax_j C[i, j]`` and the logits are
@@ -121,7 +126,6 @@ from .adapters import (
     SharedSlot,
     SharedVeraSlot,
     SlotKey,
-    VeraAdapter,
     check_slot,
     delta_factors,
     delta_weight,
@@ -173,6 +177,10 @@ class HydraConfig:
     representational floor within the default epoch budget.  The mean
     warm start (:attr:`InitScheme.MEAN_A_COPY_B`) remains available and
     is the better choice when the input-side factors are near-identical.
+
+    An unknown enum value or a field out of range raises
+    :class:`ParameterError` when the config is built; :meth:`validate`
+    checks the one rule that needs the targets, ``num_clusters <= K``.
     """
 
     num_clusters: int
@@ -186,20 +194,18 @@ class HydraConfig:
 
     def __post_init__(self):
         coerce_enums(self, distance=DistanceKind, init_scheme=InitScheme)
-
-    def validate(self, num_tasks: int) -> None:
         if self.num_clusters < 1:
             raise ParameterError(f"num_clusters must be >= 1, got {self.num_clusters}")
-        if self.num_clusters > num_tasks:
-            raise ParameterError(
-                f"num_clusters = {self.num_clusters} exceeds the {num_tasks} tasks"
-            )
-        if not 0 < self.temperature < math.inf:
-            raise ParameterError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ParameterError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("temperature", "learning_rate"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+
+    def validate(self, num_tasks: int) -> None:
+        if self.num_clusters > num_tasks:
+            msg = f"num_clusters = {self.num_clusters} exceeds the {num_tasks} tasks"
+            raise ParameterError(msg)
 
 
 @dataclass(kw_only=True)
@@ -276,10 +282,19 @@ def _target_matrices(targets) -> list[Matrix]:
     return [delta_weight(t) if isinstance(t, Adapter) else as_matrix(t, "target") for t in targets]
 
 
-def _new_state(targets, num_clusters: int, rng: Rng, stdev: float | None):
-    """A state of the targets' kind as :func:`init_state` draws it, with
-    N(0, stdev) parameters or, for ``stdev=None``, the mean init."""
+def _all_adapters(targets) -> bool:
+    return bool(targets) and all(isinstance(t, Adapter) for t in targets)
+
+
+def _check_targets(targets: Sequence[Adapter]) -> None:
+    """Raise :class:`ValidationError` unless the adapter targets could share
+    one slot: one kind, ``(d, r, k)`` and frozen pair."""
     check_slot({f"target {i}": t for i, t in enumerate(targets)}, "the targets")
+
+
+def _new_state(targets, num_clusters: int, rng: Rng, stdev: float | None):
+    """A state of the checked targets' kind as :func:`init_state` draws it,
+    with N(0, stdev) parameters or, for ``stdev=None``, the mean init."""
     first = targets[0]
     own = [t.sides() for t in targets]
     if stdev is None:
@@ -301,7 +316,8 @@ def _new_state(targets, num_clusters: int, rng: Rng, stdev: float | None):
 
 def init_state(targets: Sequence, cfg: HydraConfig, rng: Rng):
     """Fresh trainable state for same-kind, same-shaped target adapters;
-    VeRA targets must share one frozen pair.
+    VeRA targets must share one frozen pair.  The targets are checked
+    here, once, with :func:`check_slot`.
 
     Mean init sets the shared parameter to the exact mean of the targets'
     and copies the first M cluster parameters; random init draws both
@@ -311,15 +327,21 @@ def init_state(targets: Sequence, cfg: HydraConfig, rng: Rng):
     if not targets:
         raise ParameterError("need at least one target adapter")
     cfg.validate(len(targets))
+    _check_targets(targets)
     random = cfg.init_scheme is InitScheme.RANDOM
     return _new_state(targets, cfg.num_clusters, rng, _RANDOM_INIT_STDEV if random else None)
 
 
 def _routing(state, cfg: HydraConfig, num_tasks: int) -> np.ndarray | None:
-    """Routing weights, or None under identity routing (which needs M == K)."""
+    """Routing weights, or None under identity routing (which needs M == K).
+    A logit row that is not finite raises :class:`NumericalError` naming
+    its task."""
     if state.logits is not None:
         if len(state.logits) != num_tasks:
             raise ParameterError(f"{len(state.logits)} logit rows cannot route {num_tasks} tasks")
+        if not np.all(np.isfinite(state.logits)):
+            task = int(np.argmin(np.isfinite(state.logits).all(axis=1)))  # the first such row
+            raise NumericalError(f"the routing logits of task {task} became non-finite")
         return softmax_rows(state.logits, cfg.temperature)
     if state.num_clusters != num_tasks:
         raise ParameterError(
@@ -328,9 +350,20 @@ def _routing(state, cfg: HydraConfig, num_tasks: int) -> np.ndarray | None:
     return None
 
 
+def _evaluate(state, targets, cfg: HydraConfig):
+    """``(loss, per_task, grads)`` at ``state``.  Adapter targets are first
+    checked to share a slot, then the state to share it with target 0, each
+    once, else :class:`ValidationError`."""
+    if _all_adapters(targets):
+        _check_targets(targets)
+        pair = {"target 0": targets[0], "the state": state.member(0)}
+        check_slot(pair, "the state and its targets")
+    return _kernel(targets, cfg)(state)
+
+
 def loss(state, targets, cfg: HydraConfig) -> tuple[float, list[float]]:
     """Objective and per-task distances, routed if the state has logits."""
-    return _kernel(targets, cfg)(state)[:2]
+    return _evaluate(state, targets, cfg)[:2]
 
 
 def loss_eq1(state, targets, cfg: HydraConfig) -> tuple[float, list[float]]:
@@ -435,28 +468,25 @@ def _trace(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(x * y, axis=(-2, -1))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _check_targets types a non-finite tt
-def _squared_norms(targets: Sequence[Adapter]) -> np.ndarray:
-    """``tt[i] = <T_i, T_i>`` of adapter targets, each from its own
-    :func:`delta_factors`, one task at a time."""
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed norm is typed here
+def _squared_norms(targets, distance: DistanceKind) -> np.ndarray:
+    """``tt[i] = <T_i, T_i>``, one task at a time: of a dense target, or of
+    an adapter from its own :func:`delta_factors`.  Raises, naming the task,
+    for a norm that is not finite or, under ``cos``, is zero."""
     tt = np.empty(len(targets))
     for i, target in enumerate(targets):
-        left, right = delta_factors(target)
-        tt[i] = _trace(_cross(left.T, left.T), _cross(right, right))
-    return tt
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed norm is typed here
-def _check_targets(squared_norms, distance: DistanceKind) -> None:
-    """Raise, naming the task, for a target whose squared norm ``<T_i, T_i>``
-    is not finite or, under ``cos``, is zero."""
-    for i, tt in enumerate(squared_norms):
-        if not np.isfinite(tt):
+        if isinstance(target, Adapter):
+            left, right = delta_factors(target)
+            tt[i] = _trace(_cross(left.T, left.T), _cross(right, right))
+        else:
+            tt[i] = np.vdot(target, target)
+        if not np.isfinite(tt[i]):
             msg = f"the Gram trace <T, T> of target {i} overflowed to a non-finite value"
             raise NumericalError(msg, task=i)
-        if tt == 0.0 and distance is DistanceKind.COS:
+        if tt[i] == 0.0 and distance is DistanceKind.COS:
             msg = f"cosine distance is undefined for a zero matrix (target {i} is zero)"
             raise DegenerateInputError(msg, task=i)
+    return tt
 
 
 @_stepped()
@@ -480,7 +510,7 @@ def _loss_and_grads_factored(state, weights, clusters, targets: Sequence[Adapter
         left, right = delta_factors(target)
         cross_l = _cross(left_p[i], left.T)  # L_p,i^T L_t,i
         gram_l = _cross(left_p[i], left_p[i])  # L_p,i^T L_p,i
-        # R_p R_t,i^T; a frozen right factor is one for the slot (check_slot), so R_t,i = R_p
+        # R_p R_t,i^T; a frozen right factor is one for the slot (see _kernel), so R_t,i = R_p
         cross_r = gram_r if kind.right_frozen else _cross(right_p, right)
         tp, pp = _trace(cross_l, cross_r), _trace(gram_l, gram_r)
         value, alpha, beta = smooth_terms(tt[i], tp, pp, size, cfg.distance)
@@ -537,33 +567,26 @@ def _loss_and_grads_vera_mae(state, weights, clusters, targets: Sequence[Adapter
 
 
 def _kernel(targets, cfg: HydraConfig):
-    """``state -> (loss, per_task, grads)`` for fixed targets, chosen by the
-    distance alone.  Adapter targets of either kind take the Gram kernel
-    under a smooth distance and the blocked kernel under MAE; each call
-    first checks, with :func:`check_slot`, that the state could share a
-    slot with them (one kind, ``(d, r, k)`` and frozen pair), else raises
-    :class:`ValidationError`.  Dense target matrices take the dense kernel.
-    A target whose ``<T, T>`` overflows raises :class:`NumericalError`, and
-    under ``cos`` a zero target :class:`DegenerateInputError`, each carrying
-    the task index."""
-    if not targets or not all(isinstance(t, Adapter) for t in targets):
+    """The kernel for fixed targets, ``state -> (loss, per_task, grads)``,
+    chosen by the distance alone.  Adapter targets of either kind take the
+    Gram kernel under a smooth distance and the blocked kernel under MAE;
+    dense target matrices take the dense kernel.  A target whose ``<T, T>``
+    overflows raises :class:`NumericalError`, and under ``cos`` a zero
+    target :class:`DegenerateInputError`, each carrying the task index.
+
+    It checks no slot: the kernels assume that the state and its adapter
+    targets could share one, with one frozen pair, which :func:`loss` and
+    :func:`gradients` check on each call and :func:`train` gets by building
+    its state from the targets :func:`init_state` checked."""
+    if not _all_adapters(targets):
         mats = _target_matrices(targets)
         if cfg.distance is DistanceKind.COS:
-            _check_targets((np.vdot(m, m) for m in mats), cfg.distance)
+            _squared_norms(mats, cfg.distance)
         return lambda state: _loss_and_grads_dense(state, mats, cfg)
-    check_slot({f"target {i}": t for i, t in enumerate(targets)}, "the targets")
     if cfg.distance in SMOOTH_DISTANCES:
-        tt = _squared_norms(targets)
-        _check_targets(tt, cfg.distance)
-    first = {"target 0": targets[0]}
-
-    def kernel(state):
-        check_slot({**first, "the state": state.member(0)}, "the state and its targets")
-        if cfg.distance in SMOOTH_DISTANCES:
-            return _loss_and_grads_factored(state, targets, tt, cfg)
-        return _loss_and_grads_vera_mae(state, targets, cfg)
-
-    return kernel
+        tt = _squared_norms(targets, cfg.distance)
+        return lambda state: _loss_and_grads_factored(state, targets, tt, cfg)
+    return lambda state: _loss_and_grads_vera_mae(state, targets, cfg)
 
 
 def gradients(state, targets, cfg: HydraConfig) -> HydraGrads:
@@ -571,7 +594,7 @@ def gradients(state, targets, cfg: HydraConfig) -> HydraGrads:
 
     ``targets`` are adapters or their dense update matrices; the kernel is
     the one :func:`train` runs for the same targets."""
-    return _kernel(targets, cfg)(state)[2]
+    return _evaluate(state, targets, cfg)[2]
 
 
 def adamw_step(state, grads: HydraGrads, cfg: HydraConfig):
@@ -595,7 +618,9 @@ def adamw_step(state, grads: HydraGrads, cfg: HydraConfig):
 def train(targets: Sequence, cfg: HydraConfig, rng: Rng):
     """Full-batch training loop for either kind: gradients + AdamW for
     ``cfg.epochs`` steps.  The trace records the loss at the start of every iteration; its
-    ``final_loss`` is evaluated after the last update.
+    ``final_loss`` is evaluated after the last update.  The targets are
+    checked once, by :func:`init_state`, and the state is built from them,
+    so no step checks either.
     """
     state = init_state(targets, cfg, rng)
     return state, _fit(state, _kernel(targets, cfg), cfg)
@@ -605,8 +630,8 @@ def _fit(state, loss_and_grads, cfg: HydraConfig) -> TrainTrace:
     """``cfg.epochs`` AdamW steps on ``loss_and_grads(state)``, guarded.
 
     Raises :class:`NumericalError` naming the step when the loss or a
-    gradient is non-finite, the kernel overflows, or the loss exceeds
-    ``DIVERGENCE_FACTOR`` times a positive initial loss.
+    gradient is non-finite, a logit row or the kernel overflows, or the
+    loss exceeds ``DIVERGENCE_FACTOR`` times a positive initial loss.
     """
     losses: list[float] = []
     for step in range(cfg.epochs + 1):
@@ -714,15 +739,7 @@ def globalize_assignment(bundle: MergedBundle) -> MergedBundle:
 
 # Names from when each kind had its own functions.
 vera_loss = loss
+init_vera_state = init_state
+train_vera = train
 _loss_and_grads_lora = _loss_and_grads_dense
 _lora_kernel = _kernel
-
-
-def init_vera_state(targets: Sequence[VeraAdapter], cfg: HydraConfig, rng: Rng):
-    """:func:`init_state` for VeRA targets."""
-    return init_state(targets, cfg, rng)
-
-
-def train_vera(targets: Sequence[VeraAdapter], cfg: HydraConfig, rng: Rng):
-    """:func:`train` for VeRA targets."""
-    return train(targets, cfg, rng)

@@ -21,6 +21,9 @@ from .linalg import Rng, gaussian_sample, stable_hash64
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """The shape and noise of a synthetic collection; a field out of range
+    raises :class:`ParameterError` when the spec is built."""
+
     tasks: int = 5
     layers: int = 2
     slot_names: tuple[str, ...] = ("q", "v")
@@ -31,7 +34,7 @@ class SynthSpec:
     b_scale: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.tasks < 1:
             raise ParameterError(f"tasks must be >= 1, got {self.tasks}")
         if self.layers < 1 or not self.slot_names:
@@ -41,9 +44,7 @@ class SynthSpec:
         if min(self.d, self.k, self.rank) < 1:
             raise ParameterError("d, k and rank must be positive")
         if self.rank > min(self.d, self.k):
-            raise ParameterError(
-                f"rank {self.rank} exceeds min(d, k) = {min(self.d, self.k)}"
-            )
+            raise ParameterError(f"rank {self.rank} exceeds min(d, k) = {min(self.d, self.k)}")
         for name in ("a_noise", "b_scale"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -62,7 +63,6 @@ def generate(spec: SynthSpec) -> AdapterCollection:
     own stream.  A draw that overflows raises :class:`ParameterError`
     naming ``a_noise`` or ``b_scale``.
     """
-    spec.validate()
     task_ids = [f"t{i}" for i in range(spec.tasks)]
     table = {}
     for slot in spec.slot_keys():

@@ -42,6 +42,15 @@ class TestSlotKey:
         with pytest.raises(ValidationError):
             SlotKey.from_label("nonsense")
 
+    def test_negative_layer_is_named(self):
+        with pytest.raises(ValidationError, match=r"^layer index must be >= 0, got -1$"):
+            SlotKey(-1, "q")
+
+    @pytest.mark.parametrize("name", ["q-proj", "", "q.v"])
+    def test_bad_slot_name_is_named(self, name):
+        with pytest.raises(ValidationError, match=rf"^slot name {name!r} must be alphanumeric"):
+            SlotKey(0, name)
+
 
 class TestDeltaWeight:
     def test_outer_product_oracle(self):
@@ -314,3 +323,32 @@ class TestMergedBundle:
             method="ta", kind="lora", tasks=["t0", "t1"], slots=[slot], entries={slot: entry}
         )
         assert np.array_equal(bundle.prediction("t0", slot), bundle.prediction("t1", slot))
+
+
+class TestBundleValidate:
+    def bundle(self, **changes):
+        """A valid two-task hydraopt bundle over one slot, with ``changes``."""
+        slot = SlotKey(0, "q")
+        entry = SharedLoraSlot(
+            a_shared=np.ones((2, 5)), b_clusters=[np.ones((4, 2))], assignment=[0, 0]
+        )
+        fields = dict(method="hydraopt", kind="lora", tasks=["t0", "t1"], slots=[slot])
+        return MergedBundle(**{**fields, "entries": {slot: entry}, **changes})
+
+    def test_valid_bundle(self):
+        self.bundle().validate()
+
+    def test_unknown_kind_is_named(self):
+        with pytest.raises(ValidationError, match=r"^unknown bundle kind 'dora'$"):
+            self.bundle(kind="dora").validate()
+
+    def test_slots_and_entries_must_agree(self):
+        bundle = self.bundle(slots=[SlotKey(0, "q"), SlotKey(0, "v")])
+        with pytest.raises(ValidationError, match=r"^bundle slots and entries disagree$"):
+            bundle.validate()
+
+    def test_assignment_of_another_length_names_the_slot(self):
+        bundle = self.bundle(tasks=["t0", "t1", "t2"])
+        named = r"^slot layer\.0\.q assigns 2 tasks, expected 3$"
+        with pytest.raises(ValidationError, match=named):
+            bundle.validate()

@@ -397,3 +397,25 @@ class TestSynthetic:
     def test_rank_bound_validated(self):
         with pytest.raises(ParameterError):
             generate(SynthSpec(d=2, k=2, rank=4))
+
+
+class TestReconReportMeasures:
+    def report(self):
+        slot = SlotKey(0, "q")
+        return analysis.ReconReport(
+            tasks=["t0"], slots=[slot], mae={("t0", slot): 1.0}, fro={("t0", slot): 2.0}
+        )
+
+    def test_each_measure_reads_its_own_table(self):
+        report = self.report()
+        assert report.grand_mean("mae") == report.task_mean("t0", "mae") == 1.0
+        assert report.grand_mean("fro") == report.task_mean("t0", "fro") == 2.0
+
+    @pytest.mark.parametrize("which", ["MAE", "mse", ""])
+    def test_unknown_measure_is_named(self, which):
+        report = self.report()
+        named = rf"^measure must be 'mae' or 'fro', got {which!r}$"
+        with pytest.raises(ParameterError, match=named):
+            report.grand_mean(which)
+        with pytest.raises(ParameterError, match=named):
+            report.task_mean("t0", which)

@@ -784,3 +784,42 @@ class TestRoundTripProperty:
             assert np.array_equal(got_bits[name], want), name
         write_archive(back, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+class TestManifestStructure:
+    """The reader's refusals of a manifest that is JSON but not an archive's."""
+
+    def test_tensors_must_be_a_map(self, tmp_path):
+        manifest = _one_adapter_manifest()
+        manifest["tensors"] = [_A, _B]
+        path = tmp_path / "list.lrta"
+        _raw_with_manifest(path, manifest, b"\x00" * 112)
+        with pytest.raises(ArchiveFormatError, match=r"^manifest 'tensors' must map names"):
+            read_archive(path)
+
+    def test_an_entry_must_be_a_map(self, tmp_path):
+        manifest = _one_adapter_manifest()
+        manifest["tensors"][_B] = [8, 2]
+        path = tmp_path / "entry.lrta"
+        _raw_with_manifest(path, manifest, b"\x00" * 112)
+        with pytest.raises(ArchiveFormatError, match=rf"^malformed manifest entry for '{_B}'$"):
+            read_archive(path)
+
+    def test_a_nan_payload_names_its_tensor(self, tmp_path):
+        path = tmp_path / "nan.lrta"
+        nan_b = np.full(16, np.nan, dtype="<f4").tobytes()
+        _raw_with_manifest(path, _one_adapter_manifest(), b"\x00" * 48 + nan_b)
+        with pytest.raises(ValidationError, match=rf"^tensor '{_B}' contains non-finite entries$"):
+            read_archive(path)
+
+    @pytest.mark.parametrize("missing", ["kind", "tasks", None])
+    def test_meta_must_declare_kind_and_tasks(self, tmp_path, missing):
+        manifest = _one_adapter_manifest()
+        if missing is None:
+            manifest["meta"] = ["lora", ["t0"]]
+        else:
+            del manifest["meta"][missing]
+        path = tmp_path / "meta.lrta"
+        _raw_with_manifest(path, manifest, b"\x00" * 112)
+        with pytest.raises(ArchiveFormatError, match=r"^manifest meta must declare 'kind' and"):
+            read_archive(path)

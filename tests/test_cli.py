@@ -654,6 +654,21 @@ class TestGradCheckArguments:
         assert flag in result.stderr
 
 
+class TestSubnormalTemperature:
+    def test_exits_3_naming_slot_step_and_tensor(self, small_archive, tmp_path):
+        """A temperature that divides the routing weights past the float
+        range stops the first slot at step 0 with its logits' gradient."""
+        out = tmp_path / "merged.lrta"
+        result = run_cli(
+            "merge", "--in", str(small_archive), "--out", str(out), "--method", "hydraopt",
+            "--m", "2", "--temp", "1e-310", "--epochs", "3",
+        )  # fmt: skip
+        assert result.returncode == 3, result.stdout
+        assert result.stdout == "" and not out.exists()
+        expected = "error: slot layer.0.q: step 0: gradient of logits became non-finite\n"
+        assert result.stderr == expected
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         result = run_cli("gen-synthetic", "--out", "x.lrta", "--bogus", "1")

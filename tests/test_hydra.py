@@ -5,7 +5,7 @@ import pytest
 
 from hydramerge.adapters import LowRankAdapter, SharedLoraSlot, SharedVeraSlot, VeraAdapter
 from hydramerge import hydra
-from hydramerge.adapters import AdapterCollection, SlotKey
+from hydramerge.adapters import AdapterCollection, MergedBundle, SlotKey
 from hydramerge.errors import (
     DegenerateInputError,
     NumericalError,
@@ -1230,3 +1230,107 @@ class TestOverflowingTarget:
         cfg = HydraConfig(num_clusters=1, distance="mse")
         with pytest.raises(NumericalError, match=r"^slot layer\.0\.q: task t0: the Gram trace"):
             merge_collection_hydra(collection, cfg)
+
+
+# (cluster count, the part of the state set to inf, the task the error names): every
+# task mixes every cluster under routing, and cluster j serves task j under identity
+NON_FINITE_PARTS = [
+    (2, "shared", 0), (2, "cluster 0", 0), (2, "cluster 1", 0), (2, "logits", 1),
+    (3, "shared", 0), (3, "cluster 0", 0), (3, "cluster 1", 1),
+]  # fmt: skip
+
+
+class TestNonFiniteState:
+    """A state that turns non-finite anywhere stops training with a
+    :class:`NumericalError` naming the step and a task."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("distance", list(DistanceKind))
+    @pytest.mark.parametrize("path", ["adapters", "dense"])
+    @pytest.mark.parametrize("num_clusters, part, task", NON_FINITE_PARTS)
+    def test_names_step_and_task(self, adapter, distance, path, num_clusters, part, task):
+        targets = kind_targets(adapter, 3, d=6, r=2, k=5, seed=1)
+        cfg = HydraConfig(num_clusters=num_clusters, distance=distance, epochs=3)
+        state = init_state(targets, cfg, Rng(0))
+        if part == "logits":
+            state.logits[task, 0] = np.inf
+        elif part == "shared":
+            state.params[0].flat[0] = np.inf
+        else:
+            state.params[1][int(part[-1])].flat[0] = np.inf
+        if path == "dense":
+            targets = hydra._target_matrices(targets)
+        with pytest.raises(NumericalError, match=rf"^step 0: .*task {task}\b") as info:
+            hydra._fit(state, hydra._kernel(targets, cfg), cfg)
+        assert info.value.task is None
+
+
+class TestCheckedOnce:
+    """Each input is checked once, where it enters: :func:`init_state`
+    checks the targets, and each call of :func:`loss` or :func:`gradients`
+    its targets and then the state against target 0."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """The adapters of every ``check_slot`` call of the hydra module."""
+        calls, original = [], hydra.check_slot
+
+        def counting(adapters, where):
+            calls.append(list(adapters.values()))
+            return original(adapters, where)
+
+        monkeypatch.setattr(hydra, "check_slot", counting)
+        return calls
+
+    @staticmethod
+    def same(adapters, targets) -> bool:
+        return len(adapters) == len(targets) and all(a is t for a, t in zip(adapters, targets))
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("distance", ["mae", "mse"])
+    def test_train_checks_as_often_at_any_epoch_count(self, calls, adapter, distance):
+        targets = kind_targets(adapter, 3, d=6, r=2, k=5, seed=4)
+        counts = []
+        for epochs in (1, 50):
+            calls.clear()
+            train(targets, HydraConfig(num_clusters=2, epochs=epochs, distance=distance), Rng(0))
+            counts.append(len(calls))
+            assert sum(self.same(adapters, targets) for adapters in calls) == 1
+        assert counts[0] == counts[1], counts
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("distance", ["mae", "mse"])
+    def test_each_evaluation_checks_targets_then_state(self, calls, adapter, distance):
+        targets = kind_targets(adapter, 3, d=6, r=2, k=5, seed=4)
+        cfg = HydraConfig(num_clusters=2, distance=distance)
+        state = init_state(targets, cfg, Rng(0))
+        for evaluate in (loss, gradients):
+            calls.clear()
+            evaluate(state, targets, cfg)
+            assert len(calls) == 2
+            assert self.same(calls[0], targets)
+            first, member = calls[1]
+            assert first is targets[0]
+            assert all(map(np.array_equal, member.sides(), state.member(0).sides()))
+
+    def test_dense_targets_check_no_slot(self, calls):
+        targets = make_targets(num_tasks=3)
+        cfg = HydraConfig(num_clusters=2)
+        state = init_state(targets, cfg, Rng(0))
+        calls.clear()
+        gradients(state, hydra._target_matrices(targets), cfg)
+        assert calls == []
+
+
+def test_globalize_refuses_differing_cluster_counts():
+    slots = [SlotKey(0, "q"), SlotKey(0, "v")]
+    entries = {
+        slot: SharedLoraSlot(
+            a_shared=np.ones((2, 5)), b_clusters=[np.ones((6, 2))] * m, assignment=[0, m - 1]
+        )
+        for slot, m in zip(slots, (1, 2))
+    }
+    bundle = MergedBundle("hydraopt", "lora", ["t0", "t1"], slots, entries)
+    with pytest.raises(ValidationError, match="^cannot globalize: .* differing cluster counts$"):
+        hydra.globalize_assignment(bundle)
