@@ -56,13 +56,24 @@ slots for a merge to fill, and :meth:`MergedBundle.check_pairs` says
 whether a bundle belongs to a collection: its tasks in order, its slots
 and, per slot, :func:`check_slot` between the two.  The reports refuse a
 bundle that fails it.
+
+Code that walks the slots reads a collection one slot at a time through
+``adapters_at``, ``sides_at`` and ``adapter``, and a bundle through
+``entry``; a merge puts each slot's entry into its bundle's ``entries``,
+which :meth:`MergedBundle.of` takes from the collection's
+``merged_entries``.  An archived collection or bundle (see
+:mod:`hydramerge.archive`) holds :func:`stand_in` arrays in its
+``table`` or ``entries`` and reads each slot from its file in those
+methods, and a collection opened for a merge into an archive writes
+each merged entry as it is put.  So a walk over the slots in order holds
+one slot at a time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping, Union
+from typing import ClassVar, Iterable, Mapping, MutableMapping, Sequence, Union
 
 import numpy as np
 
@@ -338,6 +349,13 @@ def check_slot(adapters: Mapping[str, Adapter], where: str) -> None:
             raise ValidationError(f"{where}: " + "; ".join(found))
 
 
+def stand_in(shape) -> np.ndarray:
+    """A read-only array of zeros of ``shape`` that stores one value (all
+    its strides are 0): an adapter or slot built from stand-ins has the
+    kind, shapes and parameter count of the real one, and no payload."""
+    return np.broadcast_to(np.float64(0.0), shape)
+
+
 def _check_task_ids(ids, field: str) -> None:
     """At least one id, each a distinct non-empty string: the archive's
     tensor names and ``meta.tasks`` carry nothing else."""
@@ -420,6 +438,22 @@ class AdapterCollection:
 
     def adapters_at(self, slot: SlotKey) -> list[Adapter]:
         return [self.table[(task, slot)] for task in self.task_ids]
+
+    def sides_at(self, slot: SlotKey) -> tuple[Sequence[Matrix], Sequence[Matrix]]:
+        """Every task's shared side, and every task's cluster side, at
+        ``slot``, each in task order."""
+        shared, cluster = zip(*(adapter.sides() for adapter in self.adapters_at(slot)))
+        return shared, cluster
+
+    def put(self, slot: SlotKey, adapters: list[Adapter]) -> None:
+        """Store the adapters of every task at ``slot``, in task order."""
+        self.table.update(zip(((task, slot) for task in self.task_ids), adapters))
+
+    def merged_entries(self) -> MutableMapping:
+        """Where a bundle merged over this collection keeps its entries (see
+        :meth:`MergedBundle.of`): a dict, or a collection opened for a merge
+        into an archive writes each entry as it is put."""
+        return {}
 
     def param_count(self) -> int:
         """Number of stored real entries, counting frozen factors once per slot."""
@@ -541,8 +575,9 @@ class MergedBundle:
     @classmethod
     def of(cls, collection: AdapterCollection, method: str) -> "MergedBundle":
         """An empty bundle over ``collection``'s kind, tasks and slots, for
-        a merge to fill."""
-        return cls(method, collection.kind, list(collection.task_ids), list(collection.slots))
+        a merge to fill; its entries go into ``collection.merged_entries()``."""
+        tasks, slots = list(collection.task_ids), list(collection.slots)
+        return cls(method, collection.kind, tasks, slots, collection.merged_entries())
 
     def validate(self) -> None:
         if self.kind not in ("lora", "vera"):
@@ -586,15 +621,18 @@ class MergedBundle:
         if list(collection.task_ids) != list(self.tasks):
             raise ValidationError("collection and bundle cover different tasks")
         for slot in collection.slots:
-            ours, theirs = collection.adapter(self.tasks[0], slot), self.entries[slot].member(0)
+            ours, theirs = collection.adapter(self.tasks[0], slot), self.entry(slot).member(0)
             check_slot({"the collection": ours, "the bundle": theirs}, f"slot {slot.label()}")
 
     @property
     def param_count(self) -> int:
         return sum(entry.param_count for entry in self.entries.values())
 
+    def entry(self, slot: SlotKey) -> MergedSlot:
+        return self.entries[slot]
+
     def prediction(self, task: str, slot: SlotKey) -> Matrix:
-        return self.entries[slot].prediction(self.tasks.index(task))
+        return self.entry(slot).prediction(self.tasks.index(task))
 
     def assignment_map(self) -> dict[str, dict[str, int]]:
         """Per-task, per-slot cluster index (0 for single-adapter slots)."""

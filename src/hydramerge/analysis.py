@@ -85,20 +85,24 @@ def pairwise_similarity(collection: AdapterCollection) -> SimilarityReport:
     """Pairwise mean absolute differences between every two tasks' sides,
     one K x K symmetric zero-diagonal matrix per slot and side ("A", the
     shared side, and "B", the cluster side)."""
-    tasks = collection.task_ids
-    k = len(tasks)
-    report = SimilarityReport(tasks=list(tasks))
+    report = SimilarityReport(tasks=list(collection.task_ids))
     for slot in collection.slots:
-        sides = [adapter.sides() for adapter in collection.adapters_at(slot)]
-        a_mat = np.zeros((k, k))
-        b_mat = np.zeros((k, k))
-        for i in range(k):
-            for j in range(i + 1, k):
-                for mat, x, y in zip((a_mat, b_mat), sides[i], sides[j]):
-                    mat[i, j] = mat[j, i] = distance(x, y, DistanceKind.MAE)
-        report.a_matrices[slot] = a_mat
-        report.b_matrices[slot] = b_mat
+        pair = _slot_similarity(collection.adapters_at(slot))
+        report.a_matrices[slot], report.b_matrices[slot] = pair
     return report
+
+
+def _slot_similarity(adapters: list[Adapter]) -> tuple[np.ndarray, np.ndarray]:
+    """The K x K matrices of one slot's shared and cluster sides."""
+    sides = [adapter.sides() for adapter in adapters]
+    k = len(sides)
+    a_mat = np.zeros((k, k))
+    b_mat = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            for mat, x, y in zip((a_mat, b_mat), sides[i], sides[j]):
+                mat[i, j] = mat[j, i] = distance(x, y, DistanceKind.MAE)
+    return a_mat, b_mat
 
 
 def storage_ratio(k_tasks: int, m_clusters: int, rank: int, d: int, k: int) -> float:
@@ -176,7 +180,7 @@ def reconstruction_report(original: AdapterCollection, merged: MergedBundle) -> 
     tasks = list(original.task_ids)
     report = ReconReport(tasks=tasks, slots=list(original.slots))
     for slot in original.slots:
-        scores = _scores(original.adapters_at(slot), merged.entries[slot])
+        scores = _scores(original.adapters_at(slot), merged.entry(slot))
         for task, (mae, fro) in zip(tasks, scores):
             if not (math.isfinite(mae) and math.isfinite(fro)):
                 raise NumericalError(

@@ -1,4 +1,5 @@
-"""LRTA v1: a bit-exact tensor-archive file format.
+"""LRTA v1: a bit-exact tensor-archive file format, read and written one
+slot at a time.
 
 Layout::
 
@@ -34,9 +35,21 @@ branches on the kind.
 
 Vectors are stored as n x 1.  Tensors are serialized in sorted-name order,
 so identical inputs always produce byte-identical files.  Values are
-written as float32 and widened to float64 on read.  The writer rejects a
-non-finite value, or a finite one beyond float32 range, naming the tensor,
-before it opens the file.
+written as float32 and widened to float64 on read.
+
+**Reading.**  :func:`open_archive` checks the whole file and keeps none of
+its values.  It checks the manifest, then every payload in name order,
+each read by its offset and scanned for non-finite float32 values, then
+builds the collection or bundle from names, shapes and meta alone, out of
+:func:`~hydramerge.adapters.stand_in` arrays, with every check
+:func:`read_archive` makes.  It returns that object: its ``table`` or
+``entries`` hold the stand-ins, which give every slot, task, kind, shape,
+assignment and parameter count, and its ``adapters_at``, ``sides_at`` and
+``adapter`` (a collection) or ``entry`` (a bundle) read one slot's tensors
+from the file, as float64, each time they are called.  A file replaced or
+rewritten after the checks is then an :class:`ArchiveFormatError`.
+:func:`read_archive` is the every-slot case: the same checks, then the
+same slot readers read every tensor into an in-memory object.
 
 The reader accepts exactly what the writer can emit: the version, shapes,
 offsets and sizes are JSON integers (not booleans or floats), the
@@ -49,20 +62,44 @@ belongs to the collection or bundle read, so a stray name (for instance
 or an assignment the writer would not emit is an error naming the key.
 The reader itself takes from ``meta.assignment`` only the shared slots'
 clusters; the ``meta`` comparison judges the rest.
+
+**Writing.**  An :class:`ArchiveWriter` takes tensors a slot at a time.
+It rejects a non-finite value, or a finite one beyond float32 range,
+naming the tensor, and appends each payload to a spill file beside the
+destination, whose name is removed as soon as it is opened.  The
+manifest comes last, because a bundle's ``meta.assignment`` is known only
+after its last slot (and after ``--globalize-assignment``):
+:meth:`ArchiveWriter.commit` writes the header, the manifest and the
+payloads in name order, copied one tensor at a time from the spill, to a
+temporary file beside the destination, and ``os.replace``-s the
+destination with it.  So a failed write leaves neither the destination
+nor a temporary file, and a destination that is also the archive being
+read is replaced only after its last slot was read.  Before it commits a
+collection or bundle, the writer checks what it wrote with the reader's
+own rules, so it never emits a file its reader rejects.
+:meth:`ArchiveWriter.write` writes a collection or bundle slot by slot in
+slot order, keeping only stand-ins.  A bundle merged over a collection
+opened with ``into=writer`` (see
+:meth:`~hydramerge.adapters.MergedBundle.of`) keeps its entries in a
+mapping that writes each slot to ``writer`` as the merge puts it, and
+keeps its stand-in.  :func:`write_archive` and :func:`write_raw_archive` are the
+every-slot case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import os
 import re
-from pathlib import Path
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .adapters import (
-    Adapter,
     AdapterCollection,
     LowRankAdapter,
     MergedAdapterSlot,
@@ -70,6 +107,7 @@ from .adapters import (
     SharedSlot,
     SlotKey,
     VeraAdapter,
+    stand_in,
 )
 from .errors import ArchiveFormatError, ValidationError
 
@@ -113,155 +151,321 @@ def _as_f32_payload(arr: np.ndarray, name: str) -> np.ndarray:
     return payload
 
 
+class ArchiveWriter:
+    """Writes one archive to ``path``, a slot at a time; a context manager.
+
+    :meth:`add` checks and spills tensors and :meth:`commit` writes the
+    file; :meth:`write` and :meth:`finish` do both for a collection or
+    bundle.  Leaving the ``with`` block without a commit, or by an error,
+    writes nothing.  An :class:`OSError` that names a file beside ``path``
+    names ``path`` instead."""
+
+    def __init__(self, path):
+        self.path = path
+        self._spill = None
+        self._spilled: dict[str, tuple[tuple[int, int], int]] = {}  # name: (shape, spill offset)
+
+    def __enter__(self) -> "ArchiveWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._spill is not None:
+            self._spill.close()
+
+    def _named(self, call, *args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            if exc.filename is None:
+                raise
+            raise OSError(exc.errno, exc.strerror, os.fspath(self.path)) from None
+
+    def _beside(self, suffix: str, mode: str):
+        """A new file beside the destination, open in ``mode``, and its path."""
+        head, tail = os.path.split(os.fspath(self.path))
+        temp = os.path.join(head, f".{tail}.{os.getpid()}.{id(self):x}{suffix}")
+        return temp, self._named(open, temp, mode)
+
+    def add(self, tensors: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Check each tensor, in name order, and append its float32 payload
+        to the spill; the stand-ins of the tensors added, by name."""
+        stand_ins = {}
+        for name in sorted(tensors):
+            payload = _as_f32_payload(tensors[name], name)
+            if self._spill is None:
+                temp, self._spill = self._beside(".spill", "w+b")
+                os.unlink(temp)  # the open file outlives its name, so nothing is left behind
+            self._spilled[name] = (payload.shape, self._spill.tell())
+            self._spill.write(payload)
+            stand_ins[name] = stand_in(payload.shape)
+        return stand_ins
+
+    def write(self, obj):
+        """Write every slot of ``obj``, a collection or a bundle, one at a
+        time in slot order, and :meth:`finish`; return ``obj`` built of
+        stand-ins."""
+        slots = list(obj.slots)
+        if isinstance(obj, MergedBundle):
+            entries = _WrittenEntries(self)
+            outline = MergedBundle(obj.method, obj.kind, list(obj.tasks), slots, entries)
+            for slot in slots:
+                outline.entries[slot] = obj.entry(slot)
+        else:
+            outline = AdapterCollection(list(obj.task_ids), slots, {})
+            for slot in slots:
+                outline.put(slot, self._adapters(outline.task_ids, slot, obj.adapters_at(slot)))
+        self.finish(outline)
+        return outline
+
+    def _adapters(self, tasks: list[str], slot: SlotKey, adapters: list) -> list:
+        """Write one slot's adapters, in task order; their stand-ins."""
+        label, layout = slot.label(), _LAYOUTS[adapters[0].kind]
+        stand_ins = self.add(_adapters_tensors(tasks, label, layout, adapters))
+        return _collection_slot(stand_ins, tasks, layout, label)
+
+    def finish(self, obj) -> None:
+        """Check ``obj``, the collection or bundle written, and commit its meta."""
+        obj.validate()
+        self.commit(_meta(obj))
+
+    def commit(self, meta: dict) -> None:
+        """Write the header, the manifest with ``meta`` and every payload to a
+        temporary file beside the destination, and replace the destination
+        with it."""
+        entries, offset = {}, 0
+        for name in sorted(self._spilled):
+            (rows, cols), _ = self._spilled[name]
+            entries[name] = {"shape": [rows, cols], "offset": offset, "nbytes": 4 * rows * cols}
+            offset += 4 * rows * cols
+        manifest = {"version": 1, "tensors": entries, "meta": meta}
+        blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        temp, fh = self._beside(".tmp", "wb")
+        try:
+            with fh:
+                fh.write(len(blob).to_bytes(_HEADER_BYTES, "little"))
+                fh.write(blob)
+                for name, entry in entries.items():
+                    self._spill.seek(self._spilled[name][1])
+                    fh.write(self._spill.read(entry["nbytes"]))
+            self._named(os.replace, temp, self.path)
+        except BaseException:
+            os.unlink(temp)
+            raise
+
+
+class _WrittenEntries(dict):
+    """A bundle's entries by slot: an entry put in is written, and only its
+    stand-in is kept."""
+
+    def __init__(self, writer: ArchiveWriter):
+        super().__init__()
+        self._writer = writer
+
+    def __setitem__(self, slot: SlotKey, entry) -> None:
+        label, layout = slot.label(), _LAYOUTS[entry.kind]
+        stand_ins = self._writer.add(_entry_tensors(label, layout, entry))
+        assignment = lambda _: list(entry.assignment)  # noqa: E731
+        super().__setitem__(slot, _bundle_slot(stand_ins, layout, label, assignment))
+
+
 def write_raw_archive(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     """Low-level writer; callers are responsible for semantic validity."""
-    entries: dict[str, dict] = {}
-    payloads: list[bytes] = []
-    offset = 0
-    for name in sorted(tensors):
-        payload = _as_f32_payload(tensors[name], name)
-        raw = payload.tobytes()
-        entries[name] = {
-            "shape": [int(payload.shape[0]), int(payload.shape[1])],
-            "offset": offset,
-            "nbytes": len(raw),
-        }
-        payloads.append(raw)
-        offset += len(raw)
-    manifest = {"version": 1, "tensors": entries, "meta": meta}
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(len(blob).to_bytes(_HEADER_BYTES, "little"))
-        fh.write(blob)
-        for raw in payloads:
-            fh.write(raw)
+    with ArchiveWriter(path) as writer:
+        writer.add(tensors)
+        writer.commit(meta)
 
 
 def write_archive(obj, path) -> None:
-    """Serialize a collection or merged bundle to an LRTA v1 file."""
+    """Serialize a collection or merged bundle to an LRTA v1 file, checked
+    first, then written a slot at a time (see :meth:`ArchiveWriter.write`)."""
     if isinstance(obj, AdapterCollection):
         if not obj.task_ids:
             raise ArchiveFormatError("cannot write an empty collection (K >= 1 required)")
-        obj.validate()
-        tensors, meta = _collection_tensors(obj)
-    elif isinstance(obj, MergedBundle):
-        obj.validate()
-        tensors, meta = _bundle_tensors(obj)
-    else:
+    elif not isinstance(obj, MergedBundle):
         raise ValidationError(f"cannot archive object of type {type(obj).__name__}")
-    write_raw_archive(path, tensors, meta)
+    obj.validate()
+    with ArchiveWriter(path) as writer:
+        writer.write(obj)
 
 
 def _frozen_tensors(layout: _Layout, label: str, frozen: tuple) -> dict:
     return {f"shared.{label}.{name}": t for name, t in zip(layout.frozen, frozen)}
 
 
-def _collection_tensors(coll: AdapterCollection) -> tuple[dict, dict]:
-    layout = _LAYOUTS[coll.kind]
-    tensors: dict[str, np.ndarray] = {}
-    for slot in coll.slots:
-        label = slot.label()
-        tensors.update(_frozen_tensors(layout, label, coll.adapter(coll.task_ids[0], slot).frozen))
-        for task in coll.task_ids:
-            shared, cluster = coll.adapter(task, slot).sides()
-            tensors[f"task.{task}.{label}.{layout.shared}"] = shared
-            tensors[f"task.{task}.{label}.{layout.cluster}"] = cluster
-    return tensors, {"kind": coll.kind, "tasks": list(coll.task_ids)}
+def _adapters_tensors(tasks, label: str, layout: _Layout, adapters) -> dict[str, np.ndarray]:
+    """The tensors the writer stores for the adapters of ``tasks`` at one slot."""
+    tensors = _frozen_tensors(layout, label, adapters[0].frozen)
+    for task, adapter in zip(tasks, adapters):
+        shared, cluster = adapter.sides()
+        tensors[f"task.{task}.{label}.{layout.shared}"] = shared
+        tensors[f"task.{task}.{label}.{layout.cluster}"] = cluster
+    return tensors
 
 
-def _bundle_tensors(bundle: MergedBundle) -> tuple[dict, dict]:
-    tensors: dict[str, np.ndarray] = {}
-    for slot in bundle.slots:
-        label = slot.label()
-        entry = bundle.entries[slot]
-        layout = _LAYOUTS[entry.kind]
-        if isinstance(entry, SharedSlot):
-            shared, frozen = entry.shared, entry.frozen
-            for j, cluster in enumerate(entry.clusters):
-                tensors[f"merged.{label}.{layout.cluster}.{j}"] = cluster
-        else:
-            (shared, cluster), frozen = entry.adapter.sides(), entry.adapter.frozen
-            tensors[f"merged.{label}.{layout.cluster}"] = cluster
-        tensors[f"merged.{label}.{layout.shared}"] = shared
-        tensors.update(_frozen_tensors(layout, label, frozen))
-    meta = {
+def _entry_tensors(label: str, layout: _Layout, entry) -> dict[str, np.ndarray]:
+    """The tensors the writer stores for one bundle entry."""
+    if isinstance(entry, SharedSlot):
+        shared, frozen = entry.shared, entry.frozen
+        tensors = {f"merged.{label}.{layout.cluster}.{j}": c for j, c in enumerate(entry.clusters)}
+    else:
+        (shared, cluster), frozen = entry.adapter.sides(), entry.adapter.frozen
+        tensors = {f"merged.{label}.{layout.cluster}": cluster}
+    tensors[f"merged.{label}.{layout.shared}"] = shared
+    tensors.update(_frozen_tensors(layout, label, frozen))
+    return tensors
+
+
+def _meta(obj) -> dict:
+    if isinstance(obj, AdapterCollection):
+        return {"kind": obj.kind, "tasks": list(obj.task_ids)}
+    return {
         "kind": "bundle",
-        "tasks": list(bundle.tasks),
-        "method": bundle.method,
-        "assignment": bundle.assignment_map(),
+        "tasks": list(obj.tasks),
+        "method": obj.method,
+        "assignment": obj.assignment_map(),
     }
-    return tensors, meta
 
 
-def _parse_file(path) -> tuple[dict[str, np.ndarray], dict]:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER_BYTES:
-        raise ArchiveFormatError(
-            f"file is {len(raw)} bytes, expected a u64 header at byte 0"
-        )
-    manifest_len = int.from_bytes(raw[:_HEADER_BYTES], "little")
-    if _HEADER_BYTES + manifest_len > len(raw):
-        raise ArchiveFormatError(
-            f"manifest of {manifest_len} bytes at byte {_HEADER_BYTES} "
-            f"overruns file of {len(raw)} bytes"
-        )
-    try:
-        manifest = json.loads(raw[_HEADER_BYTES : _HEADER_BYTES + manifest_len])
-    except (ValueError, RecursionError) as exc:
-        raise ArchiveFormatError(f"manifest at byte {_HEADER_BYTES} is not JSON: {exc}") from exc
-    version = manifest.get("version") if isinstance(manifest, dict) else None
-    if type(version) is not int or version != 1:
-        raise ArchiveFormatError(
-            f"unsupported archive version {version!r} at byte {_HEADER_BYTES}"
-        )
-    payload = memoryview(raw)[_HEADER_BYTES + manifest_len :]  # a view, not a copy
-    entries = manifest.get("tensors", {})
-    if not isinstance(entries, dict):
-        raise ArchiveFormatError("manifest 'tensors' must map names to entries")
+def _contents(obj) -> tuple[dict, dict]:
+    """Every tensor the writer stores for ``obj``, by name, and its meta."""
     tensors: dict[str, np.ndarray] = {}
-    end, previous = 0, None  # the writer lays payloads back to back in name order
-    for name, entry in sorted(entries.items()):
-        if not isinstance(entry, dict):
-            raise ArchiveFormatError(f"malformed manifest entry for {name!r}")
-        shape = entry.get("shape")
-        if not (isinstance(shape, list) and len(shape) == 2 and all(map(_is_int, shape))):
-            raise ArchiveFormatError(f"tensor {name!r}: shape must be two integers, got {shape!r}")
-        for field in ("offset", "nbytes"):
-            if not _is_int(entry.get(field)):
+    for slot in obj.slots:
+        label = slot.label()
+        if isinstance(obj, AdapterCollection):
+            adapters = obj.adapters_at(slot)
+            layout = _LAYOUTS[adapters[0].kind]
+            tensors.update(_adapters_tensors(obj.task_ids, label, layout, adapters))
+        else:
+            entry = obj.entry(slot)
+            tensors.update(_entry_tensors(label, _LAYOUTS[entry.kind], entry))
+    return tensors, _meta(obj)
+
+
+_collection_tensors = _bundle_tensors = _contents  # names the tests use
+
+
+def _identity(fh) -> tuple:
+    """What changes when the file open as ``fh`` is replaced or rewritten."""
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class _Payloads(Mapping):
+    """A checked archive's tensors by name: looking one up reads it from the
+    file, widened to float64."""
+
+    def __init__(self, path, shapes: dict, start: int, identity: tuple):
+        self._path, self._shapes, self._start, self._identity = path, shapes, start, identity
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        (rows, cols), offset = self._shapes[name]
+        with open(self._path, "rb") as fh:
+            if _identity(fh) != self._identity:
+                raise ArchiveFormatError(f"{os.fspath(self._path)} changed after it was checked")
+            fh.seek(self._start + offset)
+            values = np.fromfile(fh, dtype="<f4", count=rows * cols)
+        return values.astype(np.float64).reshape(rows, cols)
+
+    def __contains__(self, name) -> bool:
+        return name in self._shapes
+
+    def __iter__(self):
+        return iter(self._shapes)
+
+    def __len__(self) -> int:
+        return len(self._shapes)
+
+    def stand_ins(self) -> dict[str, np.ndarray]:
+        return {name: stand_in(shape) for name, (shape, _) in self._shapes.items()}
+
+
+class _Tensors(Sequence):
+    """The tensors ``names`` of a checked archive, each read when indexed."""
+
+    def __init__(self, payloads: _Payloads, names: list[str]):
+        self._payloads, self._names = payloads, names
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self._payloads[self._names[i]]
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+def _scan(path) -> tuple[_Payloads, dict]:
+    """Check the manifest and every payload, in name order, keeping no value."""
+    with open(path, "rb") as fh:
+        identity = _identity(fh)
+        size = identity[2]
+        if size < _HEADER_BYTES:
+            raise ArchiveFormatError(f"file is {size} bytes, expected a u64 header at byte 0")
+        manifest_len = int.from_bytes(fh.read(_HEADER_BYTES), "little")
+        if _HEADER_BYTES + manifest_len > size:
+            raise ArchiveFormatError(
+                f"manifest of {manifest_len} bytes at byte {_HEADER_BYTES} "
+                f"overruns file of {size} bytes"
+            )
+        try:
+            manifest = json.loads(fh.read(manifest_len))
+        except (ValueError, RecursionError) as exc:
+            raise ArchiveFormatError(
+                f"manifest at byte {_HEADER_BYTES} is not JSON: {exc}"
+            ) from exc
+        version = manifest.get("version") if isinstance(manifest, dict) else None
+        if type(version) is not int or version != 1:
+            raise ArchiveFormatError(
+                f"unsupported archive version {version!r} at byte {_HEADER_BYTES}"
+            )
+        payload_bytes = size - _HEADER_BYTES - manifest_len
+        entries = manifest.get("tensors", {})
+        if not isinstance(entries, dict):
+            raise ArchiveFormatError("manifest 'tensors' must map names to entries")
+        shapes: dict[str, tuple[tuple[int, int], int]] = {}
+        end, previous = 0, None  # the writer lays payloads back to back in name order
+        for name, entry in sorted(entries.items()):
+            if not isinstance(entry, dict):
+                raise ArchiveFormatError(f"malformed manifest entry for {name!r}")
+            shape = entry.get("shape")
+            if not (isinstance(shape, list) and len(shape) == 2 and all(map(_is_int, shape))):
                 raise ArchiveFormatError(
-                    f"tensor {name!r}: {field} must be an integer, got {entry.get(field)!r}"
+                    f"tensor {name!r}: shape must be two integers, got {shape!r}"
                 )
-        rows, cols = shape
-        offset, nbytes = entry["offset"], entry["nbytes"]
-        if rows < 1 or cols < 1:
-            raise ArchiveFormatError(f"tensor {name!r} declares empty shape {rows}x{cols}")
-        if nbytes != 4 * rows * cols:
-            raise ArchiveFormatError(
-                f"tensor {name!r} declares shape {rows}x{cols} but {nbytes} bytes"
-            )
-        if offset < 0 or offset + nbytes > len(payload):
-            raise ArchiveFormatError(
-                f"tensor {name!r} at payload offset {offset} (+{nbytes} bytes) "
-                f"overruns payload of {len(payload)} bytes"
-            )
-        if offset < end:
-            raise ArchiveFormatError(
-                f"tensors {previous!r} and {name!r} overlap in the payload "
-                f"(bytes {offset}..{end})"
-            )
-        if offset > end:
-            raise ArchiveFormatError(
-                f"payload bytes {end}..{offset} before tensor {name!r} belong to no tensor"
-            )
-        data = np.frombuffer(payload, dtype="<f4", count=rows * cols, offset=offset)
-        arr = data.astype(np.float64).reshape(rows, cols)
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"tensor {name!r} contains non-finite entries")
-        tensors[name] = arr
-        end, previous = offset + nbytes, name
-    if end != len(payload):
+            for field_name in ("offset", "nbytes"):
+                if not _is_int(entry.get(field_name)):
+                    raise ArchiveFormatError(
+                        f"tensor {name!r}: {field_name} must be an integer, "
+                        f"got {entry.get(field_name)!r}"
+                    )
+            rows, cols = shape
+            offset, nbytes = entry["offset"], entry["nbytes"]
+            if rows < 1 or cols < 1:
+                raise ArchiveFormatError(f"tensor {name!r} declares empty shape {rows}x{cols}")
+            if nbytes != 4 * rows * cols:
+                raise ArchiveFormatError(
+                    f"tensor {name!r} declares shape {rows}x{cols} but {nbytes} bytes"
+                )
+            if offset < 0 or offset + nbytes > payload_bytes:
+                raise ArchiveFormatError(
+                    f"tensor {name!r} at payload offset {offset} (+{nbytes} bytes) "
+                    f"overruns payload of {payload_bytes} bytes"
+                )
+            if offset < end:
+                raise ArchiveFormatError(
+                    f"tensors {previous!r} and {name!r} overlap in the payload "
+                    f"(bytes {offset}..{end})"
+                )
+            if offset > end:
+                raise ArchiveFormatError(
+                    f"payload bytes {end}..{offset} before tensor {name!r} belong to no tensor"
+                )
+            # back to back in name order: the file position is at this tensor
+            if not np.all(np.isfinite(np.frombuffer(fh.read(nbytes), dtype="<f4"))):
+                raise ValidationError(f"tensor {name!r} contains non-finite entries")
+            shapes[name] = ((rows, cols), offset)
+            end, previous = offset + nbytes, name
+    if end != payload_bytes:
         raise ArchiveFormatError(
-            f"payload bytes {end}..{len(payload)} after the last tensor belong to no tensor"
+            f"payload bytes {end}..{payload_bytes} after the last tensor belong to no tensor"
         )
     meta = manifest.get("meta")
     if not isinstance(meta, dict) or "kind" not in meta or "tasks" not in meta:
@@ -273,21 +477,18 @@ def _parse_file(path) -> tuple[dict[str, np.ndarray], dict]:
         or len(set(tasks)) != len(tasks)
     ):
         raise ArchiveFormatError(f"meta.tasks must be a list of distinct strings, got {tasks!r}")
-    return tensors, meta
+    return _Payloads(path, shapes, _HEADER_BYTES + manifest_len, identity), meta
 
 
 def _is_int(value) -> bool:
     return type(value) is int  # excludes bool, an int subclass
 
 
-def read_archive(path):
-    """Load an LRTA v1 file into an :class:`AdapterCollection` or
-    :class:`MergedBundle`, widening values to float64.
-
-    Every tensor must be one the writer would emit for the object read;
-    a stray one raises :class:`ValidationError` naming it.
-    """
-    tensors, meta = _parse_file(path)
+def _build(tensors: Mapping[str, np.ndarray], meta: dict):
+    """The collection or bundle of a scanned archive, built from ``tensors``
+    (stand-ins or payloads).  Every tensor must be one the writer would
+    emit for the object read; a stray one raises :class:`ValidationError`
+    naming it."""
     kind = meta["kind"]
     if kind == "bundle":
         obj = _read_bundle(tensors, meta)
@@ -295,7 +496,7 @@ def read_archive(path):
         obj = _read_collection(tensors, meta, _LAYOUTS[kind])
     else:
         raise ArchiveFormatError(f"unknown archive kind {kind!r}")
-    used, written = _bundle_tensors(obj) if kind == "bundle" else _collection_tensors(obj)
+    used, written = _contents(obj)
     stray = sorted(set(tensors) - set(used))
     if stray:
         raise ValidationError(f"stray tensor {stray[0]!r} is not part of the {kind} archive")
@@ -308,7 +509,65 @@ def read_archive(path):
     return obj
 
 
-def _require(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
+@dataclass
+class _ArchivedCollection(AdapterCollection):
+    """A checked archive's collection: its ``table`` holds stand-ins, its
+    methods that give values read them from the file, and a bundle merged
+    over it is written to ``into``, if given."""
+
+    payloads: Mapping = field(default=None, repr=False)
+    into: ArchiveWriter | None = field(default=None, repr=False)
+
+    def adapters_at(self, slot: SlotKey) -> list:
+        return _collection_slot(self.payloads, self.task_ids, _LAYOUTS[self.kind], slot.label())
+
+    def adapter(self, task: str, slot: SlotKey):
+        return _collection_slot(self.payloads, [task], _LAYOUTS[self.kind], slot.label())[0]
+
+    def sides_at(self, slot: SlotKey):
+        layout, label = _LAYOUTS[self.kind], slot.label()
+        sides = (layout.shared, layout.cluster)
+        names = ([f"task.{t}.{label}.{side}" for t in self.task_ids] for side in sides)
+        return tuple(_Tensors(self.payloads, side) for side in names)
+
+    def merged_entries(self):
+        return {} if self.into is None else _WrittenEntries(self.into)
+
+
+@dataclass
+class _ArchivedBundle(MergedBundle):
+    """A checked archive's bundle: its ``entries`` hold stand-ins, and
+    :meth:`entry` reads the slot's values from the file."""
+
+    payloads: Mapping = field(default=None, repr=False)
+
+    def entry(self, slot: SlotKey):
+        assignment = lambda _: list(self.entries[slot].assignment)  # noqa: E731
+        return _bundle_slot(self.payloads, _LAYOUTS[self.kind], slot.label(), assignment)
+
+
+def open_archive(path, into: ArchiveWriter | None = None):
+    """Check an LRTA v1 file and return its :class:`AdapterCollection` or
+    :class:`MergedBundle`, which reads each slot from the file when asked
+    (see the module docstring); no value is kept.  A bundle merged over the
+    collection (see :meth:`~hydramerge.adapters.MergedBundle.of`) is
+    written to ``into``, slot by slot, if given."""
+    payloads, meta = _scan(path)
+    outline = _build(payloads.stand_ins(), meta)
+    if isinstance(outline, MergedBundle):
+        return _ArchivedBundle(**vars(outline), payloads=payloads)
+    return _ArchivedCollection(**vars(outline), payloads=payloads, into=into)
+
+
+def read_archive(path):
+    """Load an LRTA v1 file into an :class:`AdapterCollection` or
+    :class:`MergedBundle`, widening values to float64: the checks of
+    :func:`open_archive`, then every slot read."""
+    payloads, meta = _scan(path)
+    return _build(payloads, meta)
+
+
+def _require(tensors: Mapping[str, np.ndarray], name: str) -> np.ndarray:
     if name not in tensors:
         raise ValidationError(f"missing tensor {name!r}")
     return tensors[name]
@@ -325,18 +584,40 @@ def _require_frozen(tensors, layout: _Layout, label: str) -> tuple:
     return tuple(_require(tensors, f"shared.{label}.{name}") for name in layout.frozen)
 
 
+def _collection_slot(tensors, tasks, layout: _Layout, label: str) -> list:
+    """The adapters of ``tasks`` at the slot ``label``, in task order."""
+    frozen = _require_frozen(tensors, layout, label)
+    return [
+        layout.adapter.from_sides(
+            _require(tensors, f"task.{task}.{label}.{layout.shared}"),
+            _require(tensors, f"task.{task}.{label}.{layout.cluster}"),
+            frozen,
+        )
+        for task in tasks
+    ]
+
+
+def _bundle_slot(tensors, layout: _Layout, label: str, assignment):
+    """The bundle entry at the slot ``label``; ``assignment(label)`` gives a
+    shared slot's clusters."""
+    frozen = _require_frozen(tensors, layout, label)
+    shared = _require(tensors, f"merged.{label}.{layout.shared}")
+    # B.0, B.1, ... up to the first gap; the stray check names the rest
+    names = (f"merged.{label}.{layout.cluster}.{j}" for j in itertools.count())
+    clusters = [tensors[name] for name in itertools.takewhile(tensors.__contains__, names)]
+    if clusters:
+        return layout.adapter.shared_slot(shared, clusters, frozen, assignment(label))
+    cluster = _require(tensors, f"merged.{label}.{layout.cluster}")
+    return MergedAdapterSlot(layout.adapter.from_sides(shared, cluster, frozen))
+
+
 def _read_collection(tensors, meta, layout: _Layout) -> AdapterCollection:
     tasks = list(meta["tasks"])
-    slots = _slots_from_names(tensors, _TASK_TENSOR, tasks)
-    table: dict[tuple[str, SlotKey], Adapter] = {}
-    for slot in slots:
-        label = slot.label()
-        frozen = _require_frozen(tensors, layout, label)
-        for task in tasks:
-            shared = _require(tensors, f"task.{task}.{label}.{layout.shared}")
-            cluster = _require(tensors, f"task.{task}.{label}.{layout.cluster}")
-            table[(task, slot)] = layout.adapter.from_sides(shared, cluster, frozen)
-    return AdapterCollection.build(tasks, table)
+    collection = AdapterCollection(tasks, _slots_from_names(tensors, _TASK_TENSOR, tasks), {})
+    for slot in collection.slots:
+        collection.put(slot, _collection_slot(tensors, tasks, layout, slot.label()))
+    collection.validate()
+    return collection
 
 
 def _read_bundle(tensors, meta) -> MergedBundle:
@@ -344,33 +625,20 @@ def _read_bundle(tensors, meta) -> MergedBundle:
     method = meta.get("method", "")
     if not isinstance(method, str):
         raise ArchiveFormatError(f"meta.method must be a string, got {method!r}")
-    slots = _slots_from_names(tensors, _MERGED_TENSOR)
     fields = {m.group("field") for m in map(_MERGED_TENSOR.match, tensors) if m}
     kind = "vera" if fields & {"lambda_b", "lambda_d"} else "lora"
-    layout = _LAYOUTS[kind]
-    entries: dict[SlotKey, object] = {}
-    for slot in slots:
-        label = slot.label()
-        frozen = _require_frozen(tensors, layout, label)
-        shared = _require(tensors, f"merged.{label}.{layout.shared}")
-        # B.0, B.1, ... up to the first gap; the stray check names the rest
-        names = (f"merged.{label}.{layout.cluster}.{j}" for j in itertools.count())
-        clusters = [tensors[name] for name in itertools.takewhile(tensors.__contains__, names)]
-        if clusters:
-            assignment = _slot_assignment(meta.get("assignment"), tasks, label)
-            entries[slot] = layout.adapter.shared_slot(shared, clusters, frozen, assignment)
-        else:
-            cluster = _require(tensors, f"merged.{label}.{layout.cluster}")
-            entries[slot] = MergedAdapterSlot(layout.adapter.from_sides(shared, cluster, frozen))
-    bundle = MergedBundle(method=method, kind=kind, tasks=tasks, slots=slots, entries=entries)
+    bundle = MergedBundle(method, kind, tasks, _slots_from_names(tensors, _MERGED_TENSOR))
+    assignment = functools.partial(_slot_assignment, meta.get("assignment"), tasks)
+    for slot in bundle.slots:
+        bundle.entries[slot] = _bundle_slot(tensors, _LAYOUTS[kind], slot.label(), assignment)
     bundle.validate()
     return bundle
 
 
 def _slot_assignment(assignment_meta, tasks: list[str], label: str) -> list[int]:
     """Each task's cluster at the shared slot ``label``.  Only these entries
-    are read here; the meta round trip in :func:`read_archive` judges the
-    rest of ``meta.assignment``."""
+    are read here; the meta round trip in :func:`_build` judges the rest of
+    ``meta.assignment``."""
     out = []
     for task in tasks:
         per_task = assignment_meta.get(task) if isinstance(assignment_meta, dict) else None

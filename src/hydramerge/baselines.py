@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import AdapterCollection, MergedAdapterSlot, MergedBundle
+from .adapters import AdapterCollection, MergedAdapterSlot, MergedBundle, SlotKey
 from .errors import HydraMergeError, NumericalError, ParameterError, ShapeError, coerce_enums
 from .linalg import (
     ROW_BLOCK_ENTRIES,
@@ -193,7 +193,7 @@ def merge_dare_ties(tensors: Sequence[Matrix], p: float, density: float, rng: Rn
     return _ties(tensors, density, lambda t: dare_transform(t, p, rng))
 
 
-def _merge_tensors(tensors: list[Matrix], cfg: BaselineConfig, rng: Rng) -> Matrix:
+def _merge_tensors(tensors: Sequence[Matrix], cfg: BaselineConfig, rng: Rng) -> Matrix:
     if cfg.method is MergeMethod.TA:
         return merge_ta(tensors, scale=cfg.scale)
     if cfg.method is MergeMethod.TIES:
@@ -206,7 +206,7 @@ def _merge_tensors(tensors: list[Matrix], cfg: BaselineConfig, rng: Rng) -> Matr
 def _merge_side(tensors, cfg: BaselineConfig, rng: Rng, where: str) -> Matrix:
     """``_merge_tensors``; an error keeps its type and gains ``where``."""
     try:
-        return _merge_tensors(list(tensors), cfg, rng)
+        return _merge_tensors(tensors, cfg, rng)
     except HydraMergeError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
 
@@ -214,26 +214,33 @@ def _merge_side(tensors, cfg: BaselineConfig, rng: Rng, where: str) -> Matrix:
 def merge_collection(collection: AdapterCollection, cfg: BaselineConfig) -> MergedBundle:
     """Merge every slot of a collection with one baseline method.
 
-    Per slot the shared sides are merged first, then (per-matrix mode) the
+    Slot by slot, in order, each merged entry is put in the bundle (see
+    :meth:`~hydramerge.adapters.MergedBundle.of` for where it goes).  Per
+    slot the shared sides are merged first, then (per-matrix mode) the
     cluster sides, drawing from that slot's stream throughout.  An error
     keeps its type and gains the slot label and the side.
     """
     bundle = MergedBundle.of(collection, cfg.method.value)
-    identity = list(range(collection.num_tasks))
     for slot in collection.slots:
-        rng = Rng(cfg.seed ^ stable_hash64(slot.label()))
-        adapters = collection.adapters_at(slot)
-        adapter_type, frozen = type(adapters[0]), adapters[0].frozen
-        shared, clusters = zip(*(ad.sides() for ad in adapters))
-        merged_shared = _merge_side(shared, cfg, rng, f"slot {slot.label()}: shared side")
-        if cfg.merge_target is MergeTarget.PER_MATRIX:
-            where = f"slot {slot.label()}: cluster side"
-            merged_cluster = _merge_side(clusters, cfg, rng, where)
-            adapter = adapter_type.from_sides(merged_shared, merged_cluster, frozen)
-            bundle.entries[slot] = MergedAdapterSlot(adapter)
-        else:
-            kept = [c.copy() for c in clusters]
-            entry = adapter_type.shared_slot(merged_shared, kept, frozen, identity.copy())
-            bundle.entries[slot] = entry
+        bundle.entries[slot] = _merge_slot(collection, slot, cfg)
     bundle.validate()
     return bundle
+
+
+def _merge_slot(collection: AdapterCollection, slot: SlotKey, cfg: BaselineConfig):
+    """The merged entry of one slot.  Each side is read with
+    :meth:`~hydramerge.adapters.AdapterCollection.sides_at`, so a merge that
+    takes its tensors one at a time (TIES, DARE) holds one of them at a time
+    from an archived collection."""
+    rng = Rng(cfg.seed ^ stable_hash64(slot.label()))
+    first = collection.adapter(collection.task_ids[0], slot)
+    adapter_type, frozen = type(first), first.frozen
+    del first  # only its type and frozen pair are needed while the sides merge
+    shared, clusters = collection.sides_at(slot)
+    merged_shared = _merge_side(shared, cfg, rng, f"slot {slot.label()}: shared side")
+    if cfg.merge_target is MergeTarget.PER_MATRIX:
+        where = f"slot {slot.label()}: cluster side"
+        merged_cluster = _merge_side(clusters, cfg, rng, where)
+        return MergedAdapterSlot(adapter_type.from_sides(merged_shared, merged_cluster, frozen))
+    identity = list(range(collection.num_tasks))
+    return adapter_type.shared_slot(merged_shared, [c.copy() for c in clusters], frozen, identity)

@@ -17,6 +17,14 @@ exits 3 naming the field.  A ``merge`` option that the chosen method does
 not read (see ``_READ_BY``) is a usage error naming the methods that read
 it.
 
+Every command holds one slot of its archives at a time.  It checks each
+archive it reads whole, keeping no value, then reads a slot's tensors
+when it reaches that slot (:func:`~hydramerge.archive.open_archive`);
+``report-storage`` counts parameters from the manifest shapes.
+``gen-synthetic`` and ``merge`` write ``--out`` slot by slot through an
+:class:`~hydramerge.archive.ArchiveWriter`, which replaces ``--out`` only
+once the archive is whole.
+
 ``report-storage`` and ``eval-recon`` refuse a bundle that was not merged
 from the collection given with ``--in``: other tasks or slots, or a slot
 whose adapter kind, ``(d, r, k)`` or VeRA frozen pair differs (see
@@ -36,7 +44,7 @@ import sys
 from inspect import signature
 
 from .adapters import AdapterCollection, MergedBundle, storage_ratio_percent
-from .archive import read_archive, write_archive
+from .archive import ArchiveWriter, open_archive
 from .baselines import BaselineConfig, MergeMethod, MergeTarget, merge_collection
 from .errors import HydraMergeError
 from .linalg import DistanceKind
@@ -168,13 +176,14 @@ def _emit(doc: dict, out_path: str | None = None) -> None:
 _ARCHIVED = {AdapterCollection: "collection", MergedBundle: "merged bundle"}
 
 
-def _load(path, expected: type):
-    """Read an archive that must hold an ``expected`` object."""
-    loaded = read_archive(path)
+def _load(path, expected: type, into: ArchiveWriter | None = None):
+    """Check an archive that must hold an ``expected`` object, and return it
+    to be read slot by slot (see :func:`~hydramerge.archive.open_archive`,
+    which also says what ``into`` does)."""
+    loaded = open_archive(path, into)
     if not isinstance(loaded, expected):
-        raise HydraMergeError(
-            f"{path} holds a {_ARCHIVED[type(loaded)]}, expected a {_ARCHIVED[expected]}"
-        )
+        held = next(name for cls, name in _ARCHIVED.items() if isinstance(loaded, cls))
+        raise HydraMergeError(f"{path} holds a {held}, expected a {_ARCHIVED[expected]}")
     return loaded
 
 
@@ -191,8 +200,8 @@ def _cmd_gen_synthetic(args) -> int:
     from .synthetic import SynthSpec, generate
 
     spec = SynthSpec(**_given(args, SynthSpec))
-    collection = generate(spec)
-    write_archive(collection, args.out)
+    with ArchiveWriter(args.out) as writer:
+        collection = writer.write(generate(spec))
     log.info("wrote %s", args.out)
     _emit(
         {
@@ -213,7 +222,6 @@ def _cmd_merge(args, merge: argparse.ArgumentParser) -> int:
         if methods and action.dest in args and args.method not in methods:
             flag = action.option_strings[0]
             merge.error(f"{flag} is read only by {', '.join(methods)}, not {args.method}")
-    collection = _load(args.archive_in, AdapterCollection)
     doc: dict = {
         "command": "merge",
         "method": args.method,
@@ -224,22 +232,25 @@ def _cmd_merge(args, merge: argparse.ArgumentParser) -> int:
         "per_slot_loss": None,
         "assignment": None,
     }
-    if args.method == "hydraopt":
-        from .hydra import HydraConfig, globalize_assignment, merge_collection_hydra
+    with ArchiveWriter(args.archive_out) as writer:
+        # a bundle merged over this collection is written slot by slot, as it is put
+        collection = _load(args.archive_in, AdapterCollection, writer)
+        if args.method == "hydraopt":
+            from .hydra import HydraConfig, globalize_assignment, merge_collection_hydra
 
-        # an absent --m means one cluster per task
-        cfg = HydraConfig(**{"num_clusters": collection.num_tasks, **_given(args, HydraConfig)})
-        bundle, report = merge_collection_hydra(collection, cfg)
-        if "globalize_assignment" in args:
-            globalize_assignment(bundle)
-        doc["initial_loss"] = report["initial_loss"]
-        doc["final_loss"] = report["final_loss"]
-        doc["per_slot_loss"] = report["per_slot"]
-        doc["assignment"] = bundle.assignment_map()
-    else:
-        cfg = BaselineConfig(**_given(args, BaselineConfig))
-        bundle = merge_collection(collection, cfg)
-    write_archive(bundle, args.archive_out)
+            # an absent --m means one cluster per task
+            cfg = HydraConfig(**{"num_clusters": collection.num_tasks, **_given(args, HydraConfig)})
+            bundle, report = merge_collection_hydra(collection, cfg)
+            if "globalize_assignment" in args:
+                globalize_assignment(bundle)
+            doc["initial_loss"] = report["initial_loss"]
+            doc["final_loss"] = report["final_loss"]
+            doc["per_slot_loss"] = report["per_slot"]
+            doc["assignment"] = bundle.assignment_map()
+        else:
+            cfg = BaselineConfig(**_given(args, BaselineConfig))
+            bundle = merge_collection(collection, cfg)
+        writer.finish(bundle)
     log.info("wrote %s", args.archive_out)
     doc["seed"] = cfg.seed
     doc.update(_storage(collection, bundle))

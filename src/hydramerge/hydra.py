@@ -47,9 +47,11 @@ shared term.  Each input is checked once, where it enters, with
 :func:`~hydramerge.adapters.check_slot`: :func:`init_state` checks that
 adapter targets could share one slot (one kind, ``(d, r, k)`` and frozen
 pair), and each call of :func:`loss` or :func:`gradients` checks its
-targets and then the state against target 0.  :func:`train` builds its
-state from the targets it checked, so its steps check nothing; the
-kernels rely on the one frozen pair this guarantees.
+targets and then the state against target 0, through the state's own
+``sides`` and ``shape_signature``: no adapter is built of it, so a
+non-finite state reaches the kernel, which names the task.
+:func:`train` builds its state from the targets it checked, so its steps
+check nothing; the kernels rely on the one frozen pair this guarantees.
 
 Under MAE the blocked kernel builds each residual ``R_i`` one block of
 rows at a time, about ``_BLOCK_ENTRIES`` entries, into one reused buffer
@@ -129,6 +131,7 @@ from .adapters import (
     check_slot,
     delta_factors,
     delta_weight,
+    stand_in,
 )
 from .errors import (
     DegenerateInputError,
@@ -241,6 +244,16 @@ class _RoutedState:
     def basis(self) -> Matrix:
         return self.adapter_type.basis(self.shared, self.frozen)
 
+    # the state stands for cluster 0's adapter where its slot is checked (_evaluate)
+    def sides(self) -> tuple[Matrix, Matrix]:
+        """Cluster 0's adapter's ``sides()``: vectors become columns."""
+        return tuple(np.reshape(p, (len(p), -1)) for p in (self.shared, self.clusters[0]))
+
+    def shape_signature(self) -> tuple:
+        """``(d, r, k)`` of cluster 0's adapter, from the parts' shapes alone."""
+        parts = (stand_in(np.shape(p)) for p in (self.shared, self.clusters[0]))
+        return self.adapter_type.from_sides(*parts, self.frozen).shape_signature()
+
 
 @dataclass
 class HydraState(_RoutedState, SharedLoraSlot):
@@ -352,12 +365,13 @@ def _routing(state, cfg: HydraConfig, num_tasks: int) -> np.ndarray | None:
 
 def _evaluate(state, targets, cfg: HydraConfig):
     """``(loss, per_task, grads)`` at ``state``.  Adapter targets are first
-    checked to share a slot, then the state to share it with target 0, each
-    once, else :class:`ValidationError`."""
+    checked to share a slot, then the state itself to share it with target
+    0 (by kind, ``(d, r, k)`` and frozen pair, with no adapter built, so a
+    non-finite state reaches the kernel, which names the task), each once,
+    else :class:`ValidationError`."""
     if _all_adapters(targets):
         _check_targets(targets)
-        pair = {"target 0": targets[0], "the state": state.member(0)}
-        check_slot(pair, "the state and its targets")
+        check_slot({"target 0": targets[0], "the state": state}, "the state and its targets")
     return _kernel(targets, cfg)(state)
 
 
@@ -643,6 +657,7 @@ def _fit(state, loss_and_grads, cfg: HydraConfig) -> TrainTrace:
         if step < cfg.epochs:
             losses.append(value)
             adamw_step(state, grads, cfg)
+            del grads  # not alive during the next evaluation
     return TrainTrace(losses=losses, final_loss=value)
 
 
@@ -694,8 +709,11 @@ def merge_collection_hydra(
 ) -> tuple[MergedBundle, dict]:
     """Train one independent state per slot and assemble the bundle.
 
-    Each slot draws from its own stream, ``seed xor hash(slot label)``, so
-    no slot's result depends on another's.
+    Slot by slot, in order, each trained entry is put in the bundle (see
+    :meth:`~hydramerge.adapters.MergedBundle.of` for where it goes).  Each
+    slot draws from its own stream, ``seed xor hash(slot label)``, so no
+    slot's result depends on another's.  The report sums the per-slot
+    losses in slot order.
     """
     cfg.validate(collection.num_tasks)
     bundle = MergedBundle.of(collection, "hydraopt")

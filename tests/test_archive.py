@@ -823,3 +823,69 @@ class TestManifestStructure:
         _raw_with_manifest(path, manifest, b"\x00" * 112)
         with pytest.raises(ArchiveFormatError, match=r"^manifest meta must declare 'kind' and"):
             read_archive(path)
+
+
+class _FailingFile:
+    """A file whose writes count down a shared budget; the write that
+    spends it fails as on a full disk."""
+
+    def __init__(self, fh, budget: list):
+        self._fh, self._budget = fh, budget
+
+    def write(self, data):
+        self._budget[0] -= 1
+        if self._budget[0] == 0:
+            raise OSError(28, "No space left on device")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+class TestFailedWrite:
+    """A write that fails part way leaves neither a destination nor a
+    temporary file behind, and an archive already at the destination as it
+    was."""
+
+    @staticmethod
+    def write_failing_at(monkeypatch, obj, path, call: int) -> int:
+        """Write ``obj`` with every file the writer opens failing its
+        ``call``-th write in all; the writes it made."""
+        budget = [call]
+        opened = lambda *args: _FailingFile(open(*args), budget)  # noqa: E731
+        monkeypatch.setattr(archive_module, "open", opened, raising=False)
+        try:
+            write_archive(obj, path)
+        finally:
+            monkeypatch.undo()
+        return call - budget[0]
+
+    @pytest.mark.parametrize("make", [small_collection, small_vera_collection])
+    def test_every_failing_write_leaves_no_file(self, tmp_path, monkeypatch, make):
+        obj, out = make(), tmp_path / "out.lrta"
+        writes = self.write_failing_at(monkeypatch, obj, out, call=-1)
+        expected = out.read_bytes()
+        out.unlink()
+        assert writes > 2 * len(obj.slots)  # the spill's payloads, then the file's
+        for call in range(1, writes + 1):
+            with pytest.raises(OSError, match="No space left on device"):
+                self.write_failing_at(monkeypatch, obj, out, call)
+            assert list(tmp_path.iterdir()) == [], call
+        write_archive(obj, out)
+        assert out.read_bytes() == expected
+
+    def test_a_failing_write_keeps_the_archive_it_would_replace(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.lrta"
+        write_archive(small_collection(seed=1), out)
+        before = out.read_bytes()
+        with pytest.raises(OSError, match="No space left on device"):
+            self.write_failing_at(monkeypatch, small_collection(seed=2), out, call=4)
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_bytes() == before
+        read_archive(out)

@@ -543,6 +543,83 @@ class TestBaselineMergeMemory:
         assert peak - reference < 3.0, (peak, reference)
 
 
+class TestOneSlotInMemory:
+    """Each command reads and writes its archives a slot at a time, so its
+    peak does not grow with the number of slots: 16 slots (8 layers of q
+    and v, K = 8 tasks at d = k = 512, r = 16) peak within 3 MB of 2 (one
+    layer), where holding them all took about 20 MB more."""
+
+    @pytest.fixture(scope="class")
+    def archives(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("one-slot")
+        paths = {}
+        for layers in (1, 8):
+            coll, merged = work / f"coll{layers}.lrta", work / f"ta{layers}.lrta"
+            shape = dict(tasks=8, layers=layers, slots="q,v", d=512, k=512, rank=16)
+            assert run_cli(*gen_args(coll, **shape)).returncode == 0
+            result = run_cli("merge", "--in", str(coll), "--out", str(merged), "--method", "ta")
+            assert result.returncode == 0, result.stderr
+            paths[layers] = (coll, merged, work / f"out{layers}.lrta", shape)
+        return paths
+
+    @staticmethod
+    def command(name, coll, merged, out, shape) -> list[str]:
+        if name == "gen-synthetic":
+            return gen_args(out, **shape)
+        if name.startswith("merge"):
+            flags = ["--method", "ta"] if name == "merge ta" else [
+                "--method", "hydraopt", "--distance", "mse", "--epochs", "2"]  # fmt: skip
+            return ["merge", "--in", str(coll), "--out", str(out), *flags]
+        if name == "analyze-similarity":
+            return [name, "--in", str(coll)]
+        return [name, "--in", str(coll), "--merged", str(merged)]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["gen-synthetic", "merge ta", "merge hydraopt", "eval-recon", "report-storage",
+         "analyze-similarity"],
+    )  # fmt: skip
+    def test_peak_does_not_grow_with_the_slots(self, archives, name):
+        peaks = [peak_rss_mb(*self.command(name, *archives[layers])) for layers in (1, 8)]
+        assert peaks[1] - peaks[0] < 3.0, peaks
+
+
+class TestOverwrite:
+    """The writer replaces ``--out`` only once the new archive is whole, so
+    an output path may name the input or an existing archive."""
+
+    @pytest.mark.parametrize(
+        "flags", [["--method", "ta"], ["--method", "hydraopt", "--epochs", "3"]]
+    )
+    def test_merge_over_its_own_input_writes_what_a_fresh_path_gets(self, tmp_path, flags):
+        coll, fresh = tmp_path / "coll.lrta", tmp_path / "fresh.lrta"
+        assert run_cli(*gen_args(coll)).returncode == 0
+        result = run_cli("merge", "--in", str(coll), "--out", str(fresh), *flags)
+        assert result.returncode == 0, result.stderr
+        result = run_cli("merge", "--in", str(coll), "--out", str(coll), *flags)
+        assert result.returncode == 0, result.stderr
+        assert coll.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coll.lrta", "fresh.lrta"]
+
+    def test_a_failed_merge_over_its_own_input_keeps_the_input(self, tmp_path):
+        coll = tmp_path / "coll.lrta"
+        assert run_cli(*gen_args(coll)).returncode == 0
+        before = coll.read_bytes()
+        flags = ["--method", "ta", "--scale", "1e300"]
+        result = run_cli("merge", "--in", str(coll), "--out", str(coll), *flags)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("error: tensor 'merged.layer.0.q.A' holds a finite value")
+        assert coll.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["coll.lrta"]
+
+    def test_gen_synthetic_over_an_existing_archive(self, tmp_path):
+        fresh, used = tmp_path / "fresh.lrta", tmp_path / "used.lrta"
+        assert run_cli(*gen_args(fresh)).returncode == 0
+        assert run_cli(*gen_args(used, seed=5, layers=2)).returncode == 0
+        assert run_cli(*gen_args(used)).returncode == 0
+        assert used.read_bytes() == fresh.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def foreign_pairs(tmp_path_factory):
     """``case -> (collection, bundle)`` archives where the bundle was merged

@@ -1265,6 +1265,32 @@ class TestNonFiniteState:
             hydra._fit(state, hydra._kernel(targets, cfg), cfg)
         assert info.value.task is None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("evaluate", [loss, gradients])
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("distance", list(DistanceKind))
+    @pytest.mark.parametrize("path", ["adapters", "dense"])
+    @pytest.mark.parametrize("num_clusters, part, task", NON_FINITE_PARTS)
+    def test_loss_and_gradients_name_the_task(
+        self, evaluate, adapter, distance, path, num_clusters, part, task
+    ):
+        """Each call checks the state against its targets without building
+        an adapter of it, so the kernel meets the non-finite entry and names
+        the task, as in training."""
+        targets = kind_targets(adapter, 3, d=6, r=2, k=5, seed=1)
+        cfg = HydraConfig(num_clusters=num_clusters, distance=distance)
+        state = init_state(targets, cfg, Rng(0))
+        if part == "logits":
+            state.logits[task, 0] = np.inf
+        elif part == "shared":
+            state.params[0].flat[0] = np.inf
+        else:
+            state.params[1][int(part[-1])].flat[0] = np.inf
+        if path == "dense":
+            targets = hydra._target_matrices(targets)
+        with pytest.raises(NumericalError, match=rf"^the .*task {task}\b"):
+            evaluate(state, targets, cfg)
+
 
 class TestCheckedOnce:
     """Each input is checked once, where it enters: :func:`init_state`

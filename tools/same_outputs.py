@@ -7,8 +7,12 @@ tree (the directory that holds the ``hydramerge`` package), each tree in
 its own temporary directory, with ``OPENBLAS_NUM_THREADS=1`` so that BLAS
 sums in one fixed order.  Every command runs from that directory with
 relative paths, so the two runs print the same paths.  Exits 1 and names
-the first command whose exit code, stdout or written archive differs, and
-0 when every command agrees.  Takes under two minutes per tree on two cores.
+the first command whose exit code, stdout, stderr or written archive
+differs (a command that fails must write no archive in either tree), and
+0 when every command agrees.  Besides valid inputs, the matrix feeds the
+reader malformed ones, which must fail the same way: a NaN payload in the
+last slot, a stray tensor, a truncated payload and bundles merged from
+another collection.  Takes under two minutes per tree on two cores.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ BASELINES = ("ta", "ties", "dare", "dare-ties")
 DISTANCES = ("mae", "mse", "fro", "cos")
 
 # A VeRA collection from the tree's own library: gen-synthetic writes LoRA only.
+# An optional last argument is the seed, 3 by default.
 MAKE_VERA = """
 import sys
 import numpy as np
 from hydramerge import AdapterCollection, SlotKey, VeraAdapter, write_archive
-rng = np.random.default_rng(3)
+rng = np.random.default_rng(int(sys.argv[3]) if len(sys.argv) > 3 else 3)
 tasks = ["t0", "t1", "t2", "t3"]
 table = {}
 for name in ("q", "v"):
@@ -40,6 +45,26 @@ for name in ("q", "v"):
             shared_b=shared_b, shared_a=shared_a,
         )
 write_archive(AdapterCollection.build(tasks, table), sys.argv[2])
+"""
+
+# Malformed copies of default.lrta (4 slots, tasks t0..t4): a NaN in the last
+# slot, a stray tensor of an undeclared task, and the payload cut short.
+MAKE_MALFORMED = """
+import json
+import numpy as np
+from hydramerge.archive import write_raw_archive
+raw = open("default.lrta", "rb").read()
+n = int.from_bytes(raw[:8], "little")
+manifest = json.loads(raw[8 : 8 + n])
+at = 8 + n + manifest["tensors"]["task.t0.layer.1.v.B"]["offset"]
+open("nan-last-slot.lrta", "wb").write(raw[:at] + np.float32("nan").tobytes() + raw[at + 4 :])
+open("truncated.lrta", "wb").write(raw[:-4])
+tensors = {
+    name: np.frombuffer(raw, "<f4", e["nbytes"] // 4, 8 + n + e["offset"]).reshape(e["shape"])
+    for name, e in manifest["tensors"].items()
+}
+tensors["task.t9.layer.0.q.A"] = tensors["task.t0.layer.0.q.A"]
+write_raw_archive("stray.lrta", tensors, manifest["meta"])
 """
 
 
@@ -96,11 +121,35 @@ def matrix() -> list[list[str]]:
         ["grad-check", "--seed", "0"],
         ["grad-check", "--seed", "1", "--instances", "20"],
     ]  # fmt: skip
+    commands += malformed()
     return commands
 
 
-def run(src: Path, work: Path, command: list[str]) -> tuple[int, str, bytes | None]:
-    """Exit code, stdout and the bytes of the ``--out`` file of one command."""
+def malformed() -> list[list[str]]:
+    """Inputs the reader must refuse, each as before; run after ``matrix``'s
+    own commands, whose archives they use."""
+    commands = [
+        ["-c", MAKE_MALFORMED],
+        ["-c", MAKE_VERA, "--out", "vera-other.lrta", "4"],
+        ["merge", "--in", "vera-other.lrta", "--out", "vera-other-ta.lrta", "--method", "ta"],
+    ]
+    for bad in ("nan-last-slot", "stray", "truncated"):
+        commands += [
+            ["merge", "--in", f"{bad}.lrta", "--out", "bad.lrta", "--method", "ta"],
+            ["merge", "--in", f"{bad}.lrta", "--out", "bad.lrta", "--method", "hydraopt"],
+            ["eval-recon", "--in", f"{bad}.lrta", "--merged", "default-ta-0.lrta"],
+            ["report-storage", "--in", f"{bad}.lrta", "--merged", "default-ta-0.lrta"],
+            ["analyze-similarity", "--in", f"{bad}.lrta"],
+        ]
+    for coll, foreign in (("vera", "vera-other-ta"), ("default", "hydra-every")):
+        for command in ("eval-recon", "report-storage"):
+            commands.append([command, "--in", f"{coll}.lrta", "--merged", f"{foreign}.lrta"])
+    return commands
+
+
+def run(src: Path, work: Path, command: list[str]) -> tuple[int, str, str, bytes | None]:
+    """Exit code, stdout, stderr and the bytes of the ``--out`` file of one
+    command; a command that fails must leave no ``--out`` file."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     env.pop("HYDRA_MERGE_LOG", None)
     head = [sys.executable] if command[0] == "-c" else [sys.executable, "-m", "hydramerge"]
@@ -109,7 +158,9 @@ def run(src: Path, work: Path, command: list[str]) -> tuple[int, str, bytes | No
     )
     written = work / command[command.index("--out") + 1] if "--out" in command else None
     archive = written.read_bytes() if written and written.is_file() else None
-    return done.returncode, done.stdout, archive
+    if written and done.returncode != 0 and archive is not None:
+        written.unlink()  # a failed command's output, if any, would be stale for the next
+    return done.returncode, done.stdout, done.stderr, archive
 
 
 def main(argv: list[str]) -> int:
@@ -122,9 +173,10 @@ def main(argv: list[str]) -> int:
         for n, command in enumerate(commands, 1):
             old = run(old_src, Path(old_work), command)
             new = run(new_src, Path(new_work), command)
-            for what, a, b in zip(("exit code", "stdout", "written archive"), old, new):
+            for what, a, b in zip(("exit code", "stdout", "stderr", "written archive"), old, new):
                 if a != b:
-                    shown = " ".join("<make-vera>" if c == MAKE_VERA else c for c in command)
+                    names = {MAKE_VERA: "<make-vera>", MAKE_MALFORMED: "<make-malformed>"}
+                    shown = " ".join(names.get(c, c) for c in command)
                     print(f"{what} differs at command {n}: {shown}", file=sys.stderr)
                     return 1
     print(f"all {len(commands)} commands agree")
