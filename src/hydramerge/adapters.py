@@ -445,10 +445,6 @@ class AdapterCollection:
         shared, cluster = zip(*(adapter.sides() for adapter in self.adapters_at(slot)))
         return shared, cluster
 
-    def put(self, slot: SlotKey, adapters: list[Adapter]) -> None:
-        """Store the adapters of every task at ``slot``, in task order."""
-        self.table.update(zip(((task, slot) for task in self.task_ids), adapters))
-
     def merged_entries(self) -> MutableMapping:
         """Where a bundle merged over this collection keeps its entries (see
         :meth:`MergedBundle.of`): a dict, or a collection opened for a merge

@@ -74,16 +74,25 @@ payloads in name order, copied one tensor at a time from the spill, to a
 temporary file beside the destination, and ``os.replace``-s the
 destination with it.  So a failed write leaves neither the destination
 nor a temporary file, and a destination that is also the archive being
-read is replaced only after its last slot was read.  Before it commits a
-collection or bundle, the writer checks what it wrote with the reader's
-own rules, so it never emits a file its reader rejects.
-:meth:`ArchiveWriter.write` writes a collection or bundle slot by slot in
-slot order, keeping only stand-ins.  A bundle merged over a collection
-opened with ``into=writer`` (see
-:meth:`~hydramerge.adapters.MergedBundle.of`) keeps its entries in a
-mapping that writes each slot to ``writer`` as the merge puts it, and
-keeps its stand-in.  :func:`write_archive` and :func:`write_raw_archive` are the
-every-slot case.
+read is replaced only after its last slot was read.
+
+The writer has one encoder and borrows the reader's decoder.
+:func:`_slot_tensors` gives the tensors of one slot of a collection or
+bundle, and :meth:`ArchiveWriter.write` spills them slot by slot in slot
+order, taking the meta first.  Before it commits, ``write``, like
+:meth:`ArchiveWriter.finish`, decodes the manifest it is about to write
+with :func:`_build`, the decoder of :func:`open_archive` and
+:func:`read_archive`, from stand-ins of the spilled shapes plus the
+meta.  It commits only if that succeeds and returns the outline decoded,
+so the writer never emits a file its reader rejects: an assignment of
+``True`` or ``1.0`` is refused as the reader refuses it, naming the task
+and the slot.  A bundle merged over a collection opened with
+``into=writer`` (see :meth:`~hydramerge.adapters.MergedBundle.of`) keeps
+its entries in a mapping that writes each slot to ``writer`` as the
+merge puts it, and keeps its stand-in.  :func:`write_archive` and
+:func:`write_raw_archive` are the every-slot case;
+:func:`write_raw_archive` checks only the values, so that malformed
+archives can be made with it.
 """
 
 from __future__ import annotations
@@ -156,9 +165,9 @@ class ArchiveWriter:
 
     :meth:`add` checks and spills tensors and :meth:`commit` writes the
     file; :meth:`write` and :meth:`finish` do both for a collection or
-    bundle.  Leaving the ``with`` block without a commit, or by an error,
-    writes nothing.  An :class:`OSError` that names a file beside ``path``
-    names ``path`` instead."""
+    bundle, and commit only what the reader decodes.  Leaving the ``with``
+    block without a commit, or by an error, writes nothing.  An
+    :class:`OSError` from a file beside ``path`` names ``path`` instead."""
 
     def __init__(self, path):
         self.path = path
@@ -175,9 +184,7 @@ class ArchiveWriter:
     def _named(self, call, *args):
         try:
             return call(*args)
-        except OSError as exc:
-            if exc.filename is None:
-                raise
+        except OSError as exc:  # from opening or replacing a file beside the destination
             raise OSError(exc.errno, exc.strerror, os.fspath(self.path)) from None
 
     def _beside(self, suffix: str, mode: str):
@@ -202,31 +209,25 @@ class ArchiveWriter:
 
     def write(self, obj):
         """Write every slot of ``obj``, a collection or a bundle, one at a
-        time in slot order, and :meth:`finish`; return ``obj`` built of
-        stand-ins."""
-        slots = list(obj.slots)
-        if isinstance(obj, MergedBundle):
-            entries = _WrittenEntries(self)
-            outline = MergedBundle(obj.method, obj.kind, list(obj.tasks), slots, entries)
-            for slot in slots:
-                outline.entries[slot] = obj.entry(slot)
-        else:
-            outline = AdapterCollection(list(obj.task_ids), slots, {})
-            for slot in slots:
-                outline.put(slot, self._adapters(outline.task_ids, slot, obj.adapters_at(slot)))
-        self.finish(outline)
+        time in slot order, and commit its meta as :meth:`finish` does;
+        return the outline the reader decodes, built of stand-ins."""
+        meta = _meta(obj)  # first: a generated collection's kind draws slot 0
+        for slot in obj.slots:
+            self.add(_slot_tensors(obj, slot))
+        return self._seal(meta)
+
+    def finish(self, obj):
+        """Commit the meta of ``obj``, the collection or bundle written, if
+        the reader's decoder accepts it with the tensors written; return the
+        outline it decodes."""
+        return self._seal(_meta(obj))
+
+    def _seal(self, meta: dict):
+        """Decode ``meta`` with the tensors spilled, as the reader would,
+        then commit it; the outline decoded."""
+        outline = _outline(self._spilled, meta)
+        self.commit(meta)
         return outline
-
-    def _adapters(self, tasks: list[str], slot: SlotKey, adapters: list) -> list:
-        """Write one slot's adapters, in task order; their stand-ins."""
-        label, layout = slot.label(), _LAYOUTS[adapters[0].kind]
-        stand_ins = self.add(_adapters_tensors(tasks, label, layout, adapters))
-        return _collection_slot(stand_ins, tasks, layout, label)
-
-    def finish(self, obj) -> None:
-        """Check ``obj``, the collection or bundle written, and commit its meta."""
-        obj.validate()
-        self.commit(_meta(obj))
 
     def commit(self, meta: dict) -> None:
         """Write the header, the manifest with ``meta`` and every payload to a
@@ -292,16 +293,6 @@ def _frozen_tensors(layout: _Layout, label: str, frozen: tuple) -> dict:
     return {f"shared.{label}.{name}": t for name, t in zip(layout.frozen, frozen)}
 
 
-def _adapters_tensors(tasks, label: str, layout: _Layout, adapters) -> dict[str, np.ndarray]:
-    """The tensors the writer stores for the adapters of ``tasks`` at one slot."""
-    tensors = _frozen_tensors(layout, label, adapters[0].frozen)
-    for task, adapter in zip(tasks, adapters):
-        shared, cluster = adapter.sides()
-        tensors[f"task.{task}.{label}.{layout.shared}"] = shared
-        tensors[f"task.{task}.{label}.{layout.cluster}"] = cluster
-    return tensors
-
-
 def _entry_tensors(label: str, layout: _Layout, entry) -> dict[str, np.ndarray]:
     """The tensors the writer stores for one bundle entry."""
     if isinstance(entry, SharedSlot):
@@ -326,18 +317,28 @@ def _meta(obj) -> dict:
     }
 
 
+def _slot_tensors(obj, slot: SlotKey) -> dict[str, np.ndarray]:
+    """The tensors the writer stores for one slot of ``obj``, a collection
+    or a bundle."""
+    label = slot.label()
+    if isinstance(obj, MergedBundle):
+        entry = obj.entry(slot)
+        return _entry_tensors(label, _LAYOUTS[entry.kind], entry)
+    adapters = obj.adapters_at(slot)
+    layout = _LAYOUTS[adapters[0].kind]
+    tensors = _frozen_tensors(layout, label, adapters[0].frozen)
+    for task, adapter in zip(obj.task_ids, adapters):
+        shared, cluster = adapter.sides()
+        tensors[f"task.{task}.{label}.{layout.shared}"] = shared
+        tensors[f"task.{task}.{label}.{layout.cluster}"] = cluster
+    return tensors
+
+
 def _contents(obj) -> tuple[dict, dict]:
     """Every tensor the writer stores for ``obj``, by name, and its meta."""
     tensors: dict[str, np.ndarray] = {}
     for slot in obj.slots:
-        label = slot.label()
-        if isinstance(obj, AdapterCollection):
-            adapters = obj.adapters_at(slot)
-            layout = _LAYOUTS[adapters[0].kind]
-            tensors.update(_adapters_tensors(obj.task_ids, label, layout, adapters))
-        else:
-            entry = obj.entry(slot)
-            tensors.update(_entry_tensors(label, _LAYOUTS[entry.kind], entry))
+        tensors.update(_slot_tensors(obj, slot))
     return tensors, _meta(obj)
 
 
@@ -355,10 +356,10 @@ class _Payloads(Mapping):
     file, widened to float64."""
 
     def __init__(self, path, shapes: dict, start: int, identity: tuple):
-        self._path, self._shapes, self._start, self._identity = path, shapes, start, identity
+        self._path, self.shapes, self._start, self._identity = path, shapes, start, identity
 
     def __getitem__(self, name: str) -> np.ndarray:
-        (rows, cols), offset = self._shapes[name]
+        (rows, cols), offset = self.shapes[name]
         with open(self._path, "rb") as fh:
             if _identity(fh) != self._identity:
                 raise ArchiveFormatError(f"{os.fspath(self._path)} changed after it was checked")
@@ -367,16 +368,13 @@ class _Payloads(Mapping):
         return values.astype(np.float64).reshape(rows, cols)
 
     def __contains__(self, name) -> bool:
-        return name in self._shapes
+        return name in self.shapes
 
     def __iter__(self):
-        return iter(self._shapes)
+        return iter(self.shapes)
 
     def __len__(self) -> int:
-        return len(self._shapes)
-
-    def stand_ins(self) -> dict[str, np.ndarray]:
-        return {name: stand_in(shape) for name, (shape, _) in self._shapes.items()}
+        return len(self.shapes)
 
 
 class _Tensors(Sequence):
@@ -553,10 +551,16 @@ def open_archive(path, into: ArchiveWriter | None = None):
     collection (see :meth:`~hydramerge.adapters.MergedBundle.of`) is
     written to ``into``, slot by slot, if given."""
     payloads, meta = _scan(path)
-    outline = _build(payloads.stand_ins(), meta)
+    outline = _outline(payloads.shapes, meta)
     if isinstance(outline, MergedBundle):
         return _ArchivedBundle(**vars(outline), payloads=payloads)
     return _ArchivedCollection(**vars(outline), payloads=payloads, into=into)
+
+
+def _outline(shapes: Mapping[str, tuple], meta: dict):
+    """What :func:`_build` decodes from stand-ins of the tensors ``shapes``
+    gives, by name, as ``(shape, offset)``, and ``meta``."""
+    return _build({name: stand_in(shape) for name, (shape, _) in shapes.items()}, meta)
 
 
 def read_archive(path):
@@ -615,7 +619,8 @@ def _read_collection(tensors, meta, layout: _Layout) -> AdapterCollection:
     tasks = list(meta["tasks"])
     collection = AdapterCollection(tasks, _slots_from_names(tensors, _TASK_TENSOR, tasks), {})
     for slot in collection.slots:
-        collection.put(slot, _collection_slot(tensors, tasks, layout, slot.label()))
+        adapters = _collection_slot(tensors, tasks, layout, slot.label())
+        collection.table.update(((task, slot), a) for task, a in zip(tasks, adapters))
     collection.validate()
     return collection
 

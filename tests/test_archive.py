@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +20,15 @@ from hydramerge.adapters import (
     VeraAdapter,
 )
 from hydramerge import archive as archive_module
-from hydramerge.archive import read_archive, write_archive, write_raw_archive
-from hydramerge.errors import ArchiveFormatError, ValidationError
+from hydramerge import synthetic
+from hydramerge.archive import (
+    ArchiveWriter,
+    open_archive,
+    read_archive,
+    write_archive,
+    write_raw_archive,
+)
+from hydramerge.errors import ArchiveFormatError, HydraMergeError, ValidationError
 from hydramerge.linalg import Rng, gaussian_sample
 
 
@@ -889,3 +899,87 @@ class TestFailedWrite:
         assert list(tmp_path.iterdir()) == [out]
         assert out.read_bytes() == before
         read_archive(out)
+
+
+def _names_and_shapes(obj) -> tuple[dict, dict]:
+    tensors, meta = archive_module._contents(obj)
+    return {name: np.shape(t) for name, t in tensors.items()}, meta
+
+
+class TestWriterDecodesWhatItWrites:
+    """The writer commits only what the reader's own decoder accepts, and
+    returns what that decoder builds."""
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [[True, False], [1.0, 0.0], [np.int64(1), np.int64(0)]],
+        ids=["bool", "float", "numpy-int"],
+    )
+    def test_non_integer_assignment_is_refused_and_nothing_is_written(
+        self, tmp_path, assignment
+    ):
+        bundle = _shared_bundle("lora")
+        bundle.entries[bundle.slots[0]].assignment = assignment
+        with pytest.raises(HydraMergeError, match=r"task 't0'.*slot layer\.0\.q"):
+            write_archive(bundle, tmp_path / "bundle.lrta")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [small_collection, small_vera_collection, _ta_bundle, lambda: _shared_bundle("vera")],
+        ids=["lora", "vera", "ta-bundle", "vera-bundle"],
+    )
+    def test_write_returns_what_open_archive_decodes(self, tmp_path, make):
+        path = tmp_path / "out.lrta"
+        with ArchiveWriter(path) as writer:
+            outline = writer.write(make())
+        assert _names_and_shapes(outline) == _names_and_shapes(open_archive(path))
+
+    def test_a_generated_collection_draws_each_slot_once(self, tmp_path, monkeypatch):
+        drawn, draw = [], synthetic._Drawn._draw
+        monkeypatch.setattr(
+            synthetic._Drawn, "_draw", lambda table, slot: drawn.append(slot) or draw(table, slot)
+        )
+        spec = synthetic.SynthSpec(layers=2)
+        with ArchiveWriter(tmp_path / "gen.lrta") as writer:
+            writer.write(synthetic.generate(spec))
+        assert drawn == spec.slot_keys()
+
+
+class TestChangedAfterCheck:
+    """A slot read from an archive that was replaced, or rewritten in place
+    to the same size, after :func:`open_archive` checked it raises
+    :class:`ArchiveFormatError` naming the file."""
+
+    READS = {
+        "adapters_at": lambda obj, slot: obj.adapters_at(slot),
+        "adapter": lambda obj, slot: obj.adapter(obj.task_ids[-1], slot),
+        "sides_at": lambda obj, slot: [list(side) for side in obj.sides_at(slot)],
+        "entry": lambda obj, slot: obj.entry(slot),
+    }
+
+    @staticmethod
+    def replace(path, other) -> None:
+        os.replace(other, path)
+
+    @staticmethod
+    def rewrite(path, other) -> None:
+        time.sleep(0.05)  # file times may tick coarsely: let the rewrite get a later one
+        data = other.read_bytes()
+        with open(path, "r+b") as fh:
+            fh.write(data)
+
+    @pytest.mark.parametrize("change", ["replace", "rewrite"])
+    @pytest.mark.parametrize("read", list(READS))
+    def test_a_changed_file_is_named(self, tmp_path, change, read):
+        obj = _shared_bundle("lora") if read == "entry" else small_collection()
+        path, other = tmp_path / "archive.lrta", tmp_path / "other.lrta"
+        write_archive(obj, path)
+        write_archive(obj, other)  # the same bytes: only the file's identity changes
+        opened = open_archive(path)
+        slot = opened.slots[-1]
+        self.READS[read](opened, slot)
+        getattr(self, change)(path, other)
+        message = re.escape(f"{path} changed after it was checked")
+        with pytest.raises(ArchiveFormatError, match=message):
+            self.READS[read](opened, slot)

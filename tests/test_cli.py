@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hydramerge import cli, gradcheck, hydra, synthetic
-from hydramerge.archive import write_archive
+from hydramerge.archive import read_archive, write_archive
 from hydramerge.baselines import BaselineConfig, MergeMethod, MergeTarget
 from hydramerge.hydra import HydraConfig, InitScheme
 from hydramerge.linalg import DistanceKind
@@ -618,6 +618,66 @@ class TestOverwrite:
         assert run_cli(*gen_args(used, seed=5, layers=2)).returncode == 0
         assert run_cli(*gen_args(used)).returncode == 0
         assert used.read_bytes() == fresh.read_bytes()
+
+
+def payload_section(path) -> tuple[dict, bytes]:
+    """An archive's tensor entries and its payload bytes, without its meta."""
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[:8], "little")
+    return json.loads(raw[8 : 8 + n])["tensors"], raw[8 + n :]
+
+
+class TestGlobalizeAssignment:
+    """``--globalize-assignment`` rewrites the assignments of a bundle whose
+    slots were already written; the archive carries the rewritten ones."""
+
+    def test_out_holds_the_printed_global_assignment(self, tmp_path):
+        coll = tmp_path / "coll.lrta"
+        assert run_cli(*gen_args(coll, tasks=4, layers=2)).returncode == 0
+        flags = ["--method", "hydraopt", "--m", "2", "--epochs", "20"]
+        runs = {}
+        for name, extra in (("plain", []), ("global", ["--globalize-assignment"])):
+            out = tmp_path / f"{name}.lrta"
+            result = run_cli("merge", "--in", str(coll), "--out", str(out), *flags, *extra)
+            assert result.returncode == 0, result.stderr
+            runs[name] = json.loads(result.stdout)["assignment"], out
+        assignment, out = runs["global"]
+        assert assignment != runs["plain"][0]  # the flag has something to rewrite
+        assert assignment == read_archive(out).assignment_map()
+        assert len(next(iter(assignment.values()))) == 4
+        assert all(len(set(per_slot.values())) == 1 for per_slot in assignment.values())
+        assert payload_section(out) == payload_section(runs["plain"][1])
+
+
+class TestUnwritableOut:
+    """An ``--out`` that cannot be written exits 3 naming it, not the files
+    the writer keeps beside it, and leaves nothing behind."""
+
+    @pytest.mark.parametrize(
+        "out", ["missing/x.lrta", "taken", ""], ids=["no-dir", "a-dir", "empty"]
+    )
+    @pytest.mark.parametrize("command", ["gen-synthetic", "merge"])
+    def test_exits_three_naming_out(self, small_archive, tmp_path, command, out):
+        work = tmp_path / "work"
+        (work / "taken").mkdir(parents=True)
+        if command == "gen-synthetic":
+            args = gen_args(out)
+        else:
+            args = ["merge", "--in", str(small_archive), "--out", out, "--method", "ta"]
+        # the package by absolute path, as the command runs from another directory
+        package = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join([package, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        result = subprocess.run(
+            CLI + args, cwd=work, capture_output=True, text=True, env=env, timeout=300
+        )
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].endswith(f": {out!r}"), result.stderr
+        assert ".spill" not in result.stderr and ".tmp" not in result.stderr
+        assert sorted(p.name for p in work.iterdir()) == ["taken"]
+        assert list((work / "taken").iterdir()) == []
 
 
 @pytest.fixture(scope="module")
