@@ -52,10 +52,13 @@ Each pairing rule has one owner here.  :func:`check_slot` says when
 adapters can share a slot (one kind, one ``(d, r, k)``, one frozen pair);
 collections and :mod:`hydramerge.hydra`'s targets are checked with it.
 :meth:`MergedBundle.of` builds a bundle over a collection's kind, tasks and
-slots for a merge to fill, and :meth:`MergedBundle.check_pairs` says
-whether a bundle belongs to a collection: its tasks in order, its slots
-and, per slot, :func:`check_slot` between the two.  The reports refuse a
-bundle that fails it.
+slots for a merge to fill.  :meth:`MergedBundle.merged` is the one slot
+walk every merge fills it with: each slot's stream, ``seed xor hash(slot
+label)``, and the slot label an error gains are set there.
+:meth:`MergedBundle.check_pairs` says whether a bundle belongs to a
+collection: its tasks in order, its slots and, per slot,
+:func:`check_slot` between the two.  The reports refuse a bundle that
+fails it.
 
 Code that walks the slots reads a collection one slot at a time through
 ``adapters_at``, ``sides_at`` and ``adapter``, and a bundle through
@@ -73,12 +76,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping, MutableMapping, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Mapping, MutableMapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
-from .linalg import Matrix, as_matrix
+from .errors import HydraMergeError, ShapeError, ValidationError
+from .linalg import Matrix, Rng, as_matrix, stable_hash64
 
 _SLOT_LABEL = re.compile(r"^layer\.(\d+)\.([A-Za-z0-9_]+)$")
 
@@ -574,6 +577,33 @@ class MergedBundle:
         a merge to fill; its entries go into ``collection.merged_entries()``."""
         tasks, slots = list(collection.task_ids), list(collection.slots)
         return cls(method, collection.kind, tasks, slots, collection.merged_entries())
+
+    @classmethod
+    def merged(
+        cls, collection: AdapterCollection, method: str, seed: int, merge_slot: Callable
+    ) -> "MergedBundle":
+        """The bundle that ``merge_slot(slot, rng)`` fills (see :meth:`of`).
+
+        Slot by slot, in order, ``merge_slot`` gets the slot and its own
+        stream, ``Rng(seed xor stable_hash64(slot label))``, so no slot's
+        entry depends on another's; the entry it returns is put in the
+        bundle, which is validated last.  An error it raises keeps its type
+        and gains the slot label, and the task name when ``exc.task`` is
+        set.  The put is not labelled: an archive writer's error there
+        names its tensor.
+        """
+        bundle = cls.of(collection, method)
+        for slot in collection.slots:
+            label = slot.label()
+            try:
+                entry = merge_slot(slot, Rng(seed ^ stable_hash64(label)))
+            except HydraMergeError as exc:
+                where = "" if exc.task is None else f"task {collection.task_ids[exc.task]}: "
+                raise type(exc)(f"slot {label}: {where}{exc}") from exc
+            bundle.entries[slot] = entry
+            del entry  # the put stored it: the next slot merges without it in memory
+        bundle.validate()
+        return bundle
 
     def validate(self) -> None:
         if self.kind not in ("lora", "vera"):

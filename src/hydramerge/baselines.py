@@ -9,8 +9,9 @@ per-task cluster side in a shared slot.  A LoRA adapter's sides are its
 factors ``(A, B)``; a VeRA adapter's are its scaling vectors ``(lambda_d,
 lambda_b)`` as n x 1 columns, and its frozen pair passes through.
 
-Determinism: every stochastic step consumes an explicit :class:`Rng`, and
-each slot derives its own stream from ``seed xor hash(slot label)``, so
+Determinism: every stochastic step consumes an explicit :class:`Rng`.  The
+slot walk, :meth:`~hydramerge.adapters.MergedBundle.merged`, owns each
+slot's stream, ``seed xor hash(slot label)``, and its error label, so
 slots can be processed in any order.
 """
 
@@ -32,7 +33,6 @@ from .linalg import (
     as_matrix,
     exact_mean,
     row_blocks,
-    stable_hash64,
 )
 
 
@@ -203,44 +203,39 @@ def _merge_tensors(tensors: Sequence[Matrix], cfg: BaselineConfig, rng: Rng) -> 
     return merge_dare_ties(tensors, cfg.dare_drop_p, cfg.ties_density, rng)
 
 
-def _merge_side(tensors, cfg: BaselineConfig, rng: Rng, where: str) -> Matrix:
-    """``_merge_tensors``; an error keeps its type and gains ``where``."""
+def _merge_side(tensors, cfg: BaselineConfig, rng: Rng, side: str) -> Matrix:
+    """``_merge_tensors``; an error keeps its type and gains ``side``."""
     try:
         return _merge_tensors(tensors, cfg, rng)
     except HydraMergeError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
+        raise type(exc)(f"{side}: {exc}") from exc
 
 
 def merge_collection(collection: AdapterCollection, cfg: BaselineConfig) -> MergedBundle:
     """Merge every slot of a collection with one baseline method.
 
-    Slot by slot, in order, each merged entry is put in the bundle (see
-    :meth:`~hydramerge.adapters.MergedBundle.of` for where it goes).  Per
-    slot the shared sides are merged first, then (per-matrix mode) the
-    cluster sides, drawing from that slot's stream throughout.  An error
-    keeps its type and gains the slot label and the side.
+    :meth:`~hydramerge.adapters.MergedBundle.merged` walks the slots in
+    order, gives each its own stream and labels an error with the slot.
+    Per slot the shared sides are merged first, then (per-matrix mode) the
+    cluster sides, drawing from that slot's stream throughout; an error in
+    a side also names the side.
     """
-    bundle = MergedBundle.of(collection, cfg.method.value)
-    for slot in collection.slots:
-        bundle.entries[slot] = _merge_slot(collection, slot, cfg)
-    bundle.validate()
-    return bundle
+    merge_slot = lambda slot, rng: _merge_slot(collection, slot, cfg, rng)
+    return MergedBundle.merged(collection, cfg.method.value, cfg.seed, merge_slot)
 
 
-def _merge_slot(collection: AdapterCollection, slot: SlotKey, cfg: BaselineConfig):
+def _merge_slot(collection: AdapterCollection, slot: SlotKey, cfg: BaselineConfig, rng: Rng):
     """The merged entry of one slot.  Each side is read with
     :meth:`~hydramerge.adapters.AdapterCollection.sides_at`, so a merge that
     takes its tensors one at a time (TIES, DARE) holds one of them at a time
     from an archived collection."""
-    rng = Rng(cfg.seed ^ stable_hash64(slot.label()))
     first = collection.adapter(collection.task_ids[0], slot)
     adapter_type, frozen = type(first), first.frozen
     del first  # only its type and frozen pair are needed while the sides merge
     shared, clusters = collection.sides_at(slot)
-    merged_shared = _merge_side(shared, cfg, rng, f"slot {slot.label()}: shared side")
+    merged_shared = _merge_side(shared, cfg, rng, "shared side")
     if cfg.merge_target is MergeTarget.PER_MATRIX:
-        where = f"slot {slot.label()}: cluster side"
-        merged_cluster = _merge_side(clusters, cfg, rng, where)
+        merged_cluster = _merge_side(clusters, cfg, rng, "cluster side")
         return MergedAdapterSlot(adapter_type.from_sides(merged_shared, merged_cluster, frozen))
     identity = list(range(collection.num_tasks))
     return adapter_type.shared_slot(merged_shared, [c.copy() for c in clusters], frozen, identity)

@@ -135,7 +135,6 @@ from .adapters import (
 )
 from .errors import (
     DegenerateInputError,
-    HydraMergeError,
     NumericalError,
     ParameterError,
     ShapeError,
@@ -155,7 +154,6 @@ from .linalg import (
     row_blocks,
     smooth_terms,
     softmax_rows,
-    stable_hash64,
 )
 
 _RANDOM_INIT_STDEV = 0.02
@@ -692,42 +690,29 @@ def export_slot(state, assignment: list[int]):
     return state.adapter_type.shared_slot(state.shared, state.clusters, state.frozen, assignment)
 
 
-def _train_slot(collection: AdapterCollection, slot: SlotKey, cfg: HydraConfig):
-    """Train one slot; an error keeps its type and gains the slot label
-    (and the task name when one task is to blame)."""
-    rng = Rng(cfg.seed ^ stable_hash64(slot.label()))
-    try:
-        state, trace = train(collection.adapters_at(slot), cfg, rng)
-    except HydraMergeError as exc:
-        where = "" if exc.task is None else f"task {collection.task_ids[exc.task]}: "
-        raise type(exc)(f"slot {slot.label()}: {where}{exc}") from exc
-    return export_slot(state, assign_tasks(state, cfg)), trace
-
-
 def merge_collection_hydra(
     collection: AdapterCollection, cfg: HydraConfig
 ) -> tuple[MergedBundle, dict]:
     """Train one independent state per slot and assemble the bundle.
 
-    Slot by slot, in order, each trained entry is put in the bundle (see
-    :meth:`~hydramerge.adapters.MergedBundle.of` for where it goes).  Each
-    slot draws from its own stream, ``seed xor hash(slot label)``, so no
-    slot's result depends on another's.  The report sums the per-slot
-    losses in slot order.
+    :meth:`~hydramerge.adapters.MergedBundle.merged` walks the slots in
+    order, gives each its own stream, ``seed xor hash(slot label)``, so no
+    slot's result depends on another's, and labels an error with the slot
+    and, when one task is to blame, the task.  The report sums the
+    per-slot losses in slot order.
     """
     cfg.validate(collection.num_tasks)
-    bundle = MergedBundle.of(collection, "hydraopt")
     per_slot = {}
-    for slot in collection.slots:
-        bundle.entries[slot], trace = _train_slot(collection, slot, cfg)
-        per_slot[slot.label()] = {
-            "initial_loss": trace.initial_loss,
-            "final_loss": trace.final_loss,
-        }
+
+    def train_slot(slot: SlotKey, rng: Rng):
+        state, trace = train(collection.adapters_at(slot), cfg, rng)
+        per_slot[slot.label()] = {"initial_loss": trace.initial_loss, "final_loss": trace.final_loss}
+        return export_slot(state, assign_tasks(state, cfg))
+
+    bundle = MergedBundle.merged(collection, "hydraopt", cfg.seed, train_slot)
     report = {"per_slot": per_slot}
     for key in ("initial_loss", "final_loss"):
         report[key] = sum(entry[key] for entry in per_slot.values())
-    bundle.validate()
     return bundle, report
 
 

@@ -114,7 +114,8 @@ def matmul(x, y) -> Matrix:
     b = as_matrix(y, "right operand")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    out = a @ b
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product is typed below
+        out = a @ b
     if not np.all(np.isfinite(out)):
         raise ShapeError("matrix product overflowed to non-finite values")
     return out

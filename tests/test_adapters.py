@@ -12,6 +12,7 @@ from hydramerge.adapters import (
     VeraAdapter,
     check_slot,
     delta_weight,
+    storage_ratio_percent,
 )
 from hydramerge.errors import ShapeError, ValidationError
 from hydramerge.linalg import Rng, gaussian_sample
@@ -214,6 +215,10 @@ class TestAdapterCollection:
         assert coll.num_tasks == 2
         assert coll.adapter("t1", slot) is table[("t1", slot)]
 
+    def test_collection_without_slots_rejected(self):
+        with pytest.raises(ValidationError, match="^a collection needs at least one slot$"):
+            AdapterCollection.build(["t0"], {})
+
     def test_missing_pair_rejected(self):
         slot_q, slot_v = SlotKey(0, "q"), SlotKey(0, "v")
         table = {
@@ -352,3 +357,12 @@ class TestBundleValidate:
         named = r"^slot layer\.0\.q assigns 2 tasks, expected 3$"
         with pytest.raises(ValidationError, match=named):
             bundle.validate()
+
+
+class TestStoragePercent:
+    def test_percent_of_the_original(self):
+        assert storage_ratio_percent(200, 50) == 25.0
+
+    def test_no_original_parameters_rejected(self):
+        with pytest.raises(ValidationError, match="^original parameter count must be positive$"):
+            storage_ratio_percent(0, 1)

@@ -11,7 +11,12 @@ from hydramerge.adapters import (
     SlotKey,
     VeraAdapter,
 )
-from hydramerge.analysis import pairwise_similarity, reconstruction_report, storage_ratio
+from hydramerge.analysis import (
+    SimilarityReport,
+    pairwise_similarity,
+    reconstruction_report,
+    storage_ratio,
+)
 from hydramerge.baselines import BaselineConfig, MergeMethod, merge_collection
 from hydramerge import analysis
 from hydramerge.errors import NumericalError, ParameterError, ValidationError
@@ -33,6 +38,10 @@ def collection_of_identical(tasks=3):
 
 
 class TestPairwiseSimilarity:
+    def test_grand_mean_of_an_unknown_factor_is_refused(self):
+        with pytest.raises(ParameterError, match="^factor must be 'A' or 'B', got 'C'$"):
+            SimilarityReport(tasks=["t0"]).grand_mean("C")
+
     def test_identical_adapters_give_zero(self):
         report = pairwise_similarity(collection_of_identical())
         for mat in list(report.a_matrices.values()) + list(report.b_matrices.values()):
@@ -393,6 +402,13 @@ class TestSynthetic:
             ratios.append(large / small)
         mean_ratio = float(np.mean(ratios))
         assert 1.5 <= mean_ratio <= 2.5
+
+    def test_table_holds_each_task_at_each_slot(self):
+        spec = SynthSpec(tasks=3, layers=2)
+        table = generate(spec).table
+        assert len(table) == 3 * len(spec.slot_keys()) == len(list(table))
+        with pytest.raises(KeyError):
+            table[("t3", spec.slot_keys()[0])]
 
     def test_rank_bound_validated(self):
         with pytest.raises(ParameterError):

@@ -28,7 +28,9 @@ from hydramerge.archive import (
     write_archive,
     write_raw_archive,
 )
+from hydramerge.baselines import BaselineConfig, MergeMethod, merge_collection
 from hydramerge.errors import ArchiveFormatError, HydraMergeError, ValidationError
+from hydramerge.hydra import HydraConfig, merge_collection_hydra
 from hydramerge.linalg import Rng, gaussian_sample
 
 
@@ -89,6 +91,13 @@ class TestRoundTrip:
             np.testing.assert_array_equal(
                 loaded.shared_a, adapter.shared_a.astype(np.float32)
             )
+
+    def test_opened_payloads_hold_every_tensor(self, tmp_path):
+        path = tmp_path / "coll.lrta"
+        write_archive(small_collection(), path)
+        payloads = open_archive(path).payloads
+        assert len(payloads) == 3 * 3 * 2  # slots x tasks x (A, B)
+        assert len(payloads) == len(list(payloads))
 
     def test_double_round_trip_is_byte_identical(self, tmp_path):
         coll = small_collection()
@@ -164,6 +173,12 @@ class TestErrorPaths:
         empty = AdapterCollection(task_ids=[], slots=[], table={})
         with pytest.raises(ArchiveFormatError, match="K >= 1"):
             write_archive(empty, tmp_path / "empty.lrta")
+
+    def test_neither_collection_nor_bundle_is_refused_and_leaves_no_file(self, tmp_path):
+        path = tmp_path / "object.lrta"
+        with pytest.raises(ValidationError, match="^cannot archive object of type object$"):
+            write_archive(object(), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_file_is_format_error(self, tmp_path):
         coll = small_collection()
@@ -673,6 +688,15 @@ class TestManifestFields:
         with pytest.raises(ArchiveFormatError, match=match):
             read_archive(path)
 
+    def test_nbytes_that_disagrees_with_the_shape_names_both(self, tmp_path):
+        manifest = _one_adapter_manifest()
+        manifest["tensors"][_A]["nbytes"] = 40
+        path = tmp_path / "nbytes.lrta"
+        _raw_with_manifest(path, manifest, b"\x00" * 104)
+        message = rf"tensor '{_A}' declares shape 2x6 but 40 bytes"
+        with pytest.raises(ArchiveFormatError, match=message):
+            read_archive(path)
+
     def test_manifest_must_be_an_object(self, tmp_path):
         path = tmp_path / "list.lrta"
         _raw_with_manifest(path, [1, 2], b"")
@@ -983,3 +1007,22 @@ class TestChangedAfterCheck:
         message = re.escape(f"{path} changed after it was checked")
         with pytest.raises(ArchiveFormatError, match=message):
             self.READS[read](opened, slot)
+
+    MERGES = {
+        **{m.value: lambda obj, m=m: merge_collection(obj, BaselineConfig(m)) for m in MergeMethod},
+        "ta --a-only": lambda obj: merge_collection(
+            obj, BaselineConfig("ta", merge_target="a-only")
+        ),
+        "hydraopt": lambda obj: merge_collection_hydra(obj, HydraConfig(num_clusters=2)),
+    }
+
+    @pytest.mark.parametrize("merge", list(MERGES))
+    def test_a_merge_names_the_slot_it_was_reading(self, tmp_path, merge):
+        path, other = tmp_path / "archive.lrta", tmp_path / "other.lrta"
+        write_archive(small_collection(), path)
+        write_archive(small_collection(seed=1), other)
+        opened = open_archive(path)
+        os.replace(other, path)
+        message = re.escape(f"slot layer.0.q: {path} changed after it was checked")
+        with pytest.raises(ArchiveFormatError, match=f"^{message}$"):
+            self.MERGES[merge](opened)

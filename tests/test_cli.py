@@ -267,6 +267,16 @@ class TestReports:
         assert set(doc["similarity"]) == {"A", "B"}
         assert "grand_mean" in doc["similarity"]["A"]
 
+    def test_analyze_similarity_of_one_task_is_all_zero(self, tmp_path):
+        one = tmp_path / "one.lrta"
+        run_cli("gen-synthetic", "--tasks", "1", "--out", str(one))
+        result = run_cli("analyze-similarity", "--in", str(one))
+        assert result.returncode == 0, result.stderr
+        for side in json.loads(result.stdout)["similarity"].values():
+            assert side["grand_mean"] == 0.0
+            for slot in side["per_slot"].values():
+                assert slot == {"matrix": [[0.0]], "mean": 0.0}
+
     def test_eval_recon_fields_and_out_file(self, small_archive, tmp_path):
         merged = tmp_path / "merged.lrta"
         run_cli("merge", "--in", str(small_archive), "--out", str(merged), "--method", "ta")

@@ -1,11 +1,12 @@
 import copy
+import math
 
 import numpy as np
 import pytest
 
 from hydramerge.adapters import LowRankAdapter, SharedLoraSlot, SharedVeraSlot, VeraAdapter
-from hydramerge import hydra
-from hydramerge.adapters import AdapterCollection, MergedBundle, SlotKey
+from hydramerge import gradcheck, hydra
+from hydramerge.adapters import AdapterCollection, MergedAdapterSlot, MergedBundle, SlotKey
 from hydramerge.errors import (
     DegenerateInputError,
     NumericalError,
@@ -57,6 +58,10 @@ def zero_moment_state(a_shared, b_clusters, logits=None):
 
 
 class TestInitState:
+    def test_no_targets_rejected(self):
+        with pytest.raises(ParameterError, match="^need at least one target adapter$"):
+            init_state([], HydraConfig(num_clusters=1), Rng(0))
+
     def test_identity_mode_has_no_logits(self):
         targets = make_targets(num_tasks=3)
         cfg = HydraConfig(num_clusters=3)
@@ -93,6 +98,14 @@ class TestInitState:
 
 
 class TestLosses:
+    def test_identity_routing_needs_a_cluster_per_target(self):
+        targets = make_targets(num_tasks=3)
+        cfg = HydraConfig(num_clusters=2)
+        state = init_state(targets[:2], cfg, Rng(0))
+        message = "^2 clusters cannot be identity-routed to 3 tasks$"
+        with pytest.raises(ParameterError, match=message):
+            loss(state, targets, cfg)
+
     def test_scalar_hand_oracle_routed(self):
         # one task, one cluster, 1x1: target 2*3 = 6, prediction 1*1 = 1
         targets = [LowRankAdapter(b=[[2.0]], a=[[3.0]])]
@@ -527,6 +540,13 @@ class TestFactoredKernel:
 
 
 class TestDivergenceGuard:
+    def test_finite_task_losses_with_an_infinite_sum_name_the_step(self):
+        # each task's distance is finite; their sum is not
+        targets = [LowRankAdapter(b=[[1e308]], a=[[1.0]]), LowRankAdapter(b=[[-1e308]], a=[[1.0]])]
+        cfg = HydraConfig(num_clusters=2, distance=DistanceKind.MAE)
+        with pytest.raises(NumericalError, match=r"^step 0: loss became non-finite \(inf\)$"):
+            train(targets, cfg, Rng(0))
+
     @pytest.mark.parametrize("kind", [DistanceKind.MAE, DistanceKind.MSE])
     def test_runaway_loss_names_step(self, kind):
         targets = make_targets(num_tasks=3)
@@ -1360,3 +1380,19 @@ def test_globalize_refuses_differing_cluster_counts():
     bundle = MergedBundle("hydraopt", "lora", ["t0", "t1"], slots, entries)
     with pytest.raises(ValidationError, match="^cannot globalize: .* differing cluster counts$"):
         hydra.globalize_assignment(bundle)
+
+
+def test_globalize_leaves_a_bundle_without_shared_slots_as_it_is():
+    slot = SlotKey(0, "q")
+    entry = MergedAdapterSlot(make_targets(num_tasks=1)[0])
+    bundle = MergedBundle("ta", "lora", ["t0", "t1"], [slot], {slot: entry})
+    assert hydra.globalize_assignment(bundle) is bundle
+    assert bundle.entries == {slot: entry}
+    assert bundle.assignment_map() == {"t0": {"layer.0.q": 0}, "t1": {"layer.0.q": 0}}
+
+
+@pytest.mark.parametrize("floor", ["RESIDUAL_FLOOR", "WEIGHT_FLOOR"])
+def test_grad_check_that_cannot_sample_an_instance_says_so(monkeypatch, floor):
+    monkeypatch.setattr(gradcheck, floor, math.inf)
+    with pytest.raises(ValidationError, match="^could not sample an instance away from"):
+        run_suite(seed=0, instances=1)

@@ -89,6 +89,14 @@ class TestMatmul:
             matmul(np.ones((2, 3)), np.ones((2, 2)))
         assert "(2, 3)" in str(err.value) and "(2, 2)" in str(err.value)
 
+    def test_overflowing_product_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="^matrix product overflowed to non-finite values$"):
+            matmul([[1e200]], [[1e200]])
+
+    def test_one_dimensional_operand_names_its_shape(self):
+        with pytest.raises(ShapeError, match=r"^matrix must be 2-D, got shape \(2,\)$"):
+            linalg.as_matrix([1.0, 2.0])
+
     def test_repeat_calls_bit_identical(self):
         rng = Rng(7)
         x = gaussian_sample(rng, 5, 4, 0.0, 1.0)
@@ -342,6 +350,10 @@ class TestGaussianSample:
         with pytest.raises(ParameterError):
             gaussian_sample(Rng(0), 2, 2, 0.0, -1.0)
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ShapeError, match="^matrix dimensions must be positive, got 0x3$"):
+            gaussian_sample(Rng(0), 0, 3, 0.0, 1.0)
+
 
 class TestFiniteDiff:
     def test_linear_function_gives_ones(self):
@@ -361,8 +373,18 @@ class TestFiniteDiff:
         analytic = distance_grad(x, y, DistanceKind.MSE)
         assert np.max(np.abs(numeric - analytic)) <= 1e-6 * np.max(np.abs(analytic))
 
+    def test_zero_step_rejected(self):
+        with pytest.raises(ParameterError, match="^step h must be > 0, got 0$"):
+            finite_diff(lambda t: float(np.sum(t)), np.zeros((1, 1)), h=0)
+
 
 class TestRng:
+    def test_no_normals_draw_nothing(self):
+        rng = Rng(0)
+        out = rng.normals(0)
+        assert out.shape == (0,)
+        assert rng.counter == 0
+
     def test_raw_stream_matches_published_vector(self):
         # splitmix64 seeded at 0: first outputs are fixed by the algorithm
         assert list(Rng(0)._raw(3)) == [
@@ -432,6 +454,10 @@ class TestExactMean:
     def test_hand_mean(self):
         out = exact_mean([np.array([[1.0, 3.0]]), np.array([[3.0, 5.0]])])
         assert np.array_equal(out, np.array([[2.0, 4.0]]))
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ParameterError, match="^mean of an empty sequence$"):
+            exact_mean([])
 
     @given(seed=st.integers(0, 2**32), copies=st.integers(1, 7))
     @settings(max_examples=50, deadline=None)

@@ -118,6 +118,18 @@ class TestWhatEachCommandLoads:
     def test_import_loads_no_submodule_and_no_numpy(self):
         assert loaded("import sys, hydramerge; " + SHOW_MODULES) == ["hydramerge"]
 
+    def test_a_submodule_attribute_loads_it(self):
+        code = "import sys, hydramerge; assert hydramerge.archive.__name__ == 'hydramerge.archive'; "
+        assert "hydramerge.archive" in loaded(code + SHOW_MODULES)
+
+    def test_the_cli_module_runs_as_a_script(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "hydramerge.cli", "--help"], capture_output=True, text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: ")
+
     @pytest.mark.parametrize(
         "command",
         ["report-storage", "eval-recon", "analyze-similarity", "gen-synthetic", "merge-ta"],
