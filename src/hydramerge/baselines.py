@@ -17,6 +17,7 @@ slots can be processed in any order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -220,11 +221,11 @@ def merge_collection(collection: AdapterCollection, cfg: BaselineConfig) -> Merg
     cluster sides, drawing from that slot's stream throughout; an error in
     a side also names the side.
     """
-    merge_slot = lambda slot, rng: _merge_slot(collection, slot, cfg, rng)
+    merge_slot = functools.partial(_merge_slot, collection, cfg)
     return MergedBundle.merged(collection, cfg.method.value, cfg.seed, merge_slot)
 
 
-def _merge_slot(collection: AdapterCollection, slot: SlotKey, cfg: BaselineConfig, rng: Rng):
+def _merge_slot(collection: AdapterCollection, cfg: BaselineConfig, slot: SlotKey, rng: Rng):
     """The merged entry of one slot.  Each side is read with
     :meth:`~hydramerge.adapters.AdapterCollection.sides_at`, so a merge that
     takes its tensors one at a time (TIES, DARE) holds one of them at a time

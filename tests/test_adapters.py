@@ -360,9 +360,6 @@ class TestBundleValidate:
 
 
 class TestStoragePercent:
-    def test_percent_of_the_original(self):
-        assert storage_ratio_percent(200, 50) == 25.0
-
     def test_no_original_parameters_rejected(self):
         with pytest.raises(ValidationError, match="^original parameter count must be positive$"):
             storage_ratio_percent(0, 1)

@@ -9,15 +9,14 @@ directory put first on ``PYTHONPATH``, so the CLI processes the tests start
 are traced too (a process started with another ``PYTHONPATH`` is not).
 Each process records the lines it runs in ``src/`` and writes them out at
 exit.  Then prints each statement under ``src/`` whose lines none of them
-ran, as ``path:line: source``, and a count.  Exits with pytest's status
-when pytest fails, else 1 when any statement is listed and 0 when none is,
-so CI fails on a statement that no test runs.
+ran, as ``path:line: source``, and a count.  Exits 1 when any statement is
+listed and 0 when none is, so CI fails on a statement that no test runs.
+Pytest's own status is printed but does not decide the exit status: the
+tracer slows the suite, some tests threefold or more, enough for a test
+with a time budget to fail, while a run that stops early misses
+statements and so still exits 1.
 
-It uses the standard library only.  On Python 3.12 and later the tracer is
-``sys.monitoring``, which reports each line once and then switches it off,
-so the traced suite runs at about the plain suite's speed; CI runs the tool
-there.  Before 3.12 it is ``sys.settrace``, which slows the suite two- to
-threefold, enough for a test with a time budget to fail on a slow host.  A
+It uses the standard library only; the tracer is ``sys.settrace``.  A
 statement counts as run when any of its lines ran: a compound statement by
 its header (decorators included), a simple one by any line it spans.
 Docstrings, ``global`` and ``nonlocal`` run no code and are not listed.
@@ -43,6 +42,14 @@ import atexit, json, os, sys, threading
 _SRC, _OUT = {src!r}, {out!r}
 _hits = set()
 
+def _line(frame, event, arg):
+    if event == "line":
+        _hits.add((frame.f_code.co_filename, frame.f_lineno))
+    return _line
+
+def _call(frame, event, arg):
+    return _line if frame.f_code.co_filename.startswith(_SRC) else None
+
 def _save():
     sys.settrace(None)
     path = os.path.join(_OUT, "%d.json" % os.getpid())
@@ -50,29 +57,8 @@ def _save():
         json.dump(sorted(_hits), fh)
 
 atexit.register(_save)
-
-if hasattr(sys, "monitoring"):
-    _mon = sys.monitoring
-
-    def _seen(code, line):
-        if code.co_filename.startswith(_SRC):
-            _hits.add((code.co_filename, line))
-        return _mon.DISABLE  # each line is reported once, then costs nothing
-
-    _mon.use_tool_id(_mon.COVERAGE_ID, "untested_lines")
-    _mon.register_callback(_mon.COVERAGE_ID, _mon.events.LINE, _seen)
-    _mon.set_events(_mon.COVERAGE_ID, _mon.events.LINE)
-else:
-    def _line(frame, event, arg):
-        if event == "line":
-            _hits.add((frame.f_code.co_filename, frame.f_lineno))
-        return _line
-
-    def _call(frame, event, arg):
-        return _line if frame.f_code.co_filename.startswith(_SRC) else None
-
-    threading.settrace(_call)
-    sys.settrace(_call)
+threading.settrace(_call)
+sys.settrace(_call)
 """
 
 
@@ -118,7 +104,8 @@ def main(argv: list[str]) -> int:
             print(f"{module.relative_to(ROOT)}:{lineno}: {lines[lineno - 1].strip()}")
         untested += len(missed)
     print(f"{untested} statements in {SRC.relative_to(ROOT)}/ that no test runs")
-    return status or int(untested > 0)
+    print(f"pytest exited {status}")
+    return int(untested > 0)
 
 
 if __name__ == "__main__":
