@@ -69,7 +69,10 @@ which :meth:`MergedBundle.of` takes from the collection's
 ``table`` or ``entries`` and reads each slot from its file in those
 methods, and a collection opened for a merge into an archive writes
 each merged entry as it is put.  So a walk over the slots in order holds
-one slot at a time.
+one slot at a time.  An archived collection's ``adapters_at`` reads each
+task's adapter when it is indexed, so a walk over a slot's tasks in turn
+(the reconstruction report) holds one task at a time; training holds
+every task of its slot, which each step reads.
 """
 
 from __future__ import annotations
@@ -439,7 +442,9 @@ class AdapterCollection:
     def adapter(self, task: str, slot: SlotKey) -> Adapter:
         return self.table[(task, slot)]
 
-    def adapters_at(self, slot: SlotKey) -> list[Adapter]:
+    def adapters_at(self, slot: SlotKey) -> Sequence[Adapter]:
+        """Every task's adapter at ``slot``, in task order; an archived
+        collection reads each one when it is indexed."""
         return [self.table[(task, slot)] for task in self.task_ids]
 
     def sides_at(self, slot: SlotKey) -> tuple[Sequence[Matrix], Sequence[Matrix]]:

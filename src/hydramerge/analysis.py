@@ -1,10 +1,11 @@
 """Quantitative reports: pairwise adapter similarity, storage accounting,
 and reconstruction error of merged bundles against their originals.
 
-The reconstruction report never forms a whole ``d x k`` update: it builds
-each task's update and each prediction from their rank-r ``factors``, one
-row block at a time (:func:`~hydramerge.linalg.row_blocks`), and keeps
-only the sums of ``|R|`` and ``R^2`` per task.
+The reconstruction report never forms a whole ``d x k`` update, and holds
+one task at a time: it builds the task's update and its prediction from
+their rank-r ``factors``, one row block at a time
+(:func:`~hydramerge.linalg.row_blocks`), and keeps only the sums of
+``|R|`` and ``R^2`` per task.
 
 Similarity covers both adapter kinds through ``sides()``: "A" is the
 shared side (LoRA ``A``, VeRA ``lambda_d``) and "B" the cluster side (LoRA
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -92,7 +94,7 @@ def pairwise_similarity(collection: AdapterCollection) -> SimilarityReport:
     return report
 
 
-def _slot_similarity(adapters: list[Adapter]) -> tuple[np.ndarray, np.ndarray]:
+def _slot_similarity(adapters: Sequence[Adapter]) -> tuple[np.ndarray, np.ndarray]:
     """The K x K matrices of one slot's shared and cluster sides."""
     sides = [adapter.sides() for adapter in adapters]
     k = len(sides)
@@ -193,35 +195,41 @@ def reconstruction_report(original: AdapterCollection, merged: MergedBundle) -> 
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller types a non-finite score
-def _scores(targets: list[Adapter], entry: MergedSlot) -> list[tuple[float, float]]:
+def _scores(targets: Sequence[Adapter], entry: MergedSlot) -> list[tuple[float, float]]:
     """``(mae, fro)`` of each target's residual against its prediction by
     the merged slot ``entry``, each from :func:`mae_and_fro_of_sums`.
 
+    One task at a time, in task order: task i is read from ``targets``
+    (an archived collection reads it then), scored and dropped before
+    task i + 1 is read, so memory does not grow with the number of tasks.
     Every update is built from its rank-r ``factors`` (see
     :mod:`hydramerge.adapters`) one row block of about ``_BLOCK_ENTRIES``
     entries at a time (:func:`~hydramerge.linalg.row_blocks`), into two
-    buffers that the whole slot reuses.  Per used cluster (a single merged
-    adapter is one cluster of every task) each block of the prediction is
-    built once; each task of the cluster then builds its block of the
-    residual in the second buffer, from only those rows of its left factor,
-    and adds the block's :func:`~hydramerge.linalg.residual_sums` to its
-    own, in block order."""
+    buffers that the whole slot reuses: for each block, in block order,
+    the block of task i's cluster prediction (a single merged adapter is
+    one cluster of every task), then the task's own block from only those
+    rows of its left factor, less the prediction; the block's
+    :func:`~hydramerge.linalg.residual_sums` add to the task's sums."""
     assignment = entry.assignment if isinstance(entry, SharedSlot) else [0] * len(targets)
-    d, _, k = targets[0].shape_signature()
+    d, _, k = entry.member(0).shape_signature()
     rows, blocks = row_blocks(d, k, _BLOCK_ENTRIES)
     prediction, residual = np.empty((rows, k)), np.empty((rows, k))
-    sums = [[0.0, 0.0] for _ in targets]
-    for cluster in sorted(set(assignment)):
-        left, right = delta_factors(entry.member(cluster))
-        tasks = [(i, t) for i, t in enumerate(targets) if assignment[i] == cluster]
+    scores = []
+    for i in range(len(targets)):
+        # indexed, then deleted: an iterator, enumerate's tuple or the loop variable
+        # would hold task i while task i + 1 is read
+        target = targets[i]
+        left, right = delta_factors(entry.member(assignment[i]))
+        abs_sum = sq_sum = 0.0
         for block in blocks:
             n = block.stop - block.start
             pred, res = prediction[:n], residual[:n]
             np.matmul(left[block], right, out=pred)
-            for i, target in tasks:
-                np.matmul(*delta_factors(target, block), out=res)
-                res -= pred
-                abs_sum, sq_sum = residual_sums(res)
-                sums[i][0] += abs_sum
-                sums[i][1] += sq_sum
-    return [mae_and_fro_of_sums(abs_sum, sq_sum, d * k) for abs_sum, sq_sum in sums]
+            np.matmul(*delta_factors(target, block), out=res)
+            res -= pred
+            block_abs, block_sq = residual_sums(res)
+            abs_sum += block_abs
+            sq_sum += block_sq
+        scores.append(mae_and_fro_of_sums(abs_sum, sq_sum, d * k))
+        del target
+    return scores

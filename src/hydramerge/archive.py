@@ -44,10 +44,12 @@ builds the collection or bundle from names, shapes and meta alone, out of
 :func:`~hydramerge.adapters.stand_in` arrays, with every check
 :func:`read_archive` makes.  It returns that object: its ``table`` or
 ``entries`` hold the stand-ins, which give every slot, task, kind, shape,
-assignment and parameter count, and its ``adapters_at``, ``sides_at`` and
-``adapter`` (a collection) or ``entry`` (a bundle) read one slot's tensors
-from the file, as float64, each time they are called.  A file replaced or
-rewritten after the checks is then an :class:`ArchiveFormatError`.
+assignment and parameter count.  Its ``adapter`` (a collection) or
+``entry`` (a bundle) reads one slot's tensors from the file, as float64,
+each time it is called; a collection's ``adapters_at`` and ``sides_at``
+give sequences that read each task's tensors when indexed, ``adapters_at``
+the slot's frozen pair once, when called.  A file replaced or rewritten
+after the checks is then an :class:`ArchiveFormatError`.
 :func:`read_archive` is the every-slot case: the same checks, then the
 same slot readers read every tensor into an in-memory object.
 
@@ -516,11 +518,11 @@ class _ArchivedCollection(AdapterCollection):
     payloads: Mapping = field(default=None, repr=False)
     into: ArchiveWriter | None = field(default=None, repr=False)
 
-    def adapters_at(self, slot: SlotKey) -> list:
-        return _collection_slot(self.payloads, self.task_ids, _LAYOUTS[self.kind], slot.label())
+    def adapters_at(self, slot: SlotKey) -> _CollectionSlot:
+        return _CollectionSlot(self.payloads, self.task_ids, _LAYOUTS[self.kind], slot.label())
 
     def adapter(self, task: str, slot: SlotKey):
-        return _collection_slot(self.payloads, [task], _LAYOUTS[self.kind], slot.label())[0]
+        return _CollectionSlot(self.payloads, [task], _LAYOUTS[self.kind], slot.label())[0]
 
     def sides_at(self, slot: SlotKey):
         layout, label = _LAYOUTS[self.kind], slot.label()
@@ -588,17 +590,25 @@ def _require_frozen(tensors, layout: _Layout, label: str) -> tuple:
     return tuple(_require(tensors, f"shared.{label}.{name}") for name in layout.frozen)
 
 
-def _collection_slot(tensors, tasks, layout: _Layout, label: str) -> list:
-    """The adapters of ``tasks`` at the slot ``label``, in task order."""
-    frozen = _require_frozen(tensors, layout, label)
-    return [
-        layout.adapter.from_sides(
-            _require(tensors, f"task.{task}.{label}.{layout.shared}"),
-            _require(tensors, f"task.{task}.{label}.{layout.cluster}"),
-            frozen,
+class _CollectionSlot(Sequence):
+    """The adapters of ``tasks`` at the slot ``label``, in task order, each
+    built from ``tensors`` when indexed.  The slot's frozen pair is taken
+    once, here, and shared by every adapter built."""
+
+    def __init__(self, tensors, tasks: list[str], layout: _Layout, label: str):
+        self._tensors, self._tasks, self._layout, self._label = tensors, tasks, layout, label
+        self._frozen = _require_frozen(tensors, layout, label)
+
+    def __getitem__(self, i: int):
+        prefix, layout = f"task.{self._tasks[i]}.{self._label}.", self._layout
+        return layout.adapter.from_sides(
+            _require(self._tensors, prefix + layout.shared),
+            _require(self._tensors, prefix + layout.cluster),
+            self._frozen,
         )
-        for task in tasks
-    ]
+
+    def __len__(self) -> int:
+        return len(self._tasks)
 
 
 def _bundle_slot(tensors, layout: _Layout, label: str, assignment):
@@ -619,7 +629,7 @@ def _read_collection(tensors, meta, layout: _Layout) -> AdapterCollection:
     tasks = list(meta["tasks"])
     collection = AdapterCollection(tasks, _slots_from_names(tensors, _TASK_TENSOR, tasks), {})
     for slot in collection.slots:
-        adapters = _collection_slot(tensors, tasks, layout, slot.label())
+        adapters = _CollectionSlot(tensors, tasks, layout, slot.label())
         collection.table.update(((task, slot), a) for task, a in zip(tasks, adapters))
     collection.validate()
     return collection

@@ -2,7 +2,8 @@
 
 Every invocation runs one subcommand, prints exactly one JSON document to
 stdout, and sends diagnostics to stderr (level set by the
-``HYDRA_MERGE_LOG`` environment variable: error, info or debug).  All
+``HYDRA_MERGE_LOG`` environment variable: error, info or debug; the
+``logging`` module is loaded only when it is set).  All
 randomness flows from ``--seed``, so repeating a command with identical
 flags reproduces its outputs byte for byte.
 
@@ -19,7 +20,8 @@ it.
 
 Every command holds one slot of its archives at a time.  It checks each
 archive it reads whole, keeping no value, then reads a slot's tensors
-when it reaches that slot (:func:`~hydramerge.archive.open_archive`);
+when it reaches that slot (:func:`~hydramerge.archive.open_archive`),
+and ``eval-recon`` one task of the slot at a time;
 ``report-storage`` counts parameters from the manifest shapes.
 ``gen-synthetic`` and ``merge`` write ``--out`` slot by slot through an
 :class:`~hydramerge.archive.ArchiveWriter`, which replaces ``--out`` only
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from inspect import signature
@@ -53,8 +54,6 @@ from .linalg import DistanceKind
 # but grad-check reads or writes an archive, so the modules above load for
 # each command.  Each handler imports the rest itself, so that a command
 # loads only what it runs.
-
-log = logging.getLogger("hydramerge")
 
 _BASELINES = [m.value for m in MergeMethod]
 # The methods that read each merge option, by the field it sets; every method
@@ -164,6 +163,14 @@ def _given(args: argparse.Namespace, target) -> dict:
     return {name: getattr(args, name) for name in signature(target).parameters if name in args}
 
 
+def _log_wrote(path) -> None:
+    """``INFO hydramerge: wrote <path>``, if ``HYDRA_MERGE_LOG`` is set (see :func:`main`)."""
+    if os.environ.get("HYDRA_MERGE_LOG"):
+        import logging
+
+        logging.getLogger("hydramerge").info("wrote %s", path)
+
+
 def _emit(doc: dict, out_path: str | None = None) -> None:
     """Write ``--out`` first, so a failed write prints no document."""
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -202,7 +209,7 @@ def _cmd_gen_synthetic(args) -> int:
     spec = SynthSpec(**_given(args, SynthSpec))
     with ArchiveWriter(args.out) as writer:
         collection = writer.write(generate(spec))
-    log.info("wrote %s", args.out)
+    _log_wrote(args.out)
     _emit(
         {
             "command": "gen-synthetic",
@@ -251,7 +258,7 @@ def _cmd_merge(args, merge: argparse.ArgumentParser) -> int:
             cfg = BaselineConfig(**_given(args, BaselineConfig))
             bundle = merge_collection(collection, cfg)
         writer.finish(bundle)
-    log.info("wrote %s", args.archive_out)
+    _log_wrote(args.archive_out)
     doc["seed"] = cfg.seed
     doc.update(_storage(collection, bundle))
     doc["storage_ratio_percent"] = doc.pop("ratio_percent")
@@ -297,12 +304,15 @@ def _cmd_grad_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("HYDRA_MERGE_LOG", "error").upper()
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=getattr(logging, level, logging.ERROR),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("HYDRA_MERGE_LOG")
+    if level:  # unset, nothing is logged: no command loads logging for it
+        import logging
+
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=getattr(logging, level.upper(), logging.ERROR),
+            format="%(levelname)s %(name)s: %(message)s",
+        )
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -34,6 +34,7 @@ RESIDUAL_FLOOR = 1e-3
 # weight well above that while still exposing a wrong 1/T factor.
 CHECK_TEMPERATURE = 1.25
 WEIGHT_FLOOR = 1e-3
+_DRAWS = 200  # instances drawn before one clear of both floors is given up
 
 
 @dataclass
@@ -96,7 +97,8 @@ def _vera_targets(rng: Rng, d, k, r, num_tasks):
 def _random_instance(rng: Rng, draw_targets, d, k, r, num_tasks, num_clusters, cfg_kind):
     """Targets plus a perturbed state whose residuals stay off the kinks."""
     cfg = HydraConfig(num_clusters=num_clusters, distance=cfg_kind, temperature=CHECK_TEMPERATURE)
-    for _ in range(200):
+    refused = {"residual floor": 0, "weight floor": 0}  # draws each floor refused
+    for _ in range(_DRAWS):
         targets = draw_targets(rng, d, k, r, num_tasks)
         state = _new_state(targets, num_clusters, rng, stdev=1.0)
         weights = _routing(state, cfg, num_tasks)
@@ -104,11 +106,15 @@ def _random_instance(rng: Rng, draw_targets, d, k, r, num_tasks, num_clusters, c
         preds = (state.adapter_type.predict(c, basis) for c in mixed)
         residuals = (np.abs(t - p) for t, p in zip(_target_matrices(targets), preds))
         if min(float(np.min(res)) for res in residuals) <= RESIDUAL_FLOOR:
-            continue
-        if weights is not None and float(weights.min()) <= WEIGHT_FLOOR:
-            continue
-        return targets, state, cfg
-    raise ValidationError("could not sample an instance away from the residual floor")
+            refused["residual floor"] += 1
+        elif weights is not None and float(weights.min()) <= WEIGHT_FLOOR:
+            refused["weight floor"] += 1
+        else:
+            return targets, state, cfg
+    floors = ", ".join(f"the {floor} refused {n}" for floor, n in refused.items() if n)
+    raise ValidationError(
+        f"could not sample an instance away from the floors in {_DRAWS} draws: {floors}"
+    )
 
 
 def _check_state(state, cfg, loss_and_grads, report, label, step):

@@ -433,6 +433,7 @@ def _step(kernel, finish, state, targets, *args):
             raise NumericalError(f"the prediction for task {i} overflowed to non-finite values")
         per_task.append(value)
         shared = term if shared is None else np.add(shared, term, out=shared)
+    terms.close()  # the kernel's locals go before the chain rule allocates
     shared_name, cluster_name = state.NAMES
     grads = {shared_name: finish(state, shared)}
     if weights is not None:
@@ -613,6 +614,9 @@ def adamw_step(state, grads: HydraGrads, cfg: HydraConfig):
     """One Adam update with bias correction over all trainable tensors.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + ADAM_EPS)
+
+    ``theta`` and its moments ``m`` and ``v`` are updated in place, in the
+    order of the formula's operations, through temporaries of its size.
     """
     state.step += 1
     correction1 = 1.0 - ADAM_BETA1**state.step
@@ -620,10 +624,17 @@ def adamw_step(state, grads: HydraGrads, cfg: HydraConfig):
     for name, theta in state.named_tensors():
         grad = grads.tensors[name]
         m, v = state.moments[name]
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-        state.moments[name] = (m, v)
-        theta -= cfg.learning_rate * ((m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS))
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        denom = v / correction2
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step = m / correction1
+        step /= denom
+        step *= cfg.learning_rate
+        theta -= step
     return state
 
 
@@ -705,7 +716,8 @@ def merge_collection_hydra(
     per_slot = {}
 
     def train_slot(slot: SlotKey, rng: Rng):
-        state, trace = train(collection.adapters_at(slot), cfg, rng)
+        # every step reads every target: they are read from the slot once, and held
+        state, trace = train(list(collection.adapters_at(slot)), cfg, rng)
         per_slot[slot.label()] = {"initial_loss": trace.initial_loss, "final_loss": trace.final_loss}
         return export_slot(state, assign_tasks(state, cfg))
 

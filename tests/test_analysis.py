@@ -352,6 +352,36 @@ class TestBlockedReport:
             tracemalloc.stop()
         assert peak < d * k * 8, peak / (d * k * 8)
 
+    @pytest.mark.parametrize("layout", ["per-matrix", "interleaved"])
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    def test_each_task_is_dropped_before_the_next_is_read(self, kind, layout):
+        """Scores come task by task: the adapter of task i is gone when
+        task i + 1 is read, and the scores are those of the whole list."""
+        import weakref
+        from collections.abc import Sequence
+
+        coll = (lora_collection if kind == "lora" else vera_collection)(tasks=4, seed=5)
+        if layout == "per-matrix":
+            bundle = merge_collection(coll, BaselineConfig(method=MergeMethod.TIES))
+        else:
+            bundle = shared_bundle(coll, [0, 1, 0, 2])
+        slot, read = coll.slots[0], []
+
+        class Reading(Sequence):
+            def __len__(self):
+                return coll.num_tasks
+
+            def __getitem__(self, i):
+                assert [ref() for ref in read] == [None] * len(read), f"reading task {i}"
+                held = coll.adapters_at(slot)[i]
+                adapter = type(held).from_sides(*(s.copy() for s in held.sides()), held.frozen)
+                read.append(weakref.ref(adapter))
+                return adapter
+
+        scores = analysis._scores(Reading(), bundle.entry(slot))
+        assert len(read) == coll.num_tasks
+        assert scores == analysis._scores(coll.adapters_at(slot), bundle.entry(slot))
+
     @pytest.mark.parametrize("scale_b, scale_d", [(1e160, 1.0), (1e300, 1e10)])
     def test_non_finite_residual_names_slot_and_task(self, scale_b, scale_d):
         # 1e160: the update is finite, the sum of its squared entries is not;

@@ -168,6 +168,35 @@ class TestRoundTrip:
         assert shape == [4, 1]
 
 
+class TestSlotReader:
+    """An opened collection's ``adapters_at`` reads the slot's frozen pair
+    once, when it is called, and a task's sides when that task is indexed."""
+
+    def test_each_task_is_read_when_indexed(self, tmp_path, monkeypatch):
+        coll, path = small_vera_collection(tasks=4), tmp_path / "vera.lrta"
+        write_archive(coll, path)
+        opened, reads = open_archive(path), []
+        read = archive_module._Payloads.__getitem__
+        monkeypatch.setattr(
+            archive_module._Payloads, "__getitem__",
+            lambda payloads, name: reads.append(name) or read(payloads, name),
+        )  # fmt: skip
+        slot = opened.slots[0]
+        adapters = opened.adapters_at(slot)
+        assert reads == ["shared.layer.0.q.A", "shared.layer.0.q.B"]
+        assert len(adapters) == 4
+        for i, task in enumerate(opened.task_ids):
+            reads.clear()
+            adapter = adapters[i]
+            assert reads == [f"task.{task}.layer.0.q.lambda_d", f"task.{task}.layer.0.q.lambda_b"]
+            np.testing.assert_array_equal(
+                adapter.lambda_b, coll.adapter(task, slot).lambda_b.astype(np.float32)
+            )
+            assert adapter.shared_a is adapters[0].shared_a  # the pair read once
+        with pytest.raises(IndexError):
+            adapters[4]
+
+
 class TestErrorPaths:
     def test_empty_collection_rejected(self, tmp_path):
         empty = AdapterCollection(task_ids=[], slots=[], table={})
@@ -976,7 +1005,7 @@ class TestChangedAfterCheck:
     :class:`ArchiveFormatError` naming the file."""
 
     READS = {
-        "adapters_at": lambda obj, slot: obj.adapters_at(slot),
+        "adapters_at": lambda obj, slot: list(obj.adapters_at(slot)),
         "adapter": lambda obj, slot: obj.adapter(obj.task_ids[-1], slot),
         "sides_at": lambda obj, slot: [list(side) for side in obj.sides_at(slot)],
         "entry": lambda obj, slot: obj.entry(slot),

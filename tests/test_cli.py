@@ -484,6 +484,48 @@ class TestReconMemory:
         }
         assert peaks["eval-recon"] - peaks["report-storage"] < 8.0, peaks
 
+    def test_eval_recon_peak_does_not_grow_with_the_tasks(self, tmp_path):
+        """eval-recon holds one task's factors at a time: at d = k = 1024,
+        r = 16, 16 tasks peak within 1 MB of 4, where holding every task
+        of the slot took their factors, 3 MiB, more."""
+        peaks = []
+        for tasks in (4, 16):
+            coll, merged = tmp_path / f"coll{tasks}.lrta", tmp_path / f"ta{tasks}.lrta"
+            shape = dict(tasks=tasks, slots="q", d=1024, k=1024, rank=16)
+            assert run_cli(*gen_args(coll, **shape)).returncode == 0
+            result = run_cli("merge", "--in", str(coll), "--out", str(merged), "--method", "ta")
+            assert result.returncode == 0, result.stderr
+            peaks.append(peak_rss_mb("eval-recon", "--in", str(coll), "--merged", str(merged)))
+        assert peaks[1] - peaks[0] < 1.0, peaks
+
+    @pytest.mark.parametrize("tasks", [2, 5])
+    def test_vera_eval_recon_reads_each_tensor_once_to_score(
+        self, tmp_path, monkeypatch, capsys, tasks
+    ):
+        """Scoring a VeRA slot reads its frozen pair once, whatever the
+        number of tasks, and each task's vectors once; the pairing check
+        before it reads the pair and task t0 once more."""
+        from collections import Counter
+
+        from hydramerge import archive
+
+        coll, merged = tmp_path / "vera.lrta", tmp_path / "vera-ta.lrta"
+        TestHydraoptMemory.write_vera(coll, tasks, 6, 5, 2)
+        assert cli.main(["merge", "--in", str(coll), "--out", str(merged), "--method", "ta"]) == 0
+        reads, read = Counter(), archive._Payloads.__getitem__
+        monkeypatch.setattr(
+            archive._Payloads, "__getitem__",
+            lambda payloads, name: reads.update([name] * (payloads._path == str(coll)))
+            or read(payloads, name),
+        )  # fmt: skip
+        capsys.readouterr()
+        assert cli.main(["eval-recon", "--in", str(coll), "--merged", str(merged)]) == 0
+        json.loads(capsys.readouterr().out)
+        sides = [f"task.t{i}.layer.0.q.lambda_{s}" for i in range(tasks) for s in ("b", "d")]
+        expected = Counter(["shared.layer.0.q.A", "shared.layer.0.q.B"] * 2 + sides)
+        expected.update(sides[:2])
+        assert reads == expected
+
 
 class TestHydraoptMemory:
     @staticmethod

@@ -1396,3 +1396,13 @@ def test_grad_check_that_cannot_sample_an_instance_says_so(monkeypatch, floor):
     monkeypatch.setattr(gradcheck, floor, math.inf)
     with pytest.raises(ValidationError, match="^could not sample an instance away from"):
         run_suite(seed=0, instances=1)
+
+
+@pytest.mark.parametrize("floor, other", [("residual", "weight"), ("weight", "residual")])
+def test_grad_check_names_the_floor_that_refused(monkeypatch, floor, other):
+    """With one floor at inf and the other at 0, every draw is refused by
+    the first alone, and only it is named."""
+    monkeypatch.setattr(gradcheck, f"{floor.upper()}_FLOOR", math.inf)
+    monkeypatch.setattr(gradcheck, f"{other.upper()}_FLOOR", 0.0)
+    with pytest.raises(ValidationError, match=f"in 200 draws: the {floor} floor refused 200$"):
+        run_suite(seed=0, instances=1)

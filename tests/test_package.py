@@ -81,7 +81,8 @@ def loaded(*code_and_args) -> list[str]:
 
 SHOW_MODULES = (
     "print(__import__('json').dumps(sorted("
-    "m for m in sys.modules if m in ('numpy', '_hashlib', 'decimal') or m.startswith('hydramerge')"
+    "m for m in sys.modules if m in ('numpy', '_hashlib', 'decimal', 'logging')"
+    " or m.startswith('hydramerge')"
     ")), file=sys.stderr)"
 )
 RUN_COMMAND = "import sys; from hydramerge.cli import main; main(sys.argv[1:]); " + SHOW_MODULES
@@ -111,7 +112,12 @@ def command_argv(archives, command: str) -> list[str]:
                      "--method", "ta"],
         "merge-hydraopt": ["merge", "--in", coll, "--out", str(archives / f"{command}.lrta"),
                            "--method", "hydraopt", "--m", "2", "--epochs", "2"],
+        "grad-check": ["grad-check", "--instances", "1"],
     }[command]  # fmt: skip
+
+
+COMMANDS = ["report-storage", "eval-recon", "analyze-similarity", "gen-synthetic", "merge-ta",
+            "merge-hydraopt", "grad-check"]  # fmt: skip
 
 
 class TestWhatEachCommandLoads:
@@ -166,3 +172,36 @@ class TestWhatEachCommandLoads:
         assert "hydramerge.hydra" in modules
         for module in ("gradcheck", "synthetic", "analysis"):
             assert f"hydramerge.{module}" not in modules
+
+    def test_the_probe_sees_logging(self):
+        assert "logging" in loaded("import sys, logging; " + SHOW_MODULES)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_command_loads_logging_unless_asked(self, archives, command):
+        """Without ``HYDRA_MERGE_LOG`` nothing is logged, so ``logging``,
+        which adds to every command's peak RSS, is never imported."""
+        modules = loaded(RUN_COMMAND, *command_argv(archives, command))
+        assert "hydramerge.cli" in modules
+        assert "logging" not in modules
+
+
+class TestLogging:
+    @pytest.mark.parametrize("command", ["gen-synthetic", "merge-ta", "merge-hydraopt"])
+    def test_info_names_the_archive_written(self, archives, command):
+        argv = command_argv(archives, command)
+        result = subprocess.run(
+            [sys.executable, "-m", "hydramerge", *argv], capture_output=True, text=True,
+            env=dict(os.environ, HYDRA_MERGE_LOG="info"), timeout=300,
+        )  # fmt: skip
+        assert result.returncode == 0, result.stderr
+        json.loads(result.stdout)
+        assert result.stderr == f"INFO hydramerge: wrote {argv[argv.index('--out') + 1]}\n"
+
+    def test_error_level_prints_nothing_on_success(self, archives):
+        argv = command_argv(archives, "merge-ta")
+        result = subprocess.run(
+            [sys.executable, "-m", "hydramerge", *argv], capture_output=True, text=True,
+            env=dict(os.environ, HYDRA_MERGE_LOG="error"), timeout=300,
+        )  # fmt: skip
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""

@@ -12,7 +12,10 @@ differs (a command that fails must write no archive in either tree), and
 0 when every command agrees.  Besides valid inputs, the matrix feeds the
 reader malformed ones, which must fail the same way: a NaN payload in the
 last slot, a stray tensor, a truncated payload and bundles merged from
-another collection.  Takes under two minutes per tree on two cores.
+another collection.  A command may start with ``NAME=VALUE`` words, which
+set its environment as a shell does: a few run with ``HYDRA_MERGE_LOG``
+set, so that the diagnostics they log are compared too; the others run
+without it.  Takes under two minutes per tree on two cores.
 """
 
 from __future__ import annotations
@@ -122,7 +125,25 @@ def matrix() -> list[list[str]]:
         ["grad-check", "--seed", "1", "--instances", "20"],
     ]  # fmt: skip
     commands += malformed()
+    commands += logged()
     return commands
+
+
+def logged() -> list[list[str]]:
+    """Commands that log to stderr: each one that writes an archive, a
+    report, and a failed merge."""
+    info = "HYDRA_MERGE_LOG=info"
+    return [
+        [info, "gen-synthetic", "--out", "logged.lrta", "--tasks", "3", "--d", "8", "--k", "8"],
+        [info, "merge", "--in", "logged.lrta", "--out", "logged-ta.lrta", "--method", "ta"],
+        [info, "merge", "--in", "logged.lrta", "--out", "logged-hydra.lrta", "--method",
+         "hydraopt", "--epochs", "5"],
+        [info, "eval-recon", "--in", "logged.lrta", "--merged", "logged-hydra.lrta"],
+        ["HYDRA_MERGE_LOG=debug", "report-storage", "--in", "logged.lrta", "--merged",
+         "logged-ta.lrta"],
+        [info, "merge", "--in", "logged.lrta", "--out", "bad.lrta", "--method", "ta", "--scale",
+         "nan"],
+    ]  # fmt: skip
 
 
 def malformed() -> list[list[str]]:
@@ -152,9 +173,13 @@ def run(src: Path, work: Path, command: list[str]) -> tuple[int, str, str, bytes
     command; a command that fails must leave no ``--out`` file."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     env.pop("HYDRA_MERGE_LOG", None)
-    head = [sys.executable] if command[0] == "-c" else [sys.executable, "-m", "hydramerge"]
+    args = list(command)
+    while "=" in args[0]:  # NAME=VALUE words before the command set its environment
+        name, value = args.pop(0).split("=", 1)
+        env[name] = value
+    head = [sys.executable] if args[0] == "-c" else [sys.executable, "-m", "hydramerge"]
     done = subprocess.run(
-        [*head, *command], cwd=work, env=env, capture_output=True, text=True, timeout=600
+        [*head, *args], cwd=work, env=env, capture_output=True, text=True, timeout=600
     )
     written = work / command[command.index("--out") + 1] if "--out" in command else None
     archive = written.read_bytes() if written and written.is_file() else None
