@@ -61,18 +61,21 @@ collection: its tasks in order, its slots and, per slot,
 fails it.
 
 Code that walks the slots reads a collection one slot at a time through
-``adapters_at``, ``sides_at`` and ``adapter``, and a bundle through
-``entry``; a merge puts each slot's entry into its bundle's ``entries``,
-which :meth:`MergedBundle.of` takes from the collection's
-``merged_entries``.  An archived collection or bundle (see
-:mod:`hydramerge.archive`) holds :func:`stand_in` arrays in its
-``table`` or ``entries`` and reads each slot from its file in those
-methods, and a collection opened for a merge into an archive writes
-each merged entry as it is put.  So a walk over the slots in order holds
-one slot at a time.  An archived collection's ``adapters_at`` reads each
-task's adapter when it is indexed, so a walk over a slot's tasks in turn
-(the reconstruction report) holds one task at a time; training holds
-every task of its slot, which each step reads.
+``adapters_at``, and a bundle through ``entry``; a merge puts each
+slot's entry into its bundle's ``entries``, which :meth:`MergedBundle.of`
+takes from the collection's ``merged_entries``.  ``adapters_at`` is the
+only method that reads a collection's values: ``adapter(task, slot)`` is
+one element of it, and ``sides_at`` is :func:`side_views` of it, two
+views that take a task's side when indexed.  An archived collection or
+bundle (see :mod:`hydramerge.archive`) holds :func:`stand_in` arrays in
+its ``table`` or ``entries`` and reads each slot from its file in
+``adapters_at`` or ``entry``, and a collection opened for a merge into
+an archive writes each merged entry as it is put.  So a walk over the
+slots in order holds one slot at a time.  An archived collection's
+``adapters_at`` reads the slot's frozen pair when called and each task's
+adapter, both sides, when it is indexed, so a walk over a slot's tasks
+in turn (the reconstruction report, or one side view) holds one task at
+a time; training holds every task of its slot, which each step reads.
 """
 
 from __future__ import annotations
@@ -385,6 +388,28 @@ def delta_weight(adapter: Adapter) -> Matrix:
     return out
 
 
+class _Side(Sequence):
+    """Side ``which`` of ``sides()`` of each adapter in ``adapters``, taken
+    when indexed."""
+
+    def __init__(self, adapters: Sequence[Adapter], which: int):
+        self._adapters, self._which = adapters, which
+
+    def __getitem__(self, i: int) -> Matrix:
+        return self._adapters[i].sides()[self._which]
+
+    def __len__(self) -> int:
+        return len(self._adapters)
+
+
+def side_views(adapters: Sequence[Adapter]) -> tuple[Sequence[Matrix], Sequence[Matrix]]:
+    """Each adapter's shared side, and each one's cluster side, in order: two
+    views of ``adapters`` that index an adapter to take its side, so a
+    sequence that reads an adapter when indexed reads it once per side
+    taken, and a walk over one view holds one task at a time."""
+    return _Side(adapters, 0), _Side(adapters, 1)
+
+
 @dataclass
 class AdapterCollection:
     """K tasks x slots of adapters with consistent shapes.
@@ -440,18 +465,23 @@ class AdapterCollection:
         return len(self.task_ids)
 
     def adapter(self, task: str, slot: SlotKey) -> Adapter:
-        return self.table[(task, slot)]
+        """``task``'s adapter at ``slot``, read through :meth:`adapters_at`;
+        a task the collection does not hold raises :class:`KeyError`."""
+        if task not in self.task_ids:
+            raise KeyError(f"task {task!r} is not in the collection")
+        return self.adapters_at(slot)[self.task_ids.index(task)]
 
     def adapters_at(self, slot: SlotKey) -> Sequence[Adapter]:
         """Every task's adapter at ``slot``, in task order; an archived
-        collection reads each one when it is indexed."""
+        collection reads each one when it is indexed.  The only method
+        that reads the collection's values."""
         return [self.table[(task, slot)] for task in self.task_ids]
 
     def sides_at(self, slot: SlotKey) -> tuple[Sequence[Matrix], Sequence[Matrix]]:
         """Every task's shared side, and every task's cluster side, at
-        ``slot``, each in task order."""
-        shared, cluster = zip(*(adapter.sides() for adapter in self.adapters_at(slot)))
-        return shared, cluster
+        ``slot``, each in task order: :func:`side_views` of one
+        :meth:`adapters_at` sequence."""
+        return side_views(self.adapters_at(slot))
 
     def merged_entries(self) -> MutableMapping:
         """Where a bundle merged over this collection keeps its entries (see

@@ -28,10 +28,12 @@ Tensor names (``<slot>`` is ``layer.<n>.<name>``):
 
 One table, ``_LAYOUTS``, maps each adapter kind to its field names: the
 shared side (``A`` / ``lambda_d``), the cluster side (``B`` /
-``lambda_b``) and the frozen pair (none / ``shared.<slot>.A|B``).  The
-writer and the reader take the parts themselves from the adapter's
-``sides()`` and ``frozen`` (see :mod:`hydramerge.adapters`), so neither
-branches on the kind.
+``lambda_b``) and the frozen pair (none / ``A``, ``B``).  Its
+``side_names`` gives the stored names of a task's or a bundle's two
+sides at a slot, and ``frozen_names`` those of the slot's frozen pair;
+the writer and the reader both take every such name from them.  They
+take the parts themselves from the adapter's ``sides()`` and ``frozen``
+(see :mod:`hydramerge.adapters`), so neither branches on the kind.
 
 Vectors are stored as n x 1.  Tensors are serialized in sorted-name order,
 so identical inputs always produce byte-identical files.  Values are
@@ -44,11 +46,12 @@ builds the collection or bundle from names, shapes and meta alone, out of
 :func:`~hydramerge.adapters.stand_in` arrays, with every check
 :func:`read_archive` makes.  It returns that object: its ``table`` or
 ``entries`` hold the stand-ins, which give every slot, task, kind, shape,
-assignment and parameter count.  Its ``adapter`` (a collection) or
-``entry`` (a bundle) reads one slot's tensors from the file, as float64,
-each time it is called; a collection's ``adapters_at`` and ``sides_at``
-give sequences that read each task's tensors when indexed, ``adapters_at``
-the slot's frozen pair once, when called.  A file replaced or rewritten
+assignment and parameter count.  A bundle's ``entry`` reads one slot's
+tensors from the file, as float64, each time it is called.  A
+collection's ``adapters_at`` reads the slot's frozen pair once, when
+called, and gives a sequence that reads a task's two sides when indexed;
+its ``adapter`` and ``sides_at`` read through that sequence (see
+:mod:`hydramerge.adapters`).  A file replaced or rewritten
 after the checks is then an :class:`ArchiveFormatError`.
 :func:`read_archive` is the every-slot case: the same checks, then the
 same slot readers read every tensor into an in-memory object.
@@ -124,10 +127,24 @@ from .errors import ArchiveFormatError, ValidationError
 
 
 class _Layout(NamedTuple):
+    """One adapter kind's stored names; the writer and the reader both take
+    every side and frozen name from its methods."""
+
     adapter: type
     shared: str
     cluster: str
-    frozen: tuple[str, ...]  # stored once per slot as shared.<slot>.<name>
+    frozen: tuple[str, ...]
+
+    def side_names(self, label: str, task: str | None = None) -> tuple[str, str]:
+        """The names of the shared and the cluster side at the slot
+        ``label``: ``task.<task>.<label>.<field>``, or
+        ``merged.<label>.<field>`` for a bundle (``task`` None)."""
+        prefix = f"merged.{label}." if task is None else f"task.{task}.{label}."
+        return prefix + self.shared, prefix + self.cluster
+
+    def frozen_names(self, label: str) -> tuple[str, ...]:
+        """The names of the frozen pair, stored once at the slot ``label``."""
+        return tuple(f"shared.{label}.{name}" for name in self.frozen)
 
 
 _LAYOUTS = {
@@ -291,20 +308,17 @@ def write_archive(obj, path) -> None:
         writer.write(obj)
 
 
-def _frozen_tensors(layout: _Layout, label: str, frozen: tuple) -> dict:
-    return {f"shared.{label}.{name}": t for name, t in zip(layout.frozen, frozen)}
-
-
 def _entry_tensors(label: str, layout: _Layout, entry) -> dict[str, np.ndarray]:
     """The tensors the writer stores for one bundle entry."""
+    shared_name, cluster_name = layout.side_names(label)
     if isinstance(entry, SharedSlot):
         shared, frozen = entry.shared, entry.frozen
-        tensors = {f"merged.{label}.{layout.cluster}.{j}": c for j, c in enumerate(entry.clusters)}
+        tensors = {f"{cluster_name}.{j}": c for j, c in enumerate(entry.clusters)}
     else:
         (shared, cluster), frozen = entry.adapter.sides(), entry.adapter.frozen
-        tensors = {f"merged.{label}.{layout.cluster}": cluster}
-    tensors[f"merged.{label}.{layout.shared}"] = shared
-    tensors.update(_frozen_tensors(layout, label, frozen))
+        tensors = {cluster_name: cluster}
+    tensors[shared_name] = shared
+    tensors.update(zip(layout.frozen_names(label), frozen))
     return tensors
 
 
@@ -328,11 +342,9 @@ def _slot_tensors(obj, slot: SlotKey) -> dict[str, np.ndarray]:
         return _entry_tensors(label, _LAYOUTS[entry.kind], entry)
     adapters = obj.adapters_at(slot)
     layout = _LAYOUTS[adapters[0].kind]
-    tensors = _frozen_tensors(layout, label, adapters[0].frozen)
+    tensors = dict(zip(layout.frozen_names(label), adapters[0].frozen))
     for task, adapter in zip(obj.task_ids, adapters):
-        shared, cluster = adapter.sides()
-        tensors[f"task.{task}.{label}.{layout.shared}"] = shared
-        tensors[f"task.{task}.{label}.{layout.cluster}"] = cluster
+        tensors.update(zip(layout.side_names(label, task), adapter.sides()))
     return tensors
 
 
@@ -377,19 +389,6 @@ class _Payloads(Mapping):
 
     def __len__(self) -> int:
         return len(self.shapes)
-
-
-class _Tensors(Sequence):
-    """The tensors ``names`` of a checked archive, each read when indexed."""
-
-    def __init__(self, payloads: _Payloads, names: list[str]):
-        self._payloads, self._names = payloads, names
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self._payloads[self._names[i]]
-
-    def __len__(self) -> int:
-        return len(self._names)
 
 
 def _scan(path) -> tuple[_Payloads, dict]:
@@ -521,15 +520,6 @@ class _ArchivedCollection(AdapterCollection):
     def adapters_at(self, slot: SlotKey) -> _CollectionSlot:
         return _CollectionSlot(self.payloads, self.task_ids, _LAYOUTS[self.kind], slot.label())
 
-    def adapter(self, task: str, slot: SlotKey):
-        return _CollectionSlot(self.payloads, [task], _LAYOUTS[self.kind], slot.label())[0]
-
-    def sides_at(self, slot: SlotKey):
-        layout, label = _LAYOUTS[self.kind], slot.label()
-        sides = (layout.shared, layout.cluster)
-        names = ([f"task.{t}.{label}.{side}" for t in self.task_ids] for side in sides)
-        return tuple(_Tensors(self.payloads, side) for side in names)
-
     def merged_entries(self):
         return {} if self.into is None else _WrittenEntries(self.into)
 
@@ -587,7 +577,7 @@ def _slots_from_names(names, pattern, tasks=None) -> list[SlotKey]:
 
 
 def _require_frozen(tensors, layout: _Layout, label: str) -> tuple:
-    return tuple(_require(tensors, f"shared.{label}.{name}") for name in layout.frozen)
+    return tuple(_require(tensors, name) for name in layout.frozen_names(label))
 
 
 class _CollectionSlot(Sequence):
@@ -600,11 +590,9 @@ class _CollectionSlot(Sequence):
         self._frozen = _require_frozen(tensors, layout, label)
 
     def __getitem__(self, i: int):
-        prefix, layout = f"task.{self._tasks[i]}.{self._label}.", self._layout
-        return layout.adapter.from_sides(
-            _require(self._tensors, prefix + layout.shared),
-            _require(self._tensors, prefix + layout.cluster),
-            self._frozen,
+        shared, cluster = self._layout.side_names(self._label, self._tasks[i])
+        return self._layout.adapter.from_sides(
+            _require(self._tensors, shared), _require(self._tensors, cluster), self._frozen
         )
 
     def __len__(self) -> int:
@@ -615,13 +603,14 @@ def _bundle_slot(tensors, layout: _Layout, label: str, assignment):
     """The bundle entry at the slot ``label``; ``assignment(label)`` gives a
     shared slot's clusters."""
     frozen = _require_frozen(tensors, layout, label)
-    shared = _require(tensors, f"merged.{label}.{layout.shared}")
+    shared_name, cluster_name = layout.side_names(label)
+    shared = _require(tensors, shared_name)
     # B.0, B.1, ... up to the first gap; the stray check names the rest
-    names = (f"merged.{label}.{layout.cluster}.{j}" for j in itertools.count())
+    names = (f"{cluster_name}.{j}" for j in itertools.count())
     clusters = [tensors[name] for name in itertools.takewhile(tensors.__contains__, names)]
     if clusters:
         return layout.adapter.shared_slot(shared, clusters, frozen, assignment(label))
-    cluster = _require(tensors, f"merged.{label}.{layout.cluster}")
+    cluster = _require(tensors, cluster_name)
     return MergedAdapterSlot(layout.adapter.from_sides(shared, cluster, frozen))
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import AdapterCollection, MergedAdapterSlot, MergedBundle, SlotKey
+from .adapters import AdapterCollection, MergedAdapterSlot, MergedBundle, SlotKey, side_views
 from .errors import HydraMergeError, NumericalError, ParameterError, ShapeError, coerce_enums
 from .linalg import (
     ROW_BLOCK_ENTRIES,
@@ -110,8 +110,10 @@ def ties_trim(t, density: float) -> Matrix:
     return out.reshape(mat.shape)
 
 
-# Each column block of the TIES reduction holds about this many (K, c)
-# stacks at once: the sign, the aligned mask and the aligned values.
+# Each column block of the TIES reduction forms about this many (K, c)
+# stacks at once, all boolean: the masks of the positive and the negative
+# entries, and the aligned mask.  The aligned values overwrite the block of
+# the trimmed stack in place.
 _TIES_STACKS = 3
 _BLOCK_ENTRIES = ROW_BLOCK_ENTRIES
 
@@ -145,9 +147,10 @@ def _ties(tensors: Sequence[Matrix], density: float, transform=as_matrix) -> Mat
     for block in blocks:
         rows = trimmed[:, block]
         elected = np.sign(_sum_rows(rows))
-        aligned = (np.sign(rows) == elected) & (elected != 0)
+        aligned = np.where(elected > 0, rows > 0, rows < 0)
+        aligned &= elected != 0
         counts = aligned.sum(axis=0)
-        total = _sum_rows(rows * aligned)
+        total = _sum_rows(np.multiply(rows, aligned, out=rows))  # the block is not read again
         np.divide(total, counts, out=out[block], where=counts > 0)
     return out.reshape(shape)
 
@@ -160,7 +163,7 @@ def ties_merge(tensors: Sequence[Matrix], density: float) -> Matrix:
     merge to zero.  The trimmed tensors fill one ``(K, n)`` stack; the
     reduction across tasks then runs one column block of ``c = 2^17 //
     (3 K)`` entries at a time, so beyond the stack it holds a few ``(K,
-    c)`` arrays, about ``ROW_BLOCK_ENTRIES`` doubles (1 MiB).
+    c)`` boolean masks, about ``ROW_BLOCK_ENTRIES`` bytes (128 KiB).
     """
     return _ties(tensors, density)
 
@@ -226,14 +229,18 @@ def merge_collection(collection: AdapterCollection, cfg: BaselineConfig) -> Merg
 
 
 def _merge_slot(collection: AdapterCollection, cfg: BaselineConfig, slot: SlotKey, rng: Rng):
-    """The merged entry of one slot.  Each side is read with
-    :meth:`~hydramerge.adapters.AdapterCollection.sides_at`, so a merge that
-    takes its tensors one at a time (TIES, DARE) holds one of them at a time
-    from an archived collection."""
-    first = collection.adapter(collection.task_ids[0], slot)
+    """The merged entry of one slot.  The adapter type, the frozen pair and
+    both sides come from one
+    :meth:`~hydramerge.adapters.AdapterCollection.adapters_at` sequence,
+    each side through :func:`~hydramerge.adapters.side_views`, so an
+    archived collection reads the slot's frozen pair once and a task's
+    adapter once per side merged, and a merge that takes its tensors one at
+    a time (TIES, DARE) holds one task at a time."""
+    adapters = collection.adapters_at(slot)
+    first = adapters[0]
     adapter_type, frozen = type(first), first.frozen
     del first  # only its type and frozen pair are needed while the sides merge
-    shared, clusters = collection.sides_at(slot)
+    shared, clusters = side_views(adapters)
     merged_shared = _merge_side(shared, cfg, rng, "shared side")
     if cfg.merge_target is MergeTarget.PER_MATRIX:
         merged_cluster = _merge_side(clusters, cfg, rng, "cluster side")

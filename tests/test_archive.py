@@ -197,6 +197,53 @@ class TestSlotReader:
             adapters[4]
 
 
+class TestReadThroughAdaptersAt:
+    """``adapter`` and ``sides_at`` read through ``adapters_at``, the same
+    for a collection in memory and one opened from its archive."""
+
+    @staticmethod
+    def collection(kind, form, tmp_path):
+        coll = small_collection() if kind == "lora" else small_vera_collection()
+        if form == "memory":
+            return coll
+        write_archive(coll, tmp_path / "coll.lrta")
+        return open_archive(tmp_path / "coll.lrta")
+
+    @pytest.mark.parametrize("form", ["memory", "archived"])
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    def test_a_task_not_held_is_a_key_error_naming_it(self, tmp_path, kind, form):
+        coll = self.collection(kind, form, tmp_path)
+        with pytest.raises(KeyError, match="task 'zz' is not in the collection"):
+            coll.adapter("zz", coll.slots[0])
+
+    @pytest.mark.parametrize("form", ["memory", "archived"])
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    def test_sides_at_gives_each_adapters_sides(self, tmp_path, kind, form):
+        coll = self.collection(kind, form, tmp_path)
+        for slot in coll.slots:
+            shared, cluster = coll.sides_at(slot)
+            assert len(shared) == len(cluster) == coll.num_tasks
+            for i, task in enumerate(coll.task_ids):
+                want = coll.adapter(task, slot).sides()
+                np.testing.assert_array_equal(shared[i], want[0])
+                np.testing.assert_array_equal(cluster[i], want[1])
+            with pytest.raises(IndexError):
+                shared[coll.num_tasks]
+
+    def test_a_side_view_reads_a_task_when_indexed(self, tmp_path, monkeypatch):
+        opened, reads = self.collection("vera", "archived", tmp_path), []
+        read = archive_module._Payloads.__getitem__
+        monkeypatch.setattr(
+            archive_module._Payloads, "__getitem__",
+            lambda payloads, name: reads.append(name) or read(payloads, name),
+        )  # fmt: skip
+        shared, cluster = opened.sides_at(opened.slots[0])
+        assert reads == ["shared.layer.0.q.A", "shared.layer.0.q.B"]
+        reads.clear()
+        cluster[1]
+        assert reads == ["task.t1.layer.0.q.lambda_d", "task.t1.layer.0.q.lambda_b"]
+
+
 class TestErrorPaths:
     def test_empty_collection_rejected(self, tmp_path):
         empty = AdapterCollection(task_ids=[], slots=[], table={})

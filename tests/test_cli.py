@@ -300,6 +300,67 @@ class TestReports:
         assert "wrote" in result.stderr
 
 
+class TestSlotsOfDifferentShapes:
+    """A LoRA collection whose four slots differ in d x k (64 x 64, 16 x
+    64, 176 x 64 and 64 x 176; K = 4, r = 4) goes through every command,
+    and each storage ratio is the closed form of those shapes."""
+
+    SHAPES = {"q": (64, 64), "k": (16, 64), "v": (176, 64), "o": (64, 176)}
+    TASKS, RANK = 4, 4
+
+    @pytest.fixture(scope="class")
+    def mixed(self, tmp_path_factory):
+        from hydramerge.adapters import AdapterCollection, LowRankAdapter, SlotKey
+        from hydramerge.linalg import Rng, gaussian_sample
+
+        rng, ids, table, r = Rng(7), [f"t{i}" for i in range(self.TASKS)], {}, self.RANK
+        for name, (d, k) in self.SHAPES.items():
+            for task in ids:
+                b, a = gaussian_sample(rng, d, r, 0.0, 1.0), gaussian_sample(rng, r, k, 0.0, 1.0)
+                table[(task, SlotKey(0, name))] = LowRankAdapter(b=b, a=a)
+        path = tmp_path_factory.mktemp("mixed") / "mixed.lrta"
+        write_archive(AdapterCollection.build(ids, table), path)
+        return path
+
+    def ratio(self, clusters: int) -> float:
+        """The storage ratio of one shared ``a`` and ``clusters`` ``b``s per slot."""
+        r = self.RANK
+        original = sum(self.TASKS * r * (d + k) for d, k in self.SHAPES.values())
+        merged = sum(r * k + clusters * d * r for d, k in self.SHAPES.values())
+        return 100.0 * merged / original
+
+    @staticmethod
+    def run(capsys, *args) -> dict:
+        capsys.readouterr()
+        assert cli.main(list(args)) == 0, capsys.readouterr().err
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "flags, clusters",
+        [
+            (["--method", "ta"], 1),
+            (["--method", "ties"], 1),
+            (["--method", "dare-ties"], 1),
+            (["--method", "ta", "--a-only"], TASKS),
+            (["--method", "hydraopt", "--m", "2", "--distance", "mae", "--epochs", "100"], 2),
+            (["--method", "hydraopt", "--m", "2", "--distance", "mse", "--epochs", "100"], 2),
+            (["--method", "hydraopt", "--m", "2", "--distance", "cos", "--epochs", "100",
+              "--globalize-assignment"], 2),
+        ],
+    )  # fmt: skip
+    def test_merge_and_reports(self, mixed, tmp_path, capsys, flags, clusters):
+        merged = tmp_path / "merged.lrta"
+        self.run(capsys, "merge", "--in", str(mixed), "--out", str(merged), *flags)
+        recon = self.run(capsys, "eval-recon", "--in", str(mixed), "--merged", str(merged))
+        assert {len(per_slot) for per_slot in recon["recon"]["per_pair"].values()} == {4}
+        storage = self.run(capsys, "report-storage", "--in", str(mixed), "--merged", str(merged))
+        assert storage["storage"]["ratio_percent"] == self.ratio(clusters)
+
+    def test_analyze_similarity(self, mixed, capsys):
+        doc = self.run(capsys, "analyze-similarity", "--in", str(mixed))
+        assert len(doc["similarity"]["A"]["per_slot"]) == 4
+
+
 class TestReconComparison:
     def test_full_cluster_count_beats_single_via_cli(self, tmp_path):
         archive = tmp_path / "five.lrta"
@@ -524,6 +585,91 @@ class TestReconMemory:
         sides = [f"task.t{i}.layer.0.q.lambda_{s}" for i in range(tasks) for s in ("b", "d")]
         expected = Counter(["shared.layer.0.q.A", "shared.layer.0.q.B"] * 2 + sides)
         expected.update(sides[:2])
+        assert reads == expected
+
+
+def count_reads(monkeypatch, path):
+    """A Counter that the reads of ``path``'s tensors, by name, update."""
+    from collections import Counter
+
+    from hydramerge import archive
+
+    reads, read = Counter(), archive._Payloads.__getitem__
+    monkeypatch.setattr(
+        archive._Payloads, "__getitem__",
+        lambda payloads, name: reads.update([name] * (payloads._path == str(path)))
+        or read(payloads, name),
+    )  # fmt: skip
+    return reads
+
+
+def write_two_slot_vera(path, tasks):
+    """A VeRA collection of ``tasks`` tasks at the slots layer.0.q and
+    layer.0.v, each slot with its own frozen pair."""
+    from hydramerge.adapters import AdapterCollection, SlotKey, VeraAdapter
+    from hydramerge.linalg import Rng, gaussian_sample
+
+    rng, ids, table = Rng(5), [f"t{i}" for i in range(tasks)], {}
+    for slot in (SlotKey(0, "q"), SlotKey(0, "v")):
+        shared_b = gaussian_sample(rng, 6, 2, 0.0, 1.0)
+        shared_a = gaussian_sample(rng, 2, 5, 0.0, 1.0)
+        for task in ids:
+            table[(task, slot)] = VeraAdapter(
+                lambda_b=gaussian_sample(rng, 6, 1, 0.0, 1.0).ravel(),
+                lambda_d=gaussian_sample(rng, 2, 1, 0.0, 1.0).ravel(),
+                shared_b=shared_b,
+                shared_a=shared_a,
+            )
+    write_archive(AdapterCollection.build(ids, table), path)
+
+
+class TestArchiveReads:
+    """Which tensors of ``--in`` a command reads, and how often."""
+
+    SLOTS = ("layer.0.q", "layer.0.v")
+
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    def test_report_storage_reads_the_frozen_pairs_and_task_t0(
+        self, tmp_path, monkeypatch, capsys, kind
+    ):
+        """The pairing check compares each slot's first task with the
+        bundle; the counts come from the manifest shapes."""
+        from collections import Counter
+
+        coll, merged = tmp_path / "coll.lrta", tmp_path / "ta.lrta"
+        if kind == "lora":
+            assert cli.main(gen_args(coll, tasks=4)) == 0
+        else:
+            write_two_slot_vera(coll, 4)
+        assert cli.main(["merge", "--in", str(coll), "--out", str(merged), "--method", "ta"]) == 0
+        reads = count_reads(monkeypatch, coll)
+        capsys.readouterr()
+        assert cli.main(["report-storage", "--in", str(coll), "--merged", str(merged)]) == 0
+        json.loads(capsys.readouterr().out)
+        frozen, sides = (("A", "B"), ("lambda_d", "lambda_b")) if kind == "vera" else ((), "AB")
+        expected = Counter(f"shared.{slot}.{name}" for slot in self.SLOTS for name in frozen)
+        expected.update(f"task.t0.{slot}.{side}" for slot in self.SLOTS for side in sides)
+        assert reads == expected
+
+    @pytest.mark.parametrize("tasks", [2, 5])
+    def test_vera_ta_merge_reads_the_frozen_pair_once_per_slot(
+        self, tmp_path, monkeypatch, capsys, tasks
+    ):
+        """A per-matrix baseline takes the adapter type, the frozen pair and
+        both sides from one ``adapters_at`` call per slot: the pair is read
+        once, task t0's vectors once for the type and once per side merged,
+        and every other task's once per side merged."""
+        from collections import Counter
+
+        coll, merged = tmp_path / "vera.lrta", tmp_path / "vera-ta.lrta"
+        write_two_slot_vera(coll, tasks)
+        reads = count_reads(monkeypatch, coll)
+        assert cli.main(["merge", "--in", str(coll), "--out", str(merged), "--method", "ta"]) == 0
+        expected = Counter()
+        for slot in self.SLOTS:
+            expected.update([f"shared.{slot}.A", f"shared.{slot}.B"])
+            vectors = [f"task.t{i}.{slot}.lambda_{s}" for i in range(tasks) for s in ("b", "d")]
+            expected.update(vectors * 2 + vectors[:2])
         assert reads == expected
 
 

@@ -12,7 +12,8 @@ differs (a command that fails must write no archive in either tree), and
 0 when every command agrees.  Besides valid inputs, the matrix feeds the
 reader malformed ones, which must fail the same way: a NaN payload in the
 last slot, a stray tensor, a truncated payload and bundles merged from
-another collection.  A command may start with ``NAME=VALUE`` words, which
+another collection.  A collection whose slots differ in shape goes
+through the merges and every report.  A command may start with ``NAME=VALUE`` words, which
 set its environment as a shell does: a few run with ``HYDRA_MERGE_LOG``
 set, so that the diagnostics they log are compared too; the others run
 without it.  Takes under two minutes per tree on two cores.
@@ -46,6 +47,24 @@ for name in ("q", "v"):
         table[(task, slot)] = VeraAdapter(
             lambda_b=rng.standard_normal(12), lambda_d=1.0 + 0.1 * rng.standard_normal(6),
             shared_b=shared_b, shared_a=shared_a,
+        )
+write_archive(AdapterCollection.build(tasks, table), sys.argv[2])
+"""
+
+# A LoRA collection whose slots differ in d x k, from the tree's own library:
+# gen-synthetic gives every slot one shape.  K = 4 tasks, rank 4.
+MAKE_MIXED = """
+import sys
+import numpy as np
+from hydramerge import AdapterCollection, LowRankAdapter, SlotKey, write_archive
+rng = np.random.default_rng(3)
+tasks = ["t0", "t1", "t2", "t3"]
+table = {}
+for name, (d, k) in {"q": (64, 64), "k": (16, 64), "v": (176, 64), "o": (64, 176)}.items():
+    a_common = rng.standard_normal((4, k))
+    for task in tasks:
+        table[(task, SlotKey(0, name))] = LowRankAdapter(
+            b=rng.standard_normal((d, 4)), a=a_common + 0.05 * rng.standard_normal((4, k))
         )
 write_archive(AdapterCollection.build(tasks, table), sys.argv[2])
 """
@@ -90,8 +109,10 @@ def matrix() -> list[list[str]]:
         ["gen-synthetic", "--out", "lora.lrta", "--tasks", "4", "--layers", "1", "--d", "12",
          "--k", "10", "--rank", "3", "--seed", "1"],
         ["-c", MAKE_VERA, "--out", "vera.lrta"],
+        ["-c", MAKE_MIXED, "--out", "mixed.lrta"],
         ["analyze-similarity", "--in", "default.lrta"],
         ["analyze-similarity", "--in", "vera.lrta"],
+        ["analyze-similarity", "--in", "mixed.lrta"],
     ]  # fmt: skip
     base_flags = {
         "ta": [["--scale", "0.5"]],
@@ -117,6 +138,13 @@ def matrix() -> list[list[str]]:
         flags += ["--m", m] * (m is not None) + ["--globalize-assignment"] * glob
         out = f"{coll}-{distance}-{init}-{m}-{int(glob)}.lrta"
         commands += merge(f"{coll}.lrta", out, *flags)
+    hydra_m2 = ["--method", "hydraopt", "--m", "2", "--distance"]
+    for i, flags in enumerate(
+        [["--method", "ta"], ["--method", "ties"], ["--method", "dare-ties"],
+         ["--method", "ta", "--a-only"], [*hydra_m2, "mae"], [*hydra_m2, "mse"],
+         [*hydra_m2, "cos", "--globalize-assignment"]]
+    ):  # fmt: skip
+        commands += merge("mixed.lrta", f"mixed-{i}.lrta", *flags)
     commands += [
         ["merge", "--in", "lora.lrta", "--out", "bad.lrta", "--method", "hydraopt", "--temp",
          "inf"],
@@ -200,7 +228,11 @@ def main(argv: list[str]) -> int:
             new = run(new_src, Path(new_work), command)
             for what, a, b in zip(("exit code", "stdout", "stderr", "written archive"), old, new):
                 if a != b:
-                    names = {MAKE_VERA: "<make-vera>", MAKE_MALFORMED: "<make-malformed>"}
+                    names = {
+                        MAKE_VERA: "<make-vera>",
+                        MAKE_MIXED: "<make-mixed>",
+                        MAKE_MALFORMED: "<make-malformed>",
+                    }
                     shown = " ".join(names.get(c, c) for c in command)
                     print(f"{what} differs at command {n}: {shown}", file=sys.stderr)
                     return 1
