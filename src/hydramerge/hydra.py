@@ -23,13 +23,15 @@ pair and learns a shared inner vector ``lambda_d`` (r) and cluster outer
 vectors ``lambda_b_j`` (d).
 
 Every kernel is a generator run by one evaluation step, :func:`_step`.
-It yields, task by task, ``(distance_i, E_i, term_i)``: the distance,
-``E_i`` the gradient with respect to ``c_mix_i``, and the task's term of
-the shared gradient.  The step does the rest once for all kernels: it
-routes, holds numpy's error state, raises :class:`NumericalError` naming
-the first task whose distance is not finite, sums the shared terms and
-applies the one chain rule in cluster space: ``dc_j = sum_i w[i, j]
-E_i``, and the routing logits get
+The step mixes the clusters once, ``c_mix = w @ c`` (K rows), and the
+kernel reads task i's ``c_mix_i`` from row i.  It yields, task by task,
+``(distance_i, E_i, term_i)``: the distance, ``E_i`` the gradient with
+respect to ``c_mix_i``, which the step writes over row i, and the task's
+term of the shared gradient.  The step does the rest once for all
+kernels: it routes, holds numpy's error state, raises
+:class:`NumericalError` naming the first task whose distance is not
+finite, sums the shared terms and applies the one chain rule in cluster
+space: ``dc_j = sum_i w[i, j] E_i``, and the routing logits get
 
     g[i, j] = <G_i, U_j> = <E_i, c_j>            (flattened inner products)
     dC[i,m] = (w[i, m] / temperature) * (g[i, m] - sum_j w[i, j] g[i, j])
@@ -80,14 +82,14 @@ products, taken one task at a time,
 
 at ``O(K r^2 (d + k) + K M r d)`` per step.  Like the blocked kernel it
 builds each target's factors from its adapter in turn and keeps only
-``tt`` between steps; a step holds the K mixed ``L_p,i`` and ``E_i``
-(``d x r`` each for LoRA) plus one task's factors and products, never a
-K-stack of the targets' factors.  Target-side and
-prediction-side products run through the same operations, so in either
-kernel equal factors give a loss of exactly 0 and gradient terms that
-cancel exactly.  A target whose ``tt_i`` overflows raises
-:class:`~hydramerge.errors.NumericalError` naming the task before the
-first step.
+``tt`` between steps; a step holds one K-row buffer of cluster-shaped
+rows, ``c_mix_i`` and then ``E_i``, plus one task's factors and
+products, never a K-stack of the targets' or the predictions' factors.
+Target-side and prediction-side products run through the same
+operations, so in either kernel equal factors give a loss of exactly 0
+and gradient terms that cancel exactly.  A target whose ``tt_i``
+overflows raises :class:`~hydramerge.errors.NumericalError` naming the
+task before the first step.
 
 The dense kernel builds ``P_i = predict(c_mix_i, basis)`` and streams one
 ``d x k`` residual per task; ``pull_back`` turns the distance gradient
@@ -408,25 +410,28 @@ def _step(kernel, finish, state, targets, *args):
     """One evaluation step, ``(loss, per_task, grads)``: it owns what every
     kernel shares.
 
-    It routes, stacks the clusters ``c`` and iterates ``kernel(state,
-    weights, c, targets, *args)``, whose last argument is the config.  The
-    kernel yields ``(distance_i, E_i, term_i)`` for each task in order:
-    ``E_i`` is the gradient with respect to ``c_mix_i`` and ``term_i``, a
-    fresh array, the task's term of the shared gradient.  A non-finite
-    distance, or a :class:`NumericalError` while task i is evaluated,
-    raises :class:`NumericalError` naming task i.  ``finish(state, total)``
-    turns the summed terms into the shared parameter's gradient; the chain
-    rule gives the rest: ``dc_j = sum_i w[i, j] E_i`` and the logits'
-    ``g[i, j] = <E_i, c_j>``."""
+    It routes, stacks the clusters ``c``, mixes them once into ``c_mix = w
+    @ c`` (under identity routing the stacked copy itself) and iterates
+    ``kernel(state, c_mix, targets, *args)``, whose last argument is the
+    config.  The kernel reads task i's ``c_mix_i`` from row i and yields
+    ``(distance_i, E_i, term_i)`` for each task in order: ``E_i`` is the
+    gradient with respect to ``c_mix_i``, which the step writes over row i,
+    so the kernel must not read row i once it has yielded it; ``term_i``,
+    a fresh array, is the task's term of the shared gradient.  A
+    non-finite distance, or a :class:`NumericalError` while task i is
+    evaluated, raises :class:`NumericalError` naming task i.
+    ``finish(state, total)`` turns the summed terms into the shared
+    parameter's gradient; the chain rule gives the rest: ``dc_j = sum_i
+    w[i, j] E_i`` and the logits' ``g[i, j] = <E_i, c_j>``."""
     cfg = args[-1]
     weights = _routing(state, cfg, len(targets))
     clusters = np.stack(state.clusters)
-    terms = kernel(state, weights, clusters, targets, *args)
-    pulled = np.empty((len(targets), *clusters.shape[1:]))  # E_i
+    mixed = _mix(weights, clusters)  # row i holds c_mix_i, then E_i
+    terms = kernel(state, mixed, targets, *args)
     per_task, shared = [], None
     for i in range(len(targets)):
         try:
-            value, pulled[i], term = next(terms)
+            value, mixed[i], term = next(terms)
         except NumericalError:  # smooth_terms refuses a non-finite trace
             value = math.nan
         if not np.isfinite(value):
@@ -437,10 +442,10 @@ def _step(kernel, finish, state, targets, *args):
     shared_name, cluster_name = state.NAMES
     grads = {shared_name: finish(state, shared)}
     if weights is not None:
-        inner = pulled.reshape(len(pulled), -1) @ clusters.reshape(len(clusters), -1).T
+        inner = mixed.reshape(len(mixed), -1) @ clusters.reshape(len(clusters), -1).T
         grads["logits"] = _logit_grad(weights, inner, cfg.temperature)
-        pulled = np.tensordot(weights, pulled, axes=(0, 0))
-    for j, grad in enumerate(pulled):
+        mixed = np.tensordot(weights, mixed, axes=(0, 0))
+    for j, grad in enumerate(mixed):
         grads[f"{cluster_name}.{j}"] = grad
     return float(sum(per_task)), per_task, HydraGrads(grads)
 
@@ -452,12 +457,12 @@ def _stepped(finish=lambda state, total: total):
 
 
 @_stepped(finish=lambda state, total: state.adapter_type.shared_grad(total, state.frozen))
-def _loss_and_grads_dense(state, weights, clusters, mats: list[Matrix], cfg: HydraConfig):
-    """The dense kernel: one streamed d x k residual per task, with mixing
-    and the pull-back in cluster space; no cluster product is formed.  A
-    target shaped unlike its prediction raises :class:`ShapeError`."""
+def _loss_and_grads_dense(state, mixed, mats: list[Matrix], cfg: HydraConfig):
+    """The dense kernel: one streamed d x k residual per task, with the
+    pull-back in cluster space; no cluster product is formed.  A target
+    shaped unlike its prediction raises :class:`ShapeError`."""
     basis = state.basis()
-    for i, (target, c) in enumerate(zip(mats, _mix(weights, clusters))):
+    for i, (target, c) in enumerate(zip(mats, mixed)):
         pred = state.adapter_type.predict(c, basis)
         if target.shape != pred.shape:
             raise ShapeError(f"target {i} has shape {target.shape}, its prediction {pred.shape}")
@@ -503,33 +508,28 @@ def _squared_norms(targets, distance: DistanceKind) -> np.ndarray:
 
 
 @_stepped()
-def _loss_and_grads_factored(state, weights, clusters, targets: Sequence[Adapter], tt, cfg):
+def _loss_and_grads_factored(state, mixed, targets: Sequence[Adapter], tt, cfg):
     """The Gram kernel: loss and gradients of a smooth distance, for either
     kind, from r x r Gram products of the targets' and the predictions'
-    rank-r factors, one task at a time; ``tt`` is :func:`_squared_norms`."""
+    rank-r factors, one task at a time; ``tt`` is :func:`_squared_norms`.
+    Task i's prediction factor ``L_p,i`` is the left factor of its own
+    ``c_mix_i``."""
     kind = state.adapter_type
-    # R_p and the stacked L_p,i^T (C-ordered), mixed from the clusters' own (a left factor
-    # is linear in its cluster); each input is freed once used, to bound what is alive
-    factors = [kind.factors(state.shared, c, state.frozen) for c in state.clusters]
-    right_p, lefts = factors[0][1], np.stack([left.T for left, _ in factors])
-    del factors
-    left_p = _mix(weights, lefts)
-    del lefts
+    right_p = kind.factors(state.shared, mixed[0], state.frozen)[1]  # R_p, one for every task
     gram_r = _cross(right_p, right_p)  # R_p R_p^T
-    size = left_p.shape[2] * right_p.shape[1]  # d k
-    # only a frozen right factor's pull-back reads c_mix_i: the shared side is then in L_p,i
-    mixed = _mix(weights, clusters) if kind.right_frozen else [None] * len(tt)
+    size = len(mixed[0]) * right_p.shape[1]  # d k
     for i, (target, c) in enumerate(zip(targets, mixed)):
+        left_p = np.ascontiguousarray(kind.factors(state.shared, c, state.frozen)[0].T)  # L_p,i^T
         left, right = delta_factors(target)
-        cross_l = _cross(left_p[i], left.T)  # L_p,i^T L_t,i
-        gram_l = _cross(left_p[i], left_p[i])  # L_p,i^T L_p,i
+        cross_l = _cross(left_p, left.T)  # L_p,i^T L_t,i
+        gram_l = _cross(left_p, left_p)  # L_p,i^T L_p,i
         # R_p R_t,i^T; a frozen right factor is one for the slot (see _kernel), so R_t,i = R_p
         cross_r = gram_r if kind.right_frozen else _cross(right_p, right)
         tp, pp = _trace(cross_l, cross_r), _trace(gram_l, gram_r)
         value, alpha, beta = smooth_terms(tt[i], tp, pp, size, cfg.distance)
         # M_i^T = (G_i R_p^T)^T (r x d) and N_i = L_p,i^T G_i, each operand C-ordered
         m_t = np.matmul(alpha * cross_r, np.ascontiguousarray(left.T))
-        m_t += np.matmul(beta * gram_r, left_p[i])
+        m_t += np.matmul(beta * gram_r, left_p)
         n = None if kind.right_frozen else np.matmul(alpha * cross_l, np.ascontiguousarray(right))
         if n is not None:
             n += np.matmul(beta * gram_l, right_p)
@@ -541,7 +541,7 @@ _BLOCK_ENTRIES = ROW_BLOCK_ENTRIES
 
 
 @_stepped()
-def _loss_and_grads_vera_mae(state, weights, clusters, targets: Sequence[Adapter], cfg):
+def _loss_and_grads_vera_mae(state, mixed, targets: Sequence[Adapter], cfg):
     """The blocked kernel: MAE loss and gradients, for either kind, from
     each task's residual ``R_i = L_t,i R_t,i - L_p,i R_p``, built from the
     rank-r factors one row block at a time: no d x k array but the two
@@ -554,7 +554,7 @@ def _loss_and_grads_vera_mae(state, weights, clusters, targets: Sequence[Adapter
     d, _, k = targets[0].shape_signature()
     size, (rows, row_slices) = d * k, row_blocks(d, k, _BLOCK_ENTRIES)
     blocks, signs = np.empty((rows, k)), np.empty((rows, k))
-    for target, c in zip(targets, _mix(weights, clusters)):
+    for target, c in zip(targets, mixed):
         left, right = delta_factors(target)
         left_p, right_p = kind.factors(state.shared, c, state.frozen)
         if kind.right_frozen:  # R_t = R_p: the residual is one product

@@ -698,11 +698,11 @@ class TestHydraoptMemory:
     def test_mse_merge_peaks_near_report_storage(self, tmp_path, kind, rank, bound):
         """One slot of K = 8 tasks at d = k = 1024, M = 3, 4 epochs under
         mse.  Both commands read the same archive; the merge adds the
-        training state, the K mixed left factors and their pull-backs
-        (K d r doubles each: 1 MiB at r = 16, 4 MiB for VeRA's left factors
-        at r = 64), and one task's Gram products at a time, not K-stacked
-        copies of every target's factors (2 MiB, 4 MiB for VeRA) and their
-        transposes on every step."""
+        training state, one K-row buffer of mixed clusters that their
+        pull-backs overwrite (K d r doubles, 1 MiB, at r = 16; K d for
+        VeRA's vectors), and one task's factors and Gram products at a
+        time, not K-stacked copies of every target's factors (2 MiB, 4 MiB
+        for VeRA) and their transposes on every step."""
         coll, merged = tmp_path / "coll.lrta", tmp_path / "hydraopt.lrta"
         shape = dict(tasks=8, slots="q", d=1024, k=1024, rank=rank)
         if kind == "lora":

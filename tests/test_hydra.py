@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1367,6 +1368,57 @@ class TestCheckedOnce:
         calls.clear()
         gradients(state, hydra._target_matrices(targets), cfg)
         assert calls == []
+
+
+class TestOneStackPerStep:
+    """A step mixes the clusters once into one K-row buffer of
+    cluster-shaped rows; each kernel reads task i's ``c_mix_i`` from row i,
+    and the step writes ``E_i`` over it."""
+
+    @staticmethod
+    def step_peak(adapter, rank, distance, num_tasks):
+        """The traced peak, in bytes, of one evaluation at d = k = 512, M = 3."""
+        targets = kind_targets(adapter, num_tasks, d=512, r=rank, k=512, seed=0)
+        state = hydra._new_state(targets, 3, Rng(1), stdev=1.0)
+        evaluate = hydra._kernel(targets, HydraConfig(num_clusters=3, distance=distance))
+        tracemalloc.start()
+        try:
+            evaluate(state)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("adapter, rank", [("lora", 16), ("vera", 32)])
+    @pytest.mark.parametrize("distance", [DistanceKind.MSE, DistanceKind.MAE])
+    def test_each_added_task_costs_one_cluster_row(self, adapter, rank, distance):
+        row = 512 * (rank if adapter == "lora" else 1) * 8  # bytes of one cluster (d x r, or d)
+        low, high = (self.step_peak(adapter, rank, distance, k) for k in (4, 16))
+        per_task = (high - low) / 12 / row
+        assert per_task <= 1.25, per_task
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("targets_as", ["adapters", "dense"])
+    @pytest.mark.parametrize("distance", [DistanceKind.MSE, DistanceKind.MAE])
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    def test_a_step_never_writes_the_state(self, adapter, targets_as, distance, num_clusters):
+        """Under identity routing the rows the E_i overwrite are the step's
+        stacked copy of the clusters, never the state's own."""
+        targets = kind_targets(adapter, 4, d=7, r=3, k=6, seed=2)
+        state = hydra._new_state(targets, num_clusters, Rng(4), stdev=1.0)
+        if targets_as == "dense":
+            targets = hydra._target_matrices(targets)
+        before = copy.deepcopy(state)
+        cfg = HydraConfig(num_clusters=num_clusters, distance=distance)
+        loss(state, targets, cfg)
+        gradients(state, targets, cfg)
+
+        def tensors(s):
+            moments = [t for pair in s.moments.values() for t in pair]
+            return [t for _, t in s.named_tensors()] + list(s.frozen) + moments
+
+        assert len(tensors(state)) == len(tensors(before))
+        for got, want in zip(tensors(state), tensors(before)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_globalize_refuses_differing_cluster_counts():
