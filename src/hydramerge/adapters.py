@@ -27,12 +27,10 @@ Each adapter class describes its kind, so no other layer branches on it:
   gradient, which ``shared_grad(total, frozen)`` finishes from the summed
   terms.  :func:`delta_weight` and :mod:`hydramerge.hydra`'s dense kernel
   use them.
-* ``factors(shared, cluster, frozen, rows)`` is the update as its rank-r
+* ``factors(shared, cluster, frozen)`` is the update as its rank-r
   factors ``(left, right)``, ``d x r`` and ``r x k``, with ``left @
   right == L(cluster)`` up to rounding: ``(b, a)`` for LoRA and ``(W,
   shared_a)`` for VeRA, ``W = diag(lambda_b) shared_b diag(lambda_d)``.
-  A row slice ``rows`` gives only those rows of ``left``, built from
-  the same rows of the inputs, so no whole ``d x r`` array is formed.
   :func:`delta_factors` gives an adapter's own.  ``right_frozen`` says
   whether the right factor is part of ``frozen`` (VeRA) or of the trained
   shared side (LoRA).  ``pull_back_factors(m, n, cluster, shared,
@@ -42,7 +40,9 @@ Each adapter class describes its kind, so no other layer branches on it:
   one, so it reads ``cluster`` and not ``n`` (which may be ``None``);
   otherwise ``n`` and not ``cluster``.  The reconstruction
   report and :mod:`hydramerge.hydra`'s factored kernels build on these;
-  :func:`delta_weight` stays the dense reference.
+  the report and the blocked kernel take every residual block from
+  :func:`~hydramerge.linalg.residual_blocks`, with ``right_frozen`` as
+  its ``one_right``.  :func:`delta_weight` stays the dense reference.
 
 The base class :class:`Adapter` derives the rest once for both kinds:
 ``param_count`` is the size of the two sides, and ``shape_signature`` is
@@ -89,23 +89,23 @@ import numpy as np
 from .errors import HydraMergeError, ShapeError, ValidationError
 from .linalg import Matrix, Rng, as_matrix, stable_hash64
 
-_SLOT_LABEL = re.compile(r"^layer\.(\d+)\.([A-Za-z0-9_]+)$")
-
-
-_SLOT_NAME = re.compile(r"^[A-Za-z0-9_]+$")
+_SLOT_NAME = r"[A-Za-z0-9_]+"
 
 
 @dataclass(frozen=True, order=True)
 class SlotKey:
-    """One adapted weight position: layer index plus projection name."""
+    """One adapted weight position: layer index plus projection name.
+    ``LABEL`` is the pattern of a :meth:`label`, unanchored, with the
+    layer and the name as its two groups."""
 
     layer: int
     slot: str
+    LABEL: ClassVar[str] = rf"layer\.(\d+)\.({_SLOT_NAME})"
 
     def __post_init__(self):
         if self.layer < 0:
             raise ValidationError(f"layer index must be >= 0, got {self.layer}")
-        if not _SLOT_NAME.match(self.slot):
+        if not re.match(rf"^{_SLOT_NAME}$", self.slot):
             raise ValidationError(f"slot name {self.slot!r} must be alphanumeric/underscore")
 
     def label(self) -> str:
@@ -113,7 +113,7 @@ class SlotKey:
 
     @classmethod
     def from_label(cls, label: str) -> "SlotKey":
-        m = _SLOT_LABEL.match(label)
+        m = re.match(rf"^{cls.LABEL}$", label)
         if m is None:
             raise ValidationError(f"malformed slot label {label!r}")
         return cls(layer=int(m.group(1)), slot=m.group(2))
@@ -205,11 +205,9 @@ class LowRankAdapter(Adapter):
         return total
 
     @staticmethod
-    def factors(
-        shared: Matrix, cluster: Matrix, frozen: tuple, rows: slice | None = None
-    ) -> tuple[Matrix, Matrix]:
-        """``(B, A)``, so that ``L(B) = B A``; ``B[rows]`` for a row slice."""
-        return (cluster if rows is None else cluster[rows]), shared
+    def factors(shared: Matrix, cluster: Matrix, frozen: tuple) -> tuple[Matrix, Matrix]:
+        """``(B, A)``, so that ``L(B) = B A``."""
+        return cluster, shared
 
     @staticmethod
     def pull_back_factors(m, n, cluster, shared, frozen: tuple):
@@ -312,20 +310,13 @@ class VeraAdapter(Adapter):
         return ((shared_b.T @ total) * shared_a).sum(axis=1)
 
     @staticmethod
-    def factors(
-        shared: np.ndarray, cluster: np.ndarray, frozen: tuple, rows: slice | None = None
-    ) -> tuple[Matrix, Matrix]:
+    def factors(shared: np.ndarray, cluster: np.ndarray, frozen: tuple) -> tuple[Matrix, Matrix]:
         """``(W, shared_a)`` with ``W = diag(lambda_b) shared_b
-        diag(lambda_d)`` (d x r), so that ``L(lambda_b) = W shared_a``; for a
-        row slice, ``W[rows]`` from those rows of ``lambda_b`` and
-        ``shared_b``, entry for entry the same.  Both halves of a residual
-        ``W_t - W_p`` take the same operations, so equal vectors give
-        exactly 0."""
+        diag(lambda_d)`` (d x r), so that ``L(lambda_b) = W shared_a``.
+        Both halves of a residual ``W_t - W_p`` take the same operations,
+        so equal vectors give exactly 0."""
         shared_a, shared_b = frozen
-        lambda_b = np.reshape(cluster, (-1, 1))
-        if rows is not None:
-            lambda_b, shared_b = lambda_b[rows], shared_b[rows]
-        return lambda_b * (shared_b * np.reshape(shared, (1, -1))), shared_a
+        return np.reshape(cluster, (-1, 1)) * (shared_b * np.reshape(shared, (1, -1))), shared_a
 
     @staticmethod
     def pull_back_factors(m, n, cluster, shared, frozen: tuple[Matrix, Matrix]):
@@ -372,10 +363,9 @@ def _check_task_ids(ids, field: str) -> None:
         raise ValidationError(f"{field} must be distinct non-empty strings, got {ids!r}")
 
 
-def delta_factors(adapter: Adapter, rows: slice | None = None) -> tuple[Matrix, Matrix]:
-    """The update's rank-r factors ``(left, right)`` from ``sides()``; for a
-    row slice ``rows``, only those rows of ``left``."""
-    return adapter.factors(*adapter.sides(), adapter.frozen, rows)
+def delta_factors(adapter: Adapter) -> tuple[Matrix, Matrix]:
+    """The update's rank-r factors ``(left, right)`` from ``sides()``."""
+    return adapter.factors(*adapter.sides(), adapter.frozen)
 
 
 def delta_weight(adapter: Adapter) -> Matrix:

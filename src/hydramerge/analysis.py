@@ -2,10 +2,11 @@
 and reconstruction error of merged bundles against their originals.
 
 The reconstruction report never forms a whole ``d x k`` update, and holds
-one task at a time: it builds the task's update and its prediction from
-their rank-r ``factors``, one row block at a time
-(:func:`~hydramerge.linalg.row_blocks`), and keeps only the sums of
-``|R|`` and ``R^2`` per task.
+one task at a time: it takes the residual of the task's update against
+its prediction one row block at a time from their rank-r ``factors``,
+through :func:`~hydramerge.linalg.residual_blocks` (the builder
+:mod:`hydramerge.hydra`'s MAE kernel trains with), and keeps only the
+sums of ``|R|`` and ``R^2`` per task.
 
 Similarity covers both adapter kinds through ``sides()``: "A" is the
 shared side (LoRA ``A``, VeRA ``lambda_d``) and "B" the cluster side (LoRA
@@ -34,6 +35,7 @@ from .linalg import (
     DistanceKind,
     distance,
     mae_and_fro_of_sums,
+    residual_blocks,
     residual_sums,
     row_blocks,
 )
@@ -202,34 +204,29 @@ def _scores(targets: Sequence[Adapter], entry: MergedSlot) -> list[tuple[float, 
     One task at a time, in task order: task i is read from ``targets``
     (an archived collection reads it then), scored and dropped before
     task i + 1 is read, so memory does not grow with the number of tasks.
-    Every update is built from its rank-r ``factors`` (see
-    :mod:`hydramerge.adapters`) one row block of about ``_BLOCK_ENTRIES``
-    entries at a time (:func:`~hydramerge.linalg.row_blocks`), into two
-    buffers that the whole slot reuses: for each block, in block order,
-    the block of task i's cluster prediction (a single merged adapter is
-    one cluster of every task), then the task's own block from only those
-    rows of its left factor, less the prediction; the block's
+    Each residual comes from the rank-r ``factors`` of the task and of its
+    cluster's adapter (see :mod:`hydramerge.adapters`; a single merged
+    adapter is one cluster of every task) one row block of about
+    ``_BLOCK_ENTRIES`` entries at a time, from
+    :func:`~hydramerge.linalg.residual_blocks` into two buffers that the
+    whole slot reuses; each block's
     :func:`~hydramerge.linalg.residual_sums` add to the task's sums."""
     assignment = entry.assignment if isinstance(entry, SharedSlot) else [0] * len(targets)
     d, _, k = entry.member(0).shape_signature()
     rows, blocks = row_blocks(d, k, _BLOCK_ENTRIES)
-    prediction, residual = np.empty((rows, k)), np.empty((rows, k))
+    buffers = np.empty((rows, k)), np.empty((rows, k))
+    one_right = entry.member(0).right_frozen
     scores = []
     for i in range(len(targets)):
         # indexed, then deleted: an iterator, enumerate's tuple or the loop variable
         # would hold task i while task i + 1 is read
         target = targets[i]
-        left, right = delta_factors(entry.member(assignment[i]))
+        factors = delta_factors(target), delta_factors(entry.member(assignment[i]))
         abs_sum = sq_sum = 0.0
-        for block in blocks:
-            n = block.stop - block.start
-            pred, res = prediction[:n], residual[:n]
-            np.matmul(left[block], right, out=pred)
-            np.matmul(*delta_factors(target, block), out=res)
-            res -= pred
-            block_abs, block_sq = residual_sums(res)
+        for _, block in residual_blocks(*factors, one_right, blocks, buffers):
+            block_abs, block_sq = residual_sums(block)
             abs_sum += block_abs
             sq_sum += block_sq
         scores.append(mae_and_fro_of_sums(abs_sum, sq_sum, d * k))
-        del target
+        del target, factors
     return scores

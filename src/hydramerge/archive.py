@@ -33,7 +33,10 @@ shared side (``A`` / ``lambda_d``), the cluster side (``B`` /
 sides at a slot, and ``frozen_names`` those of the slot's frozen pair;
 the writer and the reader both take every such name from them.  They
 take the parts themselves from the adapter's ``sides()`` and ``frozen``
-(see :mod:`hydramerge.adapters`), so neither branches on the kind.
+(see :mod:`hydramerge.adapters`), so neither branches on the kind.  The
+reader's name patterns take their side names from it too, and the slot
+grammar from :class:`~hydramerge.adapters.SlotKey`'s ``LABEL``; a bundle
+that names a VeRA side is read as VeRA.
 
 Vectors are stored as n x 1.  Tensors are serialized in sorted-name order,
 so identical inputs always produce byte-identical files.  Values are
@@ -135,6 +138,11 @@ class _Layout(NamedTuple):
     cluster: str
     frozen: tuple[str, ...]
 
+    @property
+    def sides(self) -> tuple[str, str]:
+        """The field names of the shared and the cluster side."""
+        return self.shared, self.cluster
+
     def side_names(self, label: str, task: str | None = None) -> tuple[str, str]:
         """The names of the shared and the cluster side at the slot
         ``label``: ``task.<task>.<label>.<field>``, or
@@ -153,14 +161,13 @@ _LAYOUTS = {
 }
 
 _HEADER_BYTES = 8
+# every kind's side names; a task's or a bundle's side is a slot label, then one
+_SIDE_NAMES = [name for layout in _LAYOUTS.values() for name in layout.sides]
+_SIDE = rf"(?P<slot>{SlotKey.LABEL})\.(?P<field>{'|'.join(_SIDE_NAMES)})"
 _TASK_TENSOR = re.compile(  # DOTALL: a task id may hold any character
-    r"^task\.(?P<task>.+)\.(?P<slot>layer\.\d+\.[A-Za-z0-9_]+)\.(?P<field>A|B|lambda_b|lambda_d)$",
-    re.DOTALL,
+    rf"^task\.(?P<task>.+)\.{_SIDE}$", re.DOTALL
 )
-_MERGED_TENSOR = re.compile(
-    r"^merged\.(?P<slot>layer\.\d+\.[A-Za-z0-9_]+)\."
-    r"(?P<field>A|B|lambda_b|lambda_d)(?:\.(?P<cluster>\d+))?$"
-)
+_MERGED_TENSOR = re.compile(rf"^merged\.{_SIDE}(?:\.(?P<cluster>\d+))?$")
 
 
 def _as_f32_payload(arr: np.ndarray, name: str) -> np.ndarray:
@@ -630,7 +637,7 @@ def _read_bundle(tensors, meta) -> MergedBundle:
     if not isinstance(method, str):
         raise ArchiveFormatError(f"meta.method must be a string, got {method!r}")
     fields = {m.group("field") for m in map(_MERGED_TENSOR.match, tensors) if m}
-    kind = "vera" if fields & {"lambda_b", "lambda_d"} else "lora"
+    kind = "vera" if fields & set(_LAYOUTS["vera"].sides) else "lora"
     bundle = MergedBundle(method, kind, tasks, _slots_from_names(tensors, _MERGED_TENSOR))
     assignment = functools.partial(_slot_assignment, meta.get("assignment"), tasks)
     for slot in bundle.slots:

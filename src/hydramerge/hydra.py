@@ -55,16 +55,16 @@ non-finite state reaches the kernel, which names the task.
 :func:`train` builds its state from the targets it checked, so its steps
 check nothing; the kernels rely on the one frozen pair this guarantees.
 
-Under MAE the blocked kernel builds each residual ``R_i`` one block of
-rows at a time, about ``_BLOCK_ENTRIES`` entries, into one reused buffer
-and its sign into a second; the blocks are those of
-:func:`~hydramerge.linalg.row_blocks`, which the reconstruction report
-walks too.  A frozen right factor makes a block one product, ``(L_t,i -
-L_p,i)[rows] R_p``; a trained one makes it ``L_t,i[rows] R_t,i`` minus
-``L_p,i[rows] R_p``, two products of one C-ordered layout.  The kernel
-keeps the sum of ``|R_i|``, ``M_i`` and ``N_i`` with ``G_i = -sign(R_i) /
-(d k)``, and pulls each task back before the next.  No other ``d x k``
-array is formed, not even a target.
+Under MAE the blocked kernel takes each residual ``R_i`` one block of
+rows at a time, about ``_BLOCK_ENTRIES`` entries, from
+:func:`~hydramerge.linalg.residual_blocks`, the one builder the
+reconstruction report uses too, into one reused buffer, and writes its
+sign into a second.  A frozen right factor makes a block one product,
+``(L_t,i - L_p,i)[rows] R_p``; a trained one makes it ``L_t,i[rows]
+R_t,i`` minus ``L_p,i[rows] R_p``, two products of one C-ordered layout.
+The kernel keeps the sum of ``|R_i|``, ``M_i`` and ``N_i`` with ``G_i =
+-sign(R_i) / (d k)``, and pulls each task back before the next.  No
+other ``d x k`` array is formed, not even a target.
 
 Under a smooth distance (mse, fro, cos) the Gram kernel never forms a
 ``d x k`` array either: every quantity is a trace of ``r x r`` Gram
@@ -153,6 +153,7 @@ from .linalg import (
     distance_and_grad,
     exact_mean,
     gaussian_sample,
+    residual_blocks,
     row_blocks,
     smooth_terms,
     softmax_rows,
@@ -543,9 +544,10 @@ _BLOCK_ENTRIES = ROW_BLOCK_ENTRIES
 @_stepped()
 def _loss_and_grads_vera_mae(state, mixed, targets: Sequence[Adapter], cfg):
     """The blocked kernel: MAE loss and gradients, for either kind, from
-    each task's residual ``R_i = L_t,i R_t,i - L_p,i R_p``, built from the
-    rank-r factors one row block at a time: no d x k array but the two
-    block buffers.
+    each task's residual ``R_i = L_t,i R_t,i - L_p,i R_p``, taken one row
+    block at a time from :func:`~hydramerge.linalg.residual_blocks`: no
+    d x k array but its two block buffers, the second of which then holds
+    the block's sign.
 
     With ``G_i = -sign(R_i) / (d k)`` only ``M_i = G_i R_p^T`` (d x r) and,
     for a trained right factor, ``N_i = L_p,i^T G_i`` (r x k) reach the
@@ -553,22 +555,16 @@ def _loss_and_grads_vera_mae(state, mixed, targets: Sequence[Adapter], cfg):
     kind = state.adapter_type
     d, _, k = targets[0].shape_signature()
     size, (rows, row_slices) = d * k, row_blocks(d, k, _BLOCK_ENTRIES)
-    blocks, signs = np.empty((rows, k)), np.empty((rows, k))
+    buffers = np.empty((rows, k)), np.empty((rows, k))
     for target, c in zip(targets, mixed):
-        left, right = delta_factors(target)
         left_p, right_p = kind.factors(state.shared, c, state.frozen)
-        if kind.right_frozen:  # R_t = R_p: the residual is one product
-            left, right, left_p = left - left_p, right_p, None
-        else:  # two products of one layout, so an exact fit cancels exactly
-            left, right, left_p, right_p = map(np.ascontiguousarray, (left, right, left_p, right_p))
         m, total = np.empty((d, len(right_p))), 0.0
         n = None if kind.right_frozen else np.zeros_like(right_p)
-        for span in row_slices:
-            block, sign = blocks[: span.stop - span.start], signs[: span.stop - span.start]
-            np.matmul(left[span], right, out=block)
-            if n is not None:
-                block -= np.matmul(left_p[span], right_p, out=sign)
-            np.sign(block, out=sign)
+        residual = residual_blocks(
+            delta_factors(target), (left_p, right_p), kind.right_frozen, row_slices, buffers
+        )
+        for span, block in residual:
+            sign = np.sign(block, out=buffers[1][: len(block)])
             total += float(np.vdot(sign, block))  # sum |R| over the block
             np.matmul(sign, right_p.T, out=m[span])
             if n is not None:

@@ -22,6 +22,11 @@ scalars that depend on ``x`` and ``y`` only through the traces
 ``<x, x>``, ``<x, y>`` and ``<y, y>``; :func:`smooth_terms` maps those
 traces to the value and ``(alpha, beta)`` without touching a matrix.
 
+:func:`residual_blocks` builds a residual ``L_t R_t - L_p R_p`` of two
+rank-r products one row block at a time, so that an exact fit gives
+exactly 0; hydraopt's MAE kernel and the reconstruction report both take
+their residuals from it.
+
 :func:`exact_mean` is the correctly rounded elementwise mean behind the
 TA and DARE baselines and hydraopt's mean init.  One column block of
 entries at a time (:func:`row_blocks`), it sums the K tasks exactly, as a
@@ -176,6 +181,28 @@ def row_blocks(d: int, k: int, budget: int) -> tuple[int, list[slice]]:
     row slices in order."""
     rows = max(1, min(d, budget // k))
     return rows, [slice(start, min(start + rows, d)) for start in range(0, d, rows)]
+
+
+def residual_blocks(target, prediction, one_right: bool, blocks, buffers):
+    """Each row block of ``R = L_t R_t - L_p R_p``, from the rank-r factors
+    ``target = (L_t, R_t)`` and ``prediction = (L_p, R_p)``: for each slice
+    ``rows`` of ``blocks`` (:func:`row_blocks`), in order, ``(rows,
+    R[rows])``.  ``R[rows]`` is a view of ``buffers[0]``, which the next
+    block overwrites; ``buffers[1]`` is scratch, and the caller owns both.
+    With ``one_right`` the right factors are equal and a block is one
+    product, ``(L_t - L_p)[rows] R_p``; otherwise it is ``L_t[rows] R_t``
+    less ``L_p[rows] R_p``, two products of one C-ordered layout.  Either
+    way equal factors give blocks of exactly 0."""
+    (left, right), (left_p, right_p) = target, prediction
+    if one_right:
+        left, right, left_p = left - left_p, right_p, None
+    else:
+        left, right, left_p, right_p = map(np.ascontiguousarray, (left, right, left_p, right_p))
+    for rows in blocks:
+        block = np.matmul(left[rows], right, out=buffers[0][: rows.stop - rows.start])
+        if left_p is not None:
+            block -= np.matmul(left_p[rows], right_p, out=buffers[1][: len(block)])
+        yield rows, block
 
 
 def distance_grad(x, y, kind: DistanceKind) -> Matrix:
@@ -434,11 +461,12 @@ def stable_hash64(label: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _mix64(value: int) -> int:
-    z = value & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of each entry of a uint64 array, mod 2^64:
+    array arithmetic wraps without a warning."""
+    z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
+    z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
+    return z ^ (z >> _U64(31))
 
 
 class Rng:
@@ -450,7 +478,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = _mix64(int(seed) & _MASK64)
+        self.seed = int(_mix64(np.array([int(seed) & _MASK64], dtype=_U64))[0])
         self.counter = 0
 
     def spawn(self, label: str) -> "Rng":
@@ -460,12 +488,7 @@ class Rng:
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        with np.errstate(over="ignore"):
-            z = _U64(self.seed) + idx * _U64(_GOLDEN)
-            z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
-            z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
-            z = z ^ (z >> _U64(31))
-        return z
+        return _mix64(_U64(self.seed) + idx * _U64(_GOLDEN))
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1)."""

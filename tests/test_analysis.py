@@ -18,9 +18,9 @@ from hydramerge.analysis import (
     storage_ratio,
 )
 from hydramerge.baselines import BaselineConfig, MergeMethod, merge_collection
-from hydramerge import analysis
+from hydramerge import analysis, hydra, linalg
 from hydramerge.errors import NumericalError, ParameterError, ValidationError
-from hydramerge.hydra import HydraConfig, merge_collection_hydra
+from hydramerge.hydra import HydraConfig, export_slot, merge_collection_hydra, train
 from hydramerge.linalg import DistanceKind, Rng, distance, gaussian_sample
 from hydramerge.synthetic import SynthSpec, generate
 
@@ -395,6 +395,56 @@ class TestBlockedReport:
         )
         with pytest.raises(NumericalError, match=r"^slot layer\.0\.v: task 't1': "):
             reconstruction_report(coll, bundle)
+
+
+class TestOneResidualBuilder:
+    """The report and hydraopt's MAE kernel take every residual block from
+    ``linalg.residual_blocks``, so the report scores a bundle as training
+    measured it.  Blocks of 18 entries (3 rows of k = 6) leave the last
+    one ragged."""
+
+    K = 4
+
+    @pytest.fixture(autouse=True)
+    def ragged_blocks(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", 18)
+        monkeypatch.setattr(hydra, "_BLOCK_ENTRIES", 18)
+
+    def slots(self, kind):
+        """Per slot, the targets and a state trained under MAE with M == K."""
+        make = lora_collection if kind == "lora" else vera_collection
+        coll = make(tasks=self.K, d=7, k=6, rank=3, seed=3)
+        cfg = HydraConfig(num_clusters=self.K, distance="mae", epochs=5)
+        for slot in coll.slots:
+            targets = list(coll.adapters_at(slot))
+            yield targets, train(targets, cfg, Rng(1))[0], cfg
+
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    def test_report_mae_is_the_training_distance(self, kind):
+        for targets, state, cfg in self.slots(kind):
+            per_task = hydra._kernel(targets, cfg)(state)[1]
+            scores = analysis._scores(targets, export_slot(state, list(range(self.K))))
+            assert [mae for mae, _ in scores] == pytest.approx(per_task, rel=1e-15, abs=0.0)
+            assert min(per_task) > 0.0
+
+    @pytest.mark.parametrize("kind", ["lora", "vera"])
+    def test_both_callers_build_each_residual_there(self, monkeypatch, kind):
+        calls = []
+
+        def counting(module):
+            def wrapped(*args):
+                calls.append(module.__name__)
+                return linalg.residual_blocks(*args)
+
+            monkeypatch.setattr(module, "residual_blocks", wrapped)
+
+        counting(analysis)
+        counting(hydra)
+        targets, state, cfg = next(self.slots(kind))
+        calls.clear()  # training's own steps
+        hydra._kernel(targets, cfg)(state)
+        analysis._scores(targets, export_slot(state, list(range(self.K))))
+        assert calls == [hydra.__name__] * self.K + [analysis.__name__] * self.K
 
 
 class TestSynthetic:

@@ -24,6 +24,7 @@ from hydramerge.linalg import (
     mae_and_fro,
     mae_and_fro_of_sums,
     matmul,
+    residual_blocks,
     residual_sums,
     row_blocks,
     smooth_terms,
@@ -329,6 +330,47 @@ class TestRowBlocks:
 
     def test_default_budget(self):
         assert linalg.ROW_BLOCK_ENTRIES == 2**17
+
+
+class TestResidualBlocks:
+    """``residual_blocks`` builds ``L_t R_t - L_p R_p`` block by block, with
+    one product per block when the right factors are one."""
+
+    @staticmethod
+    def factors(one_right, seed=6, d=7, r=3, k=6):
+        rng = Rng(seed)
+        left_t, left_p = (gaussian_sample(rng, d, r, 0.0, 1.0) for _ in range(2))
+        right_p = gaussian_sample(rng, r, k, 0.0, 1.0)
+        right_t = right_p.copy() if one_right else gaussian_sample(rng, r, k, 0.0, 1.0)
+        return (left_t, right_t), (left_p, right_p)
+
+    @staticmethod
+    def blocks_of(target, prediction, one_right, budget=18):
+        d, k = len(target[0]), target[1].shape[1]
+        rows, blocks = row_blocks(d, k, budget)
+        buffers = np.empty((rows, k)), np.empty((rows, k))
+        out = residual_blocks(target, prediction, one_right, blocks, buffers)
+        return blocks, buffers, [(span, block.copy(), block) for span, block in out]
+
+    @pytest.mark.parametrize("budget", [18, 2**17, 1])
+    @pytest.mark.parametrize("one_right", [False, True])
+    def test_blocks_concatenate_to_the_residual(self, one_right, budget):
+        target, prediction = self.factors(one_right)
+        blocks, buffers, got = self.blocks_of(target, prediction, one_right, budget)
+        assert [span for span, _, _ in got] == blocks
+        assert all(np.shares_memory(view, buffers[0]) for _, _, view in got)
+        whole = np.concatenate([block for _, block, _ in got])
+        want = target[0] @ target[1] - prediction[0] @ prediction[1]
+        np.testing.assert_allclose(whole, want, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("one_right", [False, True])
+    def test_equal_factors_give_exact_zeros(self, one_right):
+        (left, right), _ = self.factors(one_right, seed=9, d=11, r=4, k=5)
+        # the prediction's factors in the other memory order: the same values
+        prediction = np.asfortranarray(left), np.asfortranarray(right)
+        _, _, got = self.blocks_of((left, right), prediction, one_right, budget=10)
+        assert sum(len(block) for _, block, _ in got) == 11
+        assert all(not block.any() for _, block, _ in got)
 
 
 class TestGaussianSample:

@@ -6,15 +6,18 @@ Runs a fixed matrix of ``hydramerge`` commands once against each source
 tree (the directory that holds the ``hydramerge`` package), each tree in
 its own temporary directory, with ``OPENBLAS_NUM_THREADS=1`` so that BLAS
 sums in one fixed order.  Every command runs from that directory with
-relative paths, so the two runs print the same paths.  Exits 1 and names
-the first command whose exit code, stdout, stderr or written archive
-differs (a command that fails must write no archive in either tree), and
-0 when every command agrees.  Besides valid inputs, the matrix feeds the
-reader malformed ones, which must fail the same way: a NaN payload in the
-last slot, a stray tensor, a truncated payload and bundles merged from
-another collection.  A collection whose slots differ in shape goes
-through the merges and every report.  A command may start with ``NAME=VALUE`` words, which
-set its environment as a shell does: a few run with ``HYDRA_MERGE_LOG``
+relative paths, so the two runs print the same paths.  Names every
+command whose exit code, stdout, stderr or written archive differs (a
+command that fails must write no archive in either tree), with what
+differs, and then exits 1; exits 0 when every command agrees.  Each tree
+goes on from its own archives, so a command that reads a differing
+archive is likely to be named too.  Besides valid inputs, the matrix
+feeds the reader malformed ones, which must fail the same way: a NaN
+payload in the last slot, a stray tensor, a truncated payload and
+bundles merged from another collection.  A collection whose slots
+differ in shape goes through the merges and every report.  A command
+may start with ``NAME=VALUE`` words, which set its environment as a
+shell does: a few run with ``HYDRA_MERGE_LOG``
 set, so that the diagnostics they log are compared too; the others run
 without it.  Takes under two minutes per tree on two cores.
 """
@@ -222,20 +225,25 @@ def main(argv: list[str]) -> int:
         return 2
     old_src, new_src = (Path(p).resolve() for p in argv)
     commands = matrix()
+    names = {
+        MAKE_VERA: "<make-vera>",
+        MAKE_MIXED: "<make-mixed>",
+        MAKE_MALFORMED: "<make-malformed>",
+    }
+    differing = 0
     with tempfile.TemporaryDirectory() as old_work, tempfile.TemporaryDirectory() as new_work:
         for n, command in enumerate(commands, 1):
             old = run(old_src, Path(old_work), command)
             new = run(new_src, Path(new_work), command)
-            for what, a, b in zip(("exit code", "stdout", "stderr", "written archive"), old, new):
-                if a != b:
-                    names = {
-                        MAKE_VERA: "<make-vera>",
-                        MAKE_MIXED: "<make-mixed>",
-                        MAKE_MALFORMED: "<make-malformed>",
-                    }
-                    shown = " ".join(names.get(c, c) for c in command)
-                    print(f"{what} differs at command {n}: {shown}", file=sys.stderr)
-                    return 1
+            whats = ("exit code", "stdout", "stderr", "written archive")
+            differs = [what for what, a, b in zip(whats, old, new) if a != b]
+            if differs:
+                differing += 1
+                shown = " ".join(names.get(c, c) for c in command)
+                print(f"command {n} differs in {', '.join(differs)}: {shown}", file=sys.stderr)
+    if differing:
+        print(f"{differing} of {len(commands)} commands differ", file=sys.stderr)
+        return 1
     print(f"all {len(commands)} commands agree")
     return 0
 
