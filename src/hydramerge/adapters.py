@@ -6,8 +6,10 @@ in adapter kind, with identical shapes across tasks at each slot.  Merged
 bundles hold either one adapter per slot (baseline output) or a
 :class:`SharedSlot`: one shared side plus a list of cluster sides with a
 per-task cluster assignment.  The clustered slot classes are also the
-base of :mod:`hydramerge.hydra`'s training states, which add only the
-routing logits, Adam's moments and the step count.
+base of :mod:`hydramerge.hydra`'s training states, which hold their
+clusters as one ``(M, ...)`` array instead of a list and add only the
+routing logits, Adam's moments and the step count.  Both check their
+clusters' shapes with :func:`check_cluster_shapes`.
 
 Each adapter class describes its kind, so no other layer branches on it:
 
@@ -349,6 +351,17 @@ def check_slot(adapters: Mapping[str, Adapter], where: str) -> None:
             raise ValidationError(f"{where}: " + "; ".join(found))
 
 
+def check_cluster_shapes(clusters: Sequence, where: str = "") -> None:
+    """Raise :class:`ValidationError`, prefixed by ``where``, naming the
+    first cluster whose shape differs from cluster 0's."""
+    first = np.shape(clusters[0])
+    for j, cluster in enumerate(clusters):
+        if np.shape(cluster) != first:
+            raise ValidationError(
+                f"{where}cluster {j} has shape {np.shape(cluster)}, cluster 0 has {first}"
+            )
+
+
 def stand_in(shape) -> np.ndarray:
     """A read-only array of zeros of ``shape`` that stores one value (all
     its strides are 0): an adapter or slot built from stand-ins has the
@@ -649,13 +662,7 @@ class MergedBundle:
                         f"slot {slot.label()} assigns {len(entry.assignment)} tasks, "
                         f"expected {len(self.tasks)}"
                     )
-                first = np.shape(entry.clusters[0])
-                for j, cluster in enumerate(entry.clusters):
-                    if np.shape(cluster) != first:
-                        raise ValidationError(
-                            f"slot {slot.label()}: cluster {j} has shape {np.shape(cluster)}, "
-                            f"cluster 0 has {first}"
-                        )
+                check_cluster_shapes(entry.clusters, f"slot {slot.label()}: ")
                 # every cluster has cluster 0's shape, so its fit is theirs
                 entry.adapter_type.check_shapes(
                     entry.shared, entry.clusters[0], entry.frozen, f"slot {slot.label()}: "

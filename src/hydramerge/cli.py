@@ -33,7 +33,10 @@ whose adapter kind, ``(d, r, k)`` or VeRA frozen pair differs (see
 :meth:`~hydramerge.adapters.MergedBundle.check_pairs`).
 
 Exit codes: 0 success, 1 failed gradient check, 2 usage error,
-3 validation or file-format error.
+3 validation or file-format error, 141 (128 + SIGPIPE) when stdout is a
+pipe whose reader has gone, as after ``| head -1`` on a long document:
+then no ``error:`` line is printed, and any ``--out`` was already
+written whole.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .linalg import DistanceKind
 # loads only what it runs.
 
 _BASELINES = [m.value for m in MergeMethod]
+CLOSED_STDOUT = 141  # the exit code of a command whose stdout lost its reader
 # The methods that read each merge option, by the field it sets; every method
 # reads --in, --out, --method, --seed and --jobs.  Any other option given to a
 # method is a usage error.
@@ -172,12 +176,14 @@ def _log_wrote(path) -> None:
 
 
 def _emit(doc: dict, out_path: str | None = None) -> None:
-    """Write ``--out`` first, so a failed write prints no document."""
+    """Write ``--out`` first, so a failed write prints no document.  The
+    document is flushed here, so a stdout with no reader raises
+    :class:`BrokenPipeError` inside :func:`main`."""
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    print(text, flush=True)
 
 
 _ARCHIVED = {AdapterCollection: "collection", MergedBundle: "merged bundle"}
@@ -317,6 +323,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
+    except BrokenPipeError:
+        # stdout lost its reader: point it at devnull, so the flush at exit
+        # cannot raise again, and exit as a process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
     except (HydraMergeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -102,7 +102,7 @@ def _random_instance(rng: Rng, draw_targets, d, k, r, num_tasks, num_clusters, c
         targets = draw_targets(rng, d, k, r, num_tasks)
         state = _new_state(targets, num_clusters, rng, stdev=1.0)
         weights = _routing(state, cfg, num_tasks)
-        mixed, basis = _mix(weights, np.stack(state.clusters)), state.basis()
+        mixed, basis = _mix(weights, state.clusters), state.basis()
         preds = (state.adapter_type.predict(c, basis) for c in mixed)
         residuals = (np.abs(t - p) for t, p in zip(_target_matrices(targets), preds))
         if min(float(np.min(res)) for res in residuals) <= RESIDUAL_FLOOR:

@@ -15,23 +15,27 @@ the targets' ``sides()`` and carry their ``frozen`` pair.  A training
 state is the bundle slot it exports (:class:`HydraState` is a
 :class:`~hydramerge.adapters.SharedLoraSlot`, :class:`VeraHydraState` a
 :class:`~hydramerge.adapters.SharedVeraSlot`) plus routing logits, Adam
-moments and the step count.  ``L``, its adjoint and its rank-r factors
-are static methods of the slot's ``adapter_type`` (see
-:mod:`hydramerge.adapters`).  LoRA learns a shared input-side factor
-``A`` (r x k) and cluster factors ``B_j`` (d x r); VeRA keeps its frozen
-pair and learns a shared inner vector ``lambda_d`` (r) and cluster outer
-vectors ``lambda_b_j`` (d).
+moments and the step count, except that it holds its clusters as one
+C-contiguous ``(M, *cluster shape)`` array ``c``, stacked once when it is
+built; cluster j's tensor is a view of row j, so Adam updates the stack
+in place, and :func:`export_slot` lists its rows.  ``L``, its adjoint
+and its rank-r factors are static methods of the slot's
+``adapter_type`` (see :mod:`hydramerge.adapters`).  LoRA learns a shared
+input-side factor ``A`` (r x k) and cluster factors ``B_j`` (d x r);
+VeRA keeps its frozen pair and learns a shared inner vector
+``lambda_d`` (r) and cluster outer vectors ``lambda_b_j`` (d).
 
 Every kernel is a generator run by one evaluation step, :func:`_step`.
-The step mixes the clusters once, ``c_mix = w @ c`` (K rows), and the
-kernel reads task i's ``c_mix_i`` from row i.  It yields, task by task,
-``(distance_i, E_i, term_i)``: the distance, ``E_i`` the gradient with
-respect to ``c_mix_i``, which the step writes over row i, and the task's
-term of the shared gradient.  The step does the rest once for all
-kernels: it routes, holds numpy's error state, raises
-:class:`NumericalError` naming the first task whose distance is not
-finite, sums the shared terms and applies the one chain rule in cluster
-space: ``dc_j = sum_i w[i, j] E_i``, and the routing logits get
+The step reads the state's stack ``c`` as it is and mixes it once into a
+new K-row buffer, ``c_mix = w @ c`` (under identity routing a copy of
+``c``), and the kernel reads task i's ``c_mix_i`` from row i.  It
+yields, task by task, ``(distance_i, E_i, term_i)``: the distance,
+``E_i`` the gradient with respect to ``c_mix_i``, which the step writes
+over row i, and the task's term of the shared gradient.  The step does
+the rest once for all kernels: it routes, holds numpy's error state,
+raises :class:`NumericalError` naming the first task whose distance is
+not finite, sums the shared terms and applies the one chain rule in
+cluster space: ``dc_j = sum_i w[i, j] E_i``, and the routing logits get
 
     g[i, j] = <G_i, U_j> = <E_i, c_j>            (flattened inner products)
     dC[i,m] = (w[i, m] / temperature) * (g[i, m] - sum_j w[i, j] g[i, j])
@@ -130,6 +134,7 @@ from .adapters import (
     SharedSlot,
     SharedVeraSlot,
     SlotKey,
+    check_cluster_shapes,
     check_slot,
     delta_factors,
     delta_weight,
@@ -218,13 +223,24 @@ class _RoutedState:
     ``clusters`` and ``frozen`` parts, which ``NAMES`` names) plus routing
     logits (absent when M == K), Adam's ``(m, v)`` moments and the step
     count.  The slot's ``assignment`` stays empty while training;
-    :func:`export_slot` builds the bundle slot with the argmax assignment."""
+    :func:`export_slot` builds the bundle slot with the argmax assignment.
+
+    However it is built, the state holds its clusters as one C-contiguous
+    ``(M, *cluster shape)`` array, stacked once here from the list it is
+    given, in the field ``CLUSTERS`` names; cluster j is row j.  An empty
+    list, or clusters that differ in shape, raise :class:`ValidationError`."""
 
     NAMES: ClassVar[tuple[str, str]]
+    CLUSTERS: ClassVar[str]
     logits: Matrix | None
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     step: int = 0
     assignment: list[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        super().__post_init__()  # an empty cluster list raises here
+        check_cluster_shapes(self.clusters)
+        setattr(self, self.CLUSTERS, np.ascontiguousarray(np.stack(self.clusters)))
 
     @property
     def params(self):
@@ -235,6 +251,8 @@ class _RoutedState:
         return len(self.clusters)
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
+        """Each trainable tensor by name; cluster j is a view of row j, so
+        an update in place (:func:`adamw_step`) updates the stack."""
         shared_name, cluster_name = self.NAMES
         out = [(shared_name, self.shared)]
         out += [(f"{cluster_name}.{j}", c) for j, c in enumerate(self.clusters)]
@@ -261,6 +279,7 @@ class HydraState(_RoutedState, SharedLoraSlot):
     """LoRA: shared input-side factor ``A``, cluster factors ``B_j``."""
 
     NAMES: ClassVar[tuple[str, str]] = ("a_shared", "b")
+    CLUSTERS: ClassVar[str] = "b_clusters"
 
 
 @dataclass
@@ -268,6 +287,7 @@ class VeraHydraState(_RoutedState, SharedVeraSlot):
     """VeRA: inner vector ``lambda_d``, cluster outer vectors ``lambda_b_j``."""
 
     NAMES: ClassVar[tuple[str, str]] = ("lambda_d", "lambda_b")
+    CLUSTERS: ClassVar[str] = "lambda_b_clusters"
 
 
 _STATES = {cls.adapter_type: cls for cls in (HydraState, VeraHydraState)}
@@ -313,7 +333,7 @@ def _new_state(targets, num_clusters: int, rng: Rng, stdev: float | None):
     own = [t.sides() for t in targets]
     if stdev is None:
         shared = exact_mean([s for s, _ in own])
-        clusters = [c.copy() for _, c in own[:num_clusters]]
+        clusters = [c for _, c in own[:num_clusters]]  # the state stacks a copy
     else:
         shared = gaussian_sample(rng, *own[0][0].shape, 0.0, stdev)
         clusters = [gaussian_sample(rng, *own[0][1].shape, 0.0, stdev) for _ in range(num_clusters)]
@@ -402,8 +422,9 @@ def _logit_grad(weights: np.ndarray, inner: np.ndarray, temperature: float) -> n
 
 
 def _mix(weights: np.ndarray | None, clusters: np.ndarray) -> np.ndarray:
-    """``w @ c`` per task, from the stacked clusters ``c``."""
-    return clusters if weights is None else np.tensordot(weights, clusters, axes=(1, 0))
+    """``w @ c`` per task, from the stacked clusters ``c``, as a new array:
+    under identity routing, a copy of ``c``."""
+    return clusters.copy() if weights is None else np.tensordot(weights, clusters, axes=(1, 0))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the check below types non-finite results
@@ -411,8 +432,9 @@ def _step(kernel, finish, state, targets, *args):
     """One evaluation step, ``(loss, per_task, grads)``: it owns what every
     kernel shares.
 
-    It routes, stacks the clusters ``c``, mixes them once into ``c_mix = w
-    @ c`` (under identity routing the stacked copy itself) and iterates
+    It routes, mixes the state's stacked clusters ``c`` once into a new
+    K-row buffer, ``c_mix = w @ c`` (under identity routing a copy of
+    ``c``, the only copy of the clusters a step makes) and iterates
     ``kernel(state, c_mix, targets, *args)``, whose last argument is the
     config.  The kernel reads task i's ``c_mix_i`` from row i and yields
     ``(distance_i, E_i, term_i)`` for each task in order: ``E_i`` is the
@@ -426,7 +448,7 @@ def _step(kernel, finish, state, targets, *args):
     w[i, j] E_i`` and the logits' ``g[i, j] = <E_i, c_j>``."""
     cfg = args[-1]
     weights = _routing(state, cfg, len(targets))
-    clusters = np.stack(state.clusters)
+    clusters = state.clusters
     mixed = _mix(weights, clusters)  # row i holds c_mix_i, then E_i
     terms = kernel(state, mixed, targets, *args)
     per_task, shared = [], None
@@ -692,9 +714,12 @@ def assign_tasks(state, cfg: HydraConfig) -> list[int]:
 
 
 def export_slot(state, assignment: list[int]):
-    """Package a trained state as one bundle slot; the routing logits are
-    not part of it."""
-    return state.adapter_type.shared_slot(state.shared, state.clusters, state.frozen, assignment)
+    """Package a trained state as one bundle slot, whose clusters are the
+    rows of the state's stack, as a list; the routing logits are not part
+    of it."""
+    return state.adapter_type.shared_slot(
+        state.shared, list(state.clusters), state.frozen, assignment
+    )
 
 
 def merge_collection_hydra(

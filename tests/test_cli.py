@@ -1229,3 +1229,40 @@ class TestOptionTheMethodDoesNotRead:
         assert f"{flags[0]} is read only by {', '.join(readers)}" in error
         assert option("merge", flags[0]).help.endswith(f"read by {', '.join(readers)}")
         assert not (tmp_path / "x.lrta").exists()
+
+
+class TestClosedStdout:
+    """A command whose stdout has lost its reader prints no ``error:`` line
+    and exits 141, as a process killed by SIGPIPE would, not 3."""
+
+    @staticmethod
+    def run_into_closed_pipe(*args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(
+                CLI + list(args), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300
+            )
+        finally:
+            os.close(write_end)
+
+    def test_report_storage(self, small_archive, tmp_path):
+        bundle = tmp_path / "ta.lrta"
+        merge = run_cli("merge", "--in", str(small_archive), "--out", str(bundle), "--method", "ta")
+        assert merge.returncode == 0, merge.stderr
+        result = self.run_into_closed_pipe(
+            "report-storage", "--in", str(small_archive), "--merged", str(bundle)
+        )
+        assert result.returncode == cli.CLOSED_STDOUT == 141, result.stderr
+        assert result.stderr == ""
+
+    @pytest.mark.parametrize("method", ["ta", "hydraopt"])
+    def test_merge_still_writes_its_archive(self, small_archive, tmp_path, method):
+        from hydramerge.archive import open_archive
+
+        out = tmp_path / "merged.lrta"
+        args = ["merge", "--in", str(small_archive), "--out", str(out), "--method", method]
+        result = self.run_into_closed_pipe(*args, *(["--epochs", "2"] * (method == "hydraopt")))
+        assert result.returncode == 141, result.stderr
+        assert result.stderr == ""
+        assert open_archive(out).method == method

@@ -1421,6 +1421,99 @@ class TestOneStackPerStep:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+class TestRoutedStepCopiesNoClusters:
+    """A routed step reads the state's stacked clusters as they are: it
+    mixes them into its one K-row buffer and copies them nowhere else."""
+
+    @staticmethod
+    def step_peak(adapter, rank, distance, num_clusters):
+        """The traced peak, in bytes, of one evaluation at d = k = 512, K = 16."""
+        targets = kind_targets(adapter, 16, d=512, r=rank, k=512, seed=0)
+        state = hydra._new_state(targets, num_clusters, Rng(1), stdev=1.0)
+        cfg = HydraConfig(num_clusters=num_clusters, distance=distance)
+        evaluate = hydra._kernel(targets, cfg)
+        tracemalloc.start()
+        try:
+            evaluate(state)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("adapter, rank", [("lora", 16), ("vera", 32)])
+    @pytest.mark.parametrize("distance", [DistanceKind.MSE, DistanceKind.MAE])
+    def test_each_added_cluster_costs_less_than_one_cluster_row(self, adapter, rank, distance):
+        row = 512 * (rank if adapter == "lora" else 1) * 8  # bytes of one cluster (d x r, or d)
+        low, high = (self.step_peak(adapter, rank, distance, m) for m in (2, 14))
+        per_cluster = (high - low) / 12 / row
+        assert per_cluster < 1.0, per_cluster
+
+
+STATE_CLASSES = {"lora": HydraState, "vera": hydra.VeraHydraState}
+
+
+def listed_state(adapter, cluster_lengths):
+    """A state built from a list of clusters of ``cluster_lengths`` rows,
+    as a caller of the state class builds one (r = 2, k = 6)."""
+    if adapter == "lora":
+        clusters = [np.ones((d, 2)) for d in cluster_lengths]
+        return HydraState(a_shared=np.ones((2, 6)), b_clusters=clusters, logits=None)
+    return hydra.VeraHydraState(
+        lambda_d=np.ones(2), lambda_b_clusters=[np.ones(d) for d in cluster_lengths],
+        shared_b=np.ones((4, 2)), shared_a=np.ones((2, 6)), logits=None,
+    )  # fmt: skip
+
+
+class TestClustersAreOneArray:
+    """A training state holds its clusters as one C-contiguous ``(M, ...)``
+    array however it is built; each cluster's tensor is a row view of it,
+    and the exported slot lists its rows."""
+
+    @staticmethod
+    def built(adapter, how):
+        targets = kind_targets(adapter, 4, d=6, r=2, k=5, seed=3)
+        state = hydra._new_state(targets, 3, Rng(0), stdev=1.0)
+        if how == "list":  # Fortran-ordered LoRA factors still stack C-contiguous
+            clusters = [np.asfortranarray(c.copy()) for c in state.clusters]
+            fields = {**vars(state), state.CLUSTERS: clusters, "moments": {}}
+            state = STATE_CLASSES[adapter](**fields)
+            hydra._zero_moments(state)
+        return state
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("how", ["init", "list"])
+    def test_layout_updates_and_export(self, adapter, how):
+        state = self.built(adapter, how)
+        stack = state.clusters
+        assert type(stack) is np.ndarray and stack.flags.c_contiguous
+        assert stack.shape == ((3, 6, 2) if adapter == "lora" else (3, 6))
+        assert getattr(state, state.CLUSTERS) is stack
+        rows = [t for name, t in state.named_tensors() if name.startswith(state.NAMES[1] + ".")]
+        assert len(rows) == 3 and all(np.shares_memory(row, stack) for row in rows)
+
+        before = stack.copy()
+        grads = HydraGrads({name: np.ones_like(t) for name, t in state.named_tensors()})
+        adamw_step(state, grads, HydraConfig(num_clusters=3))
+        assert state.clusters is stack and np.all(stack != before)
+
+        entry = hydra.export_slot(state, [0, 1, 2, 0])
+        assert type(entry) is SLOT_CLASSES[adapter] and type(entry.clusters) is list
+        assert len(entry.clusters) == 3
+        assert all(np.array_equal(got, want) for got, want in zip(entry.clusters, stack))
+
+    @pytest.mark.parametrize("adapter, row", [("lora", ", 2"), ("vera", ",")])
+    def test_clusters_that_differ_in_shape_raise_naming_the_cluster(self, adapter, row):
+        """Where the state is built, not as numpy's untyped error in a step."""
+        targets = kind_targets(adapter, 2, d=4, r=2, k=6, seed=0)
+        message = rf"^cluster 1 has shape \(5{row}\), cluster 0 has \(4{row}\)$"
+        with pytest.raises(ValidationError, match=message):
+            loss(listed_state(adapter, [4, 5]), targets, HydraConfig(num_clusters=2))
+
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    def test_an_empty_cluster_list_raises(self, adapter):
+        with pytest.raises(ValidationError, match="^clusters is empty; a shared slot needs at"):
+            listed_state(adapter, [])
+
+
 def test_globalize_refuses_differing_cluster_counts():
     slots = [SlotKey(0, "q"), SlotKey(0, "v")]
     entries = {
