@@ -26,9 +26,9 @@ Each adapter class describes its kind, so no other layer branches on it:
 * ``predict(c, basis(shared, frozen))`` is the linear update map ``L(c)``
   from a cluster side to the ``d x k`` update; ``pull_back(g, c, basis)``
   gives its adjoint ``L^T(g)`` and ``c``'s term of the shared side's
-  gradient, which ``shared_grad(total, frozen)`` finishes from the summed
-  terms.  :func:`delta_weight` and :mod:`hydramerge.hydra`'s dense kernel
-  use them.
+  gradient, which ``shared_grad(term, frozen)`` finishes, one task's term
+  at a time.  :func:`delta_weight` and :mod:`hydramerge.hydra`'s dense
+  kernel use them.
 * ``factors(shared, cluster, frozen)`` is the update as its rank-r
   factors ``(left, right)``, ``d x r`` and ``r x k``, with ``left @
   right == L(cluster)`` up to rounding: ``(b, a)`` for LoRA and ``(W,
@@ -203,8 +203,8 @@ class LowRankAdapter(Adapter):
         return g @ basis.T, cluster.T @ g
 
     @staticmethod
-    def shared_grad(total: Matrix, frozen: tuple) -> Matrix:
-        return total
+    def shared_grad(term: Matrix, frozen: tuple) -> Matrix:
+        return term
 
     @staticmethod
     def factors(shared: Matrix, cluster: Matrix, frozen: tuple) -> tuple[Matrix, Matrix]:
@@ -306,10 +306,10 @@ class VeraAdapter(Adapter):
         return (g * basis).sum(axis=1), np.reshape(cluster, (-1, 1)) * g
 
     @staticmethod
-    def shared_grad(total: Matrix, frozen: tuple[Matrix, Matrix]) -> np.ndarray:
-        """``rowsum((shared_b^T H) * shared_a)``, ``H = sum diag(lambda_b) G``."""
+    def shared_grad(term: Matrix, frozen: tuple[Matrix, Matrix]) -> np.ndarray:
+        """``rowsum((shared_b^T H) * shared_a)`` for the term ``H = diag(lambda_b) G``."""
         shared_a, shared_b = frozen
-        return ((shared_b.T @ total) * shared_a).sum(axis=1)
+        return ((shared_b.T @ term) * shared_a).sum(axis=1)
 
     @staticmethod
     def factors(shared: np.ndarray, cluster: np.ndarray, frozen: tuple) -> tuple[Matrix, Matrix]:

@@ -102,8 +102,8 @@ def _random_instance(rng: Rng, draw_targets, d, k, r, num_tasks, num_clusters, c
         targets = draw_targets(rng, d, k, r, num_tasks)
         state = _new_state(targets, num_clusters, rng, stdev=1.0)
         weights = _routing(state, cfg, num_tasks)
-        mixed, basis = _mix(weights, state.clusters), state.basis()
-        preds = (state.adapter_type.predict(c, basis) for c in mixed)
+        basis = state.adapter_type.basis(state.shared, state.frozen)
+        preds = (state.adapter_type.predict(c, basis) for c in _mix(weights, state.clusters))
         residuals = (np.abs(t - p) for t, p in zip(_target_matrices(targets), preds))
         if min(float(np.min(res)) for res in residuals) <= RESIDUAL_FLOOR:
             refused["residual floor"] += 1

@@ -28,11 +28,12 @@ VeRA keeps its frozen pair and learns a shared inner vector
 Every kernel is a generator run by one evaluation step, :func:`_step`.
 The step reads the state's stack ``c`` as it is and mixes it once into a
 new K-row buffer, ``c_mix = w @ c`` (under identity routing a copy of
-``c``), and the kernel reads task i's ``c_mix_i`` from row i.  It
-yields, task by task, ``(distance_i, E_i, term_i)``: the distance,
-``E_i`` the gradient with respect to ``c_mix_i``, which the step writes
-over row i, and the task's term of the shared gradient.  The step does
-the rest once for all kernels: it routes, holds numpy's error state,
+``c``), and the kernel reads task i's ``c_mix_i`` from row i.  All three
+kernels keep one contract: each yields, task by task, ``(distance_i,
+E_i, term_i)``: the distance, ``E_i`` the gradient with respect to
+``c_mix_i``, which the step writes over row i, and the task's finished
+term of the shared gradient, shaped like the shared parameter.  The step
+does the rest once for all kernels: it routes, holds numpy's error state,
 raises :class:`NumericalError` naming the first task whose distance is
 not finite, sums the shared terms and applies the one chain rule in
 cluster space: ``dc_j = sum_i w[i, j] E_i``, and the routing logits get
@@ -98,9 +99,9 @@ task before the first step.
 The dense kernel builds ``P_i = predict(c_mix_i, basis)`` and streams one
 ``d x k`` residual per task; ``pull_back`` turns the distance gradient
 ``G_i`` at ``P_i`` into ``E_i = L^T(G_i)`` and the task's term of the
-shared gradient; the step finishes their sum once with ``shared_grad``.
-It serves dense target matrices and is the reference both factored
-kernels are tested against.
+shared gradient, which ``shared_grad`` finishes before the kernel yields
+it, so no step holds a ``d x k`` sum.  It serves dense target matrices
+and is the reference both factored kernels are tested against.
 :func:`loss`, :func:`gradients` and :func:`train` run the same kernel for
 the same targets.
 
@@ -259,9 +260,6 @@ class _RoutedState:
         if self.logits is not None:
             out.append(("logits", self.logits))
         return out
-
-    def basis(self) -> Matrix:
-        return self.adapter_type.basis(self.shared, self.frozen)
 
     # the state stands for cluster 0's adapter where its slot is checked (_evaluate)
     def sides(self) -> tuple[Matrix, Matrix]:
@@ -428,7 +426,7 @@ def _mix(weights: np.ndarray | None, clusters: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the check below types non-finite results
-def _step(kernel, finish, state, targets, *args):
+def _step(kernel, state, targets, *args):
     """One evaluation step, ``(loss, per_task, grads)``: it owns what every
     kernel shares.
 
@@ -440,12 +438,12 @@ def _step(kernel, finish, state, targets, *args):
     ``(distance_i, E_i, term_i)`` for each task in order: ``E_i`` is the
     gradient with respect to ``c_mix_i``, which the step writes over row i,
     so the kernel must not read row i once it has yielded it; ``term_i``,
-    a fresh array, is the task's term of the shared gradient.  A
-    non-finite distance, or a :class:`NumericalError` while task i is
-    evaluated, raises :class:`NumericalError` naming task i.
-    ``finish(state, total)`` turns the summed terms into the shared
-    parameter's gradient; the chain rule gives the rest: ``dc_j = sum_i
-    w[i, j] E_i`` and the logits' ``g[i, j] = <E_i, c_j>``."""
+    a fresh array of the shared parameter's shape, is the task's finished
+    term of the shared gradient.  Every kernel keeps this one contract, so
+    the step only sums the terms into the shared gradient and applies the
+    chain rule: ``dc_j = sum_i w[i, j] E_i`` and the logits' ``g[i, j] =
+    <E_i, c_j>``.  A non-finite distance, or a :class:`NumericalError`
+    while task i is evaluated, raises :class:`NumericalError` naming task i."""
     cfg = args[-1]
     weights = _routing(state, cfg, len(targets))
     clusters = state.clusters
@@ -463,7 +461,7 @@ def _step(kernel, finish, state, targets, *args):
         shared = term if shared is None else np.add(shared, term, out=shared)
     terms.close()  # the kernel's locals go before the chain rule allocates
     shared_name, cluster_name = state.NAMES
-    grads = {shared_name: finish(state, shared)}
+    grads = {shared_name: shared}
     if weights is not None:
         inner = mixed.reshape(len(mixed), -1) @ clusters.reshape(len(clusters), -1).T
         grads["logits"] = _logit_grad(weights, inner, cfg.temperature)
@@ -473,24 +471,27 @@ def _step(kernel, finish, state, targets, *args):
     return float(sum(per_task)), per_task, HydraGrads(grads)
 
 
-def _stepped(finish=lambda state, total: total):
-    """Make a generator of per-task terms into ``(state, targets, *args,
-    cfg) -> (loss, per_task, grads)``, run by :func:`_step`."""
-    return lambda kernel: functools.wraps(kernel)(functools.partial(_step, kernel, finish))
+def _stepped(kernel):
+    """Make a generator that yields ``(distance_i, E_i, term_i)`` per task
+    into ``(state, targets, *args, cfg) -> (loss, per_task, grads)``, run
+    by :func:`_step`; ``__wrapped__`` is the generator."""
+    return functools.wraps(kernel)(functools.partial(_step, kernel))
 
 
-@_stepped(finish=lambda state, total: state.adapter_type.shared_grad(total, state.frozen))
+@_stepped
 def _loss_and_grads_dense(state, mixed, mats: list[Matrix], cfg: HydraConfig):
     """The dense kernel: one streamed d x k residual per task, with the
-    pull-back in cluster space; no cluster product is formed.  A target
-    shaped unlike its prediction raises :class:`ShapeError`."""
-    basis = state.basis()
+    pull-back in cluster space; no cluster product is formed, and
+    ``shared_grad`` finishes each task's shared term.  A target shaped
+    unlike its prediction raises :class:`ShapeError`."""
+    basis = state.adapter_type.basis(state.shared, state.frozen)
     for i, (target, c) in enumerate(zip(mats, mixed)):
         pred = state.adapter_type.predict(c, basis)
         if target.shape != pred.shape:
             raise ShapeError(f"target {i} has shape {target.shape}, its prediction {pred.shape}")
         value, g = distance_and_grad(target, pred, cfg.distance)
-        yield (value, *state.adapter_type.pull_back(g, c, basis))
+        e, term = state.adapter_type.pull_back(g, c, basis)
+        yield value, e, state.adapter_type.shared_grad(term, state.frozen)
 
 
 def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -530,7 +531,7 @@ def _squared_norms(targets, distance: DistanceKind) -> np.ndarray:
     return tt
 
 
-@_stepped()
+@_stepped
 def _loss_and_grads_factored(state, mixed, targets: Sequence[Adapter], tt, cfg):
     """The Gram kernel: loss and gradients of a smooth distance, for either
     kind, from r x r Gram products of the targets' and the predictions'
@@ -542,10 +543,11 @@ def _loss_and_grads_factored(state, mixed, targets: Sequence[Adapter], tt, cfg):
     gram_r = _cross(right_p, right_p)  # R_p R_p^T
     size = len(mixed[0]) * right_p.shape[1]  # d k
     for i, (target, c) in enumerate(zip(targets, mixed)):
-        left_p = np.ascontiguousarray(kind.factors(state.shared, c, state.frozen)[0].T)  # L_p,i^T
+        factor = kind.factors(state.shared, c, state.frozen)[0]  # L_p,i
+        left_p = np.ascontiguousarray(factor.T)  # L_p,i^T
         left, right = delta_factors(target)
         cross_l = _cross(left_p, left.T)  # L_p,i^T L_t,i
-        gram_l = _cross(left_p, left_p)  # L_p,i^T L_p,i
+        gram_l = _cross(left_p, factor.T)  # L_p,i^T L_p,i
         # R_p R_t,i^T; a frozen right factor is one for the slot (see _kernel), so R_t,i = R_p
         cross_r = gram_r if kind.right_frozen else _cross(right_p, right)
         tp, pp = _trace(cross_l, cross_r), _trace(gram_l, gram_r)
@@ -563,7 +565,7 @@ def _loss_and_grads_factored(state, mixed, targets: Sequence[Adapter], tt, cfg):
 _BLOCK_ENTRIES = ROW_BLOCK_ENTRIES
 
 
-@_stepped()
+@_stepped
 def _loss_and_grads_vera_mae(state, mixed, targets: Sequence[Adapter], cfg):
     """The blocked kernel: MAE loss and gradients, for either kind, from
     each task's residual ``R_i = L_t,i R_t,i - L_p,i R_p``, taken one row

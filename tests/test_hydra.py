@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import tracemalloc
 
@@ -1512,6 +1513,43 @@ class TestClustersAreOneArray:
     def test_an_empty_cluster_list_raises(self, adapter):
         with pytest.raises(ValidationError, match="^clusters is empty; a shared slot needs at"):
             listed_state(adapter, [])
+
+
+class TestOneKernelContract:
+    """Every kernel yields, task by task, the distance, ``E_i`` shaped like
+    one cluster and the task's finished shared term, shaped like the shared
+    parameter; the step only sums those terms into the shared gradient."""
+
+    @staticmethod
+    def kernel_and_inputs(kernel, targets, cfg):
+        if kernel == "dense":
+            mats = hydra._target_matrices(targets)
+            return hydra._loss_and_grads_dense, (mats, cfg)
+        if kernel == "gram":
+            tt = hydra._squared_norms(targets, cfg.distance)
+            return hydra._loss_and_grads_factored, (targets, tt, cfg)
+        return hydra._loss_and_grads_vera_mae, (targets, cfg)
+
+    @pytest.mark.parametrize("kernel", ["dense", "gram", "blocked"])
+    @pytest.mark.parametrize("adapter", ["lora", "vera"])
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    def test_every_kernel_yields_finished_shared_terms(self, kernel, adapter, num_clusters):
+        targets = kind_targets(adapter, 4, d=6, r=2, k=5, seed=5)
+        state = hydra._new_state(targets, num_clusters, Rng(2), stdev=1.0)
+        distance = DistanceKind.MSE if kernel == "gram" else DistanceKind.MAE
+        cfg = HydraConfig(num_clusters=num_clusters, distance=distance)
+        stepped, inputs = self.kernel_and_inputs(kernel, targets, cfg)
+        mixed = hydra._mix(hydra._routing(state, cfg, 4), state.clusters)
+        yielded = list(stepped.__wrapped__(state, mixed, *inputs))
+
+        assert len(yielded) == 4
+        for value, e, term in yielded:
+            assert np.isfinite(value)
+            assert e.shape == state.clusters[0].shape
+            assert term.shape == state.shared.shape
+        grads = stepped(state, *inputs)[2].tensors
+        summed = functools.reduce(np.add, (term for _, _, term in yielded))
+        np.testing.assert_array_equal(grads[state.NAMES[0]], summed)
 
 
 def test_globalize_refuses_differing_cluster_counts():
